@@ -106,6 +106,8 @@ def load_samples(path, expect_z: bool) -> list[SampleRecord]:
             vals = [float(v) for v in row]
         except ValueError:
             raise ValueError(f"{path}:{lineno}: non-numeric cell") from None
+        if not all(map(math.isfinite, vals)):
+            raise ValueError(f"{path}:{lineno}: non-finite cell")
         command = CommandKey(*vals[:3])
         if has_z:
             z = TerrainVector(*vals[3:5])
@@ -151,6 +153,8 @@ def load_points(path, expect_cols: int | None = None) -> np.ndarray:
                 rows.append([float(p) for p in parts])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric cell") from None
+            if not all(map(math.isfinite, rows[-1])):
+                raise ValueError(f"{path}:{lineno}: non-finite cell")
             if len(rows[-1]) != len(rows[0]):
                 raise ValueError(f"{path}:{lineno}: ragged row")
     if not rows:

@@ -214,6 +214,24 @@ class IndexSplit:
             raise ValueError("kept block is empty")
 
 
+def positive_definite_cholesky(cov: np.ndarray, epsilon: float = DEFAULT_EPSILON):
+    """(cov', L): cov itself and its lower Cholesky factor if it factors,
+    else the first diagonally loaded copy (epsilon, 10 epsilon, ...) that
+    does, with its factor."""
+    try:
+        return cov, np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        pass
+    eps = epsilon
+    for _ in range(16):
+        loaded = regularize(cov, eps)
+        try:
+            return loaded, np.linalg.cholesky(loaded)
+        except np.linalg.LinAlgError:
+            eps *= 10.0
+    raise np.linalg.LinAlgError("covariance could not be regularized to positive definite")
+
+
 def ensure_positive_definite(g: Gaussian, epsilon: float = DEFAULT_EPSILON) -> Gaussian:
     """Return g itself if its covariance factors, else a copy with diagonal
     loading applied until it does.  Exact moments are kept separate from the
@@ -221,13 +239,7 @@ def ensure_positive_definite(g: Gaussian, epsilon: float = DEFAULT_EPSILON) -> G
     degenerate components remain well defined."""
     if g.is_positive_definite():
         return g
-    eps = epsilon
-    for _ in range(16):
-        candidate = Gaussian(g.mean, regularize(g.cov, eps))
-        if candidate.is_positive_definite():
-            return candidate
-        eps *= 10.0
-    raise np.linalg.LinAlgError("covariance could not be regularized to positive definite")
+    return Gaussian(g.mean, positive_definite_cholesky(g.cov, epsilon)[0])
 
 
 def _check_indices(idx, dim: int, name: str) -> list[int]:

@@ -15,13 +15,47 @@ incremental updates of the unbiased mean/covariance estimators, so a
 component that has absorbed samples y_1..y_n carries exactly their batch
 mean and unbiased covariance (the creation-time identity covariance is a
 placeholder that drops out on the first merge).
+
+A mixture of m components over D dimensions is stored as parallel arrays,
+one row per component:
+
+    _w          (m,)        unnormalized weights; _W is their running total
+    _mean       (m, D)      exact means
+    _cov        (m, D, D)   exact unbiased covariances
+    _creation   m entries   creation covariance of each component, or None
+    _eval_cov   (m, D, D)   evaluation covariance (see WeightedGaussian),
+                            diagonally loaded where it would not factor
+    _chol_inv   (m, D, D)   inverse lower Cholesky factor of _eval_cov
+    _log_norm   (m,)        log normalization constant of each component
+    _peak       (m, m)      _peak[i, j] = N(mean_i; component j), or None
+
+Invariant: after construction and after every add_sample, the evaluation
+arrays are those of the current moments and, once built, _peak holds the
+current component-at-mean densities.  add_sample keeps this in O(m D^2):
+a merge into component i updates i in place, re-factors only i and
+recomputes row and column i of _peak; an append grows every array by one.
+_peak is built by the first add_sample to a non-empty mixture, so
+mixtures that never learn (conditioned queries) never pay for it.  Reads
+(density, normalized_density, select_component, components, conditional)
+never mutate a mixture; only add_sample writes.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .gaussian import Gaussian, ensure_positive_definite, symmetrize
+from .gaussian import (
+    LOG_2PI,
+    Gaussian,
+    ensure_positive_definite,
+    positive_definite_cholesky,
+    symmetrize,
+)
+
+#: Largest accepted sample coordinate magnitude: its square is finite in float64.
+MAX_COORDINATE = math.sqrt(np.finfo(float).max)
 
 
 def merge_threshold(d: float, n: float, k: float) -> float:
@@ -35,6 +69,51 @@ def merge_threshold(d: float, n: float, k: float) -> float:
     if n < 0 or k < 0:
         raise ValueError("n and k must be non-negative")
     return 1.0 - (1.0 - d) * np.exp(-k * n)
+
+
+def _moment_update(w: float, mean: np.ndarray, cov: np.ndarray, x: np.ndarray):
+    """Mean and unbiased covariance after absorbing x into w >= 1 samples
+    (West 1979; Welford 1962):
+
+        w'  = w + 1,   dx = x - mu
+        mu' = mu + dx / w'
+        S'  = ((w - 1) S + dx (x - mu')^T) / w,   where x - mu' = (w / w') dx
+
+    The outer product is formed from dx alone, so no large offset cancels
+    and S' stays exactly symmetric.  For w = 1 the (w - 1) factor drops the
+    creation covariance and S' is the unbiased covariance of two samples.
+    """
+    w_new = w + 1.0
+    dx = x - mean
+    return mean + dx / w_new, ((w - 1.0) * cov + np.outer(dx, dx) * (w / w_new)) / w
+
+
+def _evaluation_cov(cov: np.ndarray, w: float, creation: np.ndarray | None) -> np.ndarray:
+    """Covariance a component is evaluated with (see WeightedGaussian)."""
+    if creation is None or w < 1.0:
+        return cov
+    return symmetrize(((w - 1.0) * cov + creation) / w)
+
+
+def _factor(eval_cov: np.ndarray):
+    """(evaluation covariances, inverse Cholesky factors, log normalization
+    constants) of a stack (m, D, D); a covariance that does not factor is
+    diagonally loaded until it does."""
+    try:
+        chol = np.linalg.cholesky(eval_cov)
+    except np.linalg.LinAlgError:
+        pairs = [positive_definite_cholesky(c) for c in eval_cov]
+        eval_cov = np.array([c for c, _ in pairs])
+        chol = np.array([f for _, f in pairs])
+    log_det = np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    return eval_cov, np.linalg.inv(chol), -0.5 * eval_cov.shape[-1] * LOG_2PI - log_det
+
+
+def _quad(pts: np.ndarray, mean: np.ndarray, chol_inv: np.ndarray) -> np.ndarray:
+    """Squared Mahalanobis distance of every point (N, D) to every
+    component (m, D): shape (N, m)."""
+    y = np.einsum("mij,nmj->nmi", chol_inv, pts[:, None, :] - mean[None, :, :])
+    return np.einsum("nmi,nmi->nm", y, y)
 
 
 class WeightedGaussian:
@@ -59,7 +138,7 @@ class WeightedGaussian:
     as-is, with minimal diagonal loading only if factorization fails.
     """
 
-    __slots__ = ("g", "w", "creation_cov", "_pd")
+    __slots__ = ("g", "w", "creation_cov")
 
     def __init__(self, g: Gaussian, w: float, creation_cov: np.ndarray | None = None):
         if w <= 0:
@@ -67,17 +146,11 @@ class WeightedGaussian:
         self.g = g
         self.w = float(w)
         self.creation_cov = creation_cov
-        self._pd = None
 
     def pd_gaussian(self) -> Gaussian:
         """Gaussian used for density evaluation (see class docstring)."""
-        if self._pd is None:
-            if self.creation_cov is not None and self.w >= 1.0:
-                cov = ((self.w - 1.0) * self.g.cov + self.creation_cov) / self.w
-                self._pd = ensure_positive_definite(Gaussian(self.g.mean, symmetrize(cov)))
-            else:
-                self._pd = ensure_positive_definite(self.g)
-        return self._pd
+        cov = _evaluation_cov(self.g.cov, self.w, self.creation_cov)
+        return ensure_positive_definite(self.g if cov is self.g.cov else Gaussian(self.g.mean, cov))
 
     def __repr__(self):
         return f"WeightedGaussian(w={self.w}, {self.g!r})"
@@ -86,97 +159,89 @@ class WeightedGaussian:
 def merge_into(c: WeightedGaussian, x) -> WeightedGaussian:
     """Absorb one sample into a component, returning the updated component.
 
-    Exact one-pass update of the unbiased estimators:
-
-        w'  = w + 1
-        mu' = (w mu + x) / w'
-        S'  = ((w-1)/w) S + mu mu^T + (1/w) x x^T - (w'/w) mu' mu'^T
-
-    For w = 1 the (w-1)/w factor is zero, so the creation covariance is
-    discarded and S' is the unbiased covariance of the two samples seen.
+    Exact one-pass update of the unbiased estimators (see _moment_update):
+    w' = w + 1, mu' = (w mu + x) / w', and S' the unbiased covariance of
+    the w' samples.  For w = 1 the creation covariance is discarded and S'
+    is the unbiased covariance of the two samples seen.
     """
     if c.w < 1:
         raise ValueError("merge requires a component with weight >= 1")
     x = np.asarray(x, dtype=float).reshape(-1)
-    mu = c.g.mean
-    if x.shape[0] != mu.shape[0]:
-        raise ValueError(f"sample dimension {x.shape[0]} != component dimension {mu.shape[0]}")
-    w = c.w
-    w_new = w + 1.0
-    mu_new = (w * mu + x) / w_new
-    cov_new = (
-        ((w - 1.0) / w) * c.g.cov
-        + np.outer(mu, mu)
-        + np.outer(x, x) / w
-        - (w_new / w) * np.outer(mu_new, mu_new)
-    )
-    return WeightedGaussian(Gaussian(mu_new, symmetrize(cov_new)), w_new, c.creation_cov)
+    if x.shape[0] != c.g.dim:
+        raise ValueError(f"sample dimension {x.shape[0]} != component dimension {c.g.dim}")
+    mean, cov = _moment_update(c.w, c.g.mean, c.g.cov, x)
+    return WeightedGaussian(Gaussian(mean, cov), c.w + 1.0, c.creation_cov)
 
 
 class DynamicGaussianMixture:
-    """Variable-size weighted Gaussian mixture over a D-dimensional space."""
+    """Variable-size weighted Gaussian mixture over a D-dimensional space,
+    stored as parallel arrays (see the module docstring)."""
 
     def __init__(self, dim: int, components: list[WeightedGaussian] | None = None):
         if dim < 1:
             raise ValueError("dim must be >= 1")
         self.dim = int(dim)
-        self.components: list[WeightedGaussian] = []
-        # stacked evaluation cache, rebuilt lazily after any mutation
-        self._stack = None
-        for c in components or []:
-            self._append(c)
+        comps = list(components or [])
+        for c in comps:
+            if c.g.dim != self.dim:
+                raise ValueError(f"component dimension {c.g.dim} != mixture dimension {self.dim}")
+        m = len(comps)
+        self._load(
+            np.array([c.w for c in comps], dtype=float),
+            np.array([c.g.mean for c in comps], dtype=float).reshape(m, self.dim),
+            np.array([c.g.cov for c in comps], dtype=float).reshape(m, self.dim, self.dim),
+            [c.creation_cov for c in comps],
+        )
+
+    @classmethod
+    def _from_arrays(cls, w: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> "DynamicGaussianMixture":
+        """Mixture that takes ownership of the given arrays; its components
+        have no creation covariance."""
+        mix = cls.__new__(cls)
+        mix.dim = mean.shape[1]
+        mix._load(w, mean, cov, [None] * len(w))
+        return mix
+
+    def _load(self, w, mean, cov, creation) -> None:
+        self._w, self._mean, self._cov, self._creation = w, mean, cov, creation
+        self._W = float(w.sum())
+        eval_cov = cov.copy()
+        for i, c in enumerate(creation):
+            if c is not None:
+                eval_cov[i] = _evaluation_cov(cov[i], w[i], c)
+        self._eval_cov, self._chol_inv, self._log_norm = _factor(eval_cov)
+        self._peak = None
 
     # -- bookkeeping ------------------------------------------------------
 
-    def _append(self, c: WeightedGaussian) -> None:
-        if c.g.dim != self.dim:
-            raise ValueError(f"component dimension {c.g.dim} != mixture dimension {self.dim}")
-        self.components.append(c)
-        self._stack = None
-
-    def _replace(self, i: int, c: WeightedGaussian) -> None:
-        self.components[i] = c
-        self._stack = None
-
     def __len__(self) -> int:
-        return len(self.components)
+        return len(self._w)
 
     def __repr__(self):
         return f"DynamicGaussianMixture(dim={self.dim}, components={len(self)}, weight={self.total_weight()})"
 
+    @property
+    def components(self) -> list[WeightedGaussian]:
+        """The components as WeightedGaussian objects, built on each access
+        from copies of the arrays: editing them does not change the mixture."""
+        return [
+            WeightedGaussian(Gaussian(self._mean[i].copy(), self._cov[i].copy()),
+                             float(self._w[i]), self._creation[i])
+            for i in range(len(self))
+        ]
+
     def total_weight(self) -> float:
         """Sum of unnormalized weights; the number of absorbed samples for
         models built purely by add_sample."""
-        return float(sum(c.w for c in self.components))
+        return self._W
 
     def weights(self) -> np.ndarray:
-        return np.array([c.w for c in self.components], dtype=float)
+        return self._w.copy()
 
     def means(self) -> np.ndarray:
-        return np.array([c.g.mean for c in self.components], dtype=float)
+        return self._mean.copy()
 
     # -- evaluation --------------------------------------------------------
-
-    def _stacked(self):
-        """(means, inverse Cholesky factors, log norm constants, weights)
-        for all components, using each component's evaluation Gaussian."""
-        if self._stack is None:
-            pds = [c.pd_gaussian() for c in self.components]
-            self._stack = (
-                np.array([g.mean for g in pds]),
-                np.array([g.chol_inv() for g in pds]),
-                np.array([g.log_norm_const() for g in pds]),
-                self.weights(),
-            )
-        return self._stack
-
-    def _component_log_densities(self, pts: np.ndarray) -> np.ndarray:
-        """Log density of every component at every point: shape (N, m)."""
-        means, l_inv, log_norms, _ = self._stacked()
-        diff = pts[:, None, :] - means[None, :, :]            # (N, m, D)
-        y = np.einsum("mij,nmj->nmi", l_inv, diff)            # (N, m, D)
-        quad = np.einsum("nmi,nmi->nm", y, y)
-        return log_norms[None, :] - 0.5 * quad
 
     def _check_points(self, x) -> tuple[np.ndarray, bool]:
         x = np.asarray(x, dtype=float)
@@ -189,76 +254,170 @@ class DynamicGaussianMixture:
     def density(self, x):
         """Mixture pdf: sum_i (w_i / W) N(x; mu_i, S_i).  Accepts one point
         (D,) or a batch (N, D)."""
-        if not self.components:
+        if not len(self):
             raise ValueError("mixture is empty")
         pts, single = self._check_points(x)
-        w = self.weights()
-        w_hat = w / w.sum()
-        vals = np.exp(self._component_log_densities(pts)) @ w_hat
+        quad = _quad(pts, self._mean, self._chol_inv)
+        vals = np.exp(self._log_norm - 0.5 * quad) @ (self._w / self._W)
         return float(vals[0]) if single else vals
+
+    def _at_means(self) -> np.ndarray:
+        """N(mean_i; component j) for every pair, from scratch: (m, m)."""
+        return np.exp(self._log_norm - 0.5 * _quad(self._mean, self._mean, self._chol_inv))
 
     def _peak_estimate(self) -> float:
         """Estimated mixture maximum: the largest mixture value over all
         component means.  Exact for well-separated components; can
         undershoot when components overlap, so callers clamp ratios at 1."""
-        means, _, _, w = self._stacked()
-        w_hat = w / w.sum()
-        vals = np.exp(self._component_log_densities(means)) @ w_hat
-        return float(vals.max())
+        at_means = self._peak if self._peak is not None else self._at_means()
+        return float((at_means @ (self._w / self._W)).max())
 
     def normalized_density(self, x):
         """Mixture density rescaled so the estimated peak is 1; in (0, 1]."""
-        if not self.components:
+        if not len(self):
             raise ValueError("mixture is empty")
-        peak = self._peak_estimate()
-        return np.minimum(self.density(x) / peak, 1.0)
+        return np.minimum(self.density(x) / self._peak_estimate(), 1.0)
+
+    def conditional(self, z) -> "DynamicGaussianMixture":
+        """Mixture over the leading coordinates given that the trailing
+        len(z) coordinates equal z, from the evaluation Gaussians.
+
+        Component i is conditioned in closed form (Schur complement) and
+        reweighted by w_i times its trailing-block marginal density at z,
+        so the result is pointwise joint(x || z) / marginal(z).  Components
+        whose weight underflows to zero are dropped; the result is empty
+        when all of them do.
+        """
+        z = np.asarray(z, dtype=float).reshape(-1)
+        k = self.dim - z.shape[0]
+        if not 0 < k < self.dim:
+            raise ValueError(f"z has dimension {z.shape[0]}; must be in (0, {self.dim})")
+        cov = self._eval_cov
+        chol_zz = np.linalg.cholesky(cov[:, k:, k:])
+        # whiten the terrain residual and the cross-covariance in one solve
+        rhs = np.concatenate([(z - self._mean[:, k:])[:, :, None], cov[:, k:, :k]], axis=2)
+        white = np.linalg.solve(chol_zz, rhs)
+        y, a = white[:, :, 0], white[:, :, 1:]
+        log_det = np.log(np.diagonal(chol_zz, axis1=1, axis2=2)).sum(axis=1)
+        log_marginal = -0.5 * z.shape[0] * LOG_2PI - log_det - 0.5 * np.einsum("mi,mi->m", y, y)
+        weight = self._w * np.exp(log_marginal)
+        keep = weight > 0.0
+        y, a = y[keep], a[keep]
+        a_t = a.transpose(0, 2, 1)
+        mean = self._mean[keep, :k] + (a_t @ y[:, :, None])[:, :, 0]
+        schur = cov[keep, :k, :k] - a_t @ a
+        return DynamicGaussianMixture._from_arrays(
+            weight[keep], mean, 0.5 * (schur + schur.transpose(0, 2, 1)))
 
     # -- online update -----------------------------------------------------
+
+    def _quad_at(self, x: np.ndarray) -> np.ndarray:
+        """Squared Mahalanobis distance of one point (D,) to each component."""
+        return _quad(x[None, :], self._mean, self._chol_inv)[0]
+
+    def _selection_scores(self, quad: np.ndarray) -> np.ndarray:
+        """w_i * exp(-maha_i^2 / 2) from the squared distances to one point."""
+        return self._w * np.exp(-0.5 * quad)
+
+    def _draw(self, quad: np.ndarray, rng: np.random.Generator) -> int:
+        scores = self._selection_scores(quad)
+        total = scores.sum()
+        if total <= 0.0 or not np.isfinite(total):
+            return int(np.argmin(quad))
+        u = rng.random()
+        return min(int(np.searchsorted(np.cumsum(scores / total), u, side="right")), len(scores) - 1)
 
     def select_component(self, x, rng: np.random.Generator) -> int:
         """Draw a component index with probability proportional to
         w_i * exp(-maha_i(x)^2 / 2).  If every score underflows to zero the
         sample is out of support everywhere; fall back to the nearest
         component by Mahalanobis distance."""
-        if not self.components:
+        if not len(self):
             raise ValueError("mixture is empty")
         pts, _ = self._check_points(x)
-        _, _, log_norms, w = self._stacked()
-        log_dens = self._component_log_densities(pts)[0]
-        scores = w * np.exp(log_dens - log_norms)
-        total = scores.sum()
-        if total <= 0.0 or not np.isfinite(total):
-            maha_sq = 2.0 * (log_norms - log_dens)
-            return int(np.argmin(maha_sq))
-        u = rng.random()
-        return int(np.searchsorted(np.cumsum(scores / total), u, side="right").clip(max=len(scores) - 1))
+        return self._draw(self._quad_at(pts[0]), rng)
+
+    def _check_sample(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float).reshape(-1)
+        if x.shape[0] != self.dim:
+            raise ValueError(f"sample dimension {x.shape[0]} != mixture dimension {self.dim}")
+        for i, v in enumerate(x.tolist()):
+            if not abs(v) <= MAX_COORDINATE:
+                if math.isnan(v):
+                    problem = "is NaN"
+                elif math.isinf(v):
+                    problem = "is infinite"
+                else:
+                    problem = f"= {v!r} is too large: its square overflows float64"
+                raise ValueError(f"sample coordinate {i} {problem}")
+        return x
 
     def add_sample(self, x, k: float, rng: np.random.Generator, new_cov_scale: float = 1.0) -> None:
         """Absorb one sample: merge into a stochastically chosen component
         or append a fresh one with mean x, covariance new_cov_scale * I and
         weight 1.  Total weight always grows by exactly 1.
 
-        The uniform draw happens first, unconditionally, so a fixed seed
-        yields the same decision sequence regardless of branch outcomes.
+        A sample with a NaN, an infinite coordinate, or a coordinate whose
+        square overflows float64 raises ValueError before anything else
+        happens, leaving the mixture and rng untouched.  Otherwise the
+        uniform draw happens first, unconditionally, so a fixed seed yields
+        the same decision sequence regardless of branch outcomes.  The
+        component densities at x are evaluated once and serve both d and
+        the component selection.
         """
         if k < 0:
             raise ValueError("k must be non-negative")
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.shape[0] != self.dim:
-            raise ValueError(f"sample dimension {x.shape[0]} != mixture dimension {self.dim}")
+        x = self._check_sample(x)
         r = rng.random()
-        if self.components:
-            d = float(self.normalized_density(x))
-            n = self.total_weight()
+        # an empty mixture has d = n = 0, so t = 0 and it always appends
+        d = 0.0
+        if len(self):
+            quad = self._quad_at(x)
+            if self._peak is None:
+                self._peak = self._at_means()
+            w_hat = self._w / self._W
+            density = float(np.exp(self._log_norm - 0.5 * quad) @ w_hat)
+            d = min(density / float((self._peak @ w_hat).max()), 1.0)
+        if r < merge_threshold(d, self._W, k):
+            self._merge(self._draw(quad, rng), x)
         else:
-            d, n = 0.0, 0.0
-        t = merge_threshold(d, n, k)
-        if r < t:
-            i = self.select_component(x, rng)
-            self._replace(i, merge_into(self.components[i], x))
-        else:
-            cov = new_cov_scale * np.eye(self.dim)
-            self._append(WeightedGaussian(Gaussian(x, cov), 1.0, creation_cov=cov))
+            self._append(x, new_cov_scale * np.eye(self.dim))
+        self._W += 1.0
+
+    def _merge(self, i: int, x: np.ndarray) -> None:
+        w = self._w[i]
+        if w < 1.0:
+            raise ValueError("merge requires a component with weight >= 1")
+        self._mean[i], self._cov[i] = _moment_update(w, self._mean[i], self._cov[i], x)
+        self._w[i] = w + 1.0
+        self._refactor(i)
+
+    def _append(self, x: np.ndarray, cov: np.ndarray) -> None:
+        """Grow every array by one row for a weight-1 component at x whose
+        covariance and creation covariance are cov."""
+        m = len(self)
+        self._w = np.append(self._w, 1.0)
+        self._mean = np.concatenate([self._mean, x[None]])
+        self._cov = np.concatenate([self._cov, cov[None]])
+        self._creation.append(cov)
+        # placeholders, filled in by _refactor
+        self._eval_cov = np.concatenate([self._eval_cov, cov[None]])
+        self._chol_inv = np.concatenate([self._chol_inv, cov[None]])
+        self._log_norm = np.append(self._log_norm, 0.0)
+        if self._peak is not None:
+            self._peak = np.pad(self._peak, ((0, 1), (0, 1)))
+        self._refactor(m)
+
+    def _refactor(self, i: int) -> None:
+        """Re-derive component i's evaluation arrays from its moments, then
+        row and column i of the peak matrix."""
+        eval_cov, chol_inv, log_norm = _factor(
+            _evaluation_cov(self._cov[i], self._w[i], self._creation[i])[None])
+        self._eval_cov[i], self._chol_inv[i], self._log_norm[i] = eval_cov[0], chol_inv[0], log_norm[0]
+        if self._peak is not None:
+            mean, ci, ln = self._mean, self._chol_inv, self._log_norm
+            self._peak[i, :] = np.exp(ln - 0.5 * _quad(mean[i:i + 1], mean, ci)[0])
+            self._peak[:, i] = np.exp(ln[i] - 0.5 * _quad(mean, mean[i:i + 1], ci[i:i + 1])[:, 0])
 
     # -- construction ------------------------------------------------------
 

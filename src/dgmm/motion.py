@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import Gaussian, IndexSplit
+from .gaussian import Gaussian
 from .mixture import DynamicGaussianMixture, WeightedGaussian
 
 MODEL_FORMAT = "dgmm-motion-model/1"
@@ -242,14 +242,20 @@ class MotionModel:
 
     def record_sample(self, c: CommandKey, x: DeltaPose, z: TerrainVector | None,
                       rng: np.random.Generator) -> None:
-        """Add one (command, pose delta, optional terrain) observation."""
+        """Add one (command, pose delta, optional terrain) observation.
+
+        A non-finite or overflowing sample raises ValueError (see
+        DynamicGaussianMixture.add_sample) and leaves the model and rng
+        untouched."""
         if c.is_noop():
             raise ValueError("the no-op command <0,0,0> is not trainable")
         d = self._training_vector(x, z)
         model = self.models.get(c)
         if model is None:
-            model = self.models[c] = DynamicGaussianMixture(self.dim)
+            model = DynamicGaussianMixture(self.dim)
         model.add_sample(d, self.k, rng, new_cov_scale=self.creation_cov_scale)
+        # registered only once it holds the sample, so a rejected sample adds no command
+        self.models[c] = model
 
     def record_step(self, c: CommandKey, prev: Pose, curr: Pose,
                     z: TerrainVector | None, rng: np.random.Generator) -> None:
@@ -283,8 +289,10 @@ class MotionModel:
         Component i of the joint is conditioned on the terrain block at z
         and reweighted by w_i times its terrain marginal at z, which makes
         the returned mixture pointwise equal to joint(x || z) / marginal(z).
-        Lives in the model's internal (possibly standardized) space; use
-        conditional_density for values in original units.
+        All components are conditioned in one batched pass
+        (DynamicGaussianMixture.conditional).  Lives in the model's internal
+        (possibly standardized) space; use conditional_density for values
+        in original units.
         """
         if not self.augmented:
             raise ValueError("model has no terrain block")
@@ -296,21 +304,12 @@ class MotionModel:
             zv = self.standardizer.transform(
                 np.concatenate([np.zeros(self.x_dim), zv])
             )[self.x_dim:]
-        split = IndexSplit.tail(self.dim, self.z_dim)
-        z_block = list(range(self.x_dim, self.dim))
-        parts = []
-        for comp in joint.components:
-            g = comp.pd_gaussian()
-            z_marginal = g.marginal(z_block).density(zv)
-            weight = comp.w * float(z_marginal)
-            if weight <= 0.0:
-                continue
-            parts.append(WeightedGaussian(g.conditional(split, zv), weight))
-        if not parts:
+        cond = joint.conditional(zv)
+        if not len(cond):
             raise TerrainSupportError(
                 f"terrain {np.array2string(zv, precision=4)} is far outside the training support"
             )
-        return DynamicGaussianMixture(self.x_dim, parts)
+        return cond
 
     def conditional_density(self, c: CommandKey, x, z: TerrainVector) -> float:
         """p(x | c, z) in original sample units."""

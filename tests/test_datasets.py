@@ -65,6 +65,17 @@ class TestSampleCsv:
         with pytest.raises(ValueError, match=":1"):
             load_samples(path, expect_z=False)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cells_rejected(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "cmd_long,cmd_lat,cmd_turn,dx,dy,dz,droll,dpitch,dyaw\n"
+            "0.5,0,0,0.1,0,0,0,0,0\n"
+            f"0.5,0,0,{cell},0,0,0,0,0\n"
+        )
+        with pytest.raises(ValueError, match=r"bad\.csv:3: non-finite cell"):
+            load_samples(path, expect_z=False)
+
     def test_comment_lines_ignored(self, tmp_path):
         records = strip_z(simulate_incline(InclineConfig(reps_per_orientation=1))[:2])
         path = tmp_path / "s.csv"
@@ -110,6 +121,13 @@ class TestPointsIO:
         write_points(path, pts, comment="test data")
         back = load_points(path)
         assert np.array_equal(back, pts)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cells_rejected(self, tmp_path, cell):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# header\n1 2\n3 {cell}\n")
+        with pytest.raises(ValueError, match=r"bad\.txt:3: non-finite cell"):
+            load_points(path)
 
     def test_ragged_rejected(self, tmp_path):
         path = tmp_path / "ragged.txt"

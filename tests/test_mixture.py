@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -296,3 +297,98 @@ class TestEvaluationBlend:
         g = Gaussian([0.0], [[0.04]])
         m = DynamicGaussianMixture.from_components([WeightedGaussian(g, 5.0)])
         assert m.density(np.array([0.0])) == pytest.approx(g.density(np.array([0.0])), rel=1e-12)
+
+
+class TestSampleValidation:
+    @pytest.mark.parametrize("bad, problem", [
+        (math.nan, "is NaN"),
+        (math.inf, "is infinite"),
+        (-math.inf, "is infinite"),
+        (1e200, "= 1e+200 is too large: its square overflows float64"),
+    ])
+    def test_rejected_before_any_draw(self, bad, problem):
+        rng = np.random.default_rng(30)
+        m = DynamicGaussianMixture(2)
+        for x in rng.standard_normal((20, 2)):
+            m.add_sample(x, 0.3, rng)
+        before = [(c.w, c.g.mean, c.g.cov) for c in m.components]
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="sample coordinate 1 " + re.escape(problem)):
+            m.add_sample(np.array([0.5, bad]), 0.3, rng)
+        assert rng.bit_generator.state == state
+        assert m.total_weight() == 20.0
+        after = [(c.w, c.g.mean, c.g.cov) for c in m.components]
+        assert len(after) == len(before)
+        for (wa, ma, ca), (wb, mb, cb) in zip(after, before):
+            assert wa == wb and np.array_equal(ma, mb) and np.array_equal(ca, cb)
+        assert np.isfinite(m.density(np.zeros(2)))
+
+    def test_largest_finite_square_is_accepted(self):
+        m = DynamicGaussianMixture(1)
+        m.add_sample(np.array([1e150]), 0.3, np.random.default_rng(31))
+        assert m.means()[0, 0] == 1e150
+
+
+def _batch_cov(X):
+    # X - X[0] is exact by Sterbenz's lemma (every row is within a factor
+    # of two of X[0]), so the reference carries no offset cancellation
+    return np.atleast_2d(np.cov(X - X[0], rowvar=False, ddof=1))
+
+
+class TestMomentsAtOffset:
+    """Forced-merge streams far from the origin: the one-pass moments must
+    not lose the unit-scale covariance to cancellation against the offset."""
+
+    @pytest.mark.parametrize("offset, bound", [(1e4, 1e-9), (1e6, 1e-9), (1e8, 1e-6)])
+    def test_merge_into_and_add_sample(self, offset, bound):
+        rng = np.random.default_rng(41)
+        for d in (1, 2, 3):
+            X = offset + rng.standard_normal((2000, d)) * rng.uniform(0.5, 2.0, d)
+            want = _batch_cov(X)
+            comp = WeightedGaussian(Gaussian(X[0], np.eye(d)), 1.0, creation_cov=np.eye(d))
+            for x in X[1:]:
+                comp = merge_into(comp, x)
+            m = DynamicGaussianMixture(d)
+            for x in X:
+                m.add_sample(x, 1e9, rng)
+            assert len(m) == 1
+            for cov in (comp.g.cov, m.components[0].g.cov):
+                err = np.max(np.abs(cov - want)) / np.max(np.abs(want))
+                assert err <= bound
+                assert np.linalg.eigvalsh(cov).min() > 0.0
+
+
+class TestIncrementalCaches:
+    """What add_sample maintains incrementally (factors, peak matrix, the one
+    evaluation at x) equals a from-scratch loop over the components'
+    evaluation Gaussians."""
+
+    RTOL = 1e-12
+
+    @staticmethod
+    def reference(m, x):
+        comps = m.components
+        pds = [c.pd_gaussian() for c in comps]
+        total = sum(c.w for c in comps)
+        peak = max(sum(c.w / total * float(g.density(h.mean)) for c, g in zip(comps, pds)) for h in pds)
+        density = sum(c.w / total * float(g.density(x)) for c, g in zip(comps, pds))
+        scores = [c.w * float(g.normalized_density(x)) for c, g in zip(comps, pds)]
+        return peak, density, np.array(scores)
+
+    @pytest.mark.parametrize("dim", [1, 2, 6, 8])
+    @pytest.mark.parametrize("k", [0.02, 0.3, 1e9])
+    def test_matches_reference_loop(self, dim, k):
+        for seed in range(3):
+            rng = np.random.default_rng([dim, seed])
+            centers = 3.0 * rng.standard_normal((3, dim))
+            m = DynamicGaussianMixture(dim)
+            for step in range(120):
+                m.add_sample(centers[step % 3] + rng.standard_normal(dim), k, rng)
+                if step % 30 != 29:
+                    continue
+                assert m._peak is not None
+                x = centers[step % 3] + 0.5 * rng.standard_normal(dim)
+                peak, density, scores = self.reference(m, x)
+                assert m._peak_estimate() == pytest.approx(peak, rel=self.RTOL)
+                assert m.density(x) == pytest.approx(density, rel=self.RTOL)
+                assert m._selection_scores(m._quad_at(x)) == pytest.approx(scores, rel=self.RTOL)

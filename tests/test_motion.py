@@ -97,6 +97,19 @@ class TestRecording:
         assert mm.mixture_for(FWD).total_weight() == 1.0
         assert mm.mixture_for(TURN).total_weight() == 1.0
 
+    def test_non_finite_sample_rejected_before_any_draw(self):
+        mm = MotionModel(k=0.7)
+        rng = np.random.default_rng(5)
+        mm.record_sample(FWD, DeltaPose(0.2, 0, 0, 0, 0, 0), None, rng)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="sample coordinate 0 is NaN"):
+            mm.record_sample(TURN, DeltaPose(math.nan, 0, 0, 0, 0, 0), None, rng)
+        with pytest.raises(ValueError, match="sample coordinate 1 is infinite"):
+            mm.record_sample(FWD, DeltaPose(0.2, math.inf, 0, 0, 0, 0), None, rng)
+        assert rng.bit_generator.state == state
+        assert set(mm.models) == {FWD}
+        assert mm.mixture_for(FWD).total_weight() == 1.0
+
     def test_full_incline_run_weights(self):
         records = simulate_incline(InclineConfig())
         assert len(records) == 390
