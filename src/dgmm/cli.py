@@ -22,7 +22,7 @@ import numpy as np
 
 from . import datasets, evaluation
 from .datasets import InclineConfig, load_old_faithful, load_points, load_samples
-from .motion import CommandKey, MotionModel, TerrainSupportError, TerrainVector
+from .motion import CommandKey, MotionModel, Standardizer, TerrainSupportError, TerrainVector
 
 
 class _UsageError(Exception):
@@ -193,13 +193,9 @@ def _cmd_sweep_k(args) -> int:
 
 
 def _cmd_compare_em(args) -> int:
-    if args.input is None:
-        points, _, _ = load_old_faithful(standardize=args.standardize)
-    else:
-        points = load_points(args.input)
-        if args.standardize:
-            scale = points.std(axis=0)
-            points = (points - points.mean(axis=0)) / np.where(scale > 1e-12, scale, 1.0)
+    points = load_old_faithful(standardize=False)[0] if args.input is None else load_points(args.input)
+    if args.standardize:
+        points = Standardizer.fit(points).transform(points)
     max_attempts = args.max_attempts if args.max_attempts is not None else 20 * args.needed
     report = evaluation.mise_experiment(
         points, args.k, args.target_m, args.needed, max_attempts,

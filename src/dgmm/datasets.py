@@ -23,7 +23,7 @@ import numpy as np
 
 from .em import FixedGaussianMixture
 from .gaussian import Gaussian
-from .motion import CommandKey, DeltaPose, TerrainVector
+from .motion import CommandKey, DeltaPose, Standardizer, TerrainVector
 
 SAMPLE_COLUMNS = ("cmd_long", "cmd_lat", "cmd_turn")
 Z_COLUMNS = ("z_pitch", "z_roll")
@@ -188,9 +188,8 @@ def load_old_faithful(path=None, standardize: bool = True):
     pts = load_points(path if path is not None else old_faithful_path(), expect_cols=2)
     if not standardize:
         return pts, None, None
-    offset = pts.mean(axis=0)
-    scale = pts.std(axis=0)
-    return (pts - offset) / scale, offset, scale
+    std = Standardizer.fit(pts)
+    return std.transform(pts), std.offset, std.scale
 
 
 # -- synthetic generators --------------------------------------------------------

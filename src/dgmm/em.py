@@ -1,6 +1,12 @@
 """Offline EM fitting of fixed-size Gaussian mixtures, plus the two scoring
 metrics used to compare density estimates: summed log-likelihood and the
 mean integrated square error between two densities on a rectangular grid.
+
+A fitted mixture is evaluated by the same array core as the online one
+(dgmm.mixture.MixtureCore), and EM iterates on stacked arrays: the E-step
+runs the core's Mahalanobis kernel and log-sum-exp, the M-step forms all
+covariances in one batched product, and `_factor` diagonally loads any
+that collapse.  `Gaussian` objects are built once, for the returned fit.
 """
 
 from __future__ import annotations
@@ -8,18 +14,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .gaussian import Gaussian, ensure_positive_definite, symmetrize
+from .gaussian import Gaussian, symmetrize
+from .mixture import MixtureCore, _factor, _quad, logsumexp
 
 #: Densities are floored here before taking logs, so held-out points far
 #: from every component keep fold averages finite.
 DENSITY_FLOOR = 1e-300
 
 
-class FixedGaussianMixture:
+class FixedGaussianMixture(MixtureCore):
     """Gaussian mixture with a component count fixed at fit time; weights
-    are normalized mixture proportions summing to 1."""
+    are normalized mixture proportions summing to 1.  A covariance that
+    does not factor is evaluated with diagonal loading."""
 
     def __init__(self, weights, gaussians: list[Gaussian]):
         self.weights = np.asarray(weights, dtype=float).reshape(-1)
@@ -34,29 +41,11 @@ class FixedGaussianMixture:
         if len(dims) != 1:
             raise ValueError("components must share one dimension")
         self.dim = dims.pop()
+        self._set_arrays(self.weights, np.array([g.mean for g in self.gaussians]),
+                         np.array([g.cov for g in self.gaussians]))
         #: per-iteration data log-likelihood of the restart that produced
         #: this fit; useful for monotonicity checks.
         self.loglik_path: list[float] = []
-
-    def __len__(self):
-        return len(self.gaussians)
-
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
-        vals = np.zeros(pts.shape[0])
-        for w, g in zip(self.weights, self.gaussians):
-            vals += w * g.density(pts)
-        return float(vals[0]) if single else vals
-
-    def log_density(self, x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
-        logs = np.stack([g.log_density(pts) for g in self.gaussians], axis=1)
-        out = logsumexp(logs + np.log(self.weights)[None, :], axis=1)
-        return float(out[0]) if single else out
 
 
 def _em_once(points: np.ndarray, m: int, tol: float, max_iter: int,
@@ -66,34 +55,28 @@ def _em_once(points: np.ndarray, m: int, tol: float, max_iter: int,
     idx = rng.choice(n, size=m, replace=False)
     means = points[idx].copy()
     base_cov = symmetrize(np.atleast_2d(np.cov(points, rowvar=False, bias=True)))
-    covs = [base_cov.copy() for _ in range(m)]
     weights = np.full(m, 1.0 / m)
-
-    gaussians = [ensure_positive_definite(Gaussian(means[j], covs[j])) for j in range(m)]
+    covs, chol_inv, log_norm = _factor(np.repeat(base_cov[None], m, axis=0))
     path = []
     prev_ll = -np.inf
     for _ in range(max_iter):
         # E-step
-        log_prob = np.stack([g.log_density(points) for g in gaussians], axis=1)
-        log_weighted = log_prob + np.log(weights)[None, :]
-        log_total = logsumexp(log_weighted, axis=1)
+        log_weighted = log_norm - 0.5 * _quad(points, means, chol_inv) + np.log(weights)
+        log_total = logsumexp(log_weighted)
         ll = float(log_total.sum())
         path.append(ll)
         resp = np.exp(log_weighted - log_total[:, None])
         # M-step
-        nk = resp.sum(axis=0)
-        nk = np.maximum(nk, 1e-12)
+        nk = np.maximum(resp.sum(axis=0), 1e-12)
         weights = nk / n
         means = (resp.T @ points) / nk[:, None]
-        gaussians = []
-        for j in range(m):
-            diff = points - means[j]
-            cov = symmetrize((resp[:, j][:, None] * diff).T @ diff / nk[j])
-            gaussians.append(ensure_positive_definite(Gaussian(means[j], cov)))
+        diff = points[None] - means[:, None]
+        covs = (resp.T[:, :, None] * diff).transpose(0, 2, 1) @ diff / nk[:, None, None]
+        covs, chol_inv, log_norm = _factor(0.5 * (covs + covs.transpose(0, 2, 1)))
         if (ll - prev_ll) / n < tol and np.isfinite(prev_ll):
             break
         prev_ll = ll
-    fit = FixedGaussianMixture(weights / weights.sum(), gaussians)
+    fit = FixedGaussianMixture(weights / weights.sum(), [Gaussian(mu, c) for mu, c in zip(means, covs)])
     fit.loglik_path = path
     return fit
 
@@ -191,19 +174,11 @@ def mise(p, q, grid: Grid) -> float:
 
 def mixture_support_box(mixtures, n_sigma: float = 8.0) -> tuple[np.ndarray, np.ndarray]:
     """Bounding box covering every component mean +- n_sigma marginal
-    standard deviations, across one or more mixtures (any object exposing
-    per-component Gaussians via .components or .gaussians)."""
-    lows, highs = [], []
-    for mix in mixtures:
-        comps = getattr(mix, "components", None)
-        gaussians = [c.pd_gaussian() for c in comps] if comps is not None else mix.gaussians
-        for g in gaussians:
-            sig = np.sqrt(np.clip(np.diag(g.cov), 0.0, None))
-            lows.append(g.mean - n_sigma * sig)
-            highs.append(g.mean + n_sigma * sig)
-    if not lows:
+    standard deviations, across one or more mixtures (MixtureCore.support_box)."""
+    boxes = [mix.support_box(n_sigma) for mix in mixtures if len(mix)]
+    if not boxes:
         raise ValueError("no components to bound")
-    return np.min(lows, axis=0), np.max(highs, axis=0)
+    return np.min([lo for lo, _ in boxes], axis=0), np.max([hi for _, hi in boxes], axis=0)
 
 
 def support_grid(mixtures, resolution: int = 150, n_sigma: float = 8.0) -> Grid:

@@ -158,6 +158,16 @@ def fit_motion_model(records: list[SampleRecord], k: float, rng: np.random.Gener
 # -- experiments --------------------------------------------------------------
 
 
+def _stream_shuffle(points: np.ndarray, k: float, seed: int) -> DynamicGaussianMixture:
+    """A fresh online mixture fed one shuffle of the points; the shuffle and
+    every update draw from one generator seeded with seed."""
+    sub = np.random.default_rng(seed)
+    model = DynamicGaussianMixture(points.shape[1])
+    for x in points[sub.permutation(points.shape[0])]:
+        model.add_sample(x, k, sub)
+    return model
+
+
 def k_sweep(points, k_grid, repeats: int, rng: np.random.Generator) -> EvalReport:
     """Model complexity versus the merge likelihood constant: for every k
     and repeat, stream a fresh shuffle of the points through the online
@@ -175,10 +185,7 @@ def k_sweep(points, k_grid, repeats: int, rng: np.random.Generator) -> EvalRepor
     for ki, k in enumerate(k_grid):
         for rep in range(repeats):
             seed = seeds[ki * repeats + rep]
-            sub = np.random.default_rng(seed)
-            model = DynamicGaussianMixture(points.shape[1])
-            for x in points[sub.permutation(points.shape[0])]:
-                model.add_sample(x, k, sub)
+            model = _stream_shuffle(points, k, seed)
             runs.append({"k": k, "repeat": rep, "seed": seed, "components": len(model)})
     per_k = []
     for k in k_grid:
@@ -217,10 +224,7 @@ def mise_experiment(points, k: float, target_m: int, needed: int,
         if len(runs) >= needed:
             break
         attempts += 1
-        sub = np.random.default_rng(seed)
-        model = DynamicGaussianMixture(points.shape[1])
-        for x in points[sub.permutation(points.shape[0])]:
-            model.add_sample(x, k, sub)
+        model = _stream_shuffle(points, k, seed)
         if len(model) != target_m:
             continue
         grid = support_grid([model, em_ref], resolution=grid_resolution)

@@ -55,7 +55,7 @@ class Gaussian:
     instances rather than mutating, so the cached factor never goes stale.
     """
 
-    __slots__ = ("mean", "cov", "_chol", "_chol_inv", "_log_norm")
+    __slots__ = ("mean", "cov", "_chol", "_log_norm")
 
     def __init__(self, mean, cov):
         mean = np.asarray(mean, dtype=float).reshape(-1)
@@ -73,7 +73,6 @@ class Gaussian:
         self.mean = mean
         self.cov = cov
         self._chol = None
-        self._chol_inv = None
         self._log_norm = None
 
     @property
@@ -92,15 +91,6 @@ class Gaussian:
         if self._chol is None:
             self._chol = np.linalg.cholesky(self.cov)
         return self._chol
-
-    def chol_inv(self) -> np.ndarray:
-        """Inverse of the lower Cholesky factor (L^-1, lower triangular)."""
-        if self._chol_inv is None:
-            L = self.chol()
-            self._chol_inv = linalg.solve_triangular(
-                L, np.eye(self.dim), lower=True, check_finite=False
-            )
-        return self._chol_inv
 
     def log_norm_const(self) -> float:
         """log of the density normalization constant: -D/2 log(2pi) - log|L|."""

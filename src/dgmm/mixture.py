@@ -1,4 +1,5 @@
-"""Dynamic Gaussian mixture: a weighted Gaussian set that grows online.
+"""Gaussian mixtures on stacked arrays: one evaluation core, and the
+dynamic mixture that grows online.
 
 Each incoming sample either refines an existing component or becomes a new
 one.  The choice is probabilistic: a merge threshold
@@ -16,19 +17,29 @@ component that has absorbed samples y_1..y_n carries exactly their batch
 mean and unbiased covariance (the creation-time identity covariance is a
 placeholder that drops out on the first merge).
 
-A mixture of m components over D dimensions is stored as parallel arrays,
-one row per component:
+Every mixture in this package is evaluated by one array core,
+`MixtureCore`: m components over D dimensions stored one row per
+component,
 
-    _w          (m,)        unnormalized weights; _W is their running total
-    _mean       (m, D)      exact means
+    _w          (m,)        unnormalized weights; _W is their total
+    _mean       (m, D)      means
+    _eval_cov   (m, D, D)   evaluation covariances, diagonally loaded
+                            where they would not factor
+    _chol_inv   (m, D, D)   inverse lower Cholesky factors of _eval_cov
+    _log_norm   (m,)        log normalization constant of each component
+
+It gives `density`, `log_density` and `support_box`; `_factor` builds its
+arrays and `_quad` is its one Mahalanobis kernel.  The online mixture
+(DynamicGaussianMixture, here), the EM fit (em.FixedGaussianMixture) and
+the terrain-conditioned query mixture are all MixtureCore instances.
+
+DynamicGaussianMixture adds, for learning:
+
     _cov        (m, D, D)   exact unbiased covariances
     _creation   m entries   creation covariance of each component, or None
-    _eval_cov   (m, D, D)   evaluation covariance (see WeightedGaussian),
-                            diagonally loaded where it would not factor
-    _chol_inv   (m, D, D)   inverse lower Cholesky factor of _eval_cov
-    _log_norm   (m,)        log normalization constant of each component
     _peak       (m, m)      _peak[i, j] = N(mean_i; component j), or None
 
+and derives _eval_cov from _cov and _creation (see WeightedGaussian).
 Invariant: after construction and after every add_sample, the evaluation
 arrays are those of the current moments and, once built, _peak holds the
 current component-at-mean densities.  add_sample keeps this in O(m D^2):
@@ -36,8 +47,8 @@ a merge into component i updates i in place, re-factors only i and
 recomputes row and column i of _peak; an append grows every array by one.
 _peak is built by the first add_sample to a non-empty mixture, so
 mixtures that never learn (conditioned queries) never pay for it.  Reads
-(density, normalized_density, select_component, components, conditional)
-never mutate a mixture; only add_sample writes.
+(density, log_density, normalized_density, select_component, components,
+conditional) never mutate a mixture; only add_sample writes.
 """
 
 from __future__ import annotations
@@ -56,6 +67,32 @@ from .gaussian import (
 
 #: Largest accepted sample coordinate magnitude: its square is finite in float64.
 MAX_COORDINATE = math.sqrt(np.finfo(float).max)
+
+
+def check_coordinates(v: np.ndarray, what: str) -> np.ndarray:
+    """v itself if every coordinate is finite with a finite square, else
+    ValueError naming the first offending coordinate ("<what> coordinate i
+    is NaN", ...)."""
+    for i, c in enumerate(v.tolist()):
+        if not abs(c) <= MAX_COORDINATE:
+            if math.isnan(c):
+                problem = "is NaN"
+            elif math.isinf(c):
+                problem = "is infinite"
+            else:
+                problem = f"= {c!r} is too large: its square overflows float64"
+            raise ValueError(f"{what} coordinate {i} {problem}")
+    return v
+
+
+def logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis, shifted by the row maximum so
+    no term overflows or underflows all at once; -inf for a row whose
+    terms are all -inf."""
+    top = a.max(axis=-1, keepdims=True)
+    top = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(a - top).sum(axis=-1)) + top[..., 0]
 
 
 def merge_threshold(d: float, n: float, k: float) -> float:
@@ -98,7 +135,7 @@ def _evaluation_cov(cov: np.ndarray, w: float, creation: np.ndarray | None) -> n
 def _factor(eval_cov: np.ndarray):
     """(evaluation covariances, inverse Cholesky factors, log normalization
     constants) of a stack (m, D, D); a covariance that does not factor is
-    diagonally loaded until it does."""
+    diagonally loaded until it does (see positive_definite_cholesky)."""
     try:
         chol = np.linalg.cholesky(eval_cov)
     except np.linalg.LinAlgError:
@@ -112,8 +149,56 @@ def _factor(eval_cov: np.ndarray):
 def _quad(pts: np.ndarray, mean: np.ndarray, chol_inv: np.ndarray) -> np.ndarray:
     """Squared Mahalanobis distance of every point (N, D) to every
     component (m, D): shape (N, m)."""
-    y = np.einsum("mij,nmj->nmi", chol_inv, pts[:, None, :] - mean[None, :, :])
-    return np.einsum("nmi,nmi->nm", y, y)
+    y = (pts[None] - mean[:, None]) @ chol_inv.transpose(0, 2, 1)
+    return np.einsum("mnd,mnd->nm", y, y)
+
+
+class MixtureCore:
+    """Weighted Gaussian mixture evaluated from stacked arrays (see the
+    module docstring); the density is sum_i (w_i / W) N(x; mean_i, S_i)."""
+
+    dim: int
+
+    def _set_arrays(self, w: np.ndarray, mean: np.ndarray, eval_cov: np.ndarray) -> None:
+        self._w, self._W, self._mean = w, float(w.sum()), mean
+        self._eval_cov, self._chol_inv, self._log_norm = _factor(eval_cov)
+
+    def __len__(self) -> int:
+        return len(self._w)
+
+    def _check_points(self, x) -> tuple[np.ndarray, bool]:
+        if not len(self):
+            raise ValueError("mixture is empty")
+        x = np.asarray(x, dtype=float)
+        single = x.ndim == 1
+        pts = np.atleast_2d(x)
+        if pts.shape[1] != self.dim:
+            raise ValueError(f"point dimension {pts.shape[1]} != mixture dimension {self.dim}")
+        return pts, single
+
+    def _mix(self, quad: np.ndarray) -> np.ndarray:
+        """Mixture density from the squared distances (N, m) of N points."""
+        return np.exp(self._log_norm - 0.5 * quad) @ (self._w / self._W)
+
+    def density(self, x):
+        """Mixture pdf at one point (D,) or a batch (N, D)."""
+        pts, single = self._check_points(x)
+        vals = self._mix(_quad(pts, self._mean, self._chol_inv))
+        return float(vals[0]) if single else vals
+
+    def log_density(self, x):
+        """Log of the mixture pdf, summed in log space: finite wherever one
+        component's log density is, even where density() underflows to 0."""
+        pts, single = self._check_points(x)
+        terms = self._log_norm - 0.5 * _quad(pts, self._mean, self._chol_inv)
+        vals = logsumexp(terms + np.log(self._w / self._W))
+        return float(vals[0]) if single else vals
+
+    def support_box(self, n_sigma: float) -> tuple[np.ndarray, np.ndarray]:
+        """Per-coordinate (low, high) covering every component's mean
+        -+ n_sigma marginal standard deviations of its evaluation covariance."""
+        sig = np.sqrt(np.clip(np.diagonal(self._eval_cov, axis1=1, axis2=2), 0.0, None))
+        return (self._mean - n_sigma * sig).min(axis=0), (self._mean + n_sigma * sig).max(axis=0)
 
 
 class WeightedGaussian:
@@ -173,7 +258,7 @@ def merge_into(c: WeightedGaussian, x) -> WeightedGaussian:
     return WeightedGaussian(Gaussian(mean, cov), c.w + 1.0, c.creation_cov)
 
 
-class DynamicGaussianMixture:
+class DynamicGaussianMixture(MixtureCore):
     """Variable-size weighted Gaussian mixture over a D-dimensional space,
     stored as parallel arrays (see the module docstring)."""
 
@@ -203,19 +288,15 @@ class DynamicGaussianMixture:
         return mix
 
     def _load(self, w, mean, cov, creation) -> None:
-        self._w, self._mean, self._cov, self._creation = w, mean, cov, creation
-        self._W = float(w.sum())
+        self._cov, self._creation = cov, creation
         eval_cov = cov.copy()
         for i, c in enumerate(creation):
             if c is not None:
                 eval_cov[i] = _evaluation_cov(cov[i], w[i], c)
-        self._eval_cov, self._chol_inv, self._log_norm = _factor(eval_cov)
+        self._set_arrays(w, mean, eval_cov)
         self._peak = None
 
     # -- bookkeeping ------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._w)
 
     def __repr__(self):
         return f"DynamicGaussianMixture(dim={self.dim}, components={len(self)}, weight={self.total_weight()})"
@@ -243,23 +324,9 @@ class DynamicGaussianMixture:
 
     # -- evaluation --------------------------------------------------------
 
-    def _check_points(self, x) -> tuple[np.ndarray, bool]:
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
-        if pts.shape[1] != self.dim:
-            raise ValueError(f"point dimension {pts.shape[1]} != mixture dimension {self.dim}")
-        return pts, single
-
-    def density(self, x):
-        """Mixture pdf: sum_i (w_i / W) N(x; mu_i, S_i).  Accepts one point
-        (D,) or a batch (N, D)."""
-        if not len(self):
-            raise ValueError("mixture is empty")
-        pts, single = self._check_points(x)
-        quad = _quad(pts, self._mean, self._chol_inv)
-        vals = np.exp(self._log_norm - 0.5 * quad) @ (self._w / self._W)
-        return float(vals[0]) if single else vals
+    # an entry in this class's own namespace, where per-class method
+    # wrappers (bench/tracer.py) look it up
+    density = MixtureCore.density
 
     def _at_means(self) -> np.ndarray:
         """N(mean_i; component j) for every pair, from scratch: (m, m)."""
@@ -272,11 +339,16 @@ class DynamicGaussianMixture:
         at_means = self._peak if self._peak is not None else self._at_means()
         return float((at_means @ (self._w / self._W)).max())
 
+    def _normalized(self, quad: np.ndarray) -> np.ndarray:
+        """Mixture density over its estimated peak, clamped at 1, from the
+        squared distances (N, m) of N points."""
+        return np.minimum(self._mix(quad) / self._peak_estimate(), 1.0)
+
     def normalized_density(self, x):
         """Mixture density rescaled so the estimated peak is 1; in (0, 1]."""
-        if not len(self):
-            raise ValueError("mixture is empty")
-        return np.minimum(self.density(x) / self._peak_estimate(), 1.0)
+        pts, single = self._check_points(x)
+        vals = self._normalized(_quad(pts, self._mean, self._chol_inv))
+        return float(vals[0]) if single else vals
 
     def conditional(self, z) -> "DynamicGaussianMixture":
         """Mixture over the leading coordinates given that the trailing
@@ -332,8 +404,6 @@ class DynamicGaussianMixture:
         w_i * exp(-maha_i(x)^2 / 2).  If every score underflows to zero the
         sample is out of support everywhere; fall back to the nearest
         component by Mahalanobis distance."""
-        if not len(self):
-            raise ValueError("mixture is empty")
         pts, _ = self._check_points(x)
         return self._draw(self._quad_at(pts[0]), rng)
 
@@ -341,16 +411,7 @@ class DynamicGaussianMixture:
         x = np.asarray(x, dtype=float).reshape(-1)
         if x.shape[0] != self.dim:
             raise ValueError(f"sample dimension {x.shape[0]} != mixture dimension {self.dim}")
-        for i, v in enumerate(x.tolist()):
-            if not abs(v) <= MAX_COORDINATE:
-                if math.isnan(v):
-                    problem = "is NaN"
-                elif math.isinf(v):
-                    problem = "is infinite"
-                else:
-                    problem = f"= {v!r} is too large: its square overflows float64"
-                raise ValueError(f"sample coordinate {i} {problem}")
-        return x
+        return check_coordinates(x, "sample")
 
     def add_sample(self, x, k: float, rng: np.random.Generator, new_cov_scale: float = 1.0) -> None:
         """Absorb one sample: merge into a stochastically chosen component
@@ -375,9 +436,7 @@ class DynamicGaussianMixture:
             quad = self._quad_at(x)
             if self._peak is None:
                 self._peak = self._at_means()
-            w_hat = self._w / self._W
-            density = float(np.exp(self._log_norm - 0.5 * quad) @ w_hat)
-            d = min(density / float((self._peak @ w_hat).max()), 1.0)
+            d = float(self._normalized(quad[None])[0])
         if r < merge_threshold(d, self._W, k):
             self._merge(self._draw(quad, rng), x)
         else:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import Gaussian
-from .mixture import DynamicGaussianMixture, WeightedGaussian
+from .mixture import DynamicGaussianMixture, WeightedGaussian, check_coordinates
 
 MODEL_FORMAT = "dgmm-motion-model/1"
 
@@ -160,7 +160,8 @@ class Standardizer:
 
     The identity creation covariance of new mixture components is scale
     sensitive, so training data should be near unit scale.  Constant
-    dimensions get scale 1 to stay well defined.
+    dimensions get scale 1 to stay well defined.  With offset 0 and scale 1
+    the map is the identity bit for bit.
     """
 
     def __init__(self, offset, scale):
@@ -190,7 +191,11 @@ class Standardizer:
 
 class MotionModel:
     """Map from command keys to dynamic Gaussian mixtures over pose deltas,
-    optionally augmented with a terrain block."""
+    optionally augmented with a terrain block.
+
+    The standardizer is fixed at construction: training vectors go through
+    it whole, queries through its x and z blocks.  Without one, all three
+    are identity maps, so there is one query path either way."""
 
     def __init__(self, k: float, x_dim: int = 6, z_dim: int = 0,
                  standardizer: Standardizer | None = None,
@@ -205,6 +210,12 @@ class MotionModel:
         self.x_dim = int(x_dim)
         self.z_dim = int(z_dim)
         self.standardizer = standardizer
+        # the whole map and its x and z blocks; without a standardizer these
+        # are identity maps (offset 0, scale 1), which change no bit
+        std = self._std = standardizer or Standardizer(np.zeros(self.dim), np.ones(self.dim))
+        self._x_std = Standardizer(std.offset[:x_dim], std.scale[:x_dim])
+        self._z_std = Standardizer(std.offset[x_dim:], std.scale[x_dim:])
+        self._x_log_jacobian = self._x_std.log_jacobian(range(x_dim))
         self.creation_cov_scale = float(creation_cov_scale)
         self.models: dict[CommandKey, DynamicGaussianMixture] = {}
 
@@ -236,9 +247,7 @@ class MotionModel:
             if z is not None:
                 raise ValueError("model has no terrain block; got a terrain vector")
             d = x.as_vector()
-        if self.standardizer is not None:
-            d = self.standardizer.transform(d)
-        return d
+        return self._std.transform(d)
 
     def record_sample(self, c: CommandKey, x: DeltaPose, z: TerrainVector | None,
                       rng: np.random.Generator) -> None:
@@ -266,22 +275,17 @@ class MotionModel:
     # -- queries -------------------------------------------------------------
 
     def _x_vector(self, x) -> np.ndarray:
+        """The pose delta of a query, checked, in the model's internal space."""
         v = x.as_vector() if isinstance(x, DeltaPose) else np.asarray(x, dtype=float).reshape(-1)
         if v.shape[0] != self.x_dim:
             raise ValueError(f"query has dimension {v.shape[0]}, expected {self.x_dim}")
-        return v
+        return self._x_std.transform(check_coordinates(v, "query"))
 
     def motion_density(self, c: CommandKey, x) -> float:
         """p(x | c) for an un-augmented model, in original sample units."""
         if self.augmented:
             raise ValueError("model is terrain-augmented; use conditional_motion_density")
-        v = self._x_vector(x)
-        if self.standardizer is not None:
-            u = self.standardizer.transform(v)
-            return float(self.mixture_for(c).density(u)) * math.exp(
-                self.standardizer.log_jacobian(range(self.x_dim))
-            )
-        return float(self.mixture_for(c).density(v))
+        return self.mixture_for(c).density(self._x_vector(x)) * math.exp(self._x_log_jacobian)
 
     def conditional_motion_density(self, c: CommandKey, z: TerrainVector) -> DynamicGaussianMixture:
         """Mixture over the pose-delta block representing p(x | c, z).
@@ -292,7 +296,8 @@ class MotionModel:
         All components are conditioned in one batched pass
         (DynamicGaussianMixture.conditional).  Lives in the model's internal
         (possibly standardized) space; use conditional_density for values
-        in original units.
+        in original units.  A NaN, infinite or overflowing terrain
+        coordinate raises ValueError naming it.
         """
         if not self.augmented:
             raise ValueError("model has no terrain block")
@@ -300,11 +305,7 @@ class MotionModel:
         zv = z.as_vector() if isinstance(z, TerrainVector) else np.asarray(z, dtype=float).reshape(-1)
         if zv.shape[0] != self.z_dim:
             raise ValueError(f"terrain vector has dimension {zv.shape[0]}, expected {self.z_dim}")
-        if self.standardizer is not None:
-            zv = self.standardizer.transform(
-                np.concatenate([np.zeros(self.x_dim), zv])
-            )[self.x_dim:]
-        cond = joint.conditional(zv)
+        cond = joint.conditional(self._z_std.transform(check_coordinates(zv, "terrain")))
         if not len(cond):
             raise TerrainSupportError(
                 f"terrain {np.array2string(zv, precision=4)} is far outside the training support"
@@ -314,20 +315,14 @@ class MotionModel:
     def conditional_density(self, c: CommandKey, x, z: TerrainVector) -> float:
         """p(x | c, z) in original sample units."""
         cond = self.conditional_motion_density(c, z)
-        v = self._x_vector(x)
-        if self.standardizer is not None:
-            u = (v - self.standardizer.offset[: self.x_dim]) / self.standardizer.scale[: self.x_dim]
-            return float(cond.density(u)) * math.exp(
-                self.standardizer.log_jacobian(range(self.x_dim))
-            )
-        return float(cond.density(v))
+        return cond.density(self._x_vector(x)) * math.exp(self._x_log_jacobian)
 
     def log_density(self, c: CommandKey, x, z: TerrainVector | None = None) -> float:
-        """log p(x | c[, z]) in original units; -inf when the density
-        underflows (callers decide how to floor)."""
-        dens = self.conditional_density(c, x, z) if self.augmented else self.motion_density(c, x)
-        with np.errstate(divide="ignore"):
-            return float(np.log(dens))
+        """log p(x | c[, z]) in original units, summed in log space: finite
+        even where the density itself underflows to 0.  A NaN, infinite or
+        overflowing query coordinate raises ValueError naming it."""
+        mix = self.conditional_motion_density(c, z) if self.augmented else self.mixture_for(c)
+        return mix.log_density(self._x_vector(x)) + self._x_log_jacobian
 
     # -- persistence -----------------------------------------------------------
 
@@ -347,11 +342,7 @@ class MotionModel:
                 {
                     "key": list(c.as_tuple()),
                     "components": [
-                        {
-                            "w": comp.w,
-                            "mean": comp.g.mean.tolist(),
-                            "cov": comp.g.cov.reshape(-1).tolist(),
-                        }
+                        _component_doc(comp, self.creation_cov_scale * np.eye(self.dim))
                         for comp in self.models[c].components
                     ],
                 }
@@ -429,7 +420,14 @@ class MotionModel:
                     g = Gaussian(mean, cov)
                 except ValueError as exc:
                     fail(f"{cwhere}.cov", str(exc))
-                comps.append(WeightedGaussian(g, w, creation_cov=scale * np.eye(dim)))
+                if "creation_cov" not in comp:
+                    creation = scale * np.eye(dim)
+                elif comp["creation_cov"] is None:
+                    creation = None
+                else:
+                    creation = np.array(_expect_floats(comp, "creation_cov", dim * dim, fail,
+                                                       prefix=cwhere + ".")).reshape(dim, dim)
+                comps.append(WeightedGaussian(g, w, creation_cov=creation))
             mm.models[command] = DynamicGaussianMixture(dim, comps)
         return mm
 
@@ -441,6 +439,20 @@ class MotionModel:
             except json.JSONDecodeError as exc:
                 raise ValueError(f"model file: field '<root>': invalid JSON ({exc})") from exc
         return cls.from_dict(doc)
+
+
+def _component_doc(comp: WeightedGaussian, default_creation: np.ndarray) -> dict:
+    """One component of a model file.  Its creation covariance is written
+    only when it is not the model's default creation_cov_scale * I (null
+    for a component without one, e.g. in a hand-built mixture), so files
+    of models trained online hold exactly the moments."""
+    doc = {"w": comp.w, "mean": comp.g.mean.tolist(), "cov": comp.g.cov.reshape(-1).tolist()}
+    creation = comp.creation_cov
+    if creation is None:
+        doc["creation_cov"] = None
+    elif not np.array_equal(creation, default_creation):
+        doc["creation_cov"] = creation.reshape(-1).tolist()
+    return doc
 
 
 def _expect_number(obj: dict, name: str, fail, prefix: str = "") -> float:

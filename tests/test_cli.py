@@ -71,6 +71,16 @@ def test_query_error_paths(tmp_path, incline_csv):
                 "--x", "0,0,0,0,0,0"]) == 2
 
 
+def test_query_nan_coordinate_exits_2(tmp_path, incline_csv, capsys):
+    model_path = tmp_path / "plain.json"
+    assert run(["fit", "--input", str(incline_csv), "--no-z", "--seed", "1",
+                "--out", str(model_path)]) == 0
+    capsys.readouterr()
+    assert run(["query", "--model", str(model_path), "--command", "0.5,0,0",
+                "--x=nan,0,0,0,0,0"]) == 2
+    assert "error: query coordinate 0 is NaN" in capsys.readouterr().err
+
+
 def test_fit_missing_input_exits_2(tmp_path, capsys):
     code = run(["fit", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "m.json")])
     assert code == 2

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dgmm.gaussian import Gaussian
+from dgmm.gaussian import Gaussian, ensure_positive_definite
 from dgmm.mixture import DynamicGaussianMixture, WeightedGaussian
 from dgmm.em import (
     FixedGaussianMixture,
@@ -106,6 +106,22 @@ class TestLogLikelihood:
         assert log_likelihood(dynamic.density, pts) == pytest.approx(
             log_likelihood(fixed.density, pts), rel=1e-12
         )
+        # both kinds, density and log_density, against the per-Gaussian sum;
+        # the third component is singular and takes the diagonal-loading path
+        gaussians.append(Gaussian([-1.0, 2.0], [[1.0, 1.0], [1.0, 1.0]]))
+        weights = np.array([1.0, 3.0, 2.0])
+        fixed = FixedGaussianMixture(weights / weights.sum(), gaussians)
+        dynamic = DynamicGaussianMixture.from_components(
+            [WeightedGaussian(g, w) for g, w in zip(gaussians, weights)]
+        )
+        pts = np.vstack([pts, [-1.0, 2.0], [0.0, 1.0], [-3.0, 0.0]])
+        want = sum(w / weights.sum() * ensure_positive_definite(g).density(pts)
+                   for g, w in zip(gaussians, weights))
+        for model in (fixed, dynamic):
+            assert model.density(pts) == pytest.approx(want, rel=1e-12)
+            assert np.exp(model.log_density(pts)) == pytest.approx(want, rel=1e-12)
+            assert model.log_density(pts[0]) == pytest.approx(math.log(want[0]), rel=1e-12)
+        assert fixed.density(pts[-3]) > 1e3  # on the singular component's line
 
 
 class TestMise:

@@ -3,15 +3,17 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dgmm.gaussian import Gaussian
 from dgmm.mixture import (
     DynamicGaussianMixture,
     WeightedGaussian,
+    logsumexp,
     merge_into,
     merge_threshold,
 )
-from dgmm.em import FixedGaussianMixture, Grid, integrate_on_grid
+from dgmm.em import FixedGaussianMixture, Grid, integrate_on_grid, mixture_support_box
 from dgmm.datasets import sample_gmm
 
 STD_PEAK = 1.0 / math.sqrt(2 * math.pi)
@@ -392,3 +394,56 @@ class TestIncrementalCaches:
                 assert m._peak_estimate() == pytest.approx(peak, rel=self.RTOL)
                 assert m.density(x) == pytest.approx(density, rel=self.RTOL)
                 assert m._selection_scores(m._quad_at(x)) == pytest.approx(scores, rel=self.RTOL)
+
+
+class TestSharedCore:
+    """The online and the EM mixture evaluate through one array core; both
+    must agree with a per-Gaussian sum anywhere in dimension, offset and
+    scale."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        dim=st.integers(1, 8),
+        m=st.integers(1, 10),
+        offset=st.floats(-1e6, 1e6),
+        log_scale=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_both_kinds_match_per_gaussian_sum(self, dim, m, offset, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        gaussians = []
+        for _ in range(m):
+            a = rng.standard_normal((dim, dim))
+            cov = scale**2 * (a @ a.T / dim + 0.1 * np.eye(dim))
+            gaussians.append(Gaussian(offset + 3.0 * scale * rng.standard_normal(dim), 0.5 * (cov + cov.T)))
+        w = rng.uniform(0.1, 10.0, m)
+        pts = np.array([g.mean for g in gaussians]) + scale * rng.standard_normal((m, dim))
+        want = sum(wi / w.sum() * g.density(pts) for wi, g in zip(w, gaussians))
+        fixed = FixedGaussianMixture(w / w.sum(), gaussians)
+        dynamic = DynamicGaussianMixture.from_components(
+            [WeightedGaussian(g, wi) for g, wi in zip(gaussians, w)])
+        box = mixture_support_box([fixed])
+        for model in (fixed, dynamic):
+            assert model.density(pts) == pytest.approx(want, rel=1e-9)
+            assert np.exp(model.log_density(pts)) == pytest.approx(want, rel=1e-9)
+            lo, hi = mixture_support_box([model])
+            assert np.array_equal(lo, box[0]) and np.array_equal(hi, box[1])
+        sig = [8.0 * np.sqrt(np.diag(g.cov)) for g in gaussians]
+        assert np.array_equal(box[0], np.min([g.mean - s for g, s in zip(gaussians, sig)], axis=0))
+        assert np.array_equal(box[1], np.max([g.mean + s for g, s in zip(gaussians, sig)], axis=0))
+
+
+class TestLogSumExp:
+    def test_matches_direct_sum(self):
+        a = np.log(np.array([[1.0, 2.0, 3.0], [1e-3, 1e-3, 5.0]]))
+        assert logsumexp(a) == pytest.approx(np.log(np.exp(a).sum(axis=1)), rel=1e-15)
+
+    def test_terms_far_below_underflow(self):
+        a = np.array([-2000.0, -2000.0 + math.log(3.0)])
+        assert logsumexp(a) == pytest.approx(-2000.0 + math.log(4.0), rel=1e-15)
+
+    def test_all_minus_inf_row_is_minus_inf(self):
+        out = logsumexp(np.array([[-np.inf, -np.inf], [0.0, -np.inf]]))
+        assert out[0] == -np.inf
+        assert out[1] == 0.0

@@ -201,6 +201,61 @@ class TestMotionDensity:
             assert mm.motion_density(FWD, x) == pytest.approx(float(oracle.density(x)), rel=1e-12)
 
 
+class TestLogSpaceQueries:
+    def test_log_density_finite_where_density_underflows(self):
+        # one component, standardized: the closed form in original units is
+        # log N(u; mu, S) - sum(log scale) with u the standardized query
+        offset = np.array([0.1, -0.2, 0.0, 0.05, 0.0, 0.3])
+        scale = np.array([0.5, 2.0, 1.0, 0.1, 0.2, 1.5])
+        mean, cov = np.full(6, 0.25), 0.3 * np.eye(6)
+        mm = MotionModel(k=0.5, standardizer=Standardizer(offset, scale))
+        mm.models[FWD] = DynamicGaussianMixture.from_components(
+            [WeightedGaussian(Gaussian(mean, cov), 4.0)])
+        x = offset + scale * np.array([40.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        assert mm.motion_density(FWD, x) == 0.0
+        u = (x - offset) / scale
+        quad = (u - mean) @ np.linalg.solve(cov, u - mean)
+        want = -0.5 * (6 * math.log(2 * math.pi) + np.linalg.slogdet(cov)[1] + quad) - np.log(scale).sum()
+        got = mm.log_density(FWD, x)
+        assert math.isfinite(got)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_conditioned_log_density_matches_density(self):
+        rng = np.random.default_rng(30)
+        mm = random_joint_model(rng, x_dim=2, z_dim=1, n_comps=3)
+        for _ in range(10):
+            x, z = rng.standard_normal(2), rng.standard_normal(1)
+            assert mm.log_density(FWD, x, z) == pytest.approx(
+                math.log(mm.conditional_density(FWD, x, z)), rel=1e-12)
+        x_far = np.array([1e3, 0.0])
+        assert mm.conditional_density(FWD, x_far, np.zeros(1)) == 0.0
+        assert math.isfinite(mm.log_density(FWD, x_far, np.zeros(1)))
+
+
+class TestQueryValidation:
+    @pytest.mark.parametrize("bad, problem", [(math.nan, "is NaN"), (-math.inf, "is infinite"),
+                                              (1e200, r"= 1e\+200 is too large")])
+    def test_non_finite_query_names_coordinate(self, bad, problem):
+        plain = MotionModel(k=0.5)
+        plain.record_sample(FWD, DeltaPose(0.1, 0, 0, 0, 0, 0), None, np.random.default_rng(31))
+        aug = random_joint_model(np.random.default_rng(32), x_dim=6, z_dim=2, n_comps=2)
+        x = np.array([0.0, 0.0, 0.0, bad, 0.0, 0.0])
+        with pytest.raises(ValueError, match=f"query coordinate 3 {problem}"):
+            plain.motion_density(FWD, x)
+        with pytest.raises(ValueError, match=f"query coordinate 3 {problem}"):
+            plain.log_density(FWD, x)
+        with pytest.raises(ValueError, match=f"query coordinate 3 {problem}"):
+            aug.conditional_density(FWD, x, np.zeros(2))
+        with pytest.raises(ValueError, match=f"query coordinate 3 {problem}"):
+            aug.log_density(FWD, x, np.zeros(2))
+        for call in (lambda z: aug.conditional_motion_density(FWD, z),
+                     lambda z: aug.conditional_density(FWD, np.zeros(6), z),
+                     lambda z: aug.log_density(FWD, np.zeros(6), z)):
+            with pytest.raises(ValueError, match=f"terrain coordinate 1 {problem}") as info:
+                call(np.array([0.0, bad]))
+            assert not isinstance(info.value, TerrainSupportError)
+
+
 class TestConditionalMotionDensity:
     def test_single_component_ratio_identity(self):
         rng = np.random.default_rng(12)
@@ -326,6 +381,34 @@ class TestPersistence:
             got = back.conditional_density(r.command, x, r.z)
             want = mm.conditional_density(r.command, x, r.z)
             assert got == pytest.approx(want, rel=1e-12)
+
+    def test_hand_built_mixture_round_trips(self):
+        # components without a creation covariance, or with one other than
+        # creation_cov_scale * I, keep their densities through a save/load
+        mm = MotionModel(k=0.5, creation_cov_scale=2.0)
+        mm.models[FWD] = DynamicGaussianMixture.from_components(
+            [WeightedGaussian(Gaussian(np.zeros(6), 0.1 * np.eye(6)), 3.0)])
+        mm.models[TURN] = DynamicGaussianMixture.from_components([
+            WeightedGaussian(Gaussian(np.ones(6), 0.2 * np.eye(6)), 2.0, creation_cov=0.5 * np.eye(6)),
+            WeightedGaussian(Gaussian(-np.ones(6), 0.3 * np.eye(6)), 5.0, creation_cov=2.0 * np.eye(6)),
+        ])
+        doc = mm.to_dict()
+        back = MotionModel.from_dict(json.loads(json.dumps(doc)))
+        assert back.to_dict() == doc
+        turn = doc["commands"][[c["key"] for c in doc["commands"]].index([0.0, 0.0, 0.5])]
+        assert "creation_cov" in turn["components"][0]
+        assert "creation_cov" not in turn["components"][1]
+        rng = np.random.default_rng(33)
+        for c, center in ((FWD, np.zeros(6)), (TURN, np.ones(6)), (TURN, -np.ones(6))):
+            for x in (center, center + 0.3 * rng.standard_normal(6)):
+                assert back.motion_density(c, x) == mm.motion_density(c, x)
+        assert back.motion_density(FWD, np.zeros(6)) == pytest.approx(
+            float(Gaussian(np.zeros(6), 0.1 * np.eye(6)).density(np.zeros(6))), rel=1e-12)
+
+    def test_trained_model_file_has_no_creation_covariances(self):
+        records = simulate_incline(InclineConfig(reps_per_orientation=1))
+        doc = fit_motion_model(records, k=0.3, rng=np.random.default_rng(34)).to_dict()
+        assert not any("creation_cov" in comp for c in doc["commands"] for comp in c["components"])
 
     def test_non_symmetric_covariance_rejected(self, tmp_path):
         mm = MotionModel(k=0.5, x_dim=2, z_dim=0)
