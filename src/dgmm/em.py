@@ -37,11 +37,9 @@ class FixedGaussianMixture(MixtureCore):
             raise ValueError("weights must be positive")
         if abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
-        dims = {g.dim for g in self.gaussians}
-        if len(dims) != 1:
+        if len({g.dim for g in self.gaussians}) != 1:
             raise ValueError("components must share one dimension")
-        self.dim = dims.pop()
-        self._set_arrays(self.weights, np.array([g.mean for g in self.gaussians]),
+        super().__init__(self.weights, np.array([g.mean for g in self.gaussians]),
                          np.array([g.cov for g in self.gaussians]))
         #: per-iteration data log-likelihood of the restart that produced
         #: this fit; useful for monotonicity checks.

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -101,13 +100,6 @@ class Gaussian:
             )
         return self._log_norm
 
-    def is_positive_definite(self) -> bool:
-        try:
-            self.chol()
-        except np.linalg.LinAlgError:
-            return False
-        return True
-
     # -- evaluation ------------------------------------------------------
 
     def _quad_form(self, x: np.ndarray) -> np.ndarray:
@@ -117,9 +109,7 @@ class Gaussian:
         pts = np.atleast_2d(x)
         if pts.shape[1] != self.dim:
             raise ValueError(f"point dimension {pts.shape[1]} != Gaussian dimension {self.dim}")
-        y = linalg.solve_triangular(
-            self.chol(), (pts - self.mean).T, lower=True, check_finite=False
-        )
+        y = np.linalg.solve(self.chol(), (pts - self.mean).T)
         q = np.sum(y * y, axis=0)
         return q[0] if single else q
 
@@ -138,9 +128,6 @@ class Gaussian:
         quadratic form so no ratio round-off enters.
         """
         return np.exp(-0.5 * self._quad_form(x))
-
-    def mahalanobis(self, x):
-        return np.sqrt(self._quad_form(x))
 
     # -- structure -------------------------------------------------------
 
@@ -165,12 +152,12 @@ class Gaussian:
         s_kd = self.cov[np.ix_(kept, dropped)]
         s_dd = self.cov[np.ix_(dropped, dropped)]
         try:
-            cho = linalg.cho_factor(s_dd, lower=True, check_finite=False)
+            chol = np.linalg.cholesky(s_dd)
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(
                 "dropped-block covariance is singular; cannot condition"
             ) from exc
-        gain = linalg.cho_solve(cho, s_kd.T, check_finite=False).T  # S_kd S_dd^-1
+        gain = np.linalg.solve(chol.T, np.linalg.solve(chol, s_kd.T)).T  # S_kd S_dd^-1
         mean = self.mean[kept] + gain @ (z - self.mean[dropped])
         cov = symmetrize(s_kk - gain @ s_kd.T)
         return Gaussian(mean, cov)
@@ -187,13 +174,6 @@ class IndexSplit:
         object.__setattr__(self, "kept", tuple(sorted(int(i) for i in self.kept)))
         object.__setattr__(self, "dropped", tuple(sorted(int(i) for i in self.dropped)))
 
-    @classmethod
-    def tail(cls, dim: int, n_dropped: int) -> "IndexSplit":
-        """Keep the leading block, drop the trailing n_dropped coordinates."""
-        if not 0 < n_dropped < dim:
-            raise ValueError("n_dropped must be in (0, dim)")
-        return cls(tuple(range(dim - n_dropped)), tuple(range(dim - n_dropped, dim)))
-
     def validate(self, dim: int) -> None:
         kept, dropped = set(self.kept), set(self.dropped)
         if kept & dropped:
@@ -204,15 +184,15 @@ class IndexSplit:
             raise ValueError("kept block is empty")
 
 
-def positive_definite_cholesky(cov: np.ndarray, epsilon: float = DEFAULT_EPSILON):
+def positive_definite_cholesky(cov: np.ndarray):
     """(cov', L): cov itself and its lower Cholesky factor if it factors,
-    else the first diagonally loaded copy (epsilon, 10 epsilon, ...) that
-    does, with its factor."""
+    else the first diagonally loaded copy (DEFAULT_EPSILON, 10 times that,
+    ...) that does, with its factor."""
     try:
         return cov, np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         pass
-    eps = epsilon
+    eps = DEFAULT_EPSILON
     for _ in range(16):
         loaded = regularize(cov, eps)
         try:
@@ -222,14 +202,13 @@ def positive_definite_cholesky(cov: np.ndarray, epsilon: float = DEFAULT_EPSILON
     raise np.linalg.LinAlgError("covariance could not be regularized to positive definite")
 
 
-def ensure_positive_definite(g: Gaussian, epsilon: float = DEFAULT_EPSILON) -> Gaussian:
+def ensure_positive_definite(g: Gaussian) -> Gaussian:
     """Return g itself if its covariance factors, else a copy with diagonal
     loading applied until it does.  Exact moments are kept separate from the
     evaluation copy, so estimators stay unbiased while density queries on
     degenerate components remain well defined."""
-    if g.is_positive_definite():
-        return g
-    return Gaussian(g.mean, positive_definite_cholesky(g.cov, epsilon)[0])
+    cov = positive_definite_cholesky(g.cov)[0]
+    return g if cov is g.cov else Gaussian(g.mean, cov)
 
 
 def _check_indices(idx, dim: int, name: str) -> list[int]:

@@ -28,25 +28,24 @@ component,
     _chol_inv   (m, D, D)   inverse lower Cholesky factors of _eval_cov
     _log_norm   (m,)        log normalization constant of each component
 
-It gives `density`, `log_density` and `support_box`; `_factor` builds its
-arrays and `_quad` is its one Mahalanobis kernel.  The online mixture
-(DynamicGaussianMixture, here), the EM fit (em.FixedGaussianMixture) and
-the terrain-conditioned query mixture are all MixtureCore instances.
+It gives `density`, `log_density`, `support_box` and the terrain
+`conditional`; `_factor` builds its arrays and `_quad` is its one
+Mahalanobis kernel.  The online mixture (DynamicGaussianMixture, here) and
+the EM fit (em.FixedGaussianMixture) are MixtureCore subclasses; the
+terrain-conditioned query mixture is a plain MixtureCore.
 
 DynamicGaussianMixture adds, for learning:
 
     _cov        (m, D, D)   exact unbiased covariances
     _creation   m entries   creation covariance of each component, or None
-    _peak       (m, m)      _peak[i, j] = N(mean_i; component j), or None
+    _peak       (m, m)      _peak[i, j] = N(mean_i; component j)
 
 and derives _eval_cov from _cov and _creation (see WeightedGaussian).
 Invariant: after construction and after every add_sample, the evaluation
-arrays are those of the current moments and, once built, _peak holds the
-current component-at-mean densities.  add_sample keeps this in O(m D^2):
-a merge into component i updates i in place, re-factors only i and
-recomputes row and column i of _peak; an append grows every array by one.
-_peak is built by the first add_sample to a non-empty mixture, so
-mixtures that never learn (conditioned queries) never pay for it.  Reads
+arrays are those of the current moments and _peak holds the current
+component-at-mean densities.  add_sample keeps this in O(m D^2): a merge
+into component i updates i in place, re-factors only i and recomputes row
+and column i of _peak; an append grows every array by one.  Reads
 (density, log_density, normalized_density, select_component, components,
 conditional) never mutate a mixture; only add_sample writes.
 """
@@ -157,9 +156,10 @@ class MixtureCore:
     """Weighted Gaussian mixture evaluated from stacked arrays (see the
     module docstring); the density is sum_i (w_i / W) N(x; mean_i, S_i)."""
 
-    dim: int
-
-    def _set_arrays(self, w: np.ndarray, mean: np.ndarray, eval_cov: np.ndarray) -> None:
+    def __init__(self, w: np.ndarray, mean: np.ndarray, eval_cov: np.ndarray):
+        """Takes ownership of the arrays: weights (m,), means (m, D) and
+        evaluation covariances (m, D, D)."""
+        self.dim = mean.shape[1]
         self._w, self._W, self._mean = w, float(w.sum()), mean
         self._eval_cov, self._chol_inv, self._log_norm = _factor(eval_cov)
 
@@ -200,13 +200,42 @@ class MixtureCore:
         sig = np.sqrt(np.clip(np.diagonal(self._eval_cov, axis1=1, axis2=2), 0.0, None))
         return (self._mean - n_sigma * sig).min(axis=0), (self._mean + n_sigma * sig).max(axis=0)
 
+    def conditional(self, z) -> "MixtureCore":
+        """Mixture over the leading coordinates given that the trailing
+        len(z) coordinates equal z, from the evaluation Gaussians.
+
+        Component i is conditioned in closed form (Schur complement) and
+        reweighted by w_i times its trailing-block marginal density at z,
+        so the result is pointwise joint(x || z) / marginal(z).  Components
+        whose weight underflows to zero are dropped; the result is empty
+        when all of them do.
+        """
+        z = np.asarray(z, dtype=float).reshape(-1)
+        k = self.dim - z.shape[0]
+        if not 0 < k < self.dim:
+            raise ValueError(f"z has dimension {z.shape[0]}; must be in (0, {self.dim})")
+        cov = self._eval_cov
+        chol_zz = np.linalg.cholesky(cov[:, k:, k:])
+        # whiten the terrain residual and the cross-covariance in one solve
+        rhs = np.concatenate([(z - self._mean[:, k:])[:, :, None], cov[:, k:, :k]], axis=2)
+        white = np.linalg.solve(chol_zz, rhs)
+        y, a = white[:, :, 0], white[:, :, 1:]
+        log_det = np.log(np.diagonal(chol_zz, axis1=1, axis2=2)).sum(axis=1)
+        log_marginal = -0.5 * z.shape[0] * LOG_2PI - log_det - 0.5 * np.einsum("mi,mi->m", y, y)
+        weight = self._w * np.exp(log_marginal)
+        keep = weight > 0.0
+        y, a = y[keep], a[keep]
+        a_t = a.transpose(0, 2, 1)
+        mean = self._mean[keep, :k] + (a_t @ y[:, :, None])[:, :, 0]
+        schur = cov[keep, :k, :k] - a_t @ a
+        return MixtureCore(weight[keep], mean, 0.5 * (schur + schur.transpose(0, 2, 1)))
+
 
 class WeightedGaussian:
     """A mixture component: Gaussian moments plus an unnormalized weight.
 
     Under the online update rules w counts contributing samples (integral,
-    >= 1).  Derived mixtures (e.g. conditioned queries) may carry arbitrary
-    positive weights.
+    >= 1).  Hand-built mixtures may carry arbitrary positive weights.
 
     Components created by the online update remember their creation
     covariance.  The stored moments `g` are always the exact incremental
@@ -219,8 +248,8 @@ class WeightedGaussian:
     The prior washes out as the component matures, keeps young components
     selectable instead of freezing them at their second sample, and never
     touches the exact moments.  Components without a creation covariance
-    (hand-built mixtures, conditioned queries) evaluate their moments
-    as-is, with minimal diagonal loading only if factorization fails.
+    (hand-built mixtures) evaluate their moments as-is, with minimal
+    diagonal loading only if factorization fails.
     """
 
     __slots__ = ("g", "w", "creation_cov")
@@ -270,31 +299,15 @@ class DynamicGaussianMixture(MixtureCore):
         for c in comps:
             if c.g.dim != self.dim:
                 raise ValueError(f"component dimension {c.g.dim} != mixture dimension {self.dim}")
-        m = len(comps)
-        self._load(
+        m, d = len(comps), self.dim
+        self._cov = np.array([c.g.cov for c in comps], dtype=float).reshape(m, d, d)
+        self._creation = [c.creation_cov for c in comps]
+        super().__init__(
             np.array([c.w for c in comps], dtype=float),
-            np.array([c.g.mean for c in comps], dtype=float).reshape(m, self.dim),
-            np.array([c.g.cov for c in comps], dtype=float).reshape(m, self.dim, self.dim),
-            [c.creation_cov for c in comps],
-        )
-
-    @classmethod
-    def _from_arrays(cls, w: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> "DynamicGaussianMixture":
-        """Mixture that takes ownership of the given arrays; its components
-        have no creation covariance."""
-        mix = cls.__new__(cls)
-        mix.dim = mean.shape[1]
-        mix._load(w, mean, cov, [None] * len(w))
-        return mix
-
-    def _load(self, w, mean, cov, creation) -> None:
-        self._cov, self._creation = cov, creation
-        eval_cov = cov.copy()
-        for i, c in enumerate(creation):
-            if c is not None:
-                eval_cov[i] = _evaluation_cov(cov[i], w[i], c)
-        self._set_arrays(w, mean, eval_cov)
-        self._peak = None
+            np.array([c.g.mean for c in comps], dtype=float).reshape(m, d),
+            np.array([_evaluation_cov(c.g.cov, c.w, c.creation_cov) for c in comps],
+                     dtype=float).reshape(m, d, d))
+        self._peak = self._at_means()
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -336,8 +349,7 @@ class DynamicGaussianMixture(MixtureCore):
         """Estimated mixture maximum: the largest mixture value over all
         component means.  Exact for well-separated components; can
         undershoot when components overlap, so callers clamp ratios at 1."""
-        at_means = self._peak if self._peak is not None else self._at_means()
-        return float((at_means @ (self._w / self._W)).max())
+        return float((self._peak @ (self._w / self._W)).max())
 
     def _normalized(self, quad: np.ndarray) -> np.ndarray:
         """Mixture density over its estimated peak, clamped at 1, from the
@@ -349,37 +361,6 @@ class DynamicGaussianMixture(MixtureCore):
         pts, single = self._check_points(x)
         vals = self._normalized(_quad(pts, self._mean, self._chol_inv))
         return float(vals[0]) if single else vals
-
-    def conditional(self, z) -> "DynamicGaussianMixture":
-        """Mixture over the leading coordinates given that the trailing
-        len(z) coordinates equal z, from the evaluation Gaussians.
-
-        Component i is conditioned in closed form (Schur complement) and
-        reweighted by w_i times its trailing-block marginal density at z,
-        so the result is pointwise joint(x || z) / marginal(z).  Components
-        whose weight underflows to zero are dropped; the result is empty
-        when all of them do.
-        """
-        z = np.asarray(z, dtype=float).reshape(-1)
-        k = self.dim - z.shape[0]
-        if not 0 < k < self.dim:
-            raise ValueError(f"z has dimension {z.shape[0]}; must be in (0, {self.dim})")
-        cov = self._eval_cov
-        chol_zz = np.linalg.cholesky(cov[:, k:, k:])
-        # whiten the terrain residual and the cross-covariance in one solve
-        rhs = np.concatenate([(z - self._mean[:, k:])[:, :, None], cov[:, k:, :k]], axis=2)
-        white = np.linalg.solve(chol_zz, rhs)
-        y, a = white[:, :, 0], white[:, :, 1:]
-        log_det = np.log(np.diagonal(chol_zz, axis1=1, axis2=2)).sum(axis=1)
-        log_marginal = -0.5 * z.shape[0] * LOG_2PI - log_det - 0.5 * np.einsum("mi,mi->m", y, y)
-        weight = self._w * np.exp(log_marginal)
-        keep = weight > 0.0
-        y, a = y[keep], a[keep]
-        a_t = a.transpose(0, 2, 1)
-        mean = self._mean[keep, :k] + (a_t @ y[:, :, None])[:, :, 0]
-        schur = cov[keep, :k, :k] - a_t @ a
-        return DynamicGaussianMixture._from_arrays(
-            weight[keep], mean, 0.5 * (schur + schur.transpose(0, 2, 1)))
 
     # -- online update -----------------------------------------------------
 
@@ -434,8 +415,6 @@ class DynamicGaussianMixture(MixtureCore):
         d = 0.0
         if len(self):
             quad = self._quad_at(x)
-            if self._peak is None:
-                self._peak = self._at_means()
             d = float(self._normalized(quad[None])[0])
         if r < merge_threshold(d, self._W, k):
             self._merge(self._draw(quad, rng), x)
@@ -463,8 +442,7 @@ class DynamicGaussianMixture(MixtureCore):
         self._eval_cov = np.concatenate([self._eval_cov, cov[None]])
         self._chol_inv = np.concatenate([self._chol_inv, cov[None]])
         self._log_norm = np.append(self._log_norm, 0.0)
-        if self._peak is not None:
-            self._peak = np.pad(self._peak, ((0, 1), (0, 1)))
+        self._peak = np.pad(self._peak, ((0, 1), (0, 1)))
         self._refactor(m)
 
     def _refactor(self, i: int) -> None:
@@ -473,10 +451,9 @@ class DynamicGaussianMixture(MixtureCore):
         eval_cov, chol_inv, log_norm = _factor(
             _evaluation_cov(self._cov[i], self._w[i], self._creation[i])[None])
         self._eval_cov[i], self._chol_inv[i], self._log_norm[i] = eval_cov[0], chol_inv[0], log_norm[0]
-        if self._peak is not None:
-            mean, ci, ln = self._mean, self._chol_inv, self._log_norm
-            self._peak[i, :] = np.exp(ln - 0.5 * _quad(mean[i:i + 1], mean, ci)[0])
-            self._peak[:, i] = np.exp(ln[i] - 0.5 * _quad(mean, mean[i:i + 1], ci[i:i + 1])[:, 0])
+        mean, ci, ln = self._mean, self._chol_inv, self._log_norm
+        self._peak[i, :] = np.exp(ln - 0.5 * _quad(mean[i:i + 1], mean, ci)[0])
+        self._peak[:, i] = np.exp(ln[i] - 0.5 * _quad(mean, mean[i:i + 1], ci[i:i + 1])[:, 0])
 
     # -- construction ------------------------------------------------------
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import Gaussian
-from .mixture import DynamicGaussianMixture, WeightedGaussian, check_coordinates
+from .mixture import DynamicGaussianMixture, MixtureCore, WeightedGaussian, check_coordinates
 
 MODEL_FORMAT = "dgmm-motion-model/1"
 
@@ -113,13 +113,6 @@ class DeltaPose:
     def as_vector(self) -> np.ndarray:
         return np.array([self.dx, self.dy, self.dz, self.droll, self.dpitch, self.dyaw])
 
-    @classmethod
-    def from_vector(cls, v) -> "DeltaPose":
-        v = np.asarray(v, dtype=float).reshape(-1)
-        if v.shape[0] != 6:
-            raise ValueError("pose delta vector must have 6 components")
-        return cls(*v)
-
 
 @dataclass(frozen=True)
 class TerrainVector:
@@ -134,13 +127,6 @@ class TerrainVector:
 
     def as_vector(self) -> np.ndarray:
         return np.array([self.pitch, self.roll])
-
-    @classmethod
-    def from_vector(cls, v) -> "TerrainVector":
-        v = np.asarray(v, dtype=float).reshape(-1)
-        if v.shape[0] != 2:
-            raise ValueError("terrain vector must have 2 components")
-        return cls(*v)
 
 
 def pose_delta(prev: Pose, curr: Pose) -> DeltaPose:
@@ -183,10 +169,10 @@ class Standardizer:
     def transform(self, v: np.ndarray) -> np.ndarray:
         return (np.asarray(v, dtype=float) - self.offset) / self.scale
 
-    def log_jacobian(self, indices) -> float:
-        """log of the density change of variables over the given dims:
+    def log_jacobian(self) -> float:
+        """log of the density change of variables over every dim:
         p_orig(v) = p_std(u) * exp(log_jacobian)."""
-        return float(-np.sum(np.log(self.scale[list(indices)])))
+        return float(-np.sum(np.log(self.scale)))
 
 
 class MotionModel:
@@ -215,7 +201,7 @@ class MotionModel:
         std = self._std = standardizer or Standardizer(np.zeros(self.dim), np.ones(self.dim))
         self._x_std = Standardizer(std.offset[:x_dim], std.scale[:x_dim])
         self._z_std = Standardizer(std.offset[x_dim:], std.scale[x_dim:])
-        self._x_log_jacobian = self._x_std.log_jacobian(range(x_dim))
+        self._x_log_jacobian = self._x_std.log_jacobian()
         self.creation_cov_scale = float(creation_cov_scale)
         self.models: dict[CommandKey, DynamicGaussianMixture] = {}
 
@@ -287,14 +273,14 @@ class MotionModel:
             raise ValueError("model is terrain-augmented; use conditional_motion_density")
         return self.mixture_for(c).density(self._x_vector(x)) * math.exp(self._x_log_jacobian)
 
-    def conditional_motion_density(self, c: CommandKey, z: TerrainVector) -> DynamicGaussianMixture:
+    def conditional_motion_density(self, c: CommandKey, z: TerrainVector) -> MixtureCore:
         """Mixture over the pose-delta block representing p(x | c, z).
 
         Component i of the joint is conditioned on the terrain block at z
         and reweighted by w_i times its terrain marginal at z, which makes
         the returned mixture pointwise equal to joint(x || z) / marginal(z).
         All components are conditioned in one batched pass
-        (DynamicGaussianMixture.conditional).  Lives in the model's internal
+        (MixtureCore.conditional).  Lives in the model's internal
         (possibly standardized) space; use conditional_density for values
         in original units.  A NaN, infinite or overflowing terrain
         coordinate raises ValueError naming it.
@@ -427,6 +413,13 @@ class MotionModel:
                 else:
                     creation = np.array(_expect_floats(comp, "creation_cov", dim * dim, fail,
                                                        prefix=cwhere + ".")).reshape(dim, dim)
+                    # it is the prior of every evaluation covariance, so it must factor
+                    try:
+                        Gaussian(mean, creation).chol()
+                    except np.linalg.LinAlgError:
+                        fail(f"{cwhere}.creation_cov", "not positive definite")
+                    except ValueError as exc:
+                        fail(f"{cwhere}.creation_cov", str(exc))
                 comps.append(WeightedGaussian(g, w, creation_cov=creation))
             mm.models[command] = DynamicGaussianMixture(dim, comps)
         return mm

@@ -285,11 +285,12 @@ class TestConditionalMotionDensity:
         zv = np.array([0.0])
         cond = mm.conditional_motion_density(FWD, zv)
         # x-parts unchanged, weights scaled by each component's z likelihood
-        for out, src in zip(cond.components, comps):
-            assert out.g.mean == pytest.approx(src.g.mean[:2], rel=1e-12)
-            assert out.g.cov == pytest.approx(x_cov, rel=1e-12)
+        assert len(cond) == len(comps)
+        for w, mean, cov, src in zip(cond._w, cond._mean, cond._eval_cov, comps):
+            assert mean == pytest.approx(src.g.mean[:2], rel=1e-12)
+            assert cov == pytest.approx(x_cov, rel=1e-12)
             z_like = src.g.marginal([2]).density(zv)
-            assert out.w == pytest.approx(src.w * float(z_like), rel=1e-12)
+            assert w == pytest.approx(src.w * float(z_like), rel=1e-12)
 
     def test_random_model_matches_ratio_on_grid(self):
         rng = np.random.default_rng(13)
@@ -421,6 +422,22 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=r"components\[0\].cov"):
             MotionModel.load(path)
+
+    @pytest.mark.parametrize("dim, creation, why", [
+        (1, [-5.0], "not positive definite"),
+        (2, [1.0, 0.0, 0.0, 0.0], "not positive definite"),
+        (2, [1.0, 5.0, -3.0, 1.0], "not symmetric"),
+    ])
+    def test_bad_creation_covariance_rejected(self, dim, creation, why):
+        mm = MotionModel(k=0.5, x_dim=dim, z_dim=0)
+        mm.models[FWD] = DynamicGaussianMixture.from_components(
+            [WeightedGaussian(Gaussian(np.zeros(dim), np.eye(dim)), 2.0, creation_cov=2.0 * np.eye(dim))]
+        )
+        doc = json.loads(json.dumps(mm.to_dict()))
+        doc["commands"][0]["components"][0]["creation_cov"] = creation
+        field = r"model file: field 'commands\[0\]\.components\[0\]\.creation_cov': "
+        with pytest.raises(ValueError, match=field + ".*" + why):
+            MotionModel.from_dict(doc)
 
     def test_malformed_fields_are_named(self, tmp_path):
         base = MotionModel(k=0.5, x_dim=2, z_dim=0).to_dict()
