@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import Gaussian, symmetrize
-from .mixture import MixtureCore, _factor, _quad, logsumexp
+from .mixture import MixtureCore, _factor, _log_norm, _quad, logsumexp
 
 #: Densities are floored here before taking logs, so held-out points far
 #: from every component keep fold averages finite.
@@ -40,7 +40,7 @@ class FixedGaussianMixture(MixtureCore):
         if len({g.dim for g in self.gaussians}) != 1:
             raise ValueError("components must share one dimension")
         super().__init__(self.weights, np.array([g.mean for g in self.gaussians]),
-                         np.array([g.cov for g in self.gaussians]))
+                         *_factor(np.array([g.cov for g in self.gaussians])))
         #: per-iteration data log-likelihood of the restart that produced
         #: this fit; useful for monotonicity checks.
         self.loglik_path: list[float] = []
@@ -54,12 +54,12 @@ def _em_once(points: np.ndarray, m: int, tol: float, max_iter: int,
     means = points[idx].copy()
     base_cov = symmetrize(np.atleast_2d(np.cov(points, rowvar=False, bias=True)))
     weights = np.full(m, 1.0 / m)
-    covs, chol_inv, log_norm = _factor(np.repeat(base_cov[None], m, axis=0))
+    covs, chol_inv = _factor(np.repeat(base_cov[None], m, axis=0))
     path = []
     prev_ll = -np.inf
     for _ in range(max_iter):
         # E-step
-        log_weighted = log_norm - 0.5 * _quad(points, means, chol_inv) + np.log(weights)
+        log_weighted = _log_norm(chol_inv) - 0.5 * _quad(points, means, chol_inv) + np.log(weights)
         log_total = logsumexp(log_weighted)
         ll = float(log_total.sum())
         path.append(ll)
@@ -70,7 +70,7 @@ def _em_once(points: np.ndarray, m: int, tol: float, max_iter: int,
         means = (resp.T @ points) / nk[:, None]
         diff = points[None] - means[:, None]
         covs = (resp.T[:, :, None] * diff).transpose(0, 2, 1) @ diff / nk[:, None, None]
-        covs, chol_inv, log_norm = _factor(0.5 * (covs + covs.transpose(0, 2, 1)))
+        covs, chol_inv = _factor(0.5 * (covs + covs.transpose(0, 2, 1)))
         if (ll - prev_ll) / n < tol and np.isfinite(prev_ll):
             break
         prev_ll = ll

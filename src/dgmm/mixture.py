@@ -25,12 +25,21 @@ component,
     _mean       (m, D)      means
     _eval_cov   (m, D, D)   evaluation covariances, diagonally loaded
                             where they would not factor
-    _chol_inv   (m, D, D)   inverse lower Cholesky factors of _eval_cov
+    _chol_inv   (m, D, D)   inverse upper Cholesky factors V = U^-1 of
+                            _eval_cov = U U^T (V is upper triangular)
     _log_norm   (m,)        log normalization constant of each component
 
+The factor is upper, not lower, so that conditioning on the trailing
+coordinates z needs no factorization.  With S = U U^T and V = U^-1 both
+upper triangular, the trailing block V[:, k:, k:] is the inverse factor of
+each component's marginal over z, and the leading block V[:, :k, :k] that
+of its conditional given z (the Schur complement S_xx - U_xz U_xz^T, where
+U_xz = S_xz V_zz^T).  The terrain marginal (`_marginal`) and the terrain
+`conditional` are therefore slices and products of the stored arrays.
+
 It gives `density`, `log_density`, `support_box` and the terrain
-`conditional`; `_factor` builds its arrays and `_quad` is its one
-Mahalanobis kernel.  The online mixture (DynamicGaussianMixture, here) and
+`conditional`; `_factor` is the one place that factorizes and `_quad` is
+its one Mahalanobis kernel.  The online mixture (DynamicGaussianMixture, here) and
 the EM fit (em.FixedGaussianMixture) are MixtureCore subclasses; the
 terrain-conditioned query mixture is a plain MixtureCore.
 
@@ -132,23 +141,38 @@ def _evaluation_cov(cov: np.ndarray, w: float, creation: np.ndarray | None) -> n
 
 
 def _factor(eval_cov: np.ndarray):
-    """(evaluation covariances, inverse Cholesky factors, log normalization
-    constants) of a stack (m, D, D); a covariance that does not factor is
-    diagonally loaded until it does (see positive_definite_cholesky)."""
+    """(evaluation covariances, inverse upper Cholesky factors) of a stack
+    (m, D, D).  S = U U^T with U upper triangular is the lower factor of S
+    with its coordinates reversed, reversed back.  A covariance that does
+    not factor is diagonally loaded until it does (see
+    positive_definite_cholesky)."""
+    flipped = eval_cov[:, ::-1, ::-1]
     try:
-        chol = np.linalg.cholesky(eval_cov)
+        chol = np.linalg.cholesky(flipped)
     except np.linalg.LinAlgError:
-        pairs = [positive_definite_cholesky(c) for c in eval_cov]
-        eval_cov = np.array([c for c, _ in pairs])
+        pairs = [positive_definite_cholesky(c) for c in flipped]
+        eval_cov = np.array([c for c, _ in pairs])[:, ::-1, ::-1]
         chol = np.array([f for _, f in pairs])
-    log_det = np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-    return eval_cov, np.linalg.inv(chol), -0.5 * eval_cov.shape[-1] * LOG_2PI - log_det
+    return eval_cov, np.linalg.inv(chol[:, ::-1, ::-1])
+
+
+def _log_norm(chol_inv: np.ndarray) -> np.ndarray:
+    """Log normalization constants from inverse Cholesky factors (m, D, D):
+    -D/2 log(2 pi) + log|V|."""
+    log_det = np.log(np.diagonal(chol_inv, axis1=1, axis2=2)).sum(axis=1)
+    return -0.5 * chol_inv.shape[-1] * LOG_2PI + log_det
+
+
+def _whiten(pts: np.ndarray, mean: np.ndarray, chol_inv: np.ndarray) -> np.ndarray:
+    """V_i (x - mean_i) for every component (m, D) and point (N, D): shape
+    (m, N, D)."""
+    return (pts[None] - mean[:, None]) @ chol_inv.transpose(0, 2, 1)
 
 
 def _quad(pts: np.ndarray, mean: np.ndarray, chol_inv: np.ndarray) -> np.ndarray:
     """Squared Mahalanobis distance of every point (N, D) to every
     component (m, D): shape (N, m)."""
-    y = (pts[None] - mean[:, None]) @ chol_inv.transpose(0, 2, 1)
+    y = _whiten(pts, mean, chol_inv)
     return np.einsum("mnd,mnd->nm", y, y)
 
 
@@ -156,12 +180,15 @@ class MixtureCore:
     """Weighted Gaussian mixture evaluated from stacked arrays (see the
     module docstring); the density is sum_i (w_i / W) N(x; mean_i, S_i)."""
 
-    def __init__(self, w: np.ndarray, mean: np.ndarray, eval_cov: np.ndarray):
-        """Takes ownership of the arrays: weights (m,), means (m, D) and
-        evaluation covariances (m, D, D)."""
+    def __init__(self, w: np.ndarray, mean: np.ndarray, eval_cov: np.ndarray,
+                 chol_inv: np.ndarray):
+        """Takes ownership of the arrays: weights (m,), means (m, D),
+        evaluation covariances (m, D, D) and their inverse upper Cholesky
+        factors (m, D, D); callers holding only covariances pass
+        *_factor(cov)."""
         self.dim = mean.shape[1]
         self._w, self._W, self._mean = w, float(w.sum()), mean
-        self._eval_cov, self._chol_inv, self._log_norm = _factor(eval_cov)
+        self._eval_cov, self._chol_inv, self._log_norm = eval_cov, chol_inv, _log_norm(chol_inv)
 
     def __len__(self) -> int:
         return len(self._w)
@@ -186,12 +213,19 @@ class MixtureCore:
         vals = self._mix(_quad(pts, self._mean, self._chol_inv))
         return float(vals[0]) if single else vals
 
+    def _log_components(self, pts: np.ndarray) -> np.ndarray:
+        """log N(x; component i) for every point (N, D) and component: (N, m)."""
+        return self._log_norm - 0.5 * _quad(pts, self._mean, self._chol_inv)
+
+    def _log_mix(self, log_components: np.ndarray) -> np.ndarray:
+        """Log mixture density from the component log densities (N, m)."""
+        return logsumexp(log_components + np.log(self._w / self._W))
+
     def log_density(self, x):
         """Log of the mixture pdf, summed in log space: finite wherever one
         component's log density is, even where density() underflows to 0."""
         pts, single = self._check_points(x)
-        terms = self._log_norm - 0.5 * _quad(pts, self._mean, self._chol_inv)
-        vals = logsumexp(terms + np.log(self._w / self._W))
+        vals = self._log_mix(self._log_components(pts))
         return float(vals[0]) if single else vals
 
     def support_box(self, n_sigma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -200,35 +234,43 @@ class MixtureCore:
         sig = np.sqrt(np.clip(np.diagonal(self._eval_cov, axis1=1, axis2=2), 0.0, None))
         return (self._mean - n_sigma * sig).min(axis=0), (self._mean + n_sigma * sig).max(axis=0)
 
+    def _marginal(self, k: int) -> "MixtureCore":
+        """Mixture over the trailing coordinates k:, with the same weights.
+        Its arrays are slices of this mixture's (the trailing block of an
+        inverse upper factor is the marginal's), so it shares them and is
+        valid only until the next write to this mixture."""
+        return MixtureCore(self._w, self._mean[:, k:], self._eval_cov[:, k:, k:],
+                           self._chol_inv[:, k:, k:])
+
     def conditional(self, z) -> "MixtureCore":
         """Mixture over the leading coordinates given that the trailing
         len(z) coordinates equal z, from the evaluation Gaussians.
 
-        Component i is conditioned in closed form (Schur complement) and
-        reweighted by w_i times its trailing-block marginal density at z,
-        so the result is pointwise joint(x || z) / marginal(z).  Components
-        whose weight underflows to zero are dropped; the result is empty
-        when all of them do.
+        Component i is conditioned in closed form and reweighted by w_i
+        times its trailing-block marginal density at z, so the result is
+        pointwise joint(x || z) / marginal(z).  Everything comes from the
+        stored factors (see the module docstring); nothing is factorized.
+        Components whose weight underflows to zero are dropped; the result
+        is empty when all of them do.
         """
         z = np.asarray(z, dtype=float).reshape(-1)
         k = self.dim - z.shape[0]
         if not 0 < k < self.dim:
             raise ValueError(f"z has dimension {z.shape[0]}; must be in (0, {self.dim})")
-        cov = self._eval_cov
-        chol_zz = np.linalg.cholesky(cov[:, k:, k:])
-        # whiten the terrain residual and the cross-covariance in one solve
-        rhs = np.concatenate([(z - self._mean[:, k:])[:, :, None], cov[:, k:, :k]], axis=2)
-        white = np.linalg.solve(chol_zz, rhs)
-        y, a = white[:, :, 0], white[:, :, 1:]
-        log_det = np.log(np.diagonal(chol_zz, axis1=1, axis2=2)).sum(axis=1)
-        log_marginal = -0.5 * z.shape[0] * LOG_2PI - log_det - 0.5 * np.einsum("mi,mi->m", y, y)
+        return self._conditional(z, self._marginal(k)._log_components(z[None])[0])
+
+    def _conditional(self, z: np.ndarray, log_marginal: np.ndarray) -> "MixtureCore":
+        """conditional(z), given log N(z; marginal_i) of every component (m,)."""
+        k = self.dim - z.shape[0]
         weight = self._w * np.exp(log_marginal)
         keep = weight > 0.0
-        y, a = y[keep], a[keep]
-        a_t = a.transpose(0, 2, 1)
-        mean = self._mean[keep, :k] + (a_t @ y[:, :, None])[:, :, 0]
-        schur = cov[keep, :k, :k] - a_t @ a
-        return MixtureCore(weight[keep], mean, 0.5 * (schur + schur.transpose(0, 2, 1)))
+        v_zz = self._chol_inv[:, k:, k:]
+        y = _whiten(z[None], self._mean[:, k:], v_zz)[:, 0, :, None]
+        u_xz = self._eval_cov[:, :k, k:] @ v_zz.transpose(0, 2, 1)
+        mean = self._mean[:, :k] + (u_xz @ y)[:, :, 0]
+        schur = self._eval_cov[:, :k, :k] - u_xz @ u_xz.transpose(0, 2, 1)
+        schur = 0.5 * (schur + schur.transpose(0, 2, 1))
+        return MixtureCore(weight[keep], mean[keep], schur[keep], self._chol_inv[keep, :k, :k])
 
 
 class WeightedGaussian:
@@ -305,8 +347,8 @@ class DynamicGaussianMixture(MixtureCore):
         super().__init__(
             np.array([c.w for c in comps], dtype=float),
             np.array([c.g.mean for c in comps], dtype=float).reshape(m, d),
-            np.array([_evaluation_cov(c.g.cov, c.w, c.creation_cov) for c in comps],
-                     dtype=float).reshape(m, d, d))
+            *_factor(np.array([_evaluation_cov(c.g.cov, c.w, c.creation_cov) for c in comps],
+                              dtype=float).reshape(m, d, d)))
         self._peak = self._at_means()
 
     # -- bookkeeping ------------------------------------------------------
@@ -448,9 +490,10 @@ class DynamicGaussianMixture(MixtureCore):
     def _refactor(self, i: int) -> None:
         """Re-derive component i's evaluation arrays from its moments, then
         row and column i of the peak matrix."""
-        eval_cov, chol_inv, log_norm = _factor(
+        eval_cov, chol_inv = _factor(
             _evaluation_cov(self._cov[i], self._w[i], self._creation[i])[None])
-        self._eval_cov[i], self._chol_inv[i], self._log_norm[i] = eval_cov[0], chol_inv[0], log_norm[0]
+        self._eval_cov[i], self._chol_inv[i], self._log_norm[i] = (
+            eval_cov[0], chol_inv[0], _log_norm(chol_inv)[0])
         mean, ci, ln = self._mean, self._chol_inv, self._log_norm
         self._peak[i, :] = np.exp(ln - 0.5 * _quad(mean[i:i + 1], mean, ci)[0])
         self._peak[:, i] = np.exp(ln[i] - 0.5 * _quad(mean, mean[i:i + 1], ci[i:i + 1])[:, 0])

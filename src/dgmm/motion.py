@@ -12,7 +12,8 @@ on the observed terrain:
 Both sides of that ratio are mixtures of the same components, so the
 conditional is again a Gaussian mixture: component i is conditioned on z
 in closed form and reweighted by w_i times its terrain-block marginal
-density at z.
+density at z.  `log_density` evaluates the ratio itself, in log space,
+without building that mixture.
 
 Models are serialized to a single JSON document with exact decimal
 round-trip of all floating point values.
@@ -32,6 +33,10 @@ from .mixture import DynamicGaussianMixture, MixtureCore, WeightedGaussian, chec
 MODEL_FORMAT = "dgmm-motion-model/1"
 
 TWO_PI = 2.0 * math.pi
+
+#: A model file's component covariance may have eigenvalues down to
+#: -PSD_TOLERANCE * max(1, largest |eigenvalue|), the rounding of exact moments.
+PSD_TOLERANCE = 1e-8
 
 
 class TerrainSupportError(ValueError):
@@ -273,6 +278,28 @@ class MotionModel:
             raise ValueError("model is terrain-augmented; use conditional_motion_density")
         return self.mixture_for(c).density(self._x_vector(x)) * math.exp(self._x_log_jacobian)
 
+    def _terrain(self, c: CommandKey, z) -> tuple[DynamicGaussianMixture, np.ndarray, np.ndarray]:
+        """(joint mixture of c, terrain z in the model's internal space,
+        log N(z; marginal_i) of each component's terrain marginal: (m,))
+        for a conditioned query.  A NaN, infinite or overflowing terrain
+        coordinate raises ValueError naming it.  Where every w_i N(z;
+        marginal_i) underflows to 0 -- exactly where the conditioned
+        mixture would be empty -- raises TerrainSupportError."""
+        if not self.augmented:
+            raise ValueError("model has no terrain block")
+        joint = self.mixture_for(c)
+        zv = z.as_vector() if isinstance(z, TerrainVector) else np.asarray(z, dtype=float).reshape(-1)
+        if zv.shape[0] != self.z_dim:
+            raise ValueError(f"terrain vector has dimension {zv.shape[0]}, expected {self.z_dim}")
+        zu = self._z_std.transform(check_coordinates(zv, "terrain"))
+        log_marginal = joint._marginal(self.x_dim)._log_components(zu[None])[0]
+        # the weights MixtureCore.conditional gives the components
+        if not np.any(joint._w * np.exp(log_marginal) > 0.0):
+            raise TerrainSupportError(
+                f"terrain {np.array2string(zv, precision=4)} is far outside the training support"
+            )
+        return joint, zu, log_marginal
+
     def conditional_motion_density(self, c: CommandKey, z: TerrainVector) -> MixtureCore:
         """Mixture over the pose-delta block representing p(x | c, z).
 
@@ -285,18 +312,8 @@ class MotionModel:
         in original units.  A NaN, infinite or overflowing terrain
         coordinate raises ValueError naming it.
         """
-        if not self.augmented:
-            raise ValueError("model has no terrain block")
-        joint = self.mixture_for(c)
-        zv = z.as_vector() if isinstance(z, TerrainVector) else np.asarray(z, dtype=float).reshape(-1)
-        if zv.shape[0] != self.z_dim:
-            raise ValueError(f"terrain vector has dimension {zv.shape[0]}, expected {self.z_dim}")
-        cond = joint.conditional(self._z_std.transform(check_coordinates(zv, "terrain")))
-        if not len(cond):
-            raise TerrainSupportError(
-                f"terrain {np.array2string(zv, precision=4)} is far outside the training support"
-            )
-        return cond
+        joint, zu, log_marginal = self._terrain(c, z)
+        return joint._conditional(zu, log_marginal)
 
     def conditional_density(self, c: CommandKey, x, z: TerrainVector) -> float:
         """p(x | c, z) in original sample units."""
@@ -306,9 +323,17 @@ class MotionModel:
     def log_density(self, c: CommandKey, x, z: TerrainVector | None = None) -> float:
         """log p(x | c[, z]) in original units, summed in log space: finite
         even where the density itself underflows to 0.  A NaN, infinite or
-        overflowing query coordinate raises ValueError naming it."""
-        mix = self.conditional_motion_density(c, z) if self.augmented else self.mixture_for(c)
-        return mix.log_density(self._x_vector(x)) + self._x_log_jacobian
+        overflowing query coordinate raises ValueError naming it.
+
+        With terrain this is the ratio joint(x || z) / marginal(z) in log
+        space; no conditioned mixture is built.  It raises
+        TerrainSupportError exactly where conditional_motion_density does."""
+        if not self.augmented:
+            return self.mixture_for(c).log_density(self._x_vector(x)) + self._x_log_jacobian
+        joint, zu, log_marginal = self._terrain(c, z)
+        log_joint = joint.log_density(np.concatenate([self._x_vector(x), zu]))
+        # the marginal has the joint's weights, so the joint mixes its terms
+        return log_joint - float(joint._log_mix(log_marginal[None])[0]) + self._x_log_jacobian
 
     # -- persistence -----------------------------------------------------------
 
@@ -406,6 +431,10 @@ class MotionModel:
                     g = Gaussian(mean, cov)
                 except ValueError as exc:
                     fail(f"{cwhere}.cov", str(exc))
+                # exact moments are PSD, rank-deficient ones up to rounding
+                eig = np.linalg.eigvalsh(cov)
+                if eig[0] < -PSD_TOLERANCE * max(1.0, float(np.abs(eig).max())):
+                    fail(f"{cwhere}.cov", "not positive semidefinite")
                 if "creation_cov" not in comp:
                     creation = scale * np.eye(dim)
                 elif comp["creation_cov"] is None:

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dgmm.gaussian import Gaussian
-from dgmm.mixture import DynamicGaussianMixture, WeightedGaussian
+from dgmm.gaussian import Gaussian, IndexSplit
+from dgmm.mixture import DynamicGaussianMixture, WeightedGaussian, logsumexp
 from dgmm.motion import (
     CommandKey,
     DeltaPose,
@@ -352,6 +353,106 @@ class TestConditionalMotionDensity:
         assert integrated == pytest.approx(marginal_value, rel=1e-6)
 
 
+class TestConditioningInvariant:
+    """The terrain conditional, read off the stored inverse factors, equals
+    the per-component Gaussian conditional and the joint/marginal ratio
+    anywhere in dimension, offset and scale."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        layout=st.integers(2, 8).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d - 1))),
+        m=st.integers(1, 6),
+        offset=st.floats(-1e6, 1e6),
+        log_scale=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_conditional_matches_per_gaussian(self, layout, m, offset, log_scale, seed):
+        dim, z_dim = layout
+        k = dim - z_dim
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        comps = []
+        for i in range(m):
+            a = rng.standard_normal((dim, dim))
+            cov = scale**2 * (a @ a.T / dim + 0.1 * np.eye(dim))
+            if i == 0:
+                # a pose coordinate with zero variance: only a diagonally
+                # loaded copy of this covariance factors
+                j = int(rng.integers(k))
+                cov[j, :] = cov[:, j] = 0.0
+            mean = offset + 3.0 * scale * rng.standard_normal(dim)
+            comps.append(WeightedGaussian(Gaussian(mean, 0.5 * (cov + cov.T)), float(rng.uniform(0.5, 20.0))))
+        joint = DynamicGaussianMixture.from_components(comps)
+        mm = MotionModel(k=0.5, x_dim=k, z_dim=z_dim)
+        mm.models[FWD] = joint
+        evals = [c.pd_gaussian() for c in comps]
+        assert not np.array_equal(evals[0].cov, comps[0].g.cov)
+        center = comps[int(rng.integers(m))].g.mean
+        z = center[k:] + 0.5 * scale * rng.standard_normal(z_dim)
+        x = center[:k] + 0.5 * scale * rng.standard_normal(k)
+
+        split = IndexSplit(kept=tuple(range(k)), dropped=tuple(range(k, dim)))
+        want_w = np.array([c.w * float(g.marginal(range(k, dim)).density(z)) for c, g in zip(comps, evals)])
+        cond = joint.conditional(z)
+        assert len(cond) == int(np.count_nonzero(want_w))
+        resolution = 1e-15 * abs(offset)
+        for w, mean, cov, i in zip(cond._w, cond._mean, cond._eval_cov, np.flatnonzero(want_w)):
+            ref = evals[i].conditional(split, z)
+            assert w == pytest.approx(want_w[i], rel=1e-9)
+            np.testing.assert_allclose(mean, ref.mean, rtol=1e-9, atol=1e-9 * scale + resolution)
+            np.testing.assert_allclose(cov, ref.cov, rtol=1e-9, atol=1e-9 * scale**2)
+
+        log_w = np.log([c.w for c in comps])
+        log_joint = logsumexp(log_w + np.array([g.log_density(np.concatenate([x, z])) for g in evals]))
+        log_marginal = logsumexp(log_w + np.array([g.marginal(range(k, dim)).log_density(z) for g in evals]))
+        assert mm.log_density(FWD, x, z) == pytest.approx(log_joint - log_marginal, rel=1e-9)
+
+
+    def test_terrain_queries_make_no_factorization(self, monkeypatch):
+        records = simulate_incline(InclineConfig(reps_per_orientation=1))
+        mm = fit_motion_model(records, k=0.3, rng=np.random.default_rng(35), standardize=True)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("terrain query factorized a matrix")
+
+        for name in ("cholesky", "solve", "inv"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        for r in records[:20]:
+            assert math.isfinite(mm.log_density(r.command, r.x, r.z))
+            assert mm.conditional_density(r.command, r.x, r.z) > 0.0
+
+
+class TestTerrainSupport:
+    """log_density, conditional_density and conditional_motion_density
+    agree on which terrains they can score."""
+
+    def model(self):
+        comps = [WeightedGaussian(Gaussian(np.array([0.0, 0.0, mu_z]),
+                                           np.array([[1.0, 0.3, 0.2], [0.3, 1.0, 0.1], [0.2, 0.1, 1.0]])), w)
+                 for mu_z, w in ((0.0, 2.0), (100.0, 3.0))]
+        mm = MotionModel(k=0.5, x_dim=2, z_dim=1)
+        mm.models[FWD] = DynamicGaussianMixture.from_components(comps)
+        return mm
+
+    @pytest.mark.parametrize("z", [50.0, -60.0, 1e6])
+    def test_far_terrain_raises_everywhere(self, z):
+        # at z = 50 every terrain weight underflows although its log is finite
+        mm, zv, x = self.model(), np.array([z]), np.array([0.1, -0.2])
+        for call in (lambda: mm.conditional_motion_density(FWD, zv),
+                     lambda: mm.conditional_density(FWD, x, zv),
+                     lambda: mm.log_density(FWD, x, zv)):
+            with pytest.raises(TerrainSupportError):
+                call()
+
+    @pytest.mark.parametrize("z", [0.5, 99.0])
+    def test_partly_underflowing_terrain_scores_everywhere(self, z):
+        mm, zv = self.model(), np.array([z])
+        assert len(mm.conditional_motion_density(FWD, zv)) == 1
+        for x in (np.array([0.1, -0.2]), np.array([3.0, 2.0])):
+            log_p = mm.log_density(FWD, x, zv)
+            assert log_p == pytest.approx(math.log(mm.conditional_density(FWD, x, zv)), rel=1e-12)
+
+
 class TestPersistence:
     def test_empty_round_trip(self, tmp_path):
         mm = MotionModel(k=0.7, z_dim=2)
@@ -438,6 +539,34 @@ class TestPersistence:
         field = r"model file: field 'commands\[0\]\.components\[0\]\.creation_cov': "
         with pytest.raises(ValueError, match=field + ".*" + why):
             MotionModel.from_dict(doc)
+
+    @pytest.mark.parametrize("dim, cov", [
+        (1, [-5.0]),
+        (1, [-5e9]),
+        (2, [1.0, 2.0, 2.0, 1.0]),
+        (2, [1.0, 0.0, 0.0, -1e-7]),
+    ])
+    def test_indefinite_covariance_rejected(self, dim, cov):
+        mm = MotionModel(k=0.5, x_dim=dim, z_dim=0)
+        mm.models[FWD] = DynamicGaussianMixture.from_components(
+            [WeightedGaussian(Gaussian(np.zeros(dim), np.eye(dim)), 3.0)])
+        doc = json.loads(json.dumps(mm.to_dict()))
+        doc["commands"][0]["components"][0]["cov"] = cov
+        with pytest.raises(ValueError, match=r"model file: field 'commands\[0\]\.components\[0\]\.cov': "
+                                             "not positive semidefinite"):
+            MotionModel.from_dict(doc)
+
+    def test_rank_deficient_covariance_loads(self):
+        # the exact unbiased covariance of two samples has rank one
+        a, b = np.array([0.1, -0.3, 2.0]), np.array([1.7, 0.4, -0.9])
+        mean = (a + b) / 2
+        cov = np.outer(a - mean, a - mean) + np.outer(b - mean, b - mean)
+        assert np.linalg.matrix_rank(cov) == 1
+        mm = MotionModel(k=0.5, x_dim=3, z_dim=0)
+        mm.models[FWD] = DynamicGaussianMixture.from_components(
+            [WeightedGaussian(Gaussian(mean, cov), 2.0, creation_cov=np.eye(3))])
+        doc = json.loads(json.dumps(mm.to_dict()))
+        assert MotionModel.from_dict(doc).to_dict() == doc
 
     def test_malformed_fields_are_named(self, tmp_path):
         base = MotionModel(k=0.5, x_dim=2, z_dim=0).to_dict()
