@@ -19,7 +19,7 @@ import numpy as np
 
 from .datasets import SampleRecord, strip_z
 from .em import DENSITY_FLOOR, em_fit, mise, support_grid
-from .mixture import DynamicGaussianMixture
+from .mixture import MAX_COORDINATE, DynamicGaussianMixture, _count_is_final, check_coordinates
 from .motion import MotionModel, Standardizer, TerrainSupportError
 
 LOG_FLOOR = math.log(DENSITY_FLOOR)
@@ -158,20 +158,42 @@ def fit_motion_model(records: list[SampleRecord], k: float, rng: np.random.Gener
 # -- experiments --------------------------------------------------------------
 
 
-def _stream_shuffle(points: np.ndarray, k: float, seed: int) -> DynamicGaussianMixture:
-    """A fresh online mixture fed one shuffle of the points; the shuffle and
-    every update draw from one generator seeded with seed."""
+def _check_stream_points(points: np.ndarray) -> None:
+    """ValueError naming the first point with a NaN, infinite or overflowing
+    coordinate.  A stream may stop before its last point, so every point is
+    checked before any is streamed."""
+    bad = ~(np.abs(points) <= MAX_COORDINATE)
+    if bad.any():
+        row = int(np.argwhere(bad)[0, 0])
+        check_coordinates(np.atleast_1d(points[row]), f"point {row}: sample")
+
+
+def _stream_shuffle(points: np.ndarray, k: float, seed: int, stop) -> DynamicGaussianMixture:
+    """A fresh online mixture fed one shuffle of the points, until stop(model)
+    holds after an update or the points run out; the shuffle and every
+    update draw from one generator seeded with seed."""
     sub = np.random.default_rng(seed)
     model = DynamicGaussianMixture(points.shape[1])
     for x in points[sub.permutation(points.shape[0])]:
         model.add_sample(x, k, sub)
+        if stop(model):
+            break
     return model
 
 
 def k_sweep(points, k_grid, repeats: int, rng: np.random.Generator) -> EvalReport:
     """Model complexity versus the merge likelihood constant: for every k
     and repeat, stream a fresh shuffle of the points through the online
-    update and record the final component count."""
+    update and record the final component count.
+
+    A stream stops as soon as its count is final: once the merge threshold
+    has rounded to 1 (see mixture._count_is_final), every later sample
+    merges, so the rest of the shuffle could not change the count.  Each
+    stream draws from its own generator, so stopping one changes no other
+    run and the report is the one that streaming every point would give.
+    Every point is checked for NaN, infinite and overflowing coordinates
+    before the first stream.
+    """
     k_grid = [float(k) for k in k_grid]
     if not k_grid:
         raise ValueError("k_grid must be non-empty")
@@ -180,12 +202,14 @@ def k_sweep(points, k_grid, repeats: int, rng: np.random.Generator) -> EvalRepor
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points[:, None]
+    _check_stream_points(points)
     seeds = _spawn_seeds(rng, len(k_grid) * repeats)
     runs = []
     for ki, k in enumerate(k_grid):
         for rep in range(repeats):
             seed = seeds[ki * repeats + rep]
-            model = _stream_shuffle(points, k, seed)
+            model = _stream_shuffle(points, k, seed,
+                                    lambda model: _count_is_final(model.total_weight(), k))
             runs.append({"k": k, "repeat": rep, "seed": seed, "components": len(model)})
     per_k = []
     for k in k_grid:
@@ -211,20 +235,34 @@ def mise_experiment(points, k: float, target_m: int, needed: int,
     integrated square error against the EM reference on a shared grid.
     Stops after `needed` accepted runs or max_attempts attempts (the report
     is flagged incomplete in the latter case).
+
+    A rejected run stops streaming as soon as its outcome is decided: when
+    it has more than target_m components (components are never removed),
+    or when its count is final (see k_sweep) and is not target_m.  Accepted
+    runs stream every point.  Each attempt draws from its own generator, so
+    the report is the one that streaming every point would give.  Every
+    point is checked for NaN, infinite and overflowing coordinates before
+    the EM fit.
     """
     if needed < 1:
         raise ValueError("needed must be >= 1")
     points = np.asarray(points, dtype=float)
+    _check_stream_points(points)
     em_ref = em_fit(points, target_m, rng=rng)
     em_steps = np.diff(em_ref.loglik_path)
     seeds = _spawn_seeds(rng, max_attempts)
+
+    def decided(model):
+        m = len(model)
+        return m > target_m or (m != target_m and _count_is_final(model.total_weight(), k))
+
     runs = []
     attempts = 0
     for seed in seeds:
         if len(runs) >= needed:
             break
         attempts += 1
-        model = _stream_shuffle(points, k, seed)
+        model = _stream_shuffle(points, k, seed, decided)
         if len(model) != target_m:
             continue
         grid = support_grid([model, em_ref], resolution=grid_resolution)

@@ -61,6 +61,7 @@ conditional) never mutate a mixture; only add_sample writes.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -116,9 +117,18 @@ def merge_threshold(d: float, n: float, k: float) -> float:
     return 1.0 - (1.0 - d) * np.exp(-k * n)
 
 
-def _moment_update(w: float, mean: np.ndarray, cov: np.ndarray, x: np.ndarray):
-    """Mean and unbiased covariance after absorbing x into w >= 1 samples
-    (West 1979; Welford 1962):
+def _count_is_final(n: float, k: float) -> bool:
+    """True when a mixture that has absorbed n samples at constant k can
+    gain no more components: the threshold at d = 0 has rounded to 1, so
+    (as (1 - d) <= 1 and rounding is monotone) it is 1 for every d in
+    [0, 1], every draw in [0, 1) falls below it, and it stays 1 as n grows.
+    In float64 that happens once k n exceeds about 37.4."""
+    return merge_threshold(0.0, n, k) == 1.0
+
+
+def _absorb(w: float, mean: np.ndarray, cov: np.ndarray, x: np.ndarray) -> None:
+    """Update, in place, the mean and unbiased covariance of w >= 1 samples
+    to those after absorbing x (West 1979; Welford 1962):
 
         w'  = w + 1,   dx = x - mu
         mu' = mu + dx / w'
@@ -130,7 +140,10 @@ def _moment_update(w: float, mean: np.ndarray, cov: np.ndarray, x: np.ndarray):
     """
     w_new = w + 1.0
     dx = x - mean
-    return mean + dx / w_new, ((w - 1.0) * cov + np.outer(dx, dx) * (w / w_new)) / w
+    mean += dx / w_new
+    cov *= w - 1.0
+    cov += dx[:, None] * dx * (w / w_new)
+    cov /= w
 
 
 def _evaluation_cov(cov: np.ndarray, w: float, creation: np.ndarray | None) -> np.ndarray:
@@ -141,25 +154,26 @@ def _evaluation_cov(cov: np.ndarray, w: float, creation: np.ndarray | None) -> n
 
 
 def _factor(eval_cov: np.ndarray):
-    """(evaluation covariances, inverse upper Cholesky factors) of a stack
-    (m, D, D).  S = U U^T with U upper triangular is the lower factor of S
-    with its coordinates reversed, reversed back.  A covariance that does
-    not factor is diagonally loaded until it does (see
-    positive_definite_cholesky)."""
-    flipped = eval_cov[:, ::-1, ::-1]
+    """(evaluation covariances, inverse upper Cholesky factors) of one
+    covariance (D, D) or a stack (m, D, D).  S = U U^T with U upper
+    triangular is the lower factor of S with its coordinates reversed,
+    reversed back.  A covariance that does not factor is diagonally loaded
+    until it does (see positive_definite_cholesky)."""
+    flipped = eval_cov[..., ::-1, ::-1]
     try:
         chol = np.linalg.cholesky(flipped)
     except np.linalg.LinAlgError:
-        pairs = [positive_definite_cholesky(c) for c in flipped]
-        eval_cov = np.array([c for c, _ in pairs])[:, ::-1, ::-1]
-        chol = np.array([f for _, f in pairs])
-    return eval_cov, np.linalg.inv(chol[:, ::-1, ::-1])
+        d = eval_cov.shape[-1]
+        pairs = [positive_definite_cholesky(c) for c in flipped.reshape(-1, d, d)]
+        eval_cov = np.array([c for c, _ in pairs]).reshape(flipped.shape)[..., ::-1, ::-1]
+        chol = np.array([f for _, f in pairs]).reshape(flipped.shape)
+    return eval_cov, np.linalg.inv(chol[..., ::-1, ::-1])
 
 
 def _log_norm(chol_inv: np.ndarray) -> np.ndarray:
-    """Log normalization constants from inverse Cholesky factors (m, D, D):
+    """Log normalization constants from inverse Cholesky factors (..., D, D):
     -D/2 log(2 pi) + log|V|."""
-    log_det = np.log(np.diagonal(chol_inv, axis1=1, axis2=2)).sum(axis=1)
+    log_det = np.log(np.diagonal(chol_inv, axis1=-2, axis2=-1)).sum(axis=-1)
     return -0.5 * chol_inv.shape[-1] * LOG_2PI + log_det
 
 
@@ -174,6 +188,13 @@ def _quad(pts: np.ndarray, mean: np.ndarray, chol_inv: np.ndarray) -> np.ndarray
     component (m, D): shape (N, m)."""
     y = _whiten(pts, mean, chol_inv)
     return np.einsum("mnd,mnd->nm", y, y)
+
+
+def _quad_each(diff: np.ndarray, chol_inv: np.ndarray) -> np.ndarray:
+    """|V_i diff_i|^2 of each component's own difference (m, D): shape (m,).
+    For diff = x - mean it gives _quad of the one point x."""
+    y = (chol_inv @ diff[:, :, None])[:, :, 0]
+    return np.einsum("md,md->m", y, y)
 
 
 class MixtureCore:
@@ -315,7 +336,7 @@ class WeightedGaussian:
 def merge_into(c: WeightedGaussian, x) -> WeightedGaussian:
     """Absorb one sample into a component, returning the updated component.
 
-    Exact one-pass update of the unbiased estimators (see _moment_update):
+    Exact one-pass update of the unbiased estimators (see _absorb):
     w' = w + 1, mu' = (w mu + x) / w', and S' the unbiased covariance of
     the w' samples.  For w = 1 the creation covariance is discarded and S'
     is the unbiased covariance of the two samples seen.
@@ -325,7 +346,8 @@ def merge_into(c: WeightedGaussian, x) -> WeightedGaussian:
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != c.g.dim:
         raise ValueError(f"sample dimension {x.shape[0]} != component dimension {c.g.dim}")
-    mean, cov = _moment_update(c.w, c.g.mean, c.g.cov, x)
+    mean, cov = c.g.mean.copy(), c.g.cov.copy()
+    _absorb(c.w, mean, cov, x)
     return WeightedGaussian(Gaussian(mean, cov), c.w + 1.0, c.creation_cov)
 
 
@@ -395,8 +417,9 @@ class DynamicGaussianMixture(MixtureCore):
 
     def _normalized(self, quad: np.ndarray) -> np.ndarray:
         """Mixture density over its estimated peak, clamped at 1, from the
-        squared distances (N, m) of N points."""
-        return np.minimum(self._mix(quad) / self._peak_estimate(), 1.0)
+        squared distances (m,) of one point or (N, m) of N points."""
+        p = self._w / self._W
+        return np.minimum((np.exp(self._log_norm - 0.5 * quad) @ p) / (self._peak @ p).max(), 1.0)
 
     def normalized_density(self, x):
         """Mixture density rescaled so the estimated peak is 1; in (0, 1]."""
@@ -408,7 +431,7 @@ class DynamicGaussianMixture(MixtureCore):
 
     def _quad_at(self, x: np.ndarray) -> np.ndarray:
         """Squared Mahalanobis distance of one point (D,) to each component."""
-        return _quad(x[None, :], self._mean, self._chol_inv)[0]
+        return _quad_each(x - self._mean, self._chol_inv)
 
     def _selection_scores(self, quad: np.ndarray) -> np.ndarray:
         """w_i * exp(-maha_i^2 / 2) from the squared distances to one point."""
@@ -416,11 +439,11 @@ class DynamicGaussianMixture(MixtureCore):
 
     def _draw(self, quad: np.ndarray, rng: np.random.Generator) -> int:
         scores = self._selection_scores(quad)
-        total = scores.sum()
-        if total <= 0.0 or not np.isfinite(total):
+        total = float(scores.sum())
+        if not 0.0 < total < math.inf:
             return int(np.argmin(quad))
         u = rng.random()
-        return min(int(np.searchsorted(np.cumsum(scores / total), u, side="right")), len(scores) - 1)
+        return min(bisect.bisect_right(np.cumsum(scores / total).tolist(), u), len(scores) - 1)
 
     def select_component(self, x, rng: np.random.Generator) -> int:
         """Draw a component index with probability proportional to
@@ -457,7 +480,7 @@ class DynamicGaussianMixture(MixtureCore):
         d = 0.0
         if len(self):
             quad = self._quad_at(x)
-            d = float(self._normalized(quad[None])[0])
+            d = float(self._normalized(quad))
         if r < merge_threshold(d, self._W, k):
             self._merge(self._draw(quad, rng), x)
         else:
@@ -468,7 +491,7 @@ class DynamicGaussianMixture(MixtureCore):
         w = self._w[i]
         if w < 1.0:
             raise ValueError("merge requires a component with weight >= 1")
-        self._mean[i], self._cov[i] = _moment_update(w, self._mean[i], self._cov[i], x)
+        _absorb(w, self._mean[i], self._cov[i], x)
         self._w[i] = w + 1.0
         self._refactor(i)
 
@@ -484,19 +507,28 @@ class DynamicGaussianMixture(MixtureCore):
         self._eval_cov = np.concatenate([self._eval_cov, cov[None]])
         self._chol_inv = np.concatenate([self._chol_inv, cov[None]])
         self._log_norm = np.append(self._log_norm, 0.0)
-        self._peak = np.pad(self._peak, ((0, 1), (0, 1)))
+        peak = np.zeros((m + 1, m + 1))
+        peak[:m, :m] = self._peak
+        self._peak = peak
         self._refactor(m)
 
     def _refactor(self, i: int) -> None:
         """Re-derive component i's evaluation arrays from its moments, then
-        row and column i of the peak matrix."""
-        eval_cov, chol_inv = _factor(
-            _evaluation_cov(self._cov[i], self._w[i], self._creation[i])[None])
-        self._eval_cov[i], self._chol_inv[i], self._log_norm[i] = (
-            eval_cov[0], chol_inv[0], _log_norm(chol_inv)[0])
+        row and column i of the peak matrix.
+
+        Only component i is factored, as one (D, D) matrix.  Both peak
+        updates start from the differences mean_i - mean_j: row i,
+        N(mean_i; component j), whitens them by every V_j in one batched
+        product; column i, N(mean_j; component i), by V_i alone.  Negating
+        a difference does not change its squared whitened length."""
+        eval_cov, chol_inv = _factor(_evaluation_cov(self._cov[i], self._w[i], self._creation[i]))
+        self._eval_cov[i], self._chol_inv[i] = eval_cov, chol_inv
+        self._log_norm[i] = _log_norm(chol_inv)
         mean, ci, ln = self._mean, self._chol_inv, self._log_norm
-        self._peak[i, :] = np.exp(ln - 0.5 * _quad(mean[i:i + 1], mean, ci)[0])
-        self._peak[:, i] = np.exp(ln[i] - 0.5 * _quad(mean, mean[i:i + 1], ci[i:i + 1])[:, 0])
+        diff = mean[i] - mean
+        self._peak[i, :] = np.exp(ln - 0.5 * _quad_each(diff, ci))
+        y = diff @ chol_inv.T
+        self._peak[:, i] = np.exp(ln[i] - 0.5 * np.einsum("md,md->m", y, y))
 
     # -- construction ------------------------------------------------------
 

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from dgmm import evaluation
 from dgmm.datasets import (
     InclineConfig,
+    load_old_faithful,
     sample_gmm,
     simulate_incline,
     three_component_benchmark,
@@ -191,3 +193,92 @@ class TestReportReproducibility:
         assert lines[0].startswith("# ")
         assert lines[1].split("\t") == ["k", "repeat", "seed", "components"]
         assert len(lines) == 2 + 6
+
+
+def _full_stream(points, k, seed, stop):
+    """Reference for evaluation._stream_shuffle that ignores the stop rule
+    and streams every point."""
+    sub = np.random.default_rng(seed)
+    model = DynamicGaussianMixture(points.shape[1])
+    for x in points[sub.permutation(points.shape[0])]:
+        model.add_sample(x, k, sub)
+    return model
+
+
+def _counting_add_sample(monkeypatch):
+    """Count DynamicGaussianMixture.add_sample calls from here on."""
+    calls = [0]
+    orig = DynamicGaussianMixture.add_sample
+
+    def add_sample(self, *args, **kwargs):
+        calls[0] += 1
+        return orig(self, *args, **kwargs)
+
+    monkeypatch.setattr(DynamicGaussianMixture, "add_sample", add_sample)
+    return calls
+
+
+class TestEarlyStop:
+    """k_sweep and mise_experiment stop a stream once its outcome is decided;
+    their reports equal those of streaming every point."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_k_sweep_equals_full_stream(self, seed, monkeypatch):
+        pts = sample_gmm(three_component_benchmark(), 150, np.random.default_rng([30, seed]))
+        grid = [0.0, 0.1, 0.7, 1000.0]
+        calls = _counting_add_sample(monkeypatch)
+        early = k_sweep(pts, grid, 2, np.random.default_rng(seed))
+        early_calls = calls[0]
+        monkeypatch.setattr(evaluation, "_stream_shuffle", _full_stream)
+        full = k_sweep(pts, grid, 2, np.random.default_rng(seed))
+        assert early.to_json() == full.to_json()
+        assert early.to_tsv() == full.to_tsv()
+        # per repeat, k = 1000 stops after 1 of the 150 points and k = 0.7
+        # after 54; k = 0.1 would stop only after 375
+        assert early_calls == (calls[0] - early_calls) - 2 * (149 + 96)
+
+    @pytest.mark.parametrize("k, target_m", [
+        (0.0, 2), (0.1, 2), (0.1, 7), (0.7, 2), (1000.0, 2), (1000.0, 1)])
+    def test_mise_experiment_equals_full_stream(self, k, target_m, monkeypatch):
+        pts = load_old_faithful(standardize=True)[0][::2]
+        calls = _counting_add_sample(monkeypatch)
+        early = [mise_experiment(pts, k, target_m, needed=2, max_attempts=4,
+                                 rng=np.random.default_rng(seed), grid_resolution=40)
+                 for seed in range(5)]
+        early_calls = calls[0]
+        monkeypatch.setattr(evaluation, "_stream_shuffle", _full_stream)
+        full = [mise_experiment(pts, k, target_m, needed=2, max_attempts=4,
+                                rng=np.random.default_rng(seed), grid_resolution=40)
+                for seed in range(5)]
+        for a, b in zip(early, full):
+            assert a.to_json() == b.to_json()
+        assert early_calls <= calls[0] - early_calls
+
+
+class TestPointValidation:
+    """A stream may stop before its last point, so every point is checked
+    before the first one is streamed."""
+
+    @pytest.mark.parametrize("bad, problem", [
+        (np.nan, "is NaN"), (-np.inf, "is infinite"),
+        (1e200, r"= 1e\+200 is too large: its square overflows float64")])
+    def test_bad_last_point_raises(self, bad, problem):
+        pts = np.random.default_rng(31).standard_normal((40, 2))
+        pts[-1, 1] = bad
+        pattern = f"sample coordinate 1 {problem}$"
+        with pytest.raises(ValueError, match=pattern):
+            k_sweep(pts, [1000.0], 2, np.random.default_rng(32))
+        with pytest.raises(ValueError, match=pattern):
+            mise_experiment(pts, 1000.0, 2, needed=1, max_attempts=3, rng=np.random.default_rng(33))
+
+    def test_raises_naming_the_row_before_any_draw(self):
+        pts = np.random.default_rng(34).standard_normal((40, 2))
+        pts[25, 0] = np.nan
+        pts[31, 1] = np.inf
+        for run in (lambda rng: k_sweep(pts, [0.5], 1, rng),
+                    lambda rng: mise_experiment(pts, 0.5, 2, needed=1, max_attempts=3, rng=rng)):
+            rng = np.random.default_rng(35)
+            state = rng.bit_generator.state
+            with pytest.raises(ValueError, match=r"^point 25: sample coordinate 0 is NaN$"):
+                run(rng)
+            assert rng.bit_generator.state == state

@@ -9,6 +9,7 @@ from dgmm.gaussian import Gaussian
 from dgmm.mixture import (
     DynamicGaussianMixture,
     WeightedGaussian,
+    _count_is_final,
     logsumexp,
     merge_into,
     merge_threshold,
@@ -447,3 +448,101 @@ class TestLogSumExp:
         out = logsumexp(np.array([[-np.inf, -np.inf], [0.0, -np.inf]]))
         assert out[0] == -np.inf
         assert out[1] == 0.0
+
+
+class TestUpdateProperties:
+    """Over dimension, offset and scale, add_sample keeps the exact batch
+    moments, adds exactly 1 to the total weight per sample, and keeps its
+    evaluation arrays and peak matrix equal to those of a mixture built from
+    scratch out of its components."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.integers(1, 8),
+        n=st.integers(2, 80),
+        offset=st.floats(-1e6, 1e6),
+        log_scale=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_forced_merges_give_batch_moments(self, dim, n, offset, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        X = offset + scale * rng.standard_normal((n, dim)) * rng.uniform(0.5, 2.0, dim)
+        m = DynamicGaussianMixture(dim)
+        for i, x in enumerate(X):
+            m.add_sample(x, 1e9, rng)
+            assert m.total_weight() == i + 1
+        assert len(m) == 1
+        # a one-pass mean gathers up to an ulp of the offset per sample, and
+        # every deviation from it inherits that error
+        bound = 4.0 * n * np.finfo(float).eps * (1.0 + abs(offset) / scale)
+        want = _batch_cov(X)
+        assert np.max(np.abs(m._mean[0] - X.mean(axis=0))) / scale <= bound
+        assert np.max(np.abs(m._cov[0] - want)) / np.max(np.abs(want)) <= bound
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.integers(1, 8),
+        n=st.integers(1, 80),
+        log_k=st.floats(-2.0, 1.0),
+        offset=st.floats(-1e6, 1e6),
+        log_scale=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_incremental_arrays_equal_a_fresh_mixture(self, dim, n, log_k, offset, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        centers = offset + 4.0 * scale * rng.standard_normal((3, dim))
+        m = DynamicGaussianMixture(dim)
+        for i in range(n):
+            x = centers[rng.integers(3)] + scale * rng.standard_normal(dim)
+            m.add_sample(x, 10.0**log_k, rng, new_cov_scale=scale**2)
+            assert m.total_weight() == i + 1
+        assert m._w.sum() == n
+        fresh = DynamicGaussianMixture.from_components(m.components)
+        for name in ("_eval_cov", "_chol_inv", "_log_norm", "_peak"):
+            np.testing.assert_allclose(getattr(m, name), getattr(fresh, name), rtol=1e-12, atol=0.0,
+                                       err_msg=name)
+
+
+class TestCountIsFinal:
+    """Once the merge threshold has rounded to 1, every later sample merges,
+    wherever it lies, so the component count can no longer change."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        log_k=st.floats(-3.0, 3.0),
+        dim=st.integers(1, 3),
+        offset=st.floats(-1e6, 1e6),
+        log_scale=st.floats(-3.0, 3.0),
+        extra=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_count_never_changes_once_final(self, log_k, dim, offset, log_scale, extra, seed):
+        rng = np.random.default_rng(seed)
+        k, scale = 10.0**log_k, 10.0**log_scale
+        n_final = max(1, int(36.0 / k))
+        while not _count_is_final(n_final, k):
+            n_final += 1
+        assert not _count_is_final(n_final - 1, k)
+        # reach n_final with a short stream, on top of hand-built components
+        # carrying the rest of the weight when n_final is large
+        streamed = min(n_final, 20)
+        rest = n_final - streamed
+        comps = [
+            WeightedGaussian(
+                Gaussian(offset + scale * rng.standard_normal(dim), scale**2 * np.eye(dim)), w)
+            for w in ([rest - 2, 1, 1] if rest > 2 else [rest] if rest else [])
+        ]
+        m = DynamicGaussianMixture(dim, comps)
+        # points at the components and far from them (density ratio d ~ 0)
+        spread = scale * np.where(rng.random((streamed + extra, 1)) < 0.3, 1e3, 1.0)
+        pts = offset + spread * rng.standard_normal((streamed + extra, dim))
+        for x in pts[:streamed]:
+            m.add_sample(x, k, rng)
+        assert m.total_weight() == n_final
+        assert _count_is_final(m.total_weight(), k)
+        count = len(m)
+        for x in pts[streamed:]:
+            m.add_sample(x, k, rng)
+            assert len(m) == count
