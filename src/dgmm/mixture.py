@@ -47,16 +47,17 @@ DynamicGaussianMixture adds, for learning:
 
     _cov        (m, D, D)   exact unbiased covariances
     _creation   m entries   creation covariance of each component, or None
-    _peak       (m, m)      _peak[i, j] = N(mean_i; component j)
 
-and derives _eval_cov from _cov and _creation (see WeightedGaussian).
+and derives _eval_cov from _cov and _creation (see WeightedGaussian).  The
+component-at-mean densities _peak[i, j] = N(mean_i; component j), an
+(m, m) matrix the peak estimate needs, are not stored: `_peak` builds them
+from the current arrays on each read, in O(m^2 D^2).
 Invariant: after construction and after every add_sample, the evaluation
-arrays are those of the current moments and _peak holds the current
-component-at-mean densities.  add_sample keeps this in O(m D^2): a merge
-into component i updates i in place, re-factors only i and recomputes row
-and column i of _peak; an append grows every array by one.  Reads
-(density, log_density, normalized_density, select_component, components,
-conditional) never mutate a mixture; only add_sample writes.
+arrays are those of the current moments.  add_sample keeps this in
+O(m D^2): a merge into component i updates i in place and re-factors only
+i; an append grows every array by one.  Reads (density, log_density,
+normalized_density, select_component, components, conditional) never
+mutate a mixture; only add_sample writes.
 """
 
 from __future__ import annotations
@@ -188,13 +189,6 @@ def _quad(pts: np.ndarray, mean: np.ndarray, chol_inv: np.ndarray) -> np.ndarray
     component (m, D): shape (N, m)."""
     y = _whiten(pts, mean, chol_inv)
     return np.einsum("mnd,mnd->nm", y, y)
-
-
-def _quad_each(diff: np.ndarray, chol_inv: np.ndarray) -> np.ndarray:
-    """|V_i diff_i|^2 of each component's own difference (m, D): shape (m,).
-    For diff = x - mean it gives _quad of the one point x."""
-    y = (chol_inv @ diff[:, :, None])[:, :, 0]
-    return np.einsum("md,md->m", y, y)
 
 
 class MixtureCore:
@@ -371,7 +365,6 @@ class DynamicGaussianMixture(MixtureCore):
             np.array([c.g.mean for c in comps], dtype=float).reshape(m, d),
             *_factor(np.array([_evaluation_cov(c.g.cov, c.w, c.creation_cov) for c in comps],
                               dtype=float).reshape(m, d, d)))
-        self._peak = self._at_means()
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -405,14 +398,17 @@ class DynamicGaussianMixture(MixtureCore):
     # wrappers (bench/tracer.py) look it up
     density = MixtureCore.density
 
-    def _at_means(self) -> np.ndarray:
-        """N(mean_i; component j) for every pair, from scratch: (m, m)."""
+    @property
+    def _peak(self) -> np.ndarray:
+        """N(mean_i; component j) for every pair: (m, m), built from the
+        current arrays on each read in O(m^2 D^2)."""
         return np.exp(self._log_norm - 0.5 * _quad(self._mean, self._mean, self._chol_inv))
 
     def _peak_estimate(self) -> float:
         """Estimated mixture maximum: the largest mixture value over all
         component means.  Exact for well-separated components; can
-        undershoot when components overlap, so callers clamp ratios at 1."""
+        undershoot when components overlap, so callers clamp ratios at 1.
+        Builds the peak matrix, so it costs O(m^2 D^2)."""
         return float((self._peak @ (self._w / self._W)).max())
 
     def _normalized(self, quad: np.ndarray) -> np.ndarray:
@@ -422,7 +418,9 @@ class DynamicGaussianMixture(MixtureCore):
         return np.minimum((np.exp(self._log_norm - 0.5 * quad) @ p) / (self._peak @ p).max(), 1.0)
 
     def normalized_density(self, x):
-        """Mixture density rescaled so the estimated peak is 1; in (0, 1]."""
+        """Mixture density rescaled so the estimated peak is 1; in (0, 1].
+        Each call builds the peak matrix, O(m^2 D^2), so it is meant for
+        inspection, not hot loops."""
         pts, single = self._check_points(x)
         vals = self._normalized(_quad(pts, self._mean, self._chol_inv))
         return float(vals[0]) if single else vals
@@ -430,8 +428,10 @@ class DynamicGaussianMixture(MixtureCore):
     # -- online update -----------------------------------------------------
 
     def _quad_at(self, x: np.ndarray) -> np.ndarray:
-        """Squared Mahalanobis distance of one point (D,) to each component."""
-        return _quad_each(x - self._mean, self._chol_inv)
+        """Squared Mahalanobis distance of one point (D,) to each component,
+        |V_i (x - mean_i)|^2: shape (m,)."""
+        y = (self._chol_inv @ (x - self._mean)[:, :, None])[:, :, 0]
+        return np.einsum("md,md->m", y, y)
 
     def _selection_scores(self, quad: np.ndarray) -> np.ndarray:
         """w_i * exp(-maha_i^2 / 2) from the squared distances to one point."""
@@ -469,19 +469,24 @@ class DynamicGaussianMixture(MixtureCore):
         happens, leaving the mixture and rng untouched.  Otherwise the
         uniform draw happens first, unconditionally, so a fixed seed yields
         the same decision sequence regardless of branch outcomes.  The
-        component densities at x are evaluated once and serve both d and
+        component distances to x are evaluated once and serve both d and
         the component selection.
+
+        d, which needs the O(m^2 D^2) peak estimate, is computed only when
+        the draw r is at or above the threshold at d = 0.  The threshold
+        is non-decreasing in d also after rounding (fl(1 - d) <= 1 and
+        rounding is monotone), so r < t(0) implies r < t(d) and skipping d
+        there changes no decision.
         """
         if k < 0:
             raise ValueError("k must be non-negative")
         x = self._check_sample(x)
         r = rng.random()
-        # an empty mixture has d = n = 0, so t = 0 and it always appends
-        d = 0.0
         if len(self):
             quad = self._quad_at(x)
-            d = float(self._normalized(quad))
-        if r < merge_threshold(d, self._W, k):
+        # an empty mixture has d = n = 0, so t = 0 and it always appends
+        if len(self) and (r < merge_threshold(0.0, self._W, k)
+                          or r < merge_threshold(float(self._normalized(quad)), self._W, k)):
             self._merge(self._draw(quad, rng), x)
         else:
             self._append(x, new_cov_scale * np.eye(self.dim))
@@ -498,7 +503,6 @@ class DynamicGaussianMixture(MixtureCore):
     def _append(self, x: np.ndarray, cov: np.ndarray) -> None:
         """Grow every array by one row for a weight-1 component at x whose
         covariance and creation covariance are cov."""
-        m = len(self)
         self._w = np.append(self._w, 1.0)
         self._mean = np.concatenate([self._mean, x[None]])
         self._cov = np.concatenate([self._cov, cov[None]])
@@ -507,28 +511,15 @@ class DynamicGaussianMixture(MixtureCore):
         self._eval_cov = np.concatenate([self._eval_cov, cov[None]])
         self._chol_inv = np.concatenate([self._chol_inv, cov[None]])
         self._log_norm = np.append(self._log_norm, 0.0)
-        peak = np.zeros((m + 1, m + 1))
-        peak[:m, :m] = self._peak
-        self._peak = peak
-        self._refactor(m)
+        self._refactor(len(self) - 1)
 
     def _refactor(self, i: int) -> None:
-        """Re-derive component i's evaluation arrays from its moments, then
-        row and column i of the peak matrix.
-
-        Only component i is factored, as one (D, D) matrix.  Both peak
-        updates start from the differences mean_i - mean_j: row i,
-        N(mean_i; component j), whitens them by every V_j in one batched
-        product; column i, N(mean_j; component i), by V_i alone.  Negating
-        a difference does not change its squared whitened length."""
+        """Re-derive component i's evaluation covariance, inverse factor and
+        log normalizer from its moments, factoring only component i as one
+        (D, D) matrix."""
         eval_cov, chol_inv = _factor(_evaluation_cov(self._cov[i], self._w[i], self._creation[i]))
         self._eval_cov[i], self._chol_inv[i] = eval_cov, chol_inv
         self._log_norm[i] = _log_norm(chol_inv)
-        mean, ci, ln = self._mean, self._chol_inv, self._log_norm
-        diff = mean[i] - mean
-        self._peak[i, :] = np.exp(ln - 0.5 * _quad_each(diff, ci))
-        y = diff @ chol_inv.T
-        self._peak[:, i] = np.exp(ln[i] - 0.5 * np.einsum("md,md->m", y, y))
 
     # -- construction ------------------------------------------------------
 

@@ -113,6 +113,16 @@ class TestMergeThreshold:
         with pytest.raises(ValueError):
             merge_threshold(0.5, -1.0, 1.0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d=st.floats(0.0, 1.0),
+        n=st.floats(0.0, 1e12),
+        k=st.floats(0.0, 1e6),
+    )
+    def test_zero_density_threshold_is_a_lower_bound(self, d, n, k):
+        # add_sample skips d whenever r < t(0); in float64 that must imply r < t(d)
+        assert merge_threshold(d, n, k) >= merge_threshold(0.0, n, k)
+
 
 class TestTotalWeight:
     def test_values(self):
@@ -503,6 +513,96 @@ class TestUpdateProperties:
         for name in ("_eval_cov", "_chol_inv", "_log_norm", "_peak"):
             np.testing.assert_allclose(getattr(m, name), getattr(fresh, name), rtol=1e-12, atol=0.0,
                                        err_msg=name)
+
+
+def eager_add_sample(m, x, k, rng, new_cov_scale=1.0):
+    """add_sample with d computed for every sample, as the decision rule
+    reads: merge iff r < 1 - (1 - d) e^{-kn}."""
+    x = m._check_sample(x)
+    r = rng.random()
+    d = 0.0
+    if len(m):
+        quad = m._quad_at(x)
+        d = float(m._normalized(quad))
+    if r < merge_threshold(d, m._W, k):
+        m._merge(m._draw(quad, rng), x)
+    else:
+        m._append(x, new_cov_scale * np.eye(m.dim))
+    m._W += 1.0
+
+
+def clustered_stream(rng, n, dim, offset, scale):
+    """n points around three centers, a fifth of them far out (d ~ 0)."""
+    centers = offset + 4.0 * scale * rng.standard_normal((3, dim))
+    spread = scale * np.where(rng.random((n, 1)) < 0.2, 1e2, 1.0)
+    return centers[rng.integers(3, size=n)] + spread * rng.standard_normal((n, dim))
+
+
+def assert_same_mixture(a, b):
+    assert len(a) == len(b)
+    assert a.total_weight() == b.total_weight()
+    for name in ("_w", "_mean", "_cov", "_eval_cov", "_chol_inv", "_log_norm", "_peak"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+class TestLazyDensity:
+    """add_sample evaluates d only when the draw is at or above the
+    threshold at d = 0; that must never change a decision."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.integers(1, 8),
+        n=st.integers(1, 120),
+        log_k=st.floats(-3.0, 1.0),
+        offset=st.floats(-1e6, 1e6),
+        log_scale=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_eager_reference(self, dim, n, log_k, offset, log_scale, seed):
+        k, scale = 10.0**log_k, 10.0**log_scale
+        pts = clustered_stream(np.random.default_rng(seed), n, dim, offset, scale)
+        lazy, eager = DynamicGaussianMixture(dim), DynamicGaussianMixture(dim)
+        rng_lazy, rng_eager = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+        for x in pts:
+            lazy.add_sample(x, k, rng_lazy, new_cov_scale=scale**2)
+            eager_add_sample(eager, x, k, rng_eager, new_cov_scale=scale**2)
+            assert len(lazy) == len(eager)
+            for name in ("_w", "_mean", "_cov"):
+                assert np.array_equal(getattr(lazy, name), getattr(eager, name)), name
+            assert rng_lazy.bit_generator.state == rng_eager.bit_generator.state
+
+
+class TestRebuiltMixture:
+    """A mixture rebuilt from its components (the path a loaded model file
+    takes) holds the live mixture's arrays bit for bit and continues a
+    stream exactly as the live one does."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.integers(1, 8),
+        n=st.integers(1, 80),
+        more=st.integers(1, 40),
+        log_k=st.floats(-3.0, 1.0),
+        offset=st.floats(-1e6, 1e6),
+        log_scale=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_from_components_resumes_bit_for_bit(self, dim, n, more, log_k, offset, log_scale, seed):
+        k, scale = 10.0**log_k, 10.0**log_scale
+        pts = clustered_stream(np.random.default_rng(seed), n + more, dim, offset, scale)
+        live = DynamicGaussianMixture(dim)
+        rng = np.random.default_rng([seed, 2])
+        for x in pts[:n]:
+            live.add_sample(x, k, rng, new_cov_scale=scale**2)
+        rebuilt = DynamicGaussianMixture.from_components(live.components)
+        assert_same_mixture(live, rebuilt)
+        rng_rebuilt = np.random.default_rng()
+        rng_rebuilt.bit_generator.state = rng.bit_generator.state
+        for x in pts[n:]:
+            live.add_sample(x, k, rng, new_cov_scale=scale**2)
+            rebuilt.add_sample(x, k, rng_rebuilt, new_cov_scale=scale**2)
+        assert_same_mixture(live, rebuilt)
+        assert rng.bit_generator.state == rng_rebuilt.bit_generator.state
 
 
 class TestCountIsFinal:

@@ -594,6 +594,108 @@ class TestPersistence:
         MotionModel.load(path)  # extra field tolerated
 
 
+def hand_built_components(rng, dim, m, offset, scale, default_scale, integral):
+    """m random components cycling through no creation covariance, a
+    non-default one and the default default_scale * I."""
+    comps = []
+    for i in range(m):
+        a = rng.standard_normal((dim, dim))
+        cov = scale**2 * (a @ a.T / dim + 0.1 * np.eye(dim))
+        creation = (None, scale**2 * rng.uniform(0.5, 2.0) * np.eye(dim),
+                    default_scale * np.eye(dim))[i % 3]
+        w = float(rng.integers(1, 20)) if integral else rng.uniform(0.1, 20.0)
+        comps.append(WeightedGaussian(
+            Gaussian(offset + 3.0 * scale * rng.standard_normal(dim), 0.5 * (cov + cov.T)), w,
+            creation_cov=creation))
+    return comps
+
+
+def assert_same_model(a, b):
+    assert a.commands() == b.commands()
+    for c in a.commands():
+        ma, mb = a.mixture_for(c), b.mixture_for(c)
+        assert ma.total_weight() == mb.total_weight()
+        for name in ("_w", "_mean", "_cov", "_eval_cov", "_chol_inv", "_log_norm", "_peak"):
+            assert np.array_equal(getattr(ma, name), getattr(mb, name)), name
+        for ca, cb in zip(ma._creation, mb._creation):
+            assert (ca is None and cb is None) or np.array_equal(ca, cb)
+
+
+class TestSaveLoadProperties:
+    """A model file holds its model exactly, over dimension, component
+    count, offset and scale: the reloaded model has the same arrays and
+    writes the same file, and it continues a stream with the decisions the
+    saved model would have made."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        x_dim=st.integers(1, 6),
+        z_dim=st.integers(0, 2),
+        m=st.integers(1, 6),
+        offset=st.floats(-1e6, 1e6),
+        log_scale=st.floats(-3.0, 3.0),
+        standardize=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip_is_exact(self, x_dim, z_dim, m, offset, log_scale, standardize, seed):
+        rng = np.random.default_rng(seed)
+        dim, scale = x_dim + z_dim, 10.0**log_scale
+        std = Standardizer(offset + rng.standard_normal(dim), scale * rng.uniform(0.5, 2.0, dim)) \
+            if standardize else None
+        mm = MotionModel(k=rng.uniform(0.01, 2.0), x_dim=x_dim, z_dim=z_dim, standardizer=std,
+                         creation_cov_scale=scale**2)
+        for c, count in ((FWD, m), (TURN, 1 + m // 2)):
+            mm.models[c] = DynamicGaussianMixture(
+                dim, hand_built_components(rng, dim, count, offset, scale, scale**2, integral=False))
+        doc = json.loads(json.dumps(mm.to_dict()))
+        back = MotionModel.from_dict(doc)
+        assert back.to_dict() == doc
+        assert (back.k, back.creation_cov_scale) == (mm.k, mm.creation_cov_scale)
+        if standardize:
+            assert np.array_equal(back.standardizer.offset, std.offset)
+            assert np.array_equal(back.standardizer.scale, std.scale)
+        assert_same_model(mm, back)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        z_dim=st.sampled_from([0, 2]),
+        m=st.integers(0, 4),
+        n=st.integers(0, 40),
+        more=st.integers(1, 40),
+        log_k=st.floats(-2.0, 1.0),
+        offset=st.floats(-1e6, 1e6),
+        log_scale=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_reloaded_model_resumes_stream(self, z_dim, m, n, more, log_k, offset, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        dim, scale = 6 + z_dim, 10.0**log_scale
+        mm = MotionModel(k=10.0**log_k, x_dim=6, z_dim=z_dim, creation_cov_scale=scale**2)
+        # a loaded mixture re-sums its weights, which matches the live running
+        # total bit for bit only when the weights are integral
+        if m:
+            mm.models[TURN] = DynamicGaussianMixture(
+                dim, hand_built_components(rng, dim, m, offset, scale, scale**2, integral=True))
+        # angle coordinates wrap, so the samples stay within pi of zero there
+        samples = offset + scale * rng.standard_normal((n + more, dim))
+        commands = [(FWD, TURN)[i] for i in rng.integers(2, size=n + more)]
+
+        def record(model, gen, lo, hi):
+            for c, v in zip(commands[lo:hi], samples[lo:hi]):
+                z = TerrainVector(*v[6:]) if z_dim else None
+                model.record_sample(c, DeltaPose(*v[:6]), z, gen)
+
+        record(mm, rng, 0, n)
+        back = MotionModel.from_dict(json.loads(json.dumps(mm.to_dict())))
+        assert_same_model(mm, back)
+        rng_back = np.random.default_rng()
+        rng_back.bit_generator.state = rng.bit_generator.state
+        record(mm, rng, n, n + more)
+        record(back, rng_back, n, n + more)
+        assert_same_model(mm, back)
+        assert back.to_dict() == mm.to_dict()
+
+
 class TestStandardizer:
     def test_fit_floors_constant_dimensions(self):
         pts = np.column_stack([np.random.default_rng(20).normal(2, 3, 50), np.zeros(50)])
