@@ -15,7 +15,7 @@ from .motion import (
     pose_delta,
     wrap_angle,
 )
-from .em import FixedGaussianMixture, Grid, em_fit, integrate_on_grid, log_likelihood, mise
+from .em import FixedGaussianMixture, Grid, em_fit, integrate_on_grid, ise, log_likelihood, mise
 from .datasets import (
     InclineConfig,
     SampleRecord,
@@ -63,6 +63,7 @@ __all__ = [
     "Grid",
     "em_fit",
     "integrate_on_grid",
+    "ise",
     "log_likelihood",
     "mise",
     "InclineConfig",

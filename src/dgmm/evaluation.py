@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import SampleRecord, strip_z
-from .em import DENSITY_FLOOR, em_fit, mise, support_grid
+from .em import DENSITY_FLOOR, em_fit, ise
 from .mixture import MAX_COORDINATE, DynamicGaussianMixture, _count_is_final, check_coordinates
 from .motion import MotionModel, Standardizer, TerrainSupportError
 
@@ -225,14 +225,15 @@ def k_sweep(points, k_grid, repeats: int, rng: np.random.Generator) -> EvalRepor
 
 
 def mise_experiment(points, k: float, target_m: int, needed: int,
-                    max_attempts: int, rng: np.random.Generator,
-                    grid_resolution: int = 150) -> EvalReport:
+                    max_attempts: int, rng: np.random.Generator) -> EvalReport:
     """Compare online estimates against an offline EM reference.
 
     Fits one EM mixture with target_m components, then repeatedly streams a
     fresh shuffle of the points through the online update; runs that end
-    with exactly target_m components are accepted and scored by the mean
-    integrated square error against the EM reference on a shared grid.
+    with exactly target_m components are accepted and scored by the
+    integrated square error against the EM reference (the "mise" of each
+    run), computed in closed form by em.ise: no grid is built, so the
+    score is exact up to rounding and works in any dimension.
     Stops after `needed` accepted runs or max_attempts attempts (the report
     is flagged incomplete in the latter case).
 
@@ -265,9 +266,8 @@ def mise_experiment(points, k: float, target_m: int, needed: int,
         model = _stream_shuffle(points, k, seed, decided)
         if len(model) != target_m:
             continue
-        grid = support_grid([model, em_ref], resolution=grid_resolution)
-        value = mise(model.density, em_ref.density, grid)
-        runs.append({"attempt": attempts, "seed": seed, "components": len(model), "mise": value})
+        runs.append({"attempt": attempts, "seed": seed, "components": len(model),
+                     "mise": ise(model, em_ref)})
     values = [r["mise"] for r in runs]
     mean, std = summary_stats(values) if values else (float("nan"), float("nan"))
     return EvalReport(
@@ -277,7 +277,6 @@ def mise_experiment(points, k: float, target_m: int, needed: int,
             "target_m": target_m,
             "needed": needed,
             "max_attempts": max_attempts,
-            "grid_resolution": grid_resolution,
             "n_points": int(points.shape[0]),
         },
         runs=runs,

@@ -398,11 +398,16 @@ class DynamicGaussianMixture(MixtureCore):
     # wrappers (bench/tracer.py) look it up
     density = MixtureCore.density
 
+    def _log_peak(self) -> np.ndarray:
+        """log N(mean_i; component j) for every pair: (m, m), built from the
+        current arrays on each call in O(m^2 D^2)."""
+        return self._log_norm - 0.5 * _quad(self._mean, self._mean, self._chol_inv)
+
     @property
     def _peak(self) -> np.ndarray:
-        """N(mean_i; component j) for every pair: (m, m), built from the
-        current arrays on each read in O(m^2 D^2)."""
-        return np.exp(self._log_norm - 0.5 * _quad(self._mean, self._mean, self._chol_inv))
+        """N(mean_i; component j) for every pair: (m, m), the exponential of
+        _log_peak."""
+        return np.exp(self._log_peak())
 
     def _peak_estimate(self) -> float:
         """Estimated mixture maximum: the largest mixture value over all
@@ -413,9 +418,22 @@ class DynamicGaussianMixture(MixtureCore):
 
     def _normalized(self, quad: np.ndarray) -> np.ndarray:
         """Mixture density over its estimated peak, clamped at 1, from the
-        squared distances (m,) of one point or (N, m) of N points."""
+        squared distances (m,) of one point or (N, m) of N points.
+
+        The ratio is taken in linear space while the peak estimate is
+        positive and finite, and in log space otherwise, as
+        exp(min(0, log mix(x) - log peak)).  When every component density
+        underflows to 0 at the means (a covariance of 1e100 I at D = 8
+        does), the linear ratio would be 0/0 = NaN.
+        """
         p = self._w / self._W
-        return np.minimum((np.exp(self._log_norm - 0.5 * quad) @ p) / (self._peak @ p).max(), 1.0)
+        log_peak = self._log_peak()
+        peak = (np.exp(log_peak) @ p).max()
+        if 0.0 < peak < math.inf:
+            return np.minimum((np.exp(self._log_norm - 0.5 * quad) @ p) / peak, 1.0)
+        log_p = np.log(p)
+        log_d = logsumexp(self._log_norm - 0.5 * quad + log_p) - logsumexp(log_peak + log_p).max()
+        return np.exp(np.minimum(log_d, 0.0))
 
     def normalized_density(self, x):
         """Mixture density rescaled so the estimated peak is 1; in (0, 1].

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dgmm.gaussian import Gaussian, ensure_positive_definite
 from dgmm.mixture import DynamicGaussianMixture, WeightedGaussian
@@ -10,8 +11,10 @@ from dgmm.em import (
     Grid,
     em_fit,
     integrate_on_grid,
+    ise,
     log_likelihood,
     mise,
+    mixture_support_box,
     support_grid,
 )
 
@@ -161,3 +164,161 @@ class TestMise:
         assert np.all(np.asarray(grid.lower) <= np.array([-8.0, -8.0]))
         assert np.all(np.asarray(grid.upper) >= np.array([5.0 + 8 * math.sqrt(2), -2.0 + 8 * math.sqrt(2)]) - 1e-9)
         assert integrate_on_grid(p.density, Grid(grid.lower, grid.upper, (500, 500))) == pytest.approx(1.0, abs=1e-3)
+
+
+def two_cluster_points(rng, n, dim, offset, scale):
+    """n points around two centers 3 scale units apart, at an offset."""
+    centers = offset + scale * np.array([np.full(dim, -1.5), np.full(dim, 1.5)])
+    return centers[rng.integers(2, size=n)] + scale * rng.standard_normal((n, dim))
+
+
+def streamed(points, k, scale, rng):
+    """An online mixture fed the points, with creation covariance scale^2 I."""
+    m = DynamicGaussianMixture(points.shape[1])
+    for x in points:
+        m.add_sample(x, k, rng, new_cov_scale=scale**2)
+    return m
+
+
+def grid_mise(p, q, mixtures):
+    """The grid oracle, with cells at most half the smallest standard
+    deviation of the evaluation covariances of `mixtures` (the midpoint rule
+    is then exact far below the tolerances used here)."""
+    lo, hi = mixture_support_box(mixtures)
+    sigma = min(math.sqrt(np.linalg.eigvalsh(mix._eval_cov).min()) for mix in mixtures)
+    cells = int(np.ceil(np.max(hi - lo) / (0.5 * sigma)))
+    return mise(p.density, q.density, Grid(tuple(lo), tuple(hi), (max(cells, 2),) * len(lo)))
+
+
+def grid_rel(offset, scale):
+    """Relative tolerance of the grid oracle: a cell center at an offset is
+    rounded to an ulp of it, eps |offset| / scale standard deviations."""
+    return 1e-11 + 8.0 * np.finfo(float).eps * abs(offset) / scale
+
+
+def equal_cov_ise(delta, cov):
+    """Closed form for two Gaussians with one covariance S, means delta apart:
+    2 (1 - exp(-delta^T S^-1 delta / 4)) / sqrt((4 pi)^D |S|)."""
+    maha = float(delta @ np.linalg.solve(cov, delta))
+    log_det = np.linalg.slogdet(cov)[1]
+    return -2.0 * math.expm1(-maha / 4.0) * math.exp(-0.5 * (len(delta) * math.log(4 * math.pi) + log_det))
+
+
+class TestIse:
+    """The closed-form integrated square error against the grid oracle at
+    D 1-2, and against the two-Gaussian closed form at D 1 and 8, where no
+    grid can run."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        dim=st.integers(1, 2),
+        n=st.integers(2, 40),
+        log_k=st.floats(-1.0, 0.5),
+        m_em=st.integers(1, 2),
+        offset=st.floats(-1e6, 1e6),
+        log_scale=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_grid_mise(self, dim, n, log_k, m_em, offset, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        p = streamed(two_cluster_points(rng, n, dim, offset, scale), 10.0**log_k, scale, rng)
+        q = em_fit(two_cluster_points(rng, 200, dim, offset, scale), m_em, rng=rng)
+        got = ise(p, q)
+        assert got >= 0.0
+        assert got == pytest.approx(grid_mise(p, q, [p, q]), rel=grid_rel(offset, scale))
+        assert ise(q, p) == pytest.approx(got, rel=1e-12)
+        for mix in (p, q):
+            assert ise(mix, mix) == 0.0
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        log_k=st.floats(-1.0, 0.5),
+        offset=st.floats(-1e6, 1e6),
+        log_scale=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_singular_component_matches_grid_mise(self, n, log_k, offset, log_scale, seed):
+        # one hand-built singular component, with the same share in both
+        # mixtures: it takes the diagonal-loading path, and it cancels from
+        # p - q, so the grid needs no cells across its narrow ridge
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        p = streamed(two_cluster_points(rng, n, 2, offset, scale), 10.0**log_k, scale, rng)
+        q = em_fit(two_cluster_points(rng, 200, 2, offset, scale), 2, rng=rng)
+        # a power of 4 makes the Cholesky factorization fail exactly
+        c = 4.0 ** round(math.log(scale**2, 4))
+        singular = Gaussian(offset + scale * rng.standard_normal(2), c * np.ones((2, 2)))
+        p2 = DynamicGaussianMixture.from_components(
+            p.components + [WeightedGaussian(singular, p.total_weight())])
+        q2 = FixedGaussianMixture(np.append(q.weights / 2.0, 0.5), q.gaussians + [singular])
+        assert not np.array_equal(p2._eval_cov[-1], singular.cov)
+        assert np.array_equal(p2._eval_cov[-1], q2._eval_cov[-1])
+        got = ise(p2, q2)
+        assert got == pytest.approx(grid_mise(p2, q2, [p, q]), rel=grid_rel(offset, scale))
+        # p2 - q2 = (p - q) / 2
+        assert got == pytest.approx(ise(p, q) / 4.0, rel=1e-9)
+        assert ise(q2, p2) == pytest.approx(got, rel=1e-9)
+        for mix in (p2, q2):
+            assert ise(mix, mix) == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 8]),
+        maha=st.floats(0.05, 20.0),
+        offset=st.floats(-1e6, 1e6),
+        log_scale=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equal_covariance_pair_closed_form(self, dim, maha, offset, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        a = rng.standard_normal((dim, dim))
+        cov = scale**2 * (a @ a.T + dim * np.eye(dim))
+        u = rng.standard_normal(dim)
+        delta = maha * np.linalg.cholesky(cov) @ (u / np.linalg.norm(u))
+        mean = offset + scale * rng.standard_normal(dim)
+        p = FixedGaussianMixture([1.0], [Gaussian(mean, cov)])
+        q = FixedGaussianMixture([1.0], [Gaussian(mean + delta, cov)])
+        # at an offset, mean + delta rounds; the stored difference is exact
+        want = equal_cov_ise(q.gaussians[0].mean - mean, cov)
+        got = ise(p, q)
+        assert got >= 0.0
+        assert got == pytest.approx(want, rel=1e-10)
+        assert ise(q, p) == pytest.approx(want, rel=1e-10)
+        assert ise(p, p) == 0.0
+
+    def test_rejects_empty_and_mismatched_mixtures(self):
+        one = FixedGaussianMixture([1.0], [Gaussian([0.0], [[1.0]])])
+        two = FixedGaussianMixture([1.0], [Gaussian([0.0, 0.0], np.eye(2))])
+        with pytest.raises(ValueError, match="empty"):
+            ise(one, DynamicGaussianMixture(1))
+        with pytest.raises(ValueError, match="dimensions differ"):
+            ise(one, two)
+
+
+class TestIntegratesToOne:
+    """Streamed and EM-fitted densities integrate to 1 at D 1-2 over
+    merge constants, offsets and scales (North star 3)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        dim=st.integers(1, 2),
+        n=st.integers(1, 60),
+        log_k=st.floats(-1.0, 1.0),
+        m_em=st.integers(1, 2),
+        offset=st.floats(-1e6, 1e6),
+        log_scale=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_streamed_and_em_fits(self, dim, n, log_k, m_em, offset, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        shape = (4001,) if dim == 1 else (300, 300)
+        online = streamed(two_cluster_points(rng, n, dim, offset, scale), 10.0**log_k, scale, rng)
+        fit = em_fit(two_cluster_points(rng, 200, dim, offset, scale), m_em, rng=rng)
+        for mix in (online, fit):
+            lo, hi = mixture_support_box([mix])
+            total = integrate_on_grid(mix.density, Grid(tuple(lo), tuple(hi), shape))
+            assert total == pytest.approx(1.0, abs=1e-3)

@@ -243,12 +243,12 @@ class TestEarlyStop:
         pts = load_old_faithful(standardize=True)[0][::2]
         calls = _counting_add_sample(monkeypatch)
         early = [mise_experiment(pts, k, target_m, needed=2, max_attempts=4,
-                                 rng=np.random.default_rng(seed), grid_resolution=40)
+                                 rng=np.random.default_rng(seed))
                  for seed in range(5)]
         early_calls = calls[0]
         monkeypatch.setattr(evaluation, "_stream_shuffle", _full_stream)
         full = [mise_experiment(pts, k, target_m, needed=2, max_attempts=4,
-                                rng=np.random.default_rng(seed), grid_resolution=40)
+                                rng=np.random.default_rng(seed))
                 for seed in range(5)]
         for a, b in zip(early, full):
             assert a.to_json() == b.to_json()

@@ -82,6 +82,23 @@ class TestNormalizedMixtureDensity:
         m = mix(([-0.5], [[1.0]], 1.0), ([0.5], [[1.0]], 1.0))
         assert m.normalized_density(np.array([0.0])) <= 1.0
 
+    def test_underflowing_peak_is_taken_in_log_space(self):
+        # at D = 8 a covariance of 1e100 I puts every density, even at the
+        # mean, below the smallest float: the linear ratio would be 0/0
+        mean = np.linspace(-1.0, 1.0, 8)
+        m = mix((mean, 1e100 * np.eye(8), 3.0))
+        assert m._peak_estimate() == 0.0
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            m.add_sample(mean, 0.1, rng)
+        assert len(m) == 1
+        assert m.total_weight() == 23.0
+        assert m.normalized_density(mean) == 1.0
+        # one component: d = exp(-maha^2 / 2); here maha^2 = 2
+        x = mean + math.sqrt(2.0 * m._eval_cov[0, 0, 0]) * np.eye(8)[0]
+        assert m.normalized_density(np.array([mean, x])) == pytest.approx([1.0, math.exp(-1.0)],
+                                                                          rel=1e-12)
+
 
 class TestMergeThreshold:
     def test_zero_count_gives_d(self):
