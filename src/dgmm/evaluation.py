@@ -142,16 +142,15 @@ def fit_motion_model(records: list[SampleRecord], k: float, rng: np.random.Gener
     augmented = records[0].z is not None
     if any((r.z is not None) != augmented for r in records):
         raise ValueError("terrain presence must be uniform across records")
-    std = None
-    if standardize:
-        vectors = np.array([
-            np.concatenate([r.x.as_vector(), r.z.as_vector()]) if augmented else r.x.as_vector()
-            for r in records
-        ])
-        std = Standardizer.fit(vectors)
+    vectors = np.array([
+        np.concatenate([r.x.as_vector(), r.z.as_vector()]) if augmented else r.x.as_vector()
+        for r in records
+    ])
+    std = Standardizer.fit(vectors) if standardize else None
     mm = MotionModel(k=k, x_dim=6, z_dim=2 if augmented else 0, standardizer=std)
-    for r in records:
-        mm.record_sample(r.command, r.x, r.z, rng)
+    # one batch transform; each row then takes record_sample's path
+    for r, u in zip(records, mm._std.transform(vectors)):
+        mm._record(r.command, u, rng)
     return mm
 
 

@@ -27,20 +27,28 @@ component,
                             where they would not factor
     _chol_inv   (m, D, D)   inverse upper Cholesky factors V = U^-1 of
                             _eval_cov = U U^T (V is upper triangular)
-    _log_norm   (m,)        log normalization constant of each component
+
+Each component's log normalization constant -D/2 log(2 pi) + log|V| is
+not stored: `_log_norm` reads it off the diagonals of _chol_inv.
 
 The factor is upper, not lower, so that conditioning on the trailing
 coordinates z needs no factorization.  With S = U U^T and V = U^-1 both
 upper triangular, the trailing block V[:, k:, k:] is the inverse factor of
 each component's marginal over z, and the leading block V[:, :k, :k] that
 of its conditional given z (the Schur complement S_xx - U_xz U_xz^T, where
-U_xz = S_xz V_zz^T).  The terrain marginal (`_marginal`) and the terrain
-`conditional` are therefore slices and products of the stored arrays.
+U_xz = S_xz V_zz^T).  Rows k: of V are zero in columns :k, so whitening a
+whole point u, y_i = V_i (u - mean_i), gives in y_i[k:] the whitening of
+u[k:] against the marginal over k:, whatever finite u[:k] holds (those
+columns add exact zeros).  One whitening
+therefore gives the joint and the terrain-marginal log densities at x || z
+(`_split_log_density`), and the terrain `conditional` is products of the
+stored arrays and that whitening.
 
 It gives `density`, `log_density`, `support_box` and the terrain
-`conditional`; `_factor` is the one place that factorizes and `_quad` is
-its one Mahalanobis kernel.  The online mixture (DynamicGaussianMixture, here) and
-the EM fit (em.FixedGaussianMixture) are MixtureCore subclasses; the
+`conditional`; `_factor` is the one place that factorizes, and `_quad`
+(many points) and `_whitened` (one point) are its Mahalanobis kernels.
+The online mixture (DynamicGaussianMixture, here) and the EM fit
+(em.FixedGaussianMixture) are MixtureCore subclasses; the
 terrain-conditioned query mixture is a plain MixtureCore.
 
 DynamicGaussianMixture adds, for learning:
@@ -52,8 +60,9 @@ and derives _eval_cov from _cov and _creation (see WeightedGaussian).  The
 component-at-mean densities _peak[i, j] = N(mean_i; component j), an
 (m, m) matrix the peak estimate needs, are not stored: `_peak` builds them
 from the current arrays on each read, in O(m^2 D^2).
-Invariant: after construction and after every add_sample, the evaluation
-arrays are those of the current moments.  add_sample keeps this in
+Invariant: after construction and after every add_sample, _eval_cov and
+_chol_inv are those of the current moments (and so is every log
+normalizer read off _chol_inv).  add_sample keeps this in
 O(m D^2): a merge into component i updates i in place and re-factors only
 i; an append grows every array by one.  Reads (density, log_density,
 normalized_density, select_component, components, conditional) never
@@ -174,20 +183,14 @@ def _factor(eval_cov: np.ndarray):
 def _log_norm(chol_inv: np.ndarray) -> np.ndarray:
     """Log normalization constants from inverse Cholesky factors (..., D, D):
     -D/2 log(2 pi) + log|V|."""
-    log_det = np.log(np.diagonal(chol_inv, axis1=-2, axis2=-1)).sum(axis=-1)
+    log_det = np.log(chol_inv.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
     return -0.5 * chol_inv.shape[-1] * LOG_2PI + log_det
-
-
-def _whiten(pts: np.ndarray, mean: np.ndarray, chol_inv: np.ndarray) -> np.ndarray:
-    """V_i (x - mean_i) for every component (m, D) and point (N, D): shape
-    (m, N, D)."""
-    return (pts[None] - mean[:, None]) @ chol_inv.transpose(0, 2, 1)
 
 
 def _quad(pts: np.ndarray, mean: np.ndarray, chol_inv: np.ndarray) -> np.ndarray:
     """Squared Mahalanobis distance of every point (N, D) to every
     component (m, D): shape (N, m)."""
-    y = _whiten(pts, mean, chol_inv)
+    y = (pts[None] - mean[:, None]) @ chol_inv.transpose(0, 2, 1)
     return np.einsum("mnd,mnd->nm", y, y)
 
 
@@ -203,10 +206,16 @@ class MixtureCore:
         *_factor(cov)."""
         self.dim = mean.shape[1]
         self._w, self._W, self._mean = w, float(w.sum()), mean
-        self._eval_cov, self._chol_inv, self._log_norm = eval_cov, chol_inv, _log_norm(chol_inv)
+        self._eval_cov, self._chol_inv = eval_cov, chol_inv
 
     def __len__(self) -> int:
         return len(self._w)
+
+    @property
+    def _log_norm(self) -> np.ndarray:
+        """Log normalization constant of each component (m,), read off the
+        diagonals of the inverse factors on each access."""
+        return _log_norm(self._chol_inv)
 
     def _check_points(self, x) -> tuple[np.ndarray, bool]:
         if not len(self):
@@ -228,19 +237,12 @@ class MixtureCore:
         vals = self._mix(_quad(pts, self._mean, self._chol_inv))
         return float(vals[0]) if single else vals
 
-    def _log_components(self, pts: np.ndarray) -> np.ndarray:
-        """log N(x; component i) for every point (N, D) and component: (N, m)."""
-        return self._log_norm - 0.5 * _quad(pts, self._mean, self._chol_inv)
-
-    def _log_mix(self, log_components: np.ndarray) -> np.ndarray:
-        """Log mixture density from the component log densities (N, m)."""
-        return logsumexp(log_components + np.log(self._w / self._W))
-
     def log_density(self, x):
         """Log of the mixture pdf, summed in log space: finite wherever one
         component's log density is, even where density() underflows to 0."""
         pts, single = self._check_points(x)
-        vals = self._log_mix(self._log_components(pts))
+        log_components = self._log_norm - 0.5 * _quad(pts, self._mean, self._chol_inv)
+        vals = logsumexp(log_components + np.log(self._w / self._W))
         return float(vals[0]) if single else vals
 
     def support_box(self, n_sigma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -249,13 +251,21 @@ class MixtureCore:
         sig = np.sqrt(np.clip(np.diagonal(self._eval_cov, axis1=1, axis2=2), 0.0, None))
         return (self._mean - n_sigma * sig).min(axis=0), (self._mean + n_sigma * sig).max(axis=0)
 
-    def _marginal(self, k: int) -> "MixtureCore":
-        """Mixture over the trailing coordinates k:, with the same weights.
-        Its arrays are slices of this mixture's (the trailing block of an
-        inverse upper factor is the marginal's), so it shares them and is
-        valid only until the next write to this mixture."""
-        return MixtureCore(self._w, self._mean[:, k:], self._eval_cov[:, k:, k:],
-                           self._chol_inv[:, k:, k:])
+    def _whitened(self, x: np.ndarray) -> np.ndarray:
+        """V_i (x - mean_i) for one point (D,) and every component: (m, D)."""
+        return (self._chol_inv @ (x - self._mean)[:, :, None])[:, :, 0]
+
+    def _split_log_density(self, u: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(y, log_dens) for one point u (D,), from the one whitening
+        y_i = V_i (u - mean_i) (m, D): log_dens (2, m) holds
+        log N(u; component i) in row 0 and log N(u[k:]; marginal_i over k:)
+        in row 1.  y_i[k:] is the marginal's whitening and the trailing
+        diagonal of V_i its inverse factor's (see the module docstring),
+        so y[:, k:] and row 1 are the same for any finite u[:k]."""
+        y = self._whitened(u)
+        terms = np.log(self._chol_inv.diagonal(axis1=1, axis2=2)) - 0.5 * y * y
+        log_dens = np.array([terms.sum(axis=1), terms[:, k:].sum(axis=1)])
+        return y, log_dens - 0.5 * LOG_2PI * np.array([[self.dim], [self.dim - k]])
 
     def conditional(self, z) -> "MixtureCore":
         """Mixture over the leading coordinates given that the trailing
@@ -272,17 +282,15 @@ class MixtureCore:
         k = self.dim - z.shape[0]
         if not 0 < k < self.dim:
             raise ValueError(f"z has dimension {z.shape[0]}; must be in (0, {self.dim})")
-        return self._conditional(z, self._marginal(k)._log_components(z[None])[0])
+        # any finite leading coordinates give the same terrain terms
+        return self._conditional(k, *self._split_log_density(np.concatenate([np.zeros(k), z]), k))
 
-    def _conditional(self, z: np.ndarray, log_marginal: np.ndarray) -> "MixtureCore":
-        """conditional(z), given log N(z; marginal_i) of every component (m,)."""
-        k = self.dim - z.shape[0]
-        weight = self._w * np.exp(log_marginal)
+    def _conditional(self, k: int, y: np.ndarray, log_dens: np.ndarray) -> "MixtureCore":
+        """conditional(z) for z = u[k:], given _split_log_density(u, k)."""
+        weight = self._w * np.exp(log_dens[1])
         keep = weight > 0.0
-        v_zz = self._chol_inv[:, k:, k:]
-        y = _whiten(z[None], self._mean[:, k:], v_zz)[:, 0, :, None]
-        u_xz = self._eval_cov[:, :k, k:] @ v_zz.transpose(0, 2, 1)
-        mean = self._mean[:, :k] + (u_xz @ y)[:, :, 0]
+        u_xz = self._eval_cov[:, :k, k:] @ self._chol_inv[:, k:, k:].transpose(0, 2, 1)
+        mean = self._mean[:, :k] + (u_xz @ y[:, k:, None])[:, :, 0]
         schur = self._eval_cov[:, :k, :k] - u_xz @ u_xz.transpose(0, 2, 1)
         schur = 0.5 * (schur + schur.transpose(0, 2, 1))
         return MixtureCore(weight[keep], mean[keep], schur[keep], self._chol_inv[keep, :k, :k])
@@ -398,16 +406,16 @@ class DynamicGaussianMixture(MixtureCore):
     # wrappers (bench/tracer.py) look it up
     density = MixtureCore.density
 
-    def _log_peak(self) -> np.ndarray:
+    def _log_peak(self, log_norm: np.ndarray) -> np.ndarray:
         """log N(mean_i; component j) for every pair: (m, m), built from the
-        current arrays on each call in O(m^2 D^2)."""
-        return self._log_norm - 0.5 * _quad(self._mean, self._mean, self._chol_inv)
+        current arrays and the log normalizers on each call in O(m^2 D^2)."""
+        return log_norm - 0.5 * _quad(self._mean, self._mean, self._chol_inv)
 
     @property
     def _peak(self) -> np.ndarray:
         """N(mean_i; component j) for every pair: (m, m), the exponential of
         _log_peak."""
-        return np.exp(self._log_peak())
+        return np.exp(self._log_peak(self._log_norm))
 
     def _peak_estimate(self) -> float:
         """Estimated mixture maximum: the largest mixture value over all
@@ -427,12 +435,13 @@ class DynamicGaussianMixture(MixtureCore):
         does), the linear ratio would be 0/0 = NaN.
         """
         p = self._w / self._W
-        log_peak = self._log_peak()
+        log_norm = self._log_norm
+        log_peak = self._log_peak(log_norm)
         peak = (np.exp(log_peak) @ p).max()
         if 0.0 < peak < math.inf:
-            return np.minimum((np.exp(self._log_norm - 0.5 * quad) @ p) / peak, 1.0)
+            return np.minimum((np.exp(log_norm - 0.5 * quad) @ p) / peak, 1.0)
         log_p = np.log(p)
-        log_d = logsumexp(self._log_norm - 0.5 * quad + log_p) - logsumexp(log_peak + log_p).max()
+        log_d = logsumexp(log_norm - 0.5 * quad + log_p) - logsumexp(log_peak + log_p).max()
         return np.exp(np.minimum(log_d, 0.0))
 
     def normalized_density(self, x):
@@ -448,7 +457,7 @@ class DynamicGaussianMixture(MixtureCore):
     def _quad_at(self, x: np.ndarray) -> np.ndarray:
         """Squared Mahalanobis distance of one point (D,) to each component,
         |V_i (x - mean_i)|^2: shape (m,)."""
-        y = (self._chol_inv @ (x - self._mean)[:, :, None])[:, :, 0]
+        y = self._whitened(x)
         return np.einsum("md,md->m", y, y)
 
     def _selection_scores(self, quad: np.ndarray) -> np.ndarray:
@@ -528,16 +537,13 @@ class DynamicGaussianMixture(MixtureCore):
         # placeholders, filled in by _refactor
         self._eval_cov = np.concatenate([self._eval_cov, cov[None]])
         self._chol_inv = np.concatenate([self._chol_inv, cov[None]])
-        self._log_norm = np.append(self._log_norm, 0.0)
         self._refactor(len(self) - 1)
 
     def _refactor(self, i: int) -> None:
-        """Re-derive component i's evaluation covariance, inverse factor and
-        log normalizer from its moments, factoring only component i as one
-        (D, D) matrix."""
-        eval_cov, chol_inv = _factor(_evaluation_cov(self._cov[i], self._w[i], self._creation[i]))
-        self._eval_cov[i], self._chol_inv[i] = eval_cov, chol_inv
-        self._log_norm[i] = _log_norm(chol_inv)
+        """Re-derive component i's evaluation covariance and inverse factor
+        from its moments, factoring only component i as one (D, D) matrix."""
+        self._eval_cov[i], self._chol_inv[i] = _factor(
+            _evaluation_cov(self._cov[i], self._w[i], self._creation[i]))
 
     # -- construction ------------------------------------------------------
 

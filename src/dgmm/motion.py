@@ -13,7 +13,10 @@ Both sides of that ratio are mixtures of the same components, so the
 conditional is again a Gaussian mixture: component i is conditioned on z
 in closed form and reweighted by w_i times its terrain-block marginal
 density at z.  `log_density` evaluates the ratio itself, in log space,
-without building that mixture.
+without building that mixture or a marginal one: x || z is whitened once
+against the joint's inverse upper factors, and the trailing z_dim entries
+of that whitening are the terrain marginal's (see dgmm.mixture), so one
+pass gives both sides of the ratio.
 
 Models are serialized to a single JSON document with exact decimal
 round-trip of all floating point values.
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import Gaussian
-from .mixture import DynamicGaussianMixture, MixtureCore, WeightedGaussian, check_coordinates
+from .mixture import DynamicGaussianMixture, MixtureCore, WeightedGaussian, check_coordinates, logsumexp
 
 MODEL_FORMAT = "dgmm-motion-model/1"
 
@@ -184,9 +187,10 @@ class MotionModel:
     """Map from command keys to dynamic Gaussian mixtures over pose deltas,
     optionally augmented with a terrain block.
 
-    The standardizer is fixed at construction: training vectors go through
-    it whole, queries through its x and z blocks.  Without one, all three
-    are identity maps, so there is one query path either way."""
+    The standardizer is fixed at construction: training vectors and
+    terrain queries x || z go through it whole, plain queries through its x
+    block.  Without one, both are identity maps, so there is one query path
+    either way."""
 
     def __init__(self, k: float, x_dim: int = 6, z_dim: int = 0,
                  standardizer: Standardizer | None = None,
@@ -201,11 +205,10 @@ class MotionModel:
         self.x_dim = int(x_dim)
         self.z_dim = int(z_dim)
         self.standardizer = standardizer
-        # the whole map and its x and z blocks; without a standardizer these
-        # are identity maps (offset 0, scale 1), which change no bit
+        # the whole map and its x block; without a standardizer these are
+        # identity maps (offset 0, scale 1), which change no bit
         std = self._std = standardizer or Standardizer(np.zeros(self.dim), np.ones(self.dim))
         self._x_std = Standardizer(std.offset[:x_dim], std.scale[:x_dim])
-        self._z_std = Standardizer(std.offset[x_dim:], std.scale[x_dim:])
         self._x_log_jacobian = self._x_std.log_jacobian()
         self.creation_cov_scale = float(creation_cov_scale)
         self.models: dict[CommandKey, DynamicGaussianMixture] = {}
@@ -247,13 +250,17 @@ class MotionModel:
         A non-finite or overflowing sample raises ValueError (see
         DynamicGaussianMixture.add_sample) and leaves the model and rng
         untouched."""
+        self._record(c, self._training_vector(x, z), rng)
+
+    def _record(self, c: CommandKey, u: np.ndarray, rng: np.random.Generator) -> None:
+        """record_sample for a training vector u already in the model's
+        internal space."""
         if c.is_noop():
             raise ValueError("the no-op command <0,0,0> is not trainable")
-        d = self._training_vector(x, z)
         model = self.models.get(c)
         if model is None:
             model = DynamicGaussianMixture(self.dim)
-        model.add_sample(d, self.k, rng, new_cov_scale=self.creation_cov_scale)
+        model.add_sample(u, self.k, rng, new_cov_scale=self.creation_cov_scale)
         # registered only once it holds the sample, so a rejected sample adds no command
         self.models[c] = model
 
@@ -265,12 +272,16 @@ class MotionModel:
 
     # -- queries -------------------------------------------------------------
 
-    def _x_vector(self, x) -> np.ndarray:
-        """The pose delta of a query, checked, in the model's internal space."""
+    def _query_x(self, x) -> np.ndarray:
+        """The pose delta of a query, checked, in original units."""
         v = x.as_vector() if isinstance(x, DeltaPose) else np.asarray(x, dtype=float).reshape(-1)
         if v.shape[0] != self.x_dim:
             raise ValueError(f"query has dimension {v.shape[0]}, expected {self.x_dim}")
-        return self._x_std.transform(check_coordinates(v, "query"))
+        return check_coordinates(v, "query")
+
+    def _x_vector(self, x) -> np.ndarray:
+        """The pose delta of a query, checked, in the model's internal space."""
+        return self._x_std.transform(self._query_x(x))
 
     def motion_density(self, c: CommandKey, x) -> float:
         """p(x | c) for an un-augmented model, in original sample units."""
@@ -278,11 +289,17 @@ class MotionModel:
             raise ValueError("model is terrain-augmented; use conditional_motion_density")
         return self.mixture_for(c).density(self._x_vector(x)) * math.exp(self._x_log_jacobian)
 
-    def _terrain(self, c: CommandKey, z) -> tuple[DynamicGaussianMixture, np.ndarray, np.ndarray]:
-        """(joint mixture of c, terrain z in the model's internal space,
-        log N(z; marginal_i) of each component's terrain marginal: (m,))
-        for a conditioned query.  A NaN, infinite or overflowing terrain
-        coordinate raises ValueError naming it.  Where every w_i N(z;
+    def _terrain(self, c: CommandKey, z, x=None):
+        """(joint mixture of c, y, log_dens) for a conditioned query, in the
+        model's internal space: the one whitening y_i = V_i (x || z - mean_i)
+        (m, D), and log N(x || z; component i) and log N(z; marginal_i) in
+        the rows of log_dens (2, m) (MixtureCore._split_log_density).
+        Without x the pose block is zero; y[:, x_dim:] and the marginal row
+        are the same for any finite pose block, so every conditioned query
+        decides support from the same numbers.
+
+        A NaN, infinite or overflowing terrain coordinate, then query
+        coordinate, raises ValueError naming it.  Where every w_i N(z;
         marginal_i) underflows to 0 -- exactly where the conditioned
         mixture would be empty -- raises TerrainSupportError."""
         if not self.augmented:
@@ -291,14 +308,16 @@ class MotionModel:
         zv = z.as_vector() if isinstance(z, TerrainVector) else np.asarray(z, dtype=float).reshape(-1)
         if zv.shape[0] != self.z_dim:
             raise ValueError(f"terrain vector has dimension {zv.shape[0]}, expected {self.z_dim}")
-        zu = self._z_std.transform(check_coordinates(zv, "terrain"))
-        log_marginal = joint._marginal(self.x_dim)._log_components(zu[None])[0]
+        check_coordinates(zv, "terrain")
+        xv = np.zeros(self.x_dim) if x is None else self._query_x(x)
+        y, log_dens = joint._split_log_density(self._std.transform(np.concatenate([xv, zv])),
+                                               self.x_dim)
         # the weights MixtureCore.conditional gives the components
-        if not np.any(joint._w * np.exp(log_marginal) > 0.0):
+        if not (joint._w * np.exp(log_dens[1]) > 0.0).any():
             raise TerrainSupportError(
                 f"terrain {np.array2string(zv, precision=4)} is far outside the training support"
             )
-        return joint, zu, log_marginal
+        return joint, y, log_dens
 
     def conditional_motion_density(self, c: CommandKey, z: TerrainVector) -> MixtureCore:
         """Mixture over the pose-delta block representing p(x | c, z).
@@ -312,8 +331,8 @@ class MotionModel:
         in original units.  A NaN, infinite or overflowing terrain
         coordinate raises ValueError naming it.
         """
-        joint, zu, log_marginal = self._terrain(c, z)
-        return joint._conditional(zu, log_marginal)
+        joint, y, log_dens = self._terrain(c, z)
+        return joint._conditional(self.x_dim, y, log_dens)
 
     def conditional_density(self, c: CommandKey, x, z: TerrainVector) -> float:
         """p(x | c, z) in original sample units."""
@@ -326,14 +345,17 @@ class MotionModel:
         overflowing query coordinate raises ValueError naming it.
 
         With terrain this is the ratio joint(x || z) / marginal(z) in log
-        space; no conditioned mixture is built.  It raises
-        TerrainSupportError exactly where conditional_motion_density does."""
+        space, from one whitening of x || z: no conditioned or marginal
+        mixture is built.  It shares _terrain with
+        conditional_motion_density, so it raises TerrainSupportError
+        exactly where that does; a bad x is reported before an unsupported
+        z."""
         if not self.augmented:
             return self.mixture_for(c).log_density(self._x_vector(x)) + self._x_log_jacobian
-        joint, zu, log_marginal = self._terrain(c, z)
-        log_joint = joint.log_density(np.concatenate([self._x_vector(x), zu]))
-        # the marginal has the joint's weights, so the joint mixes its terms
-        return log_joint - float(joint._log_mix(log_marginal[None])[0]) + self._x_log_jacobian
+        joint, _, log_dens = self._terrain(c, z, x)
+        # the marginal has the joint's weights; the total weight cancels
+        log_joint, log_marginal = logsumexp(log_dens + np.log(joint._w))
+        return float(log_joint - log_marginal) + self._x_log_jacobian
 
     # -- persistence -----------------------------------------------------------
 

@@ -453,6 +453,78 @@ class TestTerrainSupport:
             assert log_p == pytest.approx(math.log(mm.conditional_density(FWD, x, zv)), rel=1e-12)
 
 
+class TestFusedTerrainQuery:
+    """log_density scores a terrain query from one whitening of x || z.
+    Through a non-identity standardizer it agrees with the conditioned
+    mixture and raises where conditional_motion_density does; no query
+    writes a mixture array or draws a random number."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        x_dim=st.integers(1, 6),
+        z_dim=st.integers(1, 2),
+        m=st.integers(1, 6),
+        offset=st.floats(-1e6, 1e6),
+        log_scale=st.floats(-3.0, 3.0),
+        creation=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_conditioned_mixture(self, x_dim, z_dim, m, offset, log_scale, creation, seed):
+        rng = np.random.default_rng(seed)
+        dim, scale = x_dim + z_dim, 10.0**log_scale
+        std = Standardizer(offset + rng.standard_normal(dim), scale * rng.uniform(0.5, 2.0, dim))
+        mm = MotionModel(k=0.5, x_dim=x_dim, z_dim=z_dim, standardizer=std)
+        # with creation: components cycle through none, a non-default and the default one
+        comps = hand_built_components(rng, dim, m, 0.0, 1.0, 1.0, integral=False)
+        if not creation:
+            comps = [WeightedGaussian(c.g, c.w) for c in comps]
+        joint = mm.models[FWD] = DynamicGaussianMixture(dim, comps)
+        arrays = ("_w", "_mean", "_cov", "_eval_cov", "_chol_inv")
+        before = {name: getattr(joint, name).copy() for name in arrays}
+        global_state = np.random.get_state()[1].copy()
+
+        def original(u):
+            return std.offset + std.scale * u
+
+        def raises(call):
+            try:
+                call()
+            except TerrainSupportError:
+                return True
+            return False
+
+        evals, log_w = [c.pd_gaussian() for c in comps], np.log([c.w for c in comps])
+        for _ in range(4):
+            # near a component mean, in the model's internal space
+            v = original(joint._mean[int(rng.integers(m))] + 0.5 * rng.standard_normal(dim))
+            x, z = v[:x_dim], v[x_dim:]
+            density = mm.conditional_density(FWD, x, z)
+            assert density > 0.0
+            log_p = mm.log_density(FWD, x, z)
+            assert log_p == pytest.approx(math.log(density), rel=1e-12)
+            # the per-Gaussian ratio at the point the model standardizes v to
+            u = std.transform(v)
+            want = (logsumexp(log_w + np.array([g.log_density(u) for g in evals]))
+                    - logsumexp(log_w + np.array([g.marginal(range(x_dim, dim)).log_density(u[x_dim:])
+                                                  for g in evals]))
+                    - np.log(std.scale[:x_dim]).sum())
+            assert log_p == pytest.approx(want, rel=1e-9, abs=1e-9)
+        for dist in (5.0, 20.0, 35.0, 40.0, 45.0, 60.0, 1e3, 1e6):
+            # the terrain alone is moved away, so some of these lose every component
+            u = joint._mean[int(rng.integers(m))].copy()
+            direction = rng.standard_normal(z_dim)
+            u[x_dim:] += dist * direction / np.linalg.norm(direction)
+            v = original(u)
+            x, z = v[:x_dim], v[x_dim:]
+            unsupported = raises(lambda: mm.conditional_motion_density(FWD, z))
+            assert raises(lambda: mm.conditional_density(FWD, x, z)) == unsupported
+            assert raises(lambda: mm.log_density(FWD, x, z)) == unsupported
+        for name, array in before.items():
+            assert np.array_equal(getattr(joint, name), array), name
+        assert joint.total_weight() == before["_w"].sum()
+        assert np.array_equal(np.random.get_state()[1], global_state)
+
+
 class TestPersistence:
     def test_empty_round_trip(self, tmp_path):
         mm = MotionModel(k=0.7, z_dim=2)
