@@ -19,7 +19,7 @@ import numpy as np
 
 from .datasets import SampleRecord, strip_z
 from .em import DENSITY_FLOOR, em_fit, ise
-from .mixture import MAX_COORDINATE, DynamicGaussianMixture, _count_is_final, check_coordinates
+from .mixture import DynamicGaussianMixture, _count_is_final, check_rows
 from .motion import MotionModel, Standardizer, TerrainSupportError
 
 LOG_FLOOR = math.log(DENSITY_FLOOR)
@@ -157,16 +157,6 @@ def fit_motion_model(records: list[SampleRecord], k: float, rng: np.random.Gener
 # -- experiments --------------------------------------------------------------
 
 
-def _check_stream_points(points: np.ndarray) -> None:
-    """ValueError naming the first point with a NaN, infinite or overflowing
-    coordinate.  A stream may stop before its last point, so every point is
-    checked before any is streamed."""
-    bad = ~(np.abs(points) <= MAX_COORDINATE)
-    if bad.any():
-        row = int(np.argwhere(bad)[0, 0])
-        check_coordinates(np.atleast_1d(points[row]), f"point {row}: sample")
-
-
 def _stream_shuffle(points: np.ndarray, k: float, seed: int, stop) -> DynamicGaussianMixture:
     """A fresh online mixture fed one shuffle of the points, until stop(model)
     holds after an update or the points run out; the shuffle and every
@@ -201,7 +191,9 @@ def k_sweep(points, k_grid, repeats: int, rng: np.random.Generator) -> EvalRepor
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points[:, None]
-    _check_stream_points(points)
+    # a stream may stop before its last point, so every point is checked
+    # before any is streamed
+    check_rows(points, "point {row}: sample")
     seeds = _spawn_seeds(rng, len(k_grid) * repeats)
     runs = []
     for ki, k in enumerate(k_grid):
@@ -247,7 +239,7 @@ def mise_experiment(points, k: float, target_m: int, needed: int,
     if needed < 1:
         raise ValueError("needed must be >= 1")
     points = np.asarray(points, dtype=float)
-    _check_stream_points(points)
+    check_rows(points, "point {row}: sample")
     em_ref = em_fit(points, target_m, rng=rng)
     em_steps = np.diff(em_ref.loglik_path)
     seeds = _spawn_seeds(rng, max_attempts)

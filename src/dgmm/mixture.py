@@ -47,6 +47,10 @@ stored arrays and that whitening.
 It gives `density`, `log_density`, `support_box` and the terrain
 `conditional`; `_factor` is the one place that factorizes, and `_quad`
 (many points) and `_whitened` (one point) are its Mahalanobis kernels.
+`_factor` calls the LAPACK gufuncs behind np.linalg.cholesky and
+np.linalg.inv directly, since at D <= 8 those functions' Python wrappers
+cost more than the factorization itself; it falls back to numpy.linalg,
+with the same bits, errors and warnings, when a gufunc fails.
 The online mixture (DynamicGaussianMixture, here) and the EM fit
 (em.FixedGaussianMixture) are MixtureCore subclasses; the
 terrain-conditioned query mixture is a plain MixtureCore.
@@ -55,6 +59,8 @@ DynamicGaussianMixture adds, for learning:
 
     _cov        (m, D, D)   exact unbiased covariances
     _creation   m entries   creation covariance of each component, or None
+    _fresh      1 entry     evaluation covariance and factor of a fresh
+                            component, for the last creation covariance
 
 and derives _eval_cov from _cov and _creation (see WeightedGaussian).  The
 component-at-mean densities _peak[i, j] = N(mean_i; component j), an
@@ -64,9 +70,12 @@ Invariant: after construction and after every add_sample, _eval_cov and
 _chol_inv are those of the current moments (and so is every log
 normalizer read off _chol_inv).  add_sample keeps this in
 O(m D^2): a merge into component i updates i in place and re-factors only
-i; an append grows every array by one.  Reads (density, log_density,
-normalized_density, select_component, components, conditional) never
-mutate a mixture; only add_sample writes.
+i; an append grows every array by one, and factors nothing unless its
+creation covariance differs from the last append's (a fresh component's
+evaluation covariance and factor depend on its creation covariance
+alone).  Reads
+(density, log_density, normalized_density, select_component, components,
+conditional) never mutate a mixture; only add_sample writes.
 """
 
 from __future__ import annotations
@@ -75,6 +84,7 @@ import bisect
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .gaussian import (
     LOG_2PI,
@@ -83,6 +93,9 @@ from .gaussian import (
     positive_definite_cholesky,
     symmetrize,
 )
+
+# the gufuncs that np.linalg.cholesky and np.linalg.inv call
+_cholesky_lo, _inv = _umath_linalg.cholesky_lo, _umath_linalg.inv
 
 #: Largest accepted sample coordinate magnitude: its square is finite in float64.
 MAX_COORDINATE = math.sqrt(np.finfo(float).max)
@@ -102,6 +115,15 @@ def check_coordinates(v: np.ndarray, what: str) -> np.ndarray:
                 problem = f"= {c!r} is too large: its square overflows float64"
             raise ValueError(f"{what} coordinate {i} {problem}")
     return v
+
+
+def check_rows(points: np.ndarray, what: str) -> None:
+    """check_coordinates on the first row of points (N, D) that holds a NaN,
+    infinite or overflowing coordinate, named what.format(row=its index)."""
+    bad = ~(np.abs(points) <= MAX_COORDINATE)
+    if bad.any():
+        row = int(np.argwhere(bad)[0, 0])
+        check_coordinates(np.atleast_1d(points[row]), what.format(row=row))
 
 
 def logsumexp(a: np.ndarray) -> np.ndarray:
@@ -167,8 +189,30 @@ def _factor(eval_cov: np.ndarray):
     """(evaluation covariances, inverse upper Cholesky factors) of one
     covariance (D, D) or a stack (m, D, D).  S = U U^T with U upper
     triangular is the lower factor of S with its coordinates reversed,
-    reversed back.  A covariance that does not factor is diagonally loaded
-    until it does (see positive_definite_cholesky)."""
+    reversed back.
+
+    It calls the LAPACK gufuncs behind np.linalg.cholesky and np.linalg.inv
+    directly, which skips their Python wrappers (most of the cost at
+    D <= 8) and gives the same bits.  A gufunc that fails fills its output
+    with NaN, and a NaN factor makes a non-finite inverse; so when either
+    output holds a non-finite entry, the work is redone by
+    `_factor_linalg`, which diagonally loads a covariance that does not
+    factor and raises or warns as numpy.linalg does.
+    """
+    flipped = eval_cov[..., ::-1, ::-1]
+    with np.errstate(all="ignore"):
+        chol = _cholesky_lo(flipped, signature="d->d")
+        chol_inv = _inv(chol[..., ::-1, ::-1], signature="d->d")
+        # non-finite when an entry of either is: so is its term of the sum
+        ok = math.isfinite(np.vdot(chol, chol_inv))
+    if ok:
+        return eval_cov, chol_inv
+    return _factor_linalg(eval_cov)
+
+
+def _factor_linalg(eval_cov: np.ndarray):
+    """_factor through numpy.linalg: a covariance that does not factor is
+    diagonally loaded until it does (see positive_definite_cholesky)."""
     flipped = eval_cov[..., ::-1, ::-1]
     try:
         chol = np.linalg.cholesky(flipped)
@@ -367,12 +411,17 @@ class DynamicGaussianMixture(MixtureCore):
                 raise ValueError(f"component dimension {c.g.dim} != mixture dimension {self.dim}")
         m, d = len(comps), self.dim
         self._cov = np.array([c.g.cov for c in comps], dtype=float).reshape(m, d, d)
-        self._creation = [c.creation_cov for c in comps]
+        self._creation = [None if c.creation_cov is None else np.array(c.creation_cov, dtype=float)
+                          for c in comps]
+        # (creation covariance bytes, read-only copy, evaluation covariance,
+        # inverse factor) of the last fresh component, or None (see _append)
+        self._fresh: tuple[bytes, np.ndarray, np.ndarray, np.ndarray] | None = None
+        eval_cov = np.array([_evaluation_cov(c.g.cov, c.w, c.creation_cov) for c in comps],
+                            dtype=float).reshape(m, d, d)
         super().__init__(
             np.array([c.w for c in comps], dtype=float),
             np.array([c.g.mean for c in comps], dtype=float).reshape(m, d),
-            *_factor(np.array([_evaluation_cov(c.g.cov, c.w, c.creation_cov) for c in comps],
-                              dtype=float).reshape(m, d, d)))
+            *(_factor(eval_cov) if m else (eval_cov, eval_cov.copy())))
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -385,8 +434,8 @@ class DynamicGaussianMixture(MixtureCore):
         from copies of the arrays: editing them does not change the mixture."""
         return [
             WeightedGaussian(Gaussian(self._mean[i].copy(), self._cov[i].copy()),
-                             float(self._w[i]), self._creation[i])
-            for i in range(len(self))
+                             float(self._w[i]), None if creation is None else creation.copy())
+            for i, creation in enumerate(self._creation)
         ]
 
     def total_weight(self) -> float:
@@ -470,7 +519,7 @@ class DynamicGaussianMixture(MixtureCore):
         if not 0.0 < total < math.inf:
             return int(np.argmin(quad))
         u = rng.random()
-        return min(bisect.bisect_right(np.cumsum(scores / total).tolist(), u), len(scores) - 1)
+        return min(bisect.bisect_right((scores / total).cumsum().tolist(), u), len(scores) - 1)
 
     def select_component(self, x, rng: np.random.Generator) -> int:
         """Draw a component index with probability proportional to
@@ -529,15 +578,23 @@ class DynamicGaussianMixture(MixtureCore):
 
     def _append(self, x: np.ndarray, cov: np.ndarray) -> None:
         """Grow every array by one row for a weight-1 component at x whose
-        covariance and creation covariance are cov."""
-        self._w = np.append(self._w, 1.0)
+        covariance and creation covariance are cov.  Its evaluation
+        covariance and factor depend on cov alone, so they are kept for the
+        last cov seen and reused while cov repeats, as it does within a
+        stream; the components share one read-only copy of it as their
+        creation covariance."""
+        key = cov.tobytes()
+        if self._fresh is None or self._fresh[0] != key:
+            cov = cov.copy()
+            cov.flags.writeable = False
+            self._fresh = (key, cov, *_factor(_evaluation_cov(cov, 1.0, cov)))
+        _, cov, eval_cov, chol_inv = self._fresh
+        self._w = np.concatenate([self._w, [1.0]])
         self._mean = np.concatenate([self._mean, x[None]])
         self._cov = np.concatenate([self._cov, cov[None]])
         self._creation.append(cov)
-        # placeholders, filled in by _refactor
-        self._eval_cov = np.concatenate([self._eval_cov, cov[None]])
-        self._chol_inv = np.concatenate([self._chol_inv, cov[None]])
-        self._refactor(len(self) - 1)
+        self._eval_cov = np.concatenate([self._eval_cov, eval_cov[None]])
+        self._chol_inv = np.concatenate([self._chol_inv, chol_inv[None]])
 
     def _refactor(self, i: int) -> None:
         """Re-derive component i's evaluation covariance and inverse factor

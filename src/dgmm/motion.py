@@ -31,7 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import Gaussian
-from .mixture import DynamicGaussianMixture, MixtureCore, WeightedGaussian, check_coordinates, logsumexp
+from .mixture import (
+    DynamicGaussianMixture,
+    MixtureCore,
+    WeightedGaussian,
+    check_coordinates,
+    check_rows,
+    logsumexp,
+)
 
 MODEL_FORMAT = "dgmm-motion-model/1"
 
@@ -168,9 +175,21 @@ class Standardizer:
 
     @classmethod
     def fit(cls, points: np.ndarray) -> "Standardizer":
+        """Offset and scale of the points (N, D): their mean and standard
+        deviation.  A coordinate the mixture rejects (NaN, infinite, or with
+        a square that overflows float64) raises add_sample's ValueError,
+        and so does a column spread too widely to standardize, whose
+        squared deviations overflow: its scale would be inf and the column
+        would standardize to 0."""
         points = np.asarray(points, dtype=float)
+        check_rows(points, "sample")
         offset = points.mean(axis=0)
-        scale = points.std(axis=0)
+        with np.errstate(over="ignore"):
+            scale = points.std(axis=0)
+        if not np.isfinite(scale).all():
+            col = int(np.argmin(np.isfinite(scale)))
+            raise ValueError(f"sample coordinate {col} is spread too widely to standardize: "
+                             "its squared deviations overflow float64")
         scale = np.where(scale > 1e-12, scale, 1.0)
         return cls(offset, scale)
 

@@ -1,15 +1,18 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dgmm.gaussian import Gaussian
+import dgmm.mixture
+from dgmm.gaussian import Gaussian, positive_definite_cholesky
 from dgmm.mixture import (
     DynamicGaussianMixture,
     WeightedGaussian,
     _count_is_final,
+    _factor,
     logsumexp,
     merge_into,
     merge_threshold,
@@ -663,3 +666,137 @@ class TestCountIsFinal:
         for x in pts[streamed:]:
             m.add_sample(x, k, rng)
             assert len(m) == count
+
+
+def linalg_factor(eval_cov):
+    """_factor as numpy.linalg computes it: np.linalg.cholesky of the
+    reversed covariance, diagonal loading when that raises, and
+    np.linalg.inv of the factor reversed back."""
+    flipped = eval_cov[..., ::-1, ::-1]
+    try:
+        chol = np.linalg.cholesky(flipped)
+    except np.linalg.LinAlgError:
+        d = eval_cov.shape[-1]
+        pairs = [positive_definite_cholesky(c) for c in flipped.reshape(-1, d, d)]
+        eval_cov = np.array([c for c, _ in pairs]).reshape(flipped.shape)[..., ::-1, ::-1]
+        chol = np.array([f for _, f in pairs]).reshape(flipped.shape)
+    return eval_cov, np.linalg.inv(chol[..., ::-1, ::-1])
+
+
+def outcome(f, a):
+    """What f(a) does: its arrays as (shape, dtype, bytes), or the type and
+    message of what it raised; with the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = tuple((r.shape, r.dtype, r.tobytes()) for r in f(a))
+        except Exception as exc:  # compared, not swallowed
+            out = (type(exc), str(exc))
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+class TestFactor:
+    """_factor calls numpy.linalg's gufuncs directly; it must give what the
+    numpy.linalg path gives, bit for bit, on every input: the same arrays,
+    or the same exception, and the same warnings."""
+
+    @staticmethod
+    def matrix(rng, dim, scale, kind):
+        a = rng.standard_normal((dim, dim))
+        if kind == "singular":
+            # rank < dim, or exactly zero: the Cholesky fails and the
+            # covariance takes the diagonal loading path
+            a[:, rng.integers(0, dim):] = 0.0
+        cov = scale * (a @ a.T)
+        if kind == "pd":
+            cov += scale * dim * np.eye(dim)
+        elif kind == "indefinite":
+            cov -= scale * (1.0 + np.abs(cov).sum()) * np.eye(dim)
+        elif kind in ("inf", "nan"):
+            i, j = rng.integers(0, dim, 2)
+            cov[i, j] = cov[j, i] = math.inf if kind == "inf" else math.nan
+        return cov
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dim=st.integers(1, 8),
+        stack=st.one_of(st.none(), st.integers(0, 4)),
+        log_scale=st.floats(-3.0, 3.0),
+        kinds=st.lists(st.sampled_from(["pd", "pd", "pd", "singular", "indefinite", "inf", "nan"]),
+                       min_size=4, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_numpy_linalg_path(self, dim, stack, log_scale, kinds, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        if stack is None:
+            cov = self.matrix(rng, dim, scale, kinds[0])
+        else:
+            cov = np.array([self.matrix(rng, dim, scale, kind) for kind in kinds[:stack]])
+            cov = cov.reshape(stack, dim, dim)
+        assert outcome(_factor, cov) == outcome(linalg_factor, cov)
+
+    @pytest.mark.parametrize("dim", [1, 2, 8])
+    def test_loaded_and_unloaded_components_in_one_stack(self, dim):
+        rng = np.random.default_rng(dim)
+        good = self.matrix(rng, dim, 1.0, "pd")
+        cov = np.array([good, np.zeros((dim, dim)), good])
+        eval_cov, chol_inv = _factor(cov)
+        assert eval_cov is not cov and not np.array_equal(eval_cov[1], cov[1])
+        assert np.array_equal(eval_cov[[0, 2]], cov[[0, 2]])
+        assert outcome(_factor, cov) == outcome(linalg_factor, cov)
+
+
+class TestFreshComponents:
+    """A fresh component's evaluation covariance and factor depend on its
+    creation covariance alone: a run of appends with one creation
+    covariance factors it once, and the mixture keeps and hands out copies
+    of what it is given."""
+
+    def test_repeated_creation_covariance_is_factored_once(self, monkeypatch):
+        m = DynamicGaussianMixture(3)
+        rng = np.random.default_rng(4)
+        factored = []
+        factor = dgmm.mixture._factor
+
+        def counting(eval_cov):
+            factored.append(eval_cov.copy())
+            return factor(eval_cov)
+
+        monkeypatch.setattr(dgmm.mixture, "_factor", counting)
+        # k = 0 and far samples: every sample appends
+        for scale in (2.0, 2.0, 2.0, 0.5, 0.5, 2.0):
+            m.add_sample(np.full(3, 1e3 * len(m)), 0.0, rng, new_cov_scale=scale)
+        assert len(m) == 6
+        assert [c[0, 0] for c in factored] == [2.0, 0.5, 2.0]
+        monkeypatch.undo()
+        rebuilt = DynamicGaussianMixture.from_components(m.components)
+        for name in ("_eval_cov", "_chol_inv"):
+            assert np.array_equal(getattr(m, name), getattr(rebuilt, name)), name
+
+    def test_components_hand_out_creation_copies(self):
+        m = DynamicGaussianMixture(2)
+        rng = np.random.default_rng(5)
+        for x in (0.0, 1e3, 2e3):
+            m.add_sample(np.full(2, x), 0.0, rng)
+        creation = m.components[0].creation_cov
+        creation[0, 0] = 99.0
+        assert all(np.array_equal(c.creation_cov, np.eye(2)) for c in m.components)
+        assert all(np.array_equal(c, np.eye(2)) for c in m._creation)
+        # the components share one creation array, which cannot be written
+        with pytest.raises(ValueError, match="read-only"):
+            m._creation[1][0, 0] = 99.0
+        m.add_sample(np.full(2, 3e3), 0.0, rng)
+        assert np.array_equal(m._eval_cov[3], np.eye(2))
+        assert np.array_equal(m.components[3].creation_cov, np.eye(2))
+
+    def test_construction_copies_creation_covariances(self):
+        creation = np.eye(2)
+        c = WeightedGaussian(Gaussian(np.zeros(2), np.eye(2)), 2.0, creation)
+        m = DynamicGaussianMixture(2, [c])
+        creation[0, 0] = 99.0
+        assert np.array_equal(m._creation[0], np.eye(2))
+        m.add_sample(np.full(2, 0.1), 1e9, np.random.default_rng(6))
+        assert len(m) == 1
+        reference = DynamicGaussianMixture(2, [merge_into(WeightedGaussian(c.g, 2.0, np.eye(2)), np.full(2, 0.1))])
+        assert np.array_equal(m._eval_cov, reference._eval_cov)

@@ -1,10 +1,12 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dgmm.mixture
 from dgmm.gaussian import Gaussian, IndexSplit
 from dgmm.mixture import DynamicGaussianMixture, WeightedGaussian, logsumexp
 from dgmm.motion import (
@@ -18,7 +20,7 @@ from dgmm.motion import (
     pose_delta,
     wrap_angle,
 )
-from dgmm.datasets import InclineConfig, simulate_incline
+from dgmm.datasets import InclineConfig, SampleRecord, simulate_incline
 from dgmm.evaluation import fit_motion_model
 
 FWD = CommandKey(0.5, 0.0, 0.0)
@@ -421,6 +423,22 @@ class TestConditioningInvariant:
             assert math.isfinite(mm.log_density(r.command, r.x, r.z))
             assert mm.conditional_density(r.command, r.x, r.z) > 0.0
 
+    def test_terrain_queries_call_no_factor_or_gufunc(self, monkeypatch):
+        # the library factors through _factor, which calls numpy.linalg's
+        # gufuncs without going through np.linalg
+        records = simulate_incline(InclineConfig(reps_per_orientation=1))
+        mm = fit_motion_model(records, k=0.3, rng=np.random.default_rng(35), standardize=True)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("terrain query factorized a matrix")
+
+        for name in ("_factor", "_factor_linalg", "_cholesky_lo", "_inv"):
+            monkeypatch.setattr(dgmm.mixture, name, refuse)
+        for r in records[:20]:
+            assert math.isfinite(mm.log_density(r.command, r.x, r.z))
+            assert mm.conditional_density(r.command, r.x, r.z) > 0.0
+            assert mm.conditional_motion_density(r.command, r.z).dim == 6
+
 
 class TestTerrainSupport:
     """log_density, conditional_density and conditional_motion_density
@@ -776,3 +794,31 @@ class TestStandardizer:
         assert s.offset[1] == 0.0
         u = s.transform(pts)
         assert u[:, 0].std() == pytest.approx(1.0, rel=1e-9)
+
+    def test_fit_rejects_coordinates_the_mixture_rejects(self):
+        pts = np.random.default_rng(21).normal(0.0, 1.0, (30, 3))
+        for value, problem in ((1e200, "= 1e+200 is too large: its square overflows float64"),
+                               (math.inf, "is infinite"), (math.nan, "is NaN")):
+            bad = pts.copy()
+            bad[7, 2] = value
+            with pytest.raises(ValueError, match=re.escape(f"sample coordinate 2 {problem}")):
+                Standardizer.fit(bad)
+
+    def test_fit_rejects_an_overflowing_standard_deviation(self):
+        # every coordinate's square is finite, and so is the standard
+        # deviation (1e154), but the squared deviations from the mean are not
+        pts = np.zeros((2000, 2))
+        pts[:, 1] = np.where(np.arange(2000) % 2, 1e154, -1e154)
+        with pytest.raises(ValueError, match=re.escape(
+                "sample coordinate 1 is spread too widely to standardize: "
+                "its squared deviations overflow float64")):
+            Standardizer.fit(pts)
+
+    def test_overflowing_record_is_rejected_with_or_without_standardizing(self):
+        records = simulate_incline(InclineConfig(reps_per_orientation=1))[:40]
+        r = records[11]
+        records[11] = SampleRecord(r.command, TerrainVector(1e200, r.z.roll), r.x)
+        for standardize in (False, True):
+            with pytest.raises(ValueError, match=re.escape(
+                    "sample coordinate 6 = 1e+200 is too large: its square overflows float64")):
+                fit_motion_model(records, k=0.3, rng=np.random.default_rng(3), standardize=standardize)
