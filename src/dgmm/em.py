@@ -19,7 +19,8 @@ A fitted mixture is evaluated by the same array core as the online one
 (dgmm.mixture.MixtureCore), and EM iterates on stacked arrays: the E-step
 runs the core's Mahalanobis kernel and log-sum-exp, the M-step forms all
 covariances in one batched product, and `_factor` diagonally loads any
-that collapse.  `Gaussian` objects are built once, for the returned fit.
+that collapse.  The returned fit takes the last M-step's arrays and factors
+as they are; it builds `Gaussian` objects only when `gaussians` is read.
 """
 
 from __future__ import annotations
@@ -42,21 +43,33 @@ class FixedGaussianMixture(MixtureCore):
     does not factor is evaluated with diagonal loading."""
 
     def __init__(self, weights, gaussians: list[Gaussian]):
-        self.weights = np.asarray(weights, dtype=float).reshape(-1)
-        self.gaussians = list(gaussians)
-        if len(self.gaussians) != self.weights.shape[0]:
+        weights = np.asarray(weights, dtype=float).reshape(-1)
+        gaussians = list(gaussians)
+        if len(gaussians) != weights.shape[0]:
             raise ValueError("one weight per component required")
-        if np.any(self.weights <= 0):
+        if np.any(weights <= 0):
             raise ValueError("weights must be positive")
-        if abs(self.weights.sum() - 1.0) > 1e-12:
+        if abs(weights.sum() - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
-        if len({g.dim for g in self.gaussians}) != 1:
+        if len({g.dim for g in gaussians}) != 1:
             raise ValueError("components must share one dimension")
-        super().__init__(self.weights, np.array([g.mean for g in self.gaussians]),
-                         *_factor(np.array([g.cov for g in self.gaussians])))
+        super().__init__(weights, np.array([g.mean for g in gaussians]),
+                         *_factor(np.array([g.cov for g in gaussians])))
         #: per-iteration data log-likelihood of the restart that produced
         #: this fit; useful for monotonicity checks.
         self.loglik_path: list[float] = []
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The mixture proportions (m,)."""
+        return self._w
+
+    @property
+    def gaussians(self) -> list[Gaussian]:
+        """The components as Gaussian objects with their evaluation
+        covariances (diagonally loaded where a covariance does not factor),
+        built on each access from copies of the arrays."""
+        return [Gaussian(mean.copy(), cov.copy()) for mean, cov in zip(self._mean, self._eval_cov)]
 
 
 def _em_once(points: np.ndarray, m: int, tol: float, max_iter: int,
@@ -87,7 +100,9 @@ def _em_once(points: np.ndarray, m: int, tol: float, max_iter: int,
         if (ll - prev_ll) / n < tol and np.isfinite(prev_ll):
             break
         prev_ll = ll
-    fit = FixedGaussianMixture(weights / weights.sum(), [Gaussian(mu, c) for mu, c in zip(means, covs)])
+    # the last M-step's arrays and factors, as they are: nothing is factored again
+    fit = FixedGaussianMixture.__new__(FixedGaussianMixture)
+    MixtureCore.__init__(fit, weights / weights.sum(), means, covs, chol_inv)
     fit.loglik_path = path
     return fit
 

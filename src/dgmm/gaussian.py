@@ -33,6 +33,13 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
+def check_symmetric(cov: np.ndarray) -> None:
+    """ValueError("cov is not symmetric") unless every entry of the square
+    matrix cov is within SYMMETRY_RTOL * max(1, |entry|) of its transpose's."""
+    if np.any(np.abs(cov - cov.T) > SYMMETRY_RTOL * np.maximum(1.0, np.abs(cov))):
+        raise ValueError("cov is not symmetric")
+
+
 def regularize(cov: np.ndarray, epsilon: float) -> np.ndarray:
     """Diagonal loading scaled to the matrix: cov + epsilon * max(1, tr/D) * I.
 
@@ -65,10 +72,7 @@ class Gaussian:
             raise ValueError(
                 f"mean has dimension {mean.shape[0]} but cov is {cov.shape[0]}x{cov.shape[1]}"
             )
-        asym = np.abs(cov - cov.T)
-        tol = SYMMETRY_RTOL * np.maximum(1.0, np.abs(cov))
-        if np.any(asym > tol):
-            raise ValueError("cov is not symmetric")
+        check_symmetric(cov)
         self.mean = mean
         self.cov = cov
         self._chol = None

@@ -76,6 +76,15 @@ evaluation covariance and factor depend on its creation covariance
 alone).  Reads
 (density, log_density, normalized_density, select_component, components,
 conditional) never mutate a mixture; only add_sample writes.
+
+A whole mixture is built from its moment arrays by one constructor,
+`DynamicGaussianMixture._from_arrays`, the one place that derives _eval_cov
+and _chol_inv from moments; model files load through it, and __init__ and
+from_components stack their components into the same code.  The
+per-component objects -- `WeightedGaussian` with `pd_gaussian`,
+`merge_into`, and the `components` property that builds them on each
+access -- are a reference layer: tests and benchmark oracles check the
+arrays against them, and no learning, persistence or EM path builds them.
 """
 
 from __future__ import annotations
@@ -144,7 +153,7 @@ def merge_threshold(d: float, n: float, k: float) -> float:
     """
     if not 0.0 <= d <= 1.0:
         raise ValueError("normalized density d must lie in [0, 1]")
-    if n < 0 or k < 0:
+    if not (n >= 0 and k >= 0):
         raise ValueError("n and k must be non-negative")
     return 1.0 - (1.0 - d) * np.exp(-k * n)
 
@@ -404,24 +413,38 @@ class DynamicGaussianMixture(MixtureCore):
     def __init__(self, dim: int, components: list[WeightedGaussian] | None = None):
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        self.dim = int(dim)
-        comps = list(components or [])
+        comps, d = list(components or []), int(dim)
         for c in comps:
-            if c.g.dim != self.dim:
-                raise ValueError(f"component dimension {c.g.dim} != mixture dimension {self.dim}")
-        m, d = len(comps), self.dim
-        self._cov = np.array([c.g.cov for c in comps], dtype=float).reshape(m, d, d)
-        self._creation = [None if c.creation_cov is None else np.array(c.creation_cov, dtype=float)
-                          for c in comps]
+            if c.g.dim != d:
+                raise ValueError(f"component dimension {c.g.dim} != mixture dimension {d}")
+        m = len(comps)
+        self._adopt(np.array([c.w for c in comps], dtype=float),
+                    np.array([c.g.mean for c in comps], dtype=float).reshape(m, d),
+                    np.array([c.g.cov for c in comps], dtype=float).reshape(m, d, d),
+                    [None if c.creation_cov is None else np.array(c.creation_cov, dtype=float)
+                     for c in comps])
+
+    @classmethod
+    def _from_arrays(cls, w: np.ndarray, mean: np.ndarray, cov: np.ndarray,
+                     creation: list) -> "DynamicGaussianMixture":
+        """A mixture that takes ownership of weights (m,), means (m, D),
+        exact covariances (m, D, D) and creation covariances (m entries,
+        each (D, D) or None); no component object is built."""
+        mix = cls.__new__(cls)
+        mix._adopt(w, mean, cov, creation)
+        return mix
+
+    def _adopt(self, w: np.ndarray, mean: np.ndarray, cov: np.ndarray, creation: list) -> None:
+        """Take ownership of the moment arrays (see _from_arrays) and derive
+        every component's evaluation covariance and inverse factor from
+        them: the one place that does so for a whole mixture."""
+        self._cov, self._creation = cov, creation
         # (creation covariance bytes, read-only copy, evaluation covariance,
         # inverse factor) of the last fresh component, or None (see _append)
         self._fresh: tuple[bytes, np.ndarray, np.ndarray, np.ndarray] | None = None
-        eval_cov = np.array([_evaluation_cov(c.g.cov, c.w, c.creation_cov) for c in comps],
-                            dtype=float).reshape(m, d, d)
-        super().__init__(
-            np.array([c.w for c in comps], dtype=float),
-            np.array([c.g.mean for c in comps], dtype=float).reshape(m, d),
-            *(_factor(eval_cov) if m else (eval_cov, eval_cov.copy())))
+        eval_cov = np.array([_evaluation_cov(*row) for row in zip(cov, w, creation)],
+                            dtype=float).reshape(cov.shape)
+        super().__init__(w, mean, *(_factor(eval_cov) if len(w) else (eval_cov, eval_cov.copy())))
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -554,7 +577,7 @@ class DynamicGaussianMixture(MixtureCore):
         rounding is monotone), so r < t(0) implies r < t(d) and skipping d
         there changes no decision.
         """
-        if k < 0:
+        if not k >= 0:
             raise ValueError("k must be non-negative")
         x = self._check_sample(x)
         r = rng.random()

@@ -30,11 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import Gaussian
+from .gaussian import check_symmetric
 from .mixture import (
     DynamicGaussianMixture,
     MixtureCore,
-    WeightedGaussian,
     check_coordinates,
     check_rows,
     logsumexp,
@@ -220,6 +219,8 @@ class MotionModel:
             raise ValueError("standardizer length must equal x_dim + z_dim")
         if creation_cov_scale <= 0:
             raise ValueError("creation_cov_scale must be positive")
+        if not k >= 0:
+            raise ValueError("k must be non-negative")
         self.k = float(k)
         self.x_dim = int(x_dim)
         self.z_dim = int(z_dim)
@@ -379,6 +380,7 @@ class MotionModel:
     # -- persistence -----------------------------------------------------------
 
     def to_dict(self, invocation: dict | None = None) -> dict:
+        default_creation = self.creation_cov_scale * np.eye(self.dim)
         doc = {
             "format": MODEL_FORMAT,
             "k": self.k,
@@ -391,13 +393,8 @@ class MotionModel:
                 "scale": self.standardizer.scale.tolist(),
             },
             "commands": [
-                {
-                    "key": list(c.as_tuple()),
-                    "components": [
-                        _component_doc(comp, self.creation_cov_scale * np.eye(self.dim))
-                        for comp in self.models[c].components
-                    ],
-                }
+                {"key": list(c.as_tuple()),
+                 "components": _component_docs(self.models[c], default_creation)}
                 for c in self.commands()
             ],
         }
@@ -412,86 +409,84 @@ class MotionModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MotionModel":
-        def fail(field: str, why: str):
-            raise ValueError(f"model file: field '{field}': {why}")
-
         if not isinstance(doc, dict):
-            fail("<root>", "not a JSON object")
+            _fail("<root>", "not a JSON object")
         if doc.get("format") != MODEL_FORMAT:
-            fail("format", f"expected {MODEL_FORMAT!r}, got {doc.get('format')!r}")
-        k = _expect_number(doc, "k", fail)
+            _fail("format", f"expected {MODEL_FORMAT!r}, got {doc.get('format')!r}")
+        k = _expect_number(doc, "k")
+        if not k >= 0:
+            _fail("k", "must be non-negative")
         layout = doc.get("layout")
         if not isinstance(layout, dict):
-            fail("layout", "missing or not an object")
-        x_dim = int(_expect_number(layout, "x_dim", fail, prefix="layout."))
-        z_dim = int(_expect_number(layout, "z_dim", fail, prefix="layout."))
+            _fail("layout", "missing or not an object")
+        x_dim = _expect_count(layout, "x_dim", 1, prefix="layout.")
+        z_dim = _expect_count(layout, "z_dim", 0, prefix="layout.")
         dim = x_dim + z_dim
         if "creation_cov_scale" in doc:
-            scale = _expect_number(doc, "creation_cov_scale", fail)
+            scale = _expect_number(doc, "creation_cov_scale")
             if scale <= 0:
-                fail("creation_cov_scale", "must be positive")
+                _fail("creation_cov_scale", "must be positive")
         else:
             scale = 1.0
         std = None
         raw_std = doc.get("standardizer")
         if raw_std is not None:
             if not isinstance(raw_std, dict):
-                fail("standardizer", "not an object or null")
-            offset = _expect_floats(raw_std, "offset", dim, fail, prefix="standardizer.")
-            std_scale = _expect_floats(raw_std, "scale", dim, fail, prefix="standardizer.")
+                _fail("standardizer", "not an object or null")
+            offset = _expect_floats(raw_std, "offset", dim, prefix="standardizer.")
+            std_scale = _expect_floats(raw_std, "scale", dim, prefix="standardizer.")
             if any(s <= 0 for s in std_scale):
-                fail("standardizer.scale", "entries must be positive")
+                _fail("standardizer.scale", "entries must be positive")
             std = Standardizer(offset, std_scale)
         mm = cls(k=k, x_dim=x_dim, z_dim=z_dim, standardizer=std, creation_cov_scale=scale)
+        # shared by every component that takes the default; nothing writes it
+        default_creation = scale * np.eye(dim)
         commands = doc.get("commands")
         if not isinstance(commands, list):
-            fail("commands", "missing or not a list")
+            _fail("commands", "missing or not a list")
         for ci, entry in enumerate(commands):
             where = f"commands[{ci}]"
             if not isinstance(entry, dict):
-                fail(where, "not an object")
-            key = _expect_floats(entry, "key", 3, fail, prefix=where + ".")
-            command = CommandKey(*key)
+                _fail(where, "not an object")
+            key = _expect_floats(entry, "key", 3, prefix=where + ".")
+            try:
+                command = CommandKey(*key)
+            except ValueError as exc:
+                _fail(f"{where}.key", str(exc))
+            if command.is_noop():
+                _fail(f"{where}.key", "the no-op command <0,0,0> is not trainable")
             if command in mm.models:
-                fail(f"{where}.key", "duplicate command key")
+                _fail(f"{where}.key", "duplicate command key")
             comps_raw = entry.get("components")
             if not isinstance(comps_raw, list):
-                fail(f"{where}.components", "missing or not a list")
-            comps = []
+                _fail(f"{where}.components", "missing or not a list")
+            if not comps_raw:
+                _fail(f"{where}.components", "empty: a trained command has at least one component")
+            w, means, covs, creations = [], [], [], []
             for gi, comp in enumerate(comps_raw):
                 cwhere = f"{where}.components[{gi}]"
                 if not isinstance(comp, dict):
-                    fail(cwhere, "not an object")
-                w = _expect_number(comp, "w", fail, prefix=cwhere + ".")
-                if w <= 0 or not math.isfinite(w):
-                    fail(f"{cwhere}.w", "must be a positive finite number")
-                mean = np.array(_expect_floats(comp, "mean", dim, fail, prefix=cwhere + "."))
-                cov_flat = _expect_floats(comp, "cov", dim * dim, fail, prefix=cwhere + ".")
-                cov = np.array(cov_flat).reshape(dim, dim)
-                try:
-                    g = Gaussian(mean, cov)
-                except ValueError as exc:
-                    fail(f"{cwhere}.cov", str(exc))
+                    _fail(cwhere, "not an object")
+                w.append(_expect_number(comp, "w", prefix=cwhere + "."))
+                if w[-1] <= 0:
+                    _fail(f"{cwhere}.w", "must be a positive finite number")
+                means.append(_expect_floats(comp, "mean", dim, prefix=cwhere + "."))
+                covs.append(_expect_matrix(comp, "cov", dim, prefix=cwhere + "."))
                 # exact moments are PSD, rank-deficient ones up to rounding
-                eig = np.linalg.eigvalsh(cov)
+                eig = np.linalg.eigvalsh(covs[-1])
                 if eig[0] < -PSD_TOLERANCE * max(1.0, float(np.abs(eig).max())):
-                    fail(f"{cwhere}.cov", "not positive semidefinite")
-                if "creation_cov" not in comp:
-                    creation = scale * np.eye(dim)
-                elif comp["creation_cov"] is None:
-                    creation = None
-                else:
-                    creation = np.array(_expect_floats(comp, "creation_cov", dim * dim, fail,
-                                                       prefix=cwhere + ".")).reshape(dim, dim)
+                    _fail(f"{cwhere}.cov", "not positive semidefinite")
+                creation = comp.get("creation_cov", default_creation)
+                if creation is not None and creation is not default_creation:
+                    creation = _expect_matrix(comp, "creation_cov", dim, prefix=cwhere + ".")
                     # it is the prior of every evaluation covariance, so it must factor
                     try:
-                        Gaussian(mean, creation).chol()
+                        np.linalg.cholesky(creation)
                     except np.linalg.LinAlgError:
-                        fail(f"{cwhere}.creation_cov", "not positive definite")
-                    except ValueError as exc:
-                        fail(f"{cwhere}.creation_cov", str(exc))
-                comps.append(WeightedGaussian(g, w, creation_cov=creation))
-            mm.models[command] = DynamicGaussianMixture(dim, comps)
+                        _fail(f"{cwhere}.creation_cov", "not positive definite")
+                creations.append(creation)
+            mm.models[command] = DynamicGaussianMixture._from_arrays(
+                np.array(w), np.array(means), np.array(covs), creations)
         return mm
 
     @classmethod
@@ -504,34 +499,60 @@ class MotionModel:
         return cls.from_dict(doc)
 
 
-def _component_doc(comp: WeightedGaussian, default_creation: np.ndarray) -> dict:
-    """One component of a model file.  Its creation covariance is written
-    only when it is not the model's default creation_cov_scale * I (null
-    for a component without one, e.g. in a hand-built mixture), so files
-    of models trained online hold exactly the moments."""
-    doc = {"w": comp.w, "mean": comp.g.mean.tolist(), "cov": comp.g.cov.reshape(-1).tolist()}
-    creation = comp.creation_cov
-    if creation is None:
-        doc["creation_cov"] = None
-    elif not np.array_equal(creation, default_creation):
-        doc["creation_cov"] = creation.reshape(-1).tolist()
-    return doc
+def _component_docs(mix: DynamicGaussianMixture, default_creation: np.ndarray) -> list[dict]:
+    """The components of one command in a model file, one per row of the
+    mixture's arrays.  A creation covariance is written only when it is not
+    the model's default creation_cov_scale * I (null for a component
+    without one, e.g. in a hand-built mixture), so files of models trained
+    online hold exactly the moments."""
+    docs = []
+    rows = zip(mix._w.tolist(), mix._mean.tolist(), mix._cov.reshape(len(mix), -1).tolist(),
+               mix._creation)
+    for w, mean, cov, creation in rows:
+        doc = {"w": w, "mean": mean, "cov": cov}
+        if creation is None:
+            doc["creation_cov"] = None
+        elif not np.array_equal(creation, default_creation):
+            doc["creation_cov"] = creation.reshape(-1).tolist()
+        docs.append(doc)
+    return docs
 
 
-def _expect_number(obj: dict, name: str, fail, prefix: str = "") -> float:
+def _fail(field: str, why: str):
+    raise ValueError(f"model file: field '{field}': {why}")
+
+
+def _expect_number(obj: dict, name: str, prefix: str = "") -> float:
     val = obj.get(name)
     if not isinstance(val, (int, float)) or isinstance(val, bool) or not math.isfinite(val):
-        fail(prefix + name, "missing or not a finite number")
+        _fail(prefix + name, "missing or not a finite number")
     return float(val)
 
 
-def _expect_floats(obj: dict, name: str, length: int, fail, prefix: str = "") -> list[float]:
+def _expect_count(obj: dict, name: str, low: int, prefix: str = "") -> int:
+    val = _expect_number(obj, name, prefix)
+    if not (val.is_integer() and val >= low):
+        _fail(prefix + name, f"must be an integer >= {low}")
+    return int(val)
+
+
+def _expect_floats(obj: dict, name: str, length: int, prefix: str = "") -> list[float]:
     val = obj.get(name)
     if not isinstance(val, list) or len(val) != length:
-        fail(prefix + name, f"missing or not a list of {length} numbers")
+        _fail(prefix + name, f"missing or not a list of {length} numbers")
     out = []
     for i, v in enumerate(val):
         if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-            fail(f"{prefix}{name}[{i}]", "not a finite number")
+            _fail(f"{prefix}{name}[{i}]", "not a finite number")
         out.append(float(v))
     return out
+
+
+def _expect_matrix(obj: dict, name: str, dim: int, prefix: str = "") -> np.ndarray:
+    """A symmetric (dim, dim) matrix from its row-major list."""
+    mat = np.array(_expect_floats(obj, name, dim * dim, prefix)).reshape(dim, dim)
+    try:
+        check_symmetric(mat)
+    except ValueError as exc:
+        _fail(prefix + name, str(exc))
+    return mat

@@ -150,6 +150,20 @@ class TestSampleGmm:
         bound = 4 * sigma / math.sqrt(n)
         assert draws.mean(axis=0) == pytest.approx(np.array([2.0, -1.0]), abs=bound)
 
+    def test_singular_component_draws_from_its_evaluated_density(self):
+        # density() evaluates the diagonally loaded covariance; gaussians
+        # reports it, so sample_gmm draws from the density density() gives
+        gmm = FixedGaussianMixture([1.0], [Gaussian([0.0, 0.0], np.ones((2, 2)))])
+        (g,) = gmm.gaussians
+        assert np.array_equal(g.cov, gmm._eval_cov[0])
+        assert not np.array_equal(g.cov, np.ones((2, 2)))
+        assert gmm.density(np.zeros(2)) == pytest.approx(3558.8, rel=1e-4)
+        assert float(g.density(np.zeros(2))) == pytest.approx(gmm.density(np.zeros(2)), rel=1e-9)
+        draws = sample_gmm(gmm, 10_000, np.random.default_rng(4))
+        assert np.isfinite(draws).all()
+        assert np.abs(draws[:, 0] - draws[:, 1]).max() < 1e-3
+        assert draws[:, 0].var() == pytest.approx(1.0, rel=0.1)
+
     def test_component_frequencies(self):
         gmm = FixedGaussianMixture(
             [0.3, 0.7],

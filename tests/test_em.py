@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dgmm.em
 from dgmm.gaussian import Gaussian, ensure_positive_definite
 from dgmm.mixture import DynamicGaussianMixture, WeightedGaussian
 from dgmm.em import (
@@ -20,6 +21,37 @@ from dgmm.em import (
 
 
 class TestEmFit:
+    def test_fit_builds_no_gaussian_and_factors_once_per_iteration(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        pts = np.concatenate([rng.normal(c, 0.5, size=(60, 2)) for c in (-3.0, 0.0, 3.0)])
+        factored, iterations = [], []
+        factor, em_once = dgmm.em._factor, dgmm.em._em_once
+
+        def counting_factor(cov):
+            factored.append(cov.shape)
+            return factor(cov)
+
+        def counting_em_once(*args):
+            fit = em_once(*args)
+            iterations.append(len(fit.loglik_path))
+            return fit
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a component object was built")
+
+        monkeypatch.setattr(dgmm.em, "_factor", counting_factor)
+        monkeypatch.setattr(dgmm.em, "_em_once", counting_em_once)
+        monkeypatch.setattr(Gaussian, "__init__", refuse)
+        monkeypatch.setattr(WeightedGaussian, "__init__", refuse)
+        fit = em_fit(pts, 3, rng=np.random.default_rng(9), restarts=4)
+        # one for each restart's initial covariances, one per iteration,
+        # none for the returned fit
+        assert len(iterations) == 4
+        assert len(factored) == 4 + sum(iterations)
+        monkeypatch.undo()
+        assert np.array_equal(dgmm.em._factor(fit._eval_cov)[1], fit._chol_inv)
+        assert fit.weights is fit._w and fit.weights.sum() == pytest.approx(1.0, abs=1e-15)
+
     def test_single_component_closed_form(self):
         rng = np.random.default_rng(0)
         pts = rng.normal(2.0, 1.5, size=(200, 2)) @ np.array([[1.0, 0.3], [0.0, 1.0]])

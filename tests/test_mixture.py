@@ -133,6 +133,22 @@ class TestMergeThreshold:
         with pytest.raises(ValueError):
             merge_threshold(0.5, -1.0, 1.0)
 
+    @pytest.mark.parametrize("k", [-1.0, math.nan])
+    def test_negative_or_nan_k_rejected(self, k):
+        # a NaN threshold compares false with every draw, so every sample
+        # would append
+        with pytest.raises(ValueError, match="n and k must be non-negative"):
+            merge_threshold(0.5, 1.0, k)
+        with pytest.raises(ValueError, match="n and k must be non-negative"):
+            merge_threshold(0.5, k, 1.0)
+        m = mix(([0.0], [[1.0]], 3.0))
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="k must be non-negative"):
+            m.add_sample(np.array([0.1]), k, rng)
+        assert len(m) == 1 and m.total_weight() == 3.0
+        assert rng.bit_generator.state == state
+
     @settings(max_examples=300, deadline=None)
     @given(
         d=st.floats(0.0, 1.0),

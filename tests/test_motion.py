@@ -675,6 +675,50 @@ class TestPersistence:
         check(lambda d: d.__setitem__("commands", 3), "'commands'")
         check(lambda d: d.__setitem__("commands", [{"key": [0.5, 0.0]}]), r"commands\[0\].key")
 
+    @pytest.mark.parametrize("field, mutate", [
+        ("k", lambda d: d.__setitem__("k", -1)),
+        ("layout.x_dim", lambda d: d["layout"].__setitem__("x_dim", 2.5)),
+        ("layout.x_dim", lambda d: d["layout"].__setitem__("x_dim", 0)),
+        ("layout.z_dim", lambda d: d["layout"].__setitem__("z_dim", -1)),
+        ("commands[0].components", lambda d: d["commands"][0].__setitem__("components", [])),
+        ("commands[0].key", lambda d: d["commands"][0].__setitem__("key", [0, 0, 0])),
+        ("commands[0].key", lambda d: d["commands"][0].__setitem__("key", [0.3, 0, 0])),
+    ])
+    def test_untrainable_fields_are_named(self, field, mutate):
+        # no trained model writes any of these
+        mm = MotionModel(k=0.5, x_dim=2, z_dim=0)
+        mm.models[FWD] = DynamicGaussianMixture.from_components(
+            [WeightedGaussian(Gaussian(np.zeros(2), np.eye(2)), 2.0)])
+        doc = json.loads(json.dumps(mm.to_dict()))
+        MotionModel.from_dict(json.loads(json.dumps(doc)))  # loads unmutated
+        mutate(doc)
+        with pytest.raises(ValueError, match=re.escape(f"model file: field '{field}': ")):
+            MotionModel.from_dict(doc)
+
+    @pytest.mark.parametrize("k", [-1.0, math.nan])
+    def test_negative_or_nan_k_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be non-negative"):
+            MotionModel(k=k)
+
+    def test_persistence_builds_no_component_objects(self, monkeypatch):
+        records = simulate_incline(InclineConfig(reps_per_orientation=1))
+        mm = fit_motion_model(records, k=0.3, rng=np.random.default_rng(35), standardize=True)
+        mm.models[TURN] = DynamicGaussianMixture.from_components([
+            WeightedGaussian(Gaussian(np.ones(8), 0.2 * np.eye(8)), 2.0, creation_cov=0.5 * np.eye(8)),
+            WeightedGaussian(Gaussian(-np.ones(8), 0.3 * np.eye(8)), 5.0),
+        ])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a component object was built")
+
+        monkeypatch.setattr(Gaussian, "__init__", refuse)
+        monkeypatch.setattr(WeightedGaussian, "__init__", refuse)
+        doc = json.loads(json.dumps(mm.to_dict()))
+        back = MotionModel.from_dict(doc)
+        assert back.to_dict() == doc
+        monkeypatch.undo()
+        assert_same_model(mm, back)
+
     def test_invocation_passthrough(self, tmp_path):
         mm = MotionModel(k=0.5)
         path = tmp_path / "m.json"
