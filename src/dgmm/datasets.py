@@ -197,7 +197,8 @@ def load_old_faithful(path=None, standardize: bool = True):
 
 def sample_gmm(gmm: FixedGaussianMixture, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n independent points: categorical component choice by weight,
-    then the component's Cholesky transform of unit normals."""
+    then the component's lower Cholesky transform of unit normals, from the
+    mixture's evaluation covariances (one batched factorization)."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
@@ -205,10 +206,10 @@ def sample_gmm(gmm: FixedGaussianMixture, n: int, rng: np.random.Generator) -> n
     comp = rng.choice(len(gmm), size=n, p=gmm.weights)
     normals = rng.standard_normal((n, gmm.dim))
     out = np.empty((n, gmm.dim))
-    for j, g in enumerate(gmm.gaussians):
+    for j, chol in enumerate(np.linalg.cholesky(gmm._eval_cov)):
         mask = comp == j
         if mask.any():
-            out[mask] = g.mean + normals[mask] @ g.chol().T
+            out[mask] = gmm._mean[j] + normals[mask] @ chol.T
     return out
 
 

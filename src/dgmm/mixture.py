@@ -63,9 +63,14 @@ DynamicGaussianMixture adds, for learning:
                             component, for the last creation covariance
 
 and derives _eval_cov from _cov and _creation (see WeightedGaussian).  The
-component-at-mean densities _peak[i, j] = N(mean_i; component j), an
-(m, m) matrix the peak estimate needs, are not stored: `_peak` builds them
-from the current arrays on each read, in O(m^2 D^2).
+component-at-mean densities N(mean_i; component j), an (m, m) matrix the
+peak estimate needs, are not stored: `_scaled_peak` builds them from the
+current arrays on each call, in O(m^2 D^2), scaled by the largest weighted
+density at a mean, so that d is one ratio of numbers in [0, m] at every
+covariance scale (`_peak` gives the unscaled matrix).  The merge's draw is
+likewise one expression: its scores are shifted by the nearest component's
+distance, so it needs no nearest-component fallback, and every merge makes
+exactly one draw.
 Invariant: after construction and after every add_sample, _eval_cov and
 _chol_inv are those of the current moments (and so is every log
 normalizer read off _chol_inv).  add_sample keeps this in
@@ -478,46 +483,52 @@ class DynamicGaussianMixture(MixtureCore):
     # wrappers (bench/tracer.py) look it up
     density = MixtureCore.density
 
-    def _log_peak(self, log_norm: np.ndarray) -> np.ndarray:
-        """log N(mean_i; component j) for every pair: (m, m), built from the
-        current arrays and the log normalizers on each call in O(m^2 D^2)."""
-        return log_norm - 0.5 * _quad(self._mean, self._mean, self._chol_inv)
-
     @property
     def _peak(self) -> np.ndarray:
-        """N(mean_i; component j) for every pair: (m, m), the exponential of
-        _log_peak."""
-        return np.exp(self._log_peak(self._log_norm))
+        """N(mean_i; component j) for every pair: (m, m), built from the
+        current arrays on each read in O(m^2 D^2)."""
+        return np.exp(self._log_norm - 0.5 * _quad(self._mean, self._mean, self._chol_inv))
+
+    def _scaled_peak(self) -> tuple[float, np.ndarray, float]:
+        """(c, a, peak): the mixture and its peak estimate scaled by exp(-c).
+
+        c = max_j log((w_j / W) N(mean_j; component j)) and
+        a_j = (w_j / W) N(mean_j; component j) exp(-c), so the mixture at a
+        point with squared distances q_j is exp(c) sum_j a_j exp(-q_j / 2).
+        A component's density is highest at its mean, so every term of the
+        scaled peak, peak = max_i sum_j a_j exp(-q_ij / 2) over the means,
+        is <= 1, and the argmax's own term is exactly 1: peak lies in
+        [1, m] whatever the scale of the covariances.  Builds the (m, m)
+        distances, so it costs O(m^2 D^2)."""
+        log_a = np.log(self._w / self._W) + self._log_norm
+        c = log_a.max()
+        a = np.exp(log_a - c)
+        peak = (np.exp(-0.5 * _quad(self._mean, self._mean, self._chol_inv)) @ a).max()
+        return float(c), a, float(peak)
 
     def _peak_estimate(self) -> float:
         """Estimated mixture maximum: the largest mixture value over all
         component means.  Exact for well-separated components; can
         undershoot when components overlap, so callers clamp ratios at 1.
-        Builds the peak matrix, so it costs O(m^2 D^2)."""
-        return float((self._peak @ (self._w / self._W)).max())
+        It is exp(c) times the scaled peak of _scaled_peak, so it
+        underflows to 0 or overflows to inf where that product does; the
+        ratio d never forms it."""
+        c, _, peak = self._scaled_peak()
+        return float(np.exp(c) * peak)
 
     def _normalized(self, quad: np.ndarray) -> np.ndarray:
         """Mixture density over its estimated peak, clamped at 1, from the
         squared distances (m,) of one point or (N, m) of N points.
 
-        The ratio is taken in linear space while the peak estimate is
-        positive and finite, and in log space otherwise, as
-        exp(min(0, log mix(x) - log peak)).  When every component density
-        underflows to 0 at the means (a covariance of 1e100 I at D = 8
-        does), the linear ratio would be 0/0 = NaN.
-        """
-        p = self._w / self._W
-        log_norm = self._log_norm
-        log_peak = self._log_peak(log_norm)
-        peak = (np.exp(log_peak) @ p).max()
-        if 0.0 < peak < math.inf:
-            return np.minimum((np.exp(log_norm - 0.5 * quad) @ p) / peak, 1.0)
-        log_p = np.log(p)
-        log_d = logsumexp(log_norm - 0.5 * quad + log_p) - logsumexp(log_peak + log_p).max()
-        return np.exp(np.minimum(log_d, 0.0))
+        Numerator and peak are both scaled by exp(-c) (see _scaled_peak),
+        so the peak lies in [1, m] and the ratio is one expression at every
+        scale: it is never 0/0, inf/inf or a subnormal peak, and there is
+        no log-space fallback."""
+        _, a, peak = self._scaled_peak()
+        return np.minimum((np.exp(-0.5 * quad) @ a) / peak, 1.0)
 
     def normalized_density(self, x):
-        """Mixture density rescaled so the estimated peak is 1; in (0, 1].
+        """Mixture density rescaled so the estimated peak is 1; in [0, 1].
         Each call builds the peak matrix, O(m^2 D^2), so it is meant for
         inspection, not hot loops."""
         pts, single = self._check_points(x)
@@ -537,20 +548,23 @@ class DynamicGaussianMixture(MixtureCore):
         return self._w * np.exp(-0.5 * quad)
 
     def _draw(self, quad: np.ndarray, rng: np.random.Generator) -> int:
-        scores = self._selection_scores(quad)
-        total = float(scores.sum())
-        if not 0.0 < total < math.inf:
-            return int(np.argmin(quad))
-        u = rng.random()
-        return min(bisect.bisect_right((scores / total).cumsum().tolist(), u), len(scores) - 1)
+        """One categorical draw with probability proportional to
+        w_i * exp(-quad_i / 2), from exactly one rng.random().  The scores
+        are shifted by the smallest distance, so the nearest component
+        scores its own weight and the total is positive and finite even
+        where every unshifted score underflows."""
+        cum = self._selection_scores(quad - quad.min()).cumsum()
+        return min(bisect.bisect_right(cum.tolist(), rng.random() * cum[-1]), len(cum) - 1)
 
     def select_component(self, x, rng: np.random.Generator) -> int:
         """Draw a component index with probability proportional to
-        w_i * exp(-maha_i(x)^2 / 2).  If every score underflows to zero the
-        sample is out of support everywhere; fall back to the nearest
-        component by Mahalanobis distance."""
+        w_i * exp(-maha_i(x)^2 / 2), using exactly one rng.random().  There
+        is no fallback: far outside the support, where every score would
+        underflow, the draw still follows these proportions (see _draw).
+        A point with a NaN, an infinite or an overflowing coordinate raises
+        ValueError, as in add_sample, before the rng is touched."""
         pts, _ = self._check_points(x)
-        return self._draw(self._quad_at(pts[0]), rng)
+        return self._draw(self._quad_at(check_coordinates(pts[0], "sample")), rng)
 
     def _check_sample(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float).reshape(-1)
@@ -564,12 +578,14 @@ class DynamicGaussianMixture(MixtureCore):
         weight 1.  Total weight always grows by exactly 1.
 
         A sample with a NaN, an infinite coordinate, or a coordinate whose
-        square overflows float64 raises ValueError before anything else
-        happens, leaving the mixture and rng untouched.  Otherwise the
+        square overflows float64, a k that is negative or NaN, and a
+        new_cov_scale outside (0, inf) raise ValueError before anything
+        else happens, leaving the mixture and rng untouched.  Otherwise the
         uniform draw happens first, unconditionally, so a fixed seed yields
-        the same decision sequence regardless of branch outcomes.  The
-        component distances to x are evaluated once and serve both d and
-        the component selection.
+        the same decision sequence regardless of branch outcomes; a merge
+        then makes exactly one more draw, for its component (see _draw).
+        The component distances to x are evaluated once and serve both d
+        and the component selection.
 
         d, which needs the O(m^2 D^2) peak estimate, is computed only when
         the draw r is at or above the threshold at d = 0.  The threshold
@@ -579,6 +595,8 @@ class DynamicGaussianMixture(MixtureCore):
         """
         if not k >= 0:
             raise ValueError("k must be non-negative")
+        if not 0.0 < new_cov_scale < math.inf:
+            raise ValueError(f"new_cov_scale must be positive and finite, got {new_cov_scale!r}")
         x = self._check_sample(x)
         r = rng.random()
         if len(self):

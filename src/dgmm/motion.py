@@ -217,8 +217,8 @@ class MotionModel:
             raise ValueError("x_dim must be >= 1 and z_dim >= 0")
         if standardizer is not None and standardizer.offset.shape[0] != x_dim + z_dim:
             raise ValueError("standardizer length must equal x_dim + z_dim")
-        if creation_cov_scale <= 0:
-            raise ValueError("creation_cov_scale must be positive")
+        if not 0.0 < creation_cov_scale < math.inf:
+            raise ValueError(f"creation_cov_scale must be positive and finite, got {creation_cov_scale!r}")
         if not k >= 0:
             raise ValueError("k must be non-negative")
         self.k = float(k)

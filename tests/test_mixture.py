@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dgmm.mixture
 from dgmm.gaussian import Gaussian, positive_definite_cholesky
@@ -103,6 +103,63 @@ class TestNormalizedMixtureDensity:
                                                                           rel=1e-12)
 
 
+    @pytest.mark.parametrize("log_peak", [-742.0, -735.0])
+    def test_subnormal_peak_gives_the_exact_ratio(self, log_peak):
+        # one D = 8 component whose density at its mean is exp(log_peak),
+        # a subnormal float: a linear ratio of two subnormals loses digits
+        log_s = -(log_peak + 4.0 * math.log(2.0 * math.pi)) / 4.0
+        mean = np.linspace(-1.0, 1.0, 8) * math.exp(0.5 * log_s)
+        m = mix((mean, math.exp(log_s) * np.eye(8), 3.0))
+        assert m._log_norm[0] == pytest.approx(log_peak, abs=1e-9)
+        x = mean + math.sqrt(2.0 * m._eval_cov[0, 0, 0]) * np.eye(8)[0]
+        assert m.normalized_density(x) == pytest.approx(math.exp(-1.0), rel=1e-14)
+
+
+class TestScaledNormalizedDensity:
+    """d is one scaled ratio at every covariance scale: it lies in [0, 1]
+    and equals its log-space definition
+    exp(min(0, logsumexp(a(x)) - max_i logsumexp(a(mean_i)))), with
+    a(y)_j = log(w_j / W) + log N(y; component j)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dim=st.integers(1, 8),
+        m=st.integers(1, 5),
+        log_peak=st.floats(-800.0, 800.0),
+        spread=st.floats(0.0, 30.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(dim=8, m=1, log_peak=-742.0, spread=1.0, seed=0)
+    @example(dim=8, m=3, log_peak=-730.0, spread=2.0, seed=1)
+    @example(dim=8, m=2, log_peak=760.0, spread=1.0, seed=2)
+    def test_matches_log_space_reference(self, dim, m, log_peak, spread, seed):
+        rng = np.random.default_rng(seed)
+        # one covariance scale s puts each component's log density at its
+        # mean near log_peak; at small D, s is kept inside float64's range
+        log_s = np.clip(-2.0 * (log_peak + 0.5 * dim * math.log(2.0 * math.pi)) / dim, -650.0, 650.0)
+        sd = math.exp(0.5 * log_s)
+        comps = []
+        for _ in range(m):
+            a = rng.standard_normal((dim, dim))
+            cov = math.exp(log_s) * (a @ a.T / dim + 0.1 * np.eye(dim))
+            comps.append(WeightedGaussian(Gaussian(3.0 * sd * rng.standard_normal(dim), 0.5 * (cov + cov.T)),
+                                          rng.uniform(0.1, 20.0)))
+        mixture = DynamicGaussianMixture.from_components(comps)
+        pds = [c.pd_gaussian() for c in comps]
+        log_w = np.log(np.array([c.w for c in comps]) / sum(c.w for c in comps))
+
+        def log_mix(y):
+            return logsumexp(log_w + np.array([g.log_density(y) for g in pds]))
+
+        log_peak_est = max(log_mix(g.mean) for g in pds)
+        pts = np.array([pds[rng.integers(m)].mean + spread * sd * rng.standard_normal(dim) for _ in range(4)])
+        got = mixture.normalized_density(pts)
+        want = np.exp(np.minimum(0.0, np.array([log_mix(x) for x in pts]) - log_peak_est))
+        assert np.all((got >= 0.0) & (got <= 1.0))
+        scored = want >= 1e-300
+        assert got[scored] == pytest.approx(want[scored], rel=1e-12)
+
+
 class TestMergeThreshold:
     def test_zero_count_gives_d(self):
         assert merge_threshold(0.5, 0.0, 3.0) == pytest.approx(0.5)
@@ -197,6 +254,36 @@ class TestSelectComponent:
         x = np.array([60.0, 0.0])
         rng = np.random.default_rng(4)
         assert all(m.select_component(x, rng) == 1 for _ in range(20))
+
+
+    def test_underflowing_scores_draw_with_true_proportions(self):
+        # equal weights at squared distances 1500 and 1501: both scores
+        # underflow, and the nearer one's share is 1 / (1 + e^-0.5)
+        m = mix(([math.sqrt(1500.0)], [[1.0]], 1.0), ([-math.sqrt(1501.0)], [[1.0]], 1.0))
+        x = np.array([0.0])
+        assert np.all(m._selection_scores(m._quad_at(x)) == 0.0)
+        rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+        draws = []
+        for _ in range(4000):
+            draws.append(m.select_component(x, rng))
+            twin.random()
+            assert rng.bit_generator.state == twin.bit_generator.state
+        share = draws.count(0) / len(draws)
+        assert share == pytest.approx(1.0 / (1.0 + math.exp(-0.5)), abs=0.02)
+
+    @pytest.mark.parametrize("bad, problem", [
+        (math.nan, "is NaN"),
+        (math.inf, "is infinite"),
+        (-math.inf, "is infinite"),
+        (1e200, "= 1e+200 is too large: its square overflows float64"),
+    ])
+    def test_bad_point_rejected_before_any_draw(self, bad, problem):
+        m = mix(([0.0, 0.0], np.eye(2), 1.0), ([3.0, 0.0], np.eye(2), 2.0))
+        rng = np.random.default_rng(9)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="sample coordinate 1 " + re.escape(problem)):
+            m.select_component(np.array([0.5, bad]), rng)
+        assert rng.bit_generator.state == state
 
 
 class TestMergeInto:
@@ -371,6 +458,19 @@ class TestSampleValidation:
         for (wa, ma, ca), (wb, mb, cb) in zip(after, before):
             assert wa == wb and np.array_equal(ma, mb) and np.array_equal(ca, cb)
         assert np.isfinite(m.density(np.zeros(2)))
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_creation_scale_rejected_before_any_draw(self, scale):
+        m = mix(([0.0], [[1.0]], 3.0))
+        rng = np.random.default_rng(32)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="new_cov_scale must be positive and finite"):
+            m.add_sample(np.array([50.0]), 0.3, rng, new_cov_scale=scale)
+        assert rng.bit_generator.state == state
+        assert len(m) == 1 and m.total_weight() == 3.0
+        with pytest.raises(ValueError, match="new_cov_scale must be positive and finite"):
+            DynamicGaussianMixture(1).add_sample(np.array([0.0]), 0.3, rng, new_cov_scale=scale)
+        assert rng.bit_generator.state == state
 
     def test_largest_finite_square_is_accepted(self):
         m = DynamicGaussianMixture(1)

@@ -700,6 +700,11 @@ class TestPersistence:
         with pytest.raises(ValueError, match="k must be non-negative"):
             MotionModel(k=k)
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_creation_cov_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="creation_cov_scale must be positive and finite"):
+            MotionModel(k=0.3, creation_cov_scale=scale)
+
     def test_persistence_builds_no_component_objects(self, monkeypatch):
         records = simulate_incline(InclineConfig(reps_per_orientation=1))
         mm = fit_motion_model(records, k=0.3, rng=np.random.default_rng(35), standardize=True)
