@@ -7,6 +7,13 @@ randomness flows from one master generator: each independent work item
 (run, fold, attempt) gets its own integer seed drawn up-front from the
 master stream, so runs are independent, reproducible, and replayable from
 the report alone.
+
+The terrain comparison works on arrays: it builds its records' vectors
+once, and every fold's models train on rows of them (`_fit`, which
+fit_motion_model wraps too) and are scored on rows of them
+(`_score_fold`), with the bits and errors of training and scoring one
+record at a time.  Every training record is still one
+DynamicGaussianMixture.add_sample call.
 """
 
 from __future__ import annotations
@@ -17,10 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import SampleRecord, strip_z
+from .datasets import SampleRecord
 from .em import DENSITY_FLOOR, em_fit, ise
-from .mixture import DynamicGaussianMixture, _count_is_final, check_rows
-from .motion import MotionModel, Standardizer, TerrainSupportError
+from .mixture import MAX_COORDINATE, DynamicGaussianMixture, _count_is_final, check_rows
+from .motion import MotionModel, Standardizer
 
 LOG_FLOOR = math.log(DENSITY_FLOOR)
 
@@ -142,15 +149,28 @@ def fit_motion_model(records: list[SampleRecord], k: float, rng: np.random.Gener
     augmented = records[0].z is not None
     if any((r.z is not None) != augmented for r in records):
         raise ValueError("terrain presence must be uniform across records")
-    vectors = np.array([
-        np.concatenate([r.x.as_vector(), r.z.as_vector()]) if augmented else r.x.as_vector()
+    return _fit(_record_vectors(records, augmented), [r.command for r in records],
+                2 if augmented else 0, k, rng, standardize)
+
+
+def _record_vectors(records: list[SampleRecord], with_terrain: bool) -> np.ndarray:
+    """The records' x || z vectors (N, 8), or their x vectors (N, 6)."""
+    return np.array([
+        np.concatenate([r.x.as_vector(), r.z.as_vector()]) if with_terrain else r.x.as_vector()
         for r in records
     ])
+
+
+def _fit(vectors: np.ndarray, commands: list, z_dim: int, k: float, rng: np.random.Generator,
+         standardize: bool) -> MotionModel:
+    """A fresh motion model trained on the rows of vectors (N, 6 + z_dim),
+    x or x || z in original units, in order, each with its command: with
+    standardize, the standardizer is fitted on every row first.  The rows
+    are standardized in one batch, then each is one add_sample
+    (MotionModel._train)."""
     std = Standardizer.fit(vectors) if standardize else None
-    mm = MotionModel(k=k, x_dim=6, z_dim=2 if augmented else 0, standardizer=std)
-    # one batch transform; each row then takes record_sample's path
-    for r, u in zip(records, mm._std.transform(vectors)):
-        mm._record(r.command, u, rng)
+    mm = MotionModel(k=k, x_dim=vectors.shape[1] - z_dim, z_dim=z_dim, standardizer=std)
+    mm._train(commands, mm._std.transform(vectors), rng)
     return mm
 
 
@@ -285,21 +305,43 @@ def mise_experiment(points, k: float, target_m: int, needed: int,
     )
 
 
-def _score_fold(model: MotionModel, records: list[SampleRecord],
-                use_terrain: bool) -> tuple[float, int]:
-    """Summed floored log density of the records under the model; the
-    second value counts records that could not be scored properly (unknown
-    command or terrain outside the training support) and took the floor."""
-    total = 0.0
+def _score_fold(model: MotionModel, commands: list, vectors: np.ndarray,
+                rows: list[int]) -> tuple[float, int]:
+    """Summed floored log density under the model of the records `rows`,
+    given by their commands and their vectors in original units (x || z
+    for a terrain model, x otherwise); the second value counts records that
+    could not be scored properly (unknown command or terrain outside the
+    training support) and took the floor.
+
+    It gives what calling model.log_density on each record in turn and
+    summing in record order gives, bit for bit, and raises the error that
+    loop would raise first.  The records of one command are scored
+    together (MotionModel._log_density_rows)."""
+    v = vectors[rows]
+    # a record of a known command with a NaN, infinite or overflowing
+    # coordinate makes log_density raise: the first one raises here
+    for pos in np.flatnonzero(~(np.abs(v) <= MAX_COORDINATE).all(axis=1)).tolist():
+        if commands[rows[pos]] in model.models:
+            x_dim = model.x_dim
+            model.log_density(commands[rows[pos]], v[pos, :x_dim],
+                              v[pos, x_dim:] if model.augmented else None)
+            raise AssertionError("log_density accepted a record with a bad coordinate")
+    groups: dict = {}
+    for pos, i in enumerate(rows):
+        groups.setdefault(commands[i], []).append(pos)
+    ll = np.full(len(rows), LOG_FLOOR)
     unscored = 0
-    for r in records:
-        try:
-            ll = model.log_density(r.command, r.x, r.z if use_terrain else None)
-        except (KeyError, TerrainSupportError):
-            unscored += 1
-            total += LOG_FLOOR
+    for c, pos in groups.items():
+        if c not in model.models:
+            unscored += len(pos)
             continue
-        total += max(ll, LOG_FLOOR)
+        pos = np.array(pos)
+        scored, values = model._log_density_rows(c, v[pos])
+        ll[pos[scored]] = np.maximum(values, LOG_FLOOR)
+        unscored += len(pos) - int(scored.sum())
+    total = 0.0
+    for value in ll.tolist():
+        total += value
     return total, unscored
 
 
@@ -314,10 +356,21 @@ def terrain_comparison(s1: list[SampleRecord], folds: int, repeats: int, k: floa
     stripped.  The held-out fold (or, with score_training, the training
     portion itself) is scored under both: summed log of the
     terrain-conditioned density versus summed log of the plain density.
+
+    The records' x || z vectors are built once, and the terrain-free
+    model uses a contiguous copy of their x block.  Each fold's two models
+    train on the rows of the fold's shuffled training records (see _fit),
+    and each is scored on the target rows (see _score_fold).  The report
+    is bit for bit the one that fitting with fit_motion_model and scoring
+    each record with MotionModel.log_density gives, and a bad record
+    raises the same ValueError.  Every record needs a terrain vector.
     """
-    if not s1 or s1[0].z is None:
+    if not s1 or any(r.z is None for r in s1):
         raise ValueError("terrain comparison needs records with terrain vectors")
-    s2 = strip_z(s1)
+    # built once: every fold trains and scores on rows of these
+    with_z = _record_vectors(s1, True)
+    without_z = np.ascontiguousarray(with_z[:, :6])
+    commands = [r.command for r in s1]
     runs = []
     for rep in range(repeats):
         split = stratified_kfold(s1, folds, rng)
@@ -326,11 +379,12 @@ def terrain_comparison(s1: list[SampleRecord], folds: int, repeats: int, k: floa
             sub = np.random.default_rng(seeds[fi])
             train_idx = [i for fj, f in enumerate(split.folds) if fj != fi for i in f]
             order = [train_idx[j] for j in sub.permutation(len(train_idx))]
-            with_model = fit_motion_model([s1[i] for i in order], k, sub, standardize)
-            without_model = fit_motion_model([s2[i] for i in order], k, sub, standardize)
+            order_commands = [commands[i] for i in order]
+            with_model = _fit(with_z[order], order_commands, 2, k, sub, standardize)
+            without_model = _fit(without_z[order], order_commands, 0, k, sub, standardize)
             target_idx = train_idx if score_training else fold
-            case1, miss1 = _score_fold(with_model, [s1[i] for i in target_idx], True)
-            case2, miss2 = _score_fold(without_model, [s2[i] for i in target_idx], False)
+            case1, miss1 = _score_fold(with_model, commands, with_z, target_idx)
+            case2, miss2 = _score_fold(without_model, commands, without_z, target_idx)
             runs.append({
                 "repeat": rep,
                 "fold": fi,

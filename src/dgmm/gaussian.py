@@ -78,6 +78,16 @@ class Gaussian:
         self._chol = None
         self._log_norm = None
 
+    @classmethod
+    def _trusted(cls, mean: np.ndarray, cov: np.ndarray) -> "Gaussian":
+        """A Gaussian on float arrays mean (D,) and cov (D, D), taken as they
+        are, without __init__'s conversions and checks: for moments this
+        package has just computed from checked ones, such as merge_into's,
+        whose covariance is symmetric by construction."""
+        g = cls.__new__(cls)
+        g.mean, g.cov, g._chol, g._log_norm = mean, cov, None, None
+        return g
+
     @property
     def dim(self) -> int:
         return self.mean.shape[0]

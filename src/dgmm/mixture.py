@@ -46,7 +46,9 @@ stored arrays and that whitening.
 
 It gives `density`, `log_density`, `support_box` and the terrain
 `conditional`; `_factor` is the one place that factorizes, and `_quad`
-(many points) and `_whitened` (one point) are its Mahalanobis kernels.
+(many points against every component in one product) and `_whitened`
+(one point, or a stack of points each whitened on its own) are its
+Mahalanobis kernels.
 `_factor` calls the LAPACK gufuncs behind np.linalg.cholesky and
 np.linalg.inv directly, since at D <= 8 those functions' Python wrappers
 cost more than the factorization itself; it falls back to numpy.linalg,
@@ -59,26 +61,30 @@ DynamicGaussianMixture adds, for learning:
 
     _cov        (m, D, D)   exact unbiased covariances
     _creation   m entries   creation covariance of each component, or None
-    _fresh      1 entry     evaluation covariance and factor of a fresh
-                            component, for the last creation covariance
 
 and derives _eval_cov from _cov and _creation (see WeightedGaussian).  The
 component-at-mean densities N(mean_i; component j), an (m, m) matrix the
 peak estimate needs, are not stored: `_scaled_peak` builds them from the
 current arrays on each call, in O(m^2 D^2), scaled by the largest weighted
 density at a mean, so that d is one ratio of numbers in [0, m] at every
-covariance scale (`_peak` gives the unscaled matrix).  The merge's draw is
-likewise one expression: its scores are shifted by the nearest component's
-distance, so it needs no nearest-component fallback, and every merge makes
-exactly one draw.
+covariance scale (`_peak` gives the unscaled matrix).  That scaled peak is
+at least 1, so the scaled numerator alone, an O(m) dot product of the
+distances already in hand, bounds d from above: add_sample builds the peak
+matrix only for a draw that neither t(0) nor t(that bound) settles.  The
+merge's draw is likewise one expression: its scores are shifted by the
+nearest component's distance, so it needs no nearest-component fallback,
+and every merge makes exactly one draw.
 Invariant: after construction and after every add_sample, _eval_cov and
 _chol_inv are those of the current moments (and so is every log
 normalizer read off _chol_inv).  add_sample keeps this in
 O(m D^2): a merge into component i updates i in place and re-factors only
 i; an append grows every array by one, and factors nothing unless its
-creation covariance differs from the last append's (a fresh component's
-evaluation covariance and factor depend on its creation covariance
-alone).  Reads
+creation covariance differs from the last one appended by any mixture in
+the process.  A fresh component's evaluation covariance and factor depend
+on its creation covariance alone, so one module-level entry, `_fresh`,
+keeps them with a read-only copy of that covariance, and every mixture
+built with the same creation covariance (the many per-command mixtures of
+a motion model, say) shares them.  Reads
 (density, log_density, normalized_density, select_component, components,
 conditional) never mutate a mixture; only add_sample writes.
 
@@ -110,6 +116,13 @@ from .gaussian import (
 
 # the gufuncs that np.linalg.cholesky and np.linalg.inv call
 _cholesky_lo, _inv = _umath_linalg.cholesky_lo, _umath_linalg.inv
+
+# (creation covariance bytes, read-only copies of the creation covariance,
+# its fresh component's evaluation covariance and inverse factor) for the
+# last creation covariance appended by any mixture, or None: see
+# DynamicGaussianMixture._append.  The entry is replaced whole, never
+# written in place.
+_fresh: tuple[bytes, np.ndarray, np.ndarray, np.ndarray] | None = None
 
 #: Largest accepted sample coordinate magnitude: its square is finite in float64.
 MAX_COORDINATE = math.sqrt(np.finfo(float).max)
@@ -310,8 +323,11 @@ class MixtureCore:
         return (self._mean - n_sigma * sig).min(axis=0), (self._mean + n_sigma * sig).max(axis=0)
 
     def _whitened(self, x: np.ndarray) -> np.ndarray:
-        """V_i (x - mean_i) for one point (D,) and every component: (m, D)."""
-        return (self._chol_inv @ (x - self._mean)[:, :, None])[:, :, 0]
+        """V_i (x - mean_i) for one point x (D,) and every component: (m, D);
+        for a stack of points x (n, D), (n, m, D).  Each point of a stack
+        is whitened by the same (D, D) @ (D, 1) products as a lone point,
+        so its rows hold the lone point's bits."""
+        return (self._chol_inv @ (x[..., None, :] - self._mean)[..., None])[..., 0]
 
     def _split_log_density(self, u: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(y, log_dens) for one point u (D,), from the one whitening
@@ -319,11 +335,14 @@ class MixtureCore:
         log N(u; component i) in row 0 and log N(u[k:]; marginal_i over k:)
         in row 1.  y_i[k:] is the marginal's whitening and the trailing
         diagonal of V_i its inverse factor's (see the module docstring),
-        so y[:, k:] and row 1 are the same for any finite u[:k]."""
+        so y[:, k:] and row 1 are the same for any finite u[:k].  For a
+        stack of points u (n, D), y is (n, m, D) and log_dens (2, n, m),
+        each point's entries equal to its own call's."""
         y = self._whitened(u)
         terms = np.log(self._chol_inv.diagonal(axis1=1, axis2=2)) - 0.5 * y * y
-        log_dens = np.array([terms.sum(axis=1), terms[:, k:].sum(axis=1)])
-        return y, log_dens - 0.5 * LOG_2PI * np.array([[self.dim], [self.dim - k]])
+        half_log_2pi = 0.5 * LOG_2PI
+        return y, np.array([terms.sum(axis=-1) - half_log_2pi * self.dim,
+                            terms[..., k:].sum(axis=-1) - half_log_2pi * (self.dim - k)])
 
     def conditional(self, z) -> "MixtureCore":
         """Mixture over the leading coordinates given that the trailing
@@ -408,7 +427,8 @@ def merge_into(c: WeightedGaussian, x) -> WeightedGaussian:
         raise ValueError(f"sample dimension {x.shape[0]} != component dimension {c.g.dim}")
     mean, cov = c.g.mean.copy(), c.g.cov.copy()
     _absorb(c.w, mean, cov, x)
-    return WeightedGaussian(Gaussian(mean, cov), c.w + 1.0, c.creation_cov)
+    # _absorb keeps a symmetric covariance exactly symmetric
+    return WeightedGaussian(Gaussian._trusted(mean, cov), c.w + 1.0, c.creation_cov)
 
 
 class DynamicGaussianMixture(MixtureCore):
@@ -444,9 +464,10 @@ class DynamicGaussianMixture(MixtureCore):
         every component's evaluation covariance and inverse factor from
         them: the one place that does so for a whole mixture."""
         self._cov, self._creation = cov, creation
-        # (creation covariance bytes, read-only copy, evaluation covariance,
-        # inverse factor) of the last fresh component, or None (see _append)
-        self._fresh: tuple[bytes, np.ndarray, np.ndarray, np.ndarray] | None = None
+        # weights only grow from here on, so this is the one place to find a
+        # component below 1, which no merge could take (see add_sample)
+        light = np.flatnonzero(w < 1.0)
+        self._light = int(light[0]) if light.size else None
         eval_cov = np.array([_evaluation_cov(*row) for row in zip(cov, w, creation)],
                             dtype=float).reshape(cov.shape)
         super().__init__(w, mean, *(_factor(eval_cov) if len(w) else (eval_cov, eval_cov.copy())))
@@ -489,22 +510,26 @@ class DynamicGaussianMixture(MixtureCore):
         current arrays on each read in O(m^2 D^2)."""
         return np.exp(self._log_norm - 0.5 * _quad(self._mean, self._mean, self._chol_inv))
 
-    def _scaled_peak(self) -> tuple[float, np.ndarray, float]:
-        """(c, a, peak): the mixture and its peak estimate scaled by exp(-c).
+    def _scaled_weights(self) -> tuple[float, np.ndarray]:
+        """(c, a): the mixture scaled by exp(-c), in O(m D).
 
         c = max_j log((w_j / W) N(mean_j; component j)) and
         a_j = (w_j / W) N(mean_j; component j) exp(-c), so the mixture at a
         point with squared distances q_j is exp(c) sum_j a_j exp(-q_j / 2).
-        A component's density is highest at its mean, so every term of the
-        scaled peak, peak = max_i sum_j a_j exp(-q_ij / 2) over the means,
-        is <= 1, and the argmax's own term is exactly 1: peak lies in
-        [1, m] whatever the scale of the covariances.  Builds the (m, m)
-        distances, so it costs O(m^2 D^2)."""
+        Every a_j is <= 1, and the argmax's is exactly 1."""
         log_a = np.log(self._w / self._W) + self._log_norm
         c = log_a.max()
-        a = np.exp(log_a - c)
-        peak = (np.exp(-0.5 * _quad(self._mean, self._mean, self._chol_inv)) @ a).max()
-        return float(c), a, float(peak)
+        return float(c), np.exp(log_a - c)
+
+    def _scaled_peak(self, a: np.ndarray) -> float:
+        """The peak estimate scaled by exp(-c), for a = _scaled_weights()[1]:
+        peak = max_i sum_j a_j exp(-q_ij / 2) over the means.  A component's
+        density is highest at its mean, so every term is <= 1, and the
+        argmax of a meets itself at distance exactly 0, so its own term is
+        exactly 1 and the others add non-negative terms: peak lies in
+        [1, m] whatever the scale of the covariances, also after rounding.
+        Builds the (m, m) distances, so it costs O(m^2 D^2)."""
+        return float((np.exp(-0.5 * _quad(self._mean, self._mean, self._chol_inv)) @ a).max())
 
     def _peak_estimate(self) -> float:
         """Estimated mixture maximum: the largest mixture value over all
@@ -513,8 +538,8 @@ class DynamicGaussianMixture(MixtureCore):
         It is exp(c) times the scaled peak of _scaled_peak, so it
         underflows to 0 or overflows to inf where that product does; the
         ratio d never forms it."""
-        c, _, peak = self._scaled_peak()
-        return float(np.exp(c) * peak)
+        c, a = self._scaled_weights()
+        return float(np.exp(c) * self._scaled_peak(a))
 
     def _normalized(self, quad: np.ndarray) -> np.ndarray:
         """Mixture density over its estimated peak, clamped at 1, from the
@@ -524,8 +549,8 @@ class DynamicGaussianMixture(MixtureCore):
         so the peak lies in [1, m] and the ratio is one expression at every
         scale: it is never 0/0, inf/inf or a subnormal peak, and there is
         no log-space fallback."""
-        _, a, peak = self._scaled_peak()
-        return np.minimum((np.exp(-0.5 * quad) @ a) / peak, 1.0)
+        _, a = self._scaled_weights()
+        return np.minimum((np.exp(-0.5 * quad) @ a) / self._scaled_peak(a), 1.0)
 
     def normalized_density(self, x):
         """Mixture density rescaled so the estimated peak is 1; in [0, 1].
@@ -539,9 +564,21 @@ class DynamicGaussianMixture(MixtureCore):
 
     def _quad_at(self, x: np.ndarray) -> np.ndarray:
         """Squared Mahalanobis distance of one point (D,) to each component,
-        |V_i (x - mean_i)|^2: shape (m,)."""
+        |V_i (x - mean_i)|^2: shape (m,).
+
+        A finite x can still lie so far from every component, against
+        small enough covariances, that every distance overflows to inf (or
+        one to NaN), and then neither d nor the draw has a defined value:
+        that raises ValueError.  It uses no randomness, so add_sample and
+        select_component raise before the rng is touched."""
         y = self._whitened(x)
-        return np.einsum("md,md->m", y, y)
+        quad = np.einsum("md,md->m", y, y)
+        # np.minimum.reduce is what quad.min() calls, without its Python
+        # wrapper: half the cost on a few dozen entries
+        if not np.minimum.reduce(quad) < math.inf:
+            raise ValueError("sample is too far from the mixture: its squared Mahalanobis "
+                             "distance to every component overflows float64")
+        return quad
 
     def _selection_scores(self, quad: np.ndarray) -> np.ndarray:
         """w_i * exp(-maha_i^2 / 2) from the squared distances to one point."""
@@ -553,7 +590,7 @@ class DynamicGaussianMixture(MixtureCore):
         are shifted by the smallest distance, so the nearest component
         scores its own weight and the total is positive and finite even
         where every unshifted score underflows."""
-        cum = self._selection_scores(quad - quad.min()).cumsum()
+        cum = self._selection_scores(quad - np.minimum.reduce(quad)).cumsum()
         return min(bisect.bisect_right(cum.tolist(), rng.random() * cum[-1]), len(cum) - 1)
 
     def select_component(self, x, rng: np.random.Generator) -> int:
@@ -561,8 +598,9 @@ class DynamicGaussianMixture(MixtureCore):
         w_i * exp(-maha_i(x)^2 / 2), using exactly one rng.random().  There
         is no fallback: far outside the support, where every score would
         underflow, the draw still follows these proportions (see _draw).
-        A point with a NaN, an infinite or an overflowing coordinate raises
-        ValueError, as in add_sample, before the rng is touched."""
+        A point with a NaN, an infinite or an overflowing coordinate, or
+        whose distance to every component overflows, raises ValueError, as
+        in add_sample, before the rng is touched."""
         pts, _ = self._check_points(x)
         return self._draw(self._quad_at(check_coordinates(pts[0], "sample")), rng)
 
@@ -578,41 +616,58 @@ class DynamicGaussianMixture(MixtureCore):
         weight 1.  Total weight always grows by exactly 1.
 
         A sample with a NaN, an infinite coordinate, or a coordinate whose
-        square overflows float64, a k that is negative or NaN, and a
-        new_cov_scale outside (0, inf) raise ValueError before anything
-        else happens, leaving the mixture and rng untouched.  Otherwise the
-        uniform draw happens first, unconditionally, so a fixed seed yields
-        the same decision sequence regardless of branch outcomes; a merge
-        then makes exactly one more draw, for its component (see _draw).
-        The component distances to x are evaluated once and serve both d
-        and the component selection.
-
-        d, which needs the O(m^2 D^2) peak estimate, is computed only when
-        the draw r is at or above the threshold at d = 0.  The threshold
-        is non-decreasing in d also after rounding (fl(1 - d) <= 1 and
-        rounding is monotone), so r < t(0) implies r < t(d) and skipping d
-        there changes no decision.
+        square overflows float64, a sample whose distance to every
+        component overflows (see _quad_at), a k that is negative or NaN, a
+        new_cov_scale outside (0, inf), and a mixture holding a component
+        of weight below 1 (which no merge can take) raise ValueError
+        before anything else happens, leaving the mixture and rng
+        untouched.  Otherwise the uniform draw happens first,
+        unconditionally, so a fixed seed yields the same decision sequence
+        regardless of branch outcomes; a merge then makes exactly one more
+        draw, for its component (see _draw).  The component distances to x
+        are evaluated once and serve both d and the component selection.
         """
         if not k >= 0:
             raise ValueError("k must be non-negative")
         if not 0.0 < new_cov_scale < math.inf:
             raise ValueError(f"new_cov_scale must be positive and finite, got {new_cov_scale!r}")
+        if self._light is not None:
+            raise ValueError(f"component {self._light} has weight {float(self._w[self._light])!r} < 1; "
+                             "a mixture absorbs samples only when every component has weight >= 1")
         x = self._check_sample(x)
+        quad = self._quad_at(x) if len(self) else None
         r = rng.random()
-        if len(self):
-            quad = self._quad_at(x)
         # an empty mixture has d = n = 0, so t = 0 and it always appends
-        if len(self) and (r < merge_threshold(0.0, self._W, k)
-                          or r < merge_threshold(float(self._normalized(quad)), self._W, k)):
+        if quad is not None and self._merges(quad, r, k):
             self._merge(self._draw(quad, rng), x)
         else:
             self._append(x, new_cov_scale * np.eye(self.dim))
         self._W += 1.0
 
+    def _merges(self, quad: np.ndarray, r: float, k: float) -> bool:
+        """r < t(d), for the squared distances quad (m,) of a sample, where
+        t(d) = merge_threshold(d, n, k) and d = _normalized(quad).
+
+        t is non-decreasing in d also after rounding (fl(1 - d) <= 1 and
+        rounding is monotone), so two bounds on d settle most draws
+        without the O(m^2 D^2) peak estimate: r < t(0) merges, and
+        r >= t(min(num, 1)) appends, where num = sum_j a_j exp(-q_j / 2) is
+        d's scaled numerator, an O(m) dot product.  The scaled peak is at
+        least 1 (see _scaled_peak), so d = min(num / peak, 1) <= min(num, 1)
+        also after rounding.  Only a draw between the bounds builds the
+        peak, and d is then the value _normalized gives."""
+        if r < merge_threshold(0.0, self._W, k):
+            return True
+        _, a = self._scaled_weights()
+        num = float(np.exp(-0.5 * quad) @ a)
+        if r >= merge_threshold(min(num, 1.0), self._W, k):
+            return False
+        return r < merge_threshold(min(num / self._scaled_peak(a), 1.0), self._W, k)
+
     def _merge(self, i: int, x: np.ndarray) -> None:
+        """Absorb x into component i, whose weight is >= 1 (add_sample
+        checks that every weight is before it draws)."""
         w = self._w[i]
-        if w < 1.0:
-            raise ValueError("merge requires a component with weight >= 1")
         _absorb(w, self._mean[i], self._cov[i], x)
         self._w[i] = w + 1.0
         self._refactor(i)
@@ -620,16 +675,21 @@ class DynamicGaussianMixture(MixtureCore):
     def _append(self, x: np.ndarray, cov: np.ndarray) -> None:
         """Grow every array by one row for a weight-1 component at x whose
         covariance and creation covariance are cov.  Its evaluation
-        covariance and factor depend on cov alone, so they are kept for the
-        last cov seen and reused while cov repeats, as it does within a
-        stream; the components share one read-only copy of it as their
-        creation covariance."""
+        covariance and factor depend on cov alone, so they are kept in the
+        module's `_fresh` entry for the last cov any mixture appended, and
+        reused while cov repeats, as it does within a stream and across the
+        mixtures of one motion model; the components share one read-only
+        copy of it as their creation covariance."""
+        global _fresh
         key = cov.tobytes()
-        if self._fresh is None or self._fresh[0] != key:
+        fresh = _fresh
+        if fresh is None or fresh[0] != key:
             cov = cov.copy()
-            cov.flags.writeable = False
-            self._fresh = (key, cov, *_factor(_evaluation_cov(cov, 1.0, cov)))
-        _, cov, eval_cov, chol_inv = self._fresh
+            eval_cov, chol_inv = _factor(_evaluation_cov(cov, 1.0, cov))
+            for arr in (cov, eval_cov, chol_inv):
+                arr.flags.writeable = False
+            fresh = _fresh = (key, cov, eval_cov, chol_inv)
+        _, cov, eval_cov, chol_inv = fresh
         self._w = np.concatenate([self._w, [1.0]])
         self._mean = np.concatenate([self._mean, x[None]])
         self._cov = np.concatenate([self._cov, cov[None]])

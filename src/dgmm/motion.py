@@ -270,19 +270,44 @@ class MotionModel:
         A non-finite or overflowing sample raises ValueError (see
         DynamicGaussianMixture.add_sample) and leaves the model and rng
         untouched."""
-        self._record(c, self._training_vector(x, z), rng)
+        u = self._training_vector(x, z)
+        mix = self._mixture(c)
+        mix.add_sample(u, self.k, rng, new_cov_scale=self.creation_cov_scale)
+        # registered only once it holds the sample, so a rejected sample adds no command
+        self.models[c] = mix
 
-    def _record(self, c: CommandKey, u: np.ndarray, rng: np.random.Generator) -> None:
-        """record_sample for a training vector u already in the model's
-        internal space."""
+    def _mixture(self, c: CommandKey) -> DynamicGaussianMixture:
+        """The mixture of c, or a new empty one for a command without one
+        (not yet registered); the no-op command raises ValueError."""
         if c.is_noop():
             raise ValueError("the no-op command <0,0,0> is not trainable")
-        model = self.models.get(c)
-        if model is None:
-            model = DynamicGaussianMixture(self.dim)
-        model.add_sample(u, self.k, rng, new_cov_scale=self.creation_cov_scale)
-        # registered only once it holds the sample, so a rejected sample adds no command
-        self.models[c] = model
+        mix = self.models.get(c)
+        return DynamicGaussianMixture(self.dim) if mix is None else mix
+
+    def _train(self, commands, rows: np.ndarray, rng: np.random.Generator) -> None:
+        """record_sample for many training vectors already in the model's
+        internal space, rows (n, dim), with their commands (n entries), in
+        order: one add_sample per row, so the rng sees exactly the draws
+        record_sample would make row by row.
+
+        Each command is resolved to its mixture once, in first-seen order,
+        so a no-op command raises before any row is streamed.  A command
+        is registered only once its mixture holds a sample, so a row that
+        add_sample rejects adds no command."""
+        mixtures: dict[CommandKey, DynamicGaussianMixture] = {}
+        targets = []
+        for c in commands:
+            mix = mixtures.get(c)
+            if mix is None:
+                mix = mixtures[c] = self._mixture(c)
+            targets.append(mix)
+        try:
+            for mix, u in zip(targets, rows):
+                mix.add_sample(u, self.k, rng, new_cov_scale=self.creation_cov_scale)
+        finally:
+            for c, mix in mixtures.items():
+                if len(mix):
+                    self.models[c] = mix
 
     def record_step(self, c: CommandKey, prev: Pose, curr: Pose,
                     z: TerrainVector | None, rng: np.random.Generator) -> None:
@@ -332,8 +357,7 @@ class MotionModel:
         xv = np.zeros(self.x_dim) if x is None else self._query_x(x)
         y, log_dens = joint._split_log_density(self._std.transform(np.concatenate([xv, zv])),
                                                self.x_dim)
-        # the weights MixtureCore.conditional gives the components
-        if not (joint._w * np.exp(log_dens[1]) > 0.0).any():
+        if not _supported(joint, log_dens):
             raise TerrainSupportError(
                 f"terrain {np.array2string(zv, precision=4)} is far outside the training support"
             )
@@ -373,9 +397,35 @@ class MotionModel:
         if not self.augmented:
             return self.mixture_for(c).log_density(self._x_vector(x)) + self._x_log_jacobian
         joint, _, log_dens = self._terrain(c, z, x)
+        return float(self._terrain_log_density(joint, log_dens))
+
+    def _terrain_log_density(self, joint: DynamicGaussianMixture, log_dens: np.ndarray):
+        """log p(x | c, z) in original units from the joint's
+        _split_log_density at x || z: one value for one point, (n,) for a
+        stack of n points."""
         # the marginal has the joint's weights; the total weight cancels
         log_joint, log_marginal = logsumexp(log_dens + np.log(joint._w))
-        return float(log_joint - log_marginal) + self._x_log_jacobian
+        return log_joint - log_marginal + self._x_log_jacobian
+
+    def _log_density_rows(self, c: CommandKey, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """log_density of the rows v (n, dim) of command c, each x or
+        x || z in original units, for rows whose every coordinate has
+        passed check_coordinates: (scored, ll), where scored (n,) is False
+        for a row whose terrain lies outside the support (where
+        log_density raises TerrainSupportError) and ll holds the log
+        densities of the scored rows, in order.  Each value has the bits
+        log_density gives its row: terrain rows are whitened in one stack
+        (MixtureCore._whitened), and terrain-free rows go one at a time
+        through MixtureCore.log_density.  An unknown command raises
+        KeyError, as in log_density."""
+        mix = self.mixture_for(c)
+        u = self._std.transform(v)
+        if not self.augmented:
+            ll = np.array([mix.log_density(row) for row in u]) + self._x_log_jacobian
+            return np.ones(len(u), dtype=bool), ll
+        _, log_dens = mix._split_log_density(u, self.x_dim)
+        scored = _supported(mix, log_dens)
+        return scored, self._terrain_log_density(mix, log_dens[:, scored])
 
     # -- persistence -----------------------------------------------------------
 
@@ -499,6 +549,13 @@ class MotionModel:
         return cls.from_dict(doc)
 
 
+def _supported(joint: MixtureCore, log_dens: np.ndarray):
+    """Whether some component keeps a positive weight w_i N(z; marginal_i),
+    the weight MixtureCore.conditional gives it, from _split_log_density's
+    log_dens: one answer for one point, (n,) for a stack of n points."""
+    return (joint._w * np.exp(log_dens[1]) > 0.0).any(axis=-1)
+
+
 def _component_docs(mix: DynamicGaussianMixture, default_creation: np.ndarray) -> list[dict]:
     """The components of one command in a model file, one per row of the
     mixture's arrays.  A creation covariance is written only when it is not
@@ -536,21 +593,28 @@ def _expect_count(obj: dict, name: str, low: int, prefix: str = "") -> int:
     return int(val)
 
 
-def _expect_floats(obj: dict, name: str, length: int, prefix: str = "") -> list[float]:
+def _expect_floats(obj: dict, name: str, length: int, prefix: str = "") -> np.ndarray:
+    """The list obj[name] of `length` finite numbers (JSON ints or floats,
+    not booleans) as a float array.  The numbers are checked in one pass
+    over their types and one over their values; only a list that fails
+    is walked entry by entry, to name its first bad entry."""
     val = obj.get(name)
     if not isinstance(val, list) or len(val) != length:
         _fail(prefix + name, f"missing or not a list of {length} numbers")
-    out = []
+    if set(map(type, val)) <= {float, int}:
+        out = np.array(val, dtype=float)
+        if np.isfinite(out).all():
+            return out
     for i, v in enumerate(val):
         if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
             _fail(f"{prefix}{name}[{i}]", "not a finite number")
-        out.append(float(v))
-    return out
+    # subclasses of int or float, from a document not read from JSON
+    return np.array(val, dtype=float)
 
 
 def _expect_matrix(obj: dict, name: str, dim: int, prefix: str = "") -> np.ndarray:
     """A symmetric (dim, dim) matrix from its row-major list."""
-    mat = np.array(_expect_floats(obj, name, dim * dim, prefix)).reshape(dim, dim)
+    mat = _expect_floats(obj, name, dim * dim, prefix).reshape(dim, dim)
     try:
         check_symmetric(mat)
     except ValueError as exc:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
@@ -5,18 +7,23 @@ from scipy.stats import spearmanr
 from dgmm import evaluation
 from dgmm.datasets import (
     InclineConfig,
+    SampleRecord,
     load_old_faithful,
     sample_gmm,
     simulate_incline,
+    strip_z,
     three_component_benchmark,
 )
 from dgmm.evaluation import (
+    LOG_FLOOR,
+    fit_motion_model,
     k_sweep,
     mise_experiment,
     stratified_kfold,
     terrain_comparison,
 )
 from dgmm.mixture import DynamicGaussianMixture
+from dgmm.motion import DeltaPose, MotionModel, Standardizer, TerrainSupportError, TerrainVector
 
 
 class TestStratifiedKfold:
@@ -176,6 +183,118 @@ class TestTerrainComparison:
         records = strip_z(simulate_incline(InclineConfig(reps_per_orientation=1)))
         with pytest.raises(ValueError):
             terrain_comparison(records, 5, 1, 0.3, np.random.default_rng(26))
+
+
+def per_record_fit(records, k, rng, standardize=True):
+    """fit_motion_model one record at a time through record_sample."""
+    augmented = records[0].z is not None
+    vectors = np.array([np.concatenate([r.x.as_vector(), r.z.as_vector()]) if augmented
+                        else r.x.as_vector() for r in records])
+    mm = MotionModel(k=k, x_dim=6, z_dim=2 if augmented else 0,
+                     standardizer=Standardizer.fit(vectors) if standardize else None)
+    for r in records:
+        mm.record_sample(r.command, r.x, r.z, rng)
+    return mm
+
+
+def per_record_score(model, records):
+    """Summed floored log density and unscored count, one log_density call
+    per record, summed in record order."""
+    total, unscored = 0.0, 0
+    for r in records:
+        try:
+            ll = model.log_density(r.command, r.x, r.z)
+        except (KeyError, TerrainSupportError):
+            unscored += 1
+            total += LOG_FLOOR
+            continue
+        total += max(ll, LOG_FLOOR)
+    return total, unscored
+
+
+def per_record_runs(s1, folds, repeats, k, rng, standardize=True, score_training=False):
+    """The runs of terrain_comparison, with every model trained and every
+    record scored one record at a time."""
+    s2 = strip_z(s1)
+    runs = []
+    for rep in range(repeats):
+        split = stratified_kfold(s1, folds, rng)
+        seeds = [int(x) for x in rng.integers(0, 2**63 - 1, size=folds, dtype=np.int64)]
+        for fi, fold in enumerate(split.folds):
+            sub = np.random.default_rng(seeds[fi])
+            train_idx = [i for fj, f in enumerate(split.folds) if fj != fi for i in f]
+            order = [train_idx[j] for j in sub.permutation(len(train_idx))]
+            with_model = per_record_fit([s1[i] for i in order], k, sub, standardize)
+            without_model = per_record_fit([s2[i] for i in order], k, sub, standardize)
+            target = train_idx if score_training else fold
+            case1, miss1 = per_record_score(with_model, [s1[i] for i in target])
+            case2, miss2 = per_record_score(without_model, [s2[i] for i in target])
+            runs.append({"repeat": rep, "fold": fi, "seed": seeds[fi], "n_scored": len(target),
+                         "with_terrain": case1, "without_terrain": case2,
+                         "unscored_with": miss1, "unscored_without": miss2})
+    return runs
+
+
+def awkward_incline_set():
+    """A small incline set with a command of one record (unknown to the
+    models of the fold that holds it out) and a record whose terrain is far
+    outside every other record's (unsupported where it is held out)."""
+    records = simulate_incline(InclineConfig(reps_per_orientation=2, seed=40))
+    lone = records[0].command
+    records = [r for r in records if r.command != lone] + [records[0]]
+    far = records[1]
+    return records + [SampleRecord(far.command, TerrainVector(40.0, -0.2), far.x)]
+
+
+class TestBatchedFolds:
+    """terrain_comparison builds its record arrays once, trains every fold
+    through one row trainer and scores each command's held-out records in
+    one stack; its runs equal those of training and scoring one record at a
+    time, bit for bit, and every training record is one add_sample."""
+
+    @pytest.mark.parametrize("standardize, score_training", [(True, False), (False, False),
+                                                             (True, True)])
+    def test_runs_equal_per_record_reference(self, standardize, score_training):
+        records = awkward_incline_set()
+        report = terrain_comparison(records, folds=3, repeats=2, k=0.3, rng=np.random.default_rng(41),
+                                    standardize=standardize, score_training=score_training)
+        want = per_record_runs(records, 3, 2, 0.3, np.random.default_rng(41), standardize,
+                               score_training)
+        assert report.runs == want
+        if not score_training:
+            assert report.summary["unscored_with"] > report.summary["unscored_without"] > 0
+
+    @pytest.mark.parametrize("at", [0, 40, -1])
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_bad_record_raises_what_the_reference_raises(self, at, standardize):
+        records = awkward_incline_set()
+        r = records[at]
+        records[at] = SampleRecord(r.command, r.z, DeltaPose(r.x.dx, math.nan, *r.x.as_vector()[2:]))
+        with pytest.raises(ValueError) as want:
+            per_record_runs(records, 3, 1, 0.3, np.random.default_rng(42), standardize)
+        with pytest.raises(ValueError) as got:
+            terrain_comparison(records, folds=3, repeats=1, k=0.3, rng=np.random.default_rng(42),
+                               standardize=standardize)
+        assert str(got.value) == str(want.value)
+
+    def test_fit_motion_model_equals_per_record_training(self):
+        records = awkward_incline_set()
+        for recs in (records, strip_z(records)):
+            for standardize in (True, False):
+                got = fit_motion_model(recs, 0.3, np.random.default_rng(43), standardize)
+                want = per_record_fit(recs, 0.3, np.random.default_rng(43), standardize)
+                assert got.to_dict() == want.to_dict()
+                assert list(got.models) == list(want.models)
+
+    def test_every_training_record_is_one_add_sample(self, monkeypatch):
+        records = awkward_incline_set()
+        calls = _counting_add_sample(monkeypatch)
+        terrain_comparison(records, folds=3, repeats=2, k=0.3, rng=np.random.default_rng(44))
+        # two models per fold, each trained on the records outside the fold
+        assert calls[0] == 2 * 2 * (3 - 1) * len(records)
+        calls[0] = 0
+        fit_motion_model(records, 0.3, np.random.default_rng(45))
+        assert calls[0] == len(records)
 
 
 class TestReportReproducibility:

@@ -285,6 +285,25 @@ class TestSelectComponent:
             m.select_component(np.array([0.5, bad]), rng)
         assert rng.bit_generator.state == state
 
+    def test_distance_overflowing_for_every_component_is_rejected(self):
+        # finite coordinates whose whitened squares overflow against small
+        # covariances: no draw has a defined value there
+        m = mix(([0.0, 0.0], 1e-4 * np.eye(2), 1.0), ([1.0, 0.0], 1e-4 * np.eye(2), 1.0))
+        x = np.array([1e153, 0.0])
+        rng = np.random.default_rng(10)
+        state = rng.bit_generator.state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: m.select_component(x, rng), lambda: m.add_sample(x, 0.3, rng)):
+                with pytest.raises(ValueError, match="squared Mahalanobis distance to every "
+                                                     "component overflows float64"):
+                    call()
+        assert rng.bit_generator.state == state
+        assert len(m) == 2 and m.total_weight() == 2.0
+        # one finite distance is enough: the far component scores 0
+        near = mix(([0.0, 0.0], 1e-4 * np.eye(2), 1.0), ([1e153, 0.0], np.eye(2), 1.0))
+        assert near.select_component(x, rng) == 1
+
 
 class TestMergeInto:
     def test_first_merge_discards_creation_covariance(self):
@@ -436,6 +455,22 @@ class TestEvaluationBlend:
 
 
 class TestSampleValidation:
+    def test_component_below_unit_weight_is_rejected_before_any_draw(self):
+        # no merge can take a component of weight 0.5, so the mixture
+        # refuses every sample up front instead of failing after its draw
+        m = mix(([0.0], [[1.0]], 3.0), ([5.0], [[1.0]], 0.5))
+        rng = np.random.default_rng(31)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=re.escape("component 1 has weight 0.5 < 1")):
+            m.add_sample(np.array([5.0]), 5.0, rng)
+        assert rng.bit_generator.state == state
+        assert m.total_weight() == 3.5 and np.array_equal(m._w, [3.0, 0.5])
+        # its density is still defined, and unit weights train as before
+        assert m.density(np.array([5.0])) > 0.0
+        ok = mix(([0.0], [[1.0]], 3.0), ([5.0], [[1.0]], 1.0))
+        ok.add_sample(np.array([5.0]), 5.0, rng)
+        assert ok.total_weight() == 5.0
+
     @pytest.mark.parametrize("bad, problem", [
         (math.nan, "is NaN"),
         (math.inf, "is infinite"),
@@ -708,6 +743,61 @@ class TestLazyDensity:
             assert rng_lazy.bit_generator.state == rng_eager.bit_generator.state
 
 
+class TestDensityBound:
+    """add_sample settles a draw at or above t(0) without the peak matrix
+    when r >= t(min(num, 1)), num being d's scaled numerator: the scaled
+    peak is at least 1, so that is an upper bound on d and skips no
+    merge."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 8),
+        m=st.integers(1, 12),
+        n=st.integers(1, 30),
+        log_k=st.floats(-3.0, 0.0),
+        offset=st.floats(-1e6, 1e6),
+        log_cov_scale=st.floats(-6.0, 6.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bound_holds_and_changes_no_decision(self, dim, m, n, log_k, offset, log_cov_scale, seed):
+        rng = np.random.default_rng(seed)
+        k, cov_scale = 10.0**log_k, 10.0**log_cov_scale
+        scale = math.sqrt(cov_scale)
+        comps = []
+        for _ in range(m):
+            a = rng.standard_normal((dim, dim))
+            cov = cov_scale * (a @ a.T / dim + 0.1 * np.eye(dim))
+            comps.append(WeightedGaussian(
+                Gaussian(offset + 3.0 * scale * rng.standard_normal(dim), 0.5 * (cov + cov.T)),
+                float(rng.integers(1, 10)), creation_cov=cov_scale * np.eye(dim)))
+        bounded, eager = DynamicGaussianMixture(dim, comps), DynamicGaussianMixture(dim, comps)
+        spread = scale * np.where(rng.random((n, 1)) < 0.3, 30.0, 1.0)
+        pts = offset + 3.0 * scale * rng.standard_normal((1, dim)) + spread * rng.standard_normal((n, dim))
+        rng_bounded, rng_eager = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+        for x in pts:
+            quad = bounded._quad_at(x)
+            _, a = bounded._scaled_weights()
+            num = float(np.exp(-0.5 * quad) @ a)
+            assert bounded._scaled_peak(a) >= 1.0
+            assert float(bounded._normalized(quad)) <= min(num, 1.0)
+            bounded.add_sample(x, k, rng_bounded, new_cov_scale=cov_scale)
+            eager_add_sample(eager, x, k, rng_eager, new_cov_scale=cov_scale)
+            assert_same_mixture(bounded, eager)
+            assert rng_bounded.bit_generator.state == rng_eager.bit_generator.state
+
+    def test_peak_matrix_is_built_only_between_the_bounds(self, monkeypatch):
+        # far samples (d ~ 0) draw at or above t(0) but are settled by the bound
+        m = mix(([0.0], [[1.0]], 5.0), ([4.0], [[1.0]], 5.0))
+        built = []
+        peak = DynamicGaussianMixture._scaled_peak
+        monkeypatch.setattr(DynamicGaussianMixture, "_scaled_peak",
+                            lambda self, a: built.append(len(self)) or peak(self, a))
+        rng = np.random.default_rng(12)
+        for i in range(20):
+            m.add_sample(np.array([1e3 * (i + 1)]), 1e-3, rng)
+        assert m.total_weight() == 30.0 and len(m) > 15 and built == []
+
+
 class TestRebuiltMixture:
     """A mixture rebuilt from its components (the path a loaded model file
     takes) holds the live mixture's arrays bit for bit and continues a
@@ -874,6 +964,8 @@ class TestFreshComponents:
         rng = np.random.default_rng(4)
         factored = []
         factor = dgmm.mixture._factor
+        # the entry is shared by every mixture: start from an empty one
+        monkeypatch.setattr(dgmm.mixture, "_fresh", None)
 
         def counting(eval_cov):
             factored.append(eval_cov.copy())
@@ -889,6 +981,30 @@ class TestFreshComponents:
         rebuilt = DynamicGaussianMixture.from_components(m.components)
         for name in ("_eval_cov", "_chol_inv"):
             assert np.array_equal(getattr(m, name), getattr(rebuilt, name)), name
+
+    def test_mixtures_share_one_fresh_factor(self, monkeypatch):
+        # the many mixtures of a motion model all append the identity
+        factored = []
+        factor = dgmm.mixture._factor
+
+        def counting(eval_cov):
+            factored.append(eval_cov.shape)
+            return factor(eval_cov)
+
+        monkeypatch.setattr(dgmm.mixture, "_fresh", None)
+        monkeypatch.setattr(dgmm.mixture, "_factor", counting)
+        rng = np.random.default_rng(7)
+        mixtures = [DynamicGaussianMixture(4) for _ in range(5)]
+        for i, m in enumerate(mixtures):
+            m.add_sample(np.full(4, float(i)), 0.3, rng)
+            m.add_sample(np.full(4, 1e3), 0.0, rng)
+        assert factored == [(4, 4)]
+        monkeypatch.undo()
+        assert all(m._creation[0] is mixtures[0]._creation[0] for m in mixtures)
+        for m in mixtures:
+            rebuilt = DynamicGaussianMixture.from_components(m.components)
+            for name in ("_eval_cov", "_chol_inv"):
+                assert np.array_equal(getattr(m, name), getattr(rebuilt, name)), name
 
     def test_components_hand_out_creation_copies(self):
         m = DynamicGaussianMixture(2)

@@ -543,6 +543,46 @@ class TestFusedTerrainQuery:
         assert np.array_equal(np.random.get_state()[1], global_state)
 
 
+class TestStackedRows:
+    """_log_density_rows scores many rows of one command in one stacked
+    whitening, with the bits log_density gives each row alone, and marks
+    exactly the rows where log_density raises TerrainSupportError."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        z_dim=st.sampled_from([0, 2]),
+        m=st.integers(1, 12),
+        n=st.integers(1, 12),
+        offset=st.floats(-1e6, 1e6),
+        log_scale=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_equal_log_density(self, z_dim, m, n, offset, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        dim, scale = 6 + z_dim, 10.0**log_scale
+        std = Standardizer(offset + rng.standard_normal(dim), scale * rng.uniform(0.5, 2.0, dim))
+        mm = MotionModel(k=0.5, x_dim=6, z_dim=z_dim, standardizer=std)
+        mix = mm.models[FWD] = DynamicGaussianMixture(
+            dim, hand_built_components(rng, dim, m, 0.0, 1.0, 1.0, integral=True))
+        # rows near the components, some with the terrain moved far away
+        u = mix._mean[rng.integers(m, size=n)] + rng.standard_normal((n, dim))
+        if z_dim:
+            u[:, 6:] += np.where(rng.random((n, 1)) < 0.3, 60.0, 0.0)
+        v = std.offset + std.scale * u
+        scored, values = mm._log_density_rows(FWD, v)
+        want, supported = [], []
+        for row in v:
+            try:
+                want.append(mm.log_density(FWD, row[:6], row[6:] if z_dim else None))
+                supported.append(True)
+            except TerrainSupportError:
+                supported.append(False)
+        assert scored.tolist() == supported
+        assert values.tolist() == want
+        with pytest.raises(KeyError):
+            mm._log_density_rows(TURN, v)
+
+
 class TestPersistence:
     def test_empty_round_trip(self, tmp_path):
         mm = MotionModel(k=0.7, z_dim=2)
@@ -694,6 +734,42 @@ class TestPersistence:
         mutate(doc)
         with pytest.raises(ValueError, match=re.escape(f"model file: field '{field}': ")):
             MotionModel.from_dict(doc)
+
+    @pytest.mark.parametrize("entry", [True, "1.0", None, [1.0]])
+    def test_bad_number_in_a_list_is_named(self, entry):
+        mm = MotionModel(k=0.5, x_dim=2, z_dim=0)
+        mm.models[FWD] = DynamicGaussianMixture.from_components(
+            [WeightedGaussian(Gaussian(np.zeros(2), np.eye(2)), 2.0)])
+        doc = json.loads(json.dumps(mm.to_dict()))
+        doc["commands"][0]["components"][0]["cov"][2] = entry
+        with pytest.raises(ValueError, match=re.escape(
+                "model file: field 'commands[0].components[0].cov[2]': not a finite number")):
+            MotionModel.from_dict(doc)
+
+    def test_numbers_that_subclass_float_load(self):
+        # a document built in Python rather than read from JSON
+        mm = MotionModel(k=0.5, x_dim=2, z_dim=0)
+        mm.models[FWD] = DynamicGaussianMixture.from_components(
+            [WeightedGaussian(Gaussian(np.array([0.5, -1.0]), np.eye(2)), 2.0)])
+        doc = json.loads(json.dumps(mm.to_dict()))
+        doc["commands"][0]["components"][0]["mean"] = [np.float64(0.5), np.float64(-1.0)]
+        assert MotionModel.from_dict(doc).to_dict() == mm.to_dict()
+
+    def test_component_below_unit_weight_loads_but_does_not_train(self):
+        # a hand-built model may hold such a weight and still be queried;
+        # no merge can take it, so training fails before the first draw
+        mm = MotionModel(k=5.0)
+        mm.models[FWD] = DynamicGaussianMixture.from_components(
+            [WeightedGaussian(Gaussian(np.zeros(6), np.eye(6)), 0.5)])
+        doc = json.loads(json.dumps(mm.to_dict()))
+        back = MotionModel.from_dict(doc)
+        assert back.motion_density(FWD, np.zeros(6)) == mm.motion_density(FWD, np.zeros(6))
+        rng = np.random.default_rng(36)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=re.escape("component 0 has weight 0.5 < 1")):
+            back.record_sample(FWD, DeltaPose(0, 0, 0, 0, 0, 0), None, rng)
+        assert rng.bit_generator.state == state
+        assert back.to_dict() == doc
 
     @pytest.mark.parametrize("k", [-1.0, math.nan])
     def test_negative_or_nan_k_rejected(self, k):
