@@ -26,7 +26,7 @@ import numpy as np
 
 from .datasets import SampleRecord
 from .em import DENSITY_FLOOR, em_fit, ise
-from .mixture import MAX_COORDINATE, DynamicGaussianMixture, _count_is_final, check_rows
+from .mixture import MAX_COORDINATE, DynamicGaussianMixture, _final_count, check_rows
 from .motion import MotionModel, Standardizer
 
 LOG_FLOOR = math.log(DENSITY_FLOOR)
@@ -177,6 +177,17 @@ def _fit(vectors: np.ndarray, commands: list, z_dim: int, k: float, rng: np.rand
 # -- experiments --------------------------------------------------------------
 
 
+def _check_k(k: float) -> None:
+    """add_sample's check of k, made before an experiment does any work."""
+    if not k >= 0:
+        raise ValueError("k must be non-negative")
+
+
+def _check_repeats(repeats: int) -> None:
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+
+
 def _stream_shuffle(points: np.ndarray, k: float, seed: int, stop) -> DynamicGaussianMixture:
     """A fresh online mixture fed one shuffle of the points, until stop(model)
     holds after an update or the points run out; the shuffle and every
@@ -197,17 +208,23 @@ def k_sweep(points, k_grid, repeats: int, rng: np.random.Generator) -> EvalRepor
 
     A stream stops as soon as its count is final: once the merge threshold
     has rounded to 1 (see mixture._count_is_final), every later sample
-    merges, so the rest of the shuffle could not change the count.  Each
-    stream draws from its own generator, so stopping one changes no other
-    run and the report is the one that streaming every point would give.
-    Every point is checked for NaN, infinite and overflowing coordinates
-    before the first stream.
+    merges, so the rest of the shuffle could not change the count.  The
+    count at which that happens is found once per k (mixture._final_count,
+    on the same predicate), and a stream stops when its total weight
+    reaches it.  Each stream draws from its own generator, so stopping one
+    changes no other run and the report is the one that streaming every
+    point would give.  Every k (negative or NaN: "k must be non-negative"),
+    repeats (at least 1) and every point (NaN, infinite and overflowing
+    coordinates) are checked before the first stream.
     """
     k_grid = [float(k) for k in k_grid]
     if not k_grid:
         raise ValueError("k_grid must be non-empty")
+    for k in k_grid:
+        _check_k(k)
     if any(b <= a for a, b in zip(k_grid, k_grid[1:])):
         raise ValueError("k_grid must be strictly ascending")
+    _check_repeats(repeats)
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points[:, None]
@@ -217,10 +234,10 @@ def k_sweep(points, k_grid, repeats: int, rng: np.random.Generator) -> EvalRepor
     seeds = _spawn_seeds(rng, len(k_grid) * repeats)
     runs = []
     for ki, k in enumerate(k_grid):
+        final = _final_count(k)
         for rep in range(repeats):
             seed = seeds[ki * repeats + rep]
-            model = _stream_shuffle(points, k, seed,
-                                    lambda model: _count_is_final(model.total_weight(), k))
+            model = _stream_shuffle(points, k, seed, lambda model: model.total_weight() >= final)
             runs.append({"k": k, "repeat": rep, "seed": seed, "components": len(model)})
     per_k = []
     for k in k_grid:
@@ -250,23 +267,28 @@ def mise_experiment(points, k: float, target_m: int, needed: int,
 
     A rejected run stops streaming as soon as its outcome is decided: when
     it has more than target_m components (components are never removed),
-    or when its count is final (see k_sweep) and is not target_m.  Accepted
-    runs stream every point.  Each attempt draws from its own generator, so
-    the report is the one that streaming every point would give.  Every
-    point is checked for NaN, infinite and overflowing coordinates before
+    or when its count is final (see k_sweep) and is not target_m.  The
+    count at which it is final is found once, before the EM fit
+    (mixture._final_count), and compared with each run's total weight.
+    Accepted runs stream every point.  Each attempt draws from its own
+    generator, so the report is the one that streaming every point would
+    give.  k (negative or NaN: "k must be non-negative"), needed and every
+    point (NaN, infinite and overflowing coordinates) are checked before
     the EM fit.
     """
+    _check_k(k)
     if needed < 1:
         raise ValueError("needed must be >= 1")
     points = np.asarray(points, dtype=float)
     check_rows(points, "point {row}: sample")
+    final = _final_count(k)
     em_ref = em_fit(points, target_m, rng=rng)
     em_steps = np.diff(em_ref.loglik_path)
     seeds = _spawn_seeds(rng, max_attempts)
 
     def decided(model):
         m = len(model)
-        return m > target_m or (m != target_m and _count_is_final(model.total_weight(), k))
+        return m > target_m or (m != target_m and model.total_weight() >= final)
 
     runs = []
     attempts = 0
@@ -363,10 +385,14 @@ def terrain_comparison(s1: list[SampleRecord], folds: int, repeats: int, k: floa
     and each is scored on the target rows (see _score_fold).  The report
     is bit for bit the one that fitting with fit_motion_model and scoring
     each record with MotionModel.log_density gives, and a bad record
-    raises the same ValueError.  Every record needs a terrain vector.
+    raises the same ValueError.  Every record needs a terrain vector; k
+    (negative or NaN: "k must be non-negative") and repeats (at least 1)
+    are checked before the first fold split.
     """
     if not s1 or any(r.z is None for r in s1):
         raise ValueError("terrain comparison needs records with terrain vectors")
+    _check_k(k)
+    _check_repeats(repeats)
     # built once: every fold trains and scores on rows of these
     with_z = _record_vectors(s1, True)
     without_z = np.ascontiguousarray(with_z[:, :6])

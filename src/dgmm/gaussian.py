@@ -27,10 +27,10 @@ DEFAULT_EPSILON = 1e-9
 SYMMETRY_RTOL = 1e-12
 
 
-def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Return (m + m.T) / 2; matrix updates are symmetric analytically
-    but not always under floating point."""
-    return 0.5 * (m + m.T)
+def symmetrize(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Return (m + m.T) / 2, written into out when given; matrix updates
+    are symmetric analytically but not always under floating point."""
+    return np.multiply(0.5, m + m.T, out)
 
 
 def check_symmetric(cov: np.ndarray) -> None:

@@ -74,6 +74,20 @@ matrix only for a draw that neither t(0) nor t(that bound) settles.  The
 merge's draw is likewise one expression: its scores are shifted by the
 nearest component's distance, so it needs no nearest-component fallback,
 and every merge makes exactly one draw.
+
+add_sample makes one pass over a sample, computing each piece once.  One
+whitening (`_distances`) gives the differences x - mean_i, the squared
+distances and their minimum: the distances serve the bound, d and the
+draw, the minimum shifts the draw's scores, and a merge takes the drawn
+component's difference as _absorb's dx.  exp(-k n) is evaluated once, and
+t(0), t(bound) and t(d) are formed from it by merge_threshold's own
+expression (`_threshold`).  A merge keeps the weight as a Python float and
+writes the new evaluation covariance into its row; an append whose
+creation covariance is new_cov_scale * I, as every add_sample's is, looks
+`_fresh` up by (D, scale) without building that matrix.  A stream that
+stops once its count is final compares its total weight with
+`_final_count(k)`, the first n at which `_count_is_final(n, k)` holds,
+found once per k.
 Invariant: after construction and after every add_sample, _eval_cov and
 _chol_inv are those of the current moments (and so is every log
 normalizer read off _chol_inv).  add_sample keeps this in
@@ -116,13 +130,20 @@ from .gaussian import (
 
 # the gufuncs that np.linalg.cholesky and np.linalg.inv call
 _cholesky_lo, _inv = _umath_linalg.cholesky_lo, _umath_linalg.inv
+# what np.einsum calls (without `optimize`), skipping its Python wrapper,
+# which costs more than the product on a few dozen entries
+try:
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import c_einsum as _einsum
 
-# (creation covariance bytes, read-only copies of the creation covariance,
-# its fresh component's evaluation covariance and inverse factor) for the
-# last creation covariance appended by any mixture, or None: see
+# (key, read-only copies of the creation covariance, its fresh component's
+# evaluation covariance and inverse factor) for the last creation
+# covariance appended by any mixture, or None; the key is (D, scale) for
+# scale * I and the covariance's bytes otherwise: see
 # DynamicGaussianMixture._append.  The entry is replaced whole, never
 # written in place.
-_fresh: tuple[bytes, np.ndarray, np.ndarray, np.ndarray] | None = None
+_fresh: tuple[tuple | bytes, np.ndarray, np.ndarray, np.ndarray] | None = None
 
 #: Largest accepted sample coordinate magnitude: its square is finite in float64.
 MAX_COORDINATE = math.sqrt(np.finfo(float).max)
@@ -173,7 +194,14 @@ def merge_threshold(d: float, n: float, k: float) -> float:
         raise ValueError("normalized density d must lie in [0, 1]")
     if not (n >= 0 and k >= 0):
         raise ValueError("n and k must be non-negative")
-    return 1.0 - (1.0 - d) * np.exp(-k * n)
+    return _threshold(d, np.exp(-k * n))
+
+
+def _threshold(d: float, decay: float) -> float:
+    """merge_threshold(d, n, k) given decay = exp(-k n), unchecked: the one
+    copy of its expression, so a caller that holds the decay for several
+    d gets merge_threshold's bits."""
+    return 1.0 - (1.0 - d) * decay
 
 
 def _count_is_final(n: float, k: float) -> bool:
@@ -185,11 +213,36 @@ def _count_is_final(n: float, k: float) -> bool:
     return merge_threshold(0.0, n, k) == 1.0
 
 
-def _absorb(w: float, mean: np.ndarray, cov: np.ndarray, x: np.ndarray) -> None:
-    """Update, in place, the mean and unbiased covariance of w >= 1 samples
-    to those after absorbing x (West 1979; Welford 1962):
+def _final_count(k: float) -> float:
+    """The first n = 1, 2, ... at which _count_is_final(n, k) holds, found
+    on that predicate by doubling then bisection (the predicate is
+    monotone in n), so a stream can compare its total weight with this
+    count in place of evaluating the predicate after every sample.
 
-        w'  = w + 1,   dx = x - mu
+    inf when no n up to 2**53 is final (k = 0 never is): a total weight
+    counted by adding 1 stops growing there.  k = inf is final at n = 1.
+    k must be non-negative (merge_threshold raises otherwise)."""
+    hi = 1
+    while not _count_is_final(hi, k):
+        if hi >= 2**53:
+            return math.inf
+        hi *= 2
+    lo = hi // 2  # 0, or a count the doubling found not final
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _count_is_final(mid, k):
+            hi = mid
+        else:
+            lo = mid
+    return float(hi)
+
+
+def _absorb(w: float, mean: np.ndarray, cov: np.ndarray, dx: np.ndarray) -> None:
+    """Update, in place, the mean and unbiased covariance of w >= 1 samples
+    to those after absorbing the sample x = mean + dx, given dx = x - mu
+    (West 1979; Welford 1962):
+
+        w'  = w + 1
         mu' = mu + dx / w'
         S'  = ((w - 1) S + dx (x - mu')^T) / w,   where x - mu' = (w / w') dx
 
@@ -198,18 +251,20 @@ def _absorb(w: float, mean: np.ndarray, cov: np.ndarray, x: np.ndarray) -> None:
     creation covariance and S' is the unbiased covariance of two samples.
     """
     w_new = w + 1.0
-    dx = x - mean
     mean += dx / w_new
     cov *= w - 1.0
     cov += dx[:, None] * dx * (w / w_new)
     cov /= w
 
 
-def _evaluation_cov(cov: np.ndarray, w: float, creation: np.ndarray | None) -> np.ndarray:
-    """Covariance a component is evaluated with (see WeightedGaussian)."""
+def _evaluation_cov(cov: np.ndarray, w: float, creation: np.ndarray | None,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Covariance a component is evaluated with (see WeightedGaussian): cov
+    itself when it is evaluated as it is, else the blend, written into out
+    (D, D) when given."""
     if creation is None or w < 1.0:
         return cov
-    return symmetrize(((w - 1.0) * cov + creation) / w)
+    return symmetrize(((w - 1.0) * cov + creation) / w, out)
 
 
 def _factor(eval_cov: np.ndarray):
@@ -327,7 +382,11 @@ class MixtureCore:
         for a stack of points x (n, D), (n, m, D).  Each point of a stack
         is whitened by the same (D, D) @ (D, 1) products as a lone point,
         so its rows hold the lone point's bits."""
-        return (self._chol_inv @ (x[..., None, :] - self._mean)[..., None])[..., 0]
+        return self._whiten(x[..., None, :] - self._mean)
+
+    def _whiten(self, diff: np.ndarray) -> np.ndarray:
+        """V_i diff_i for differences diff (..., m, D) from the means."""
+        return (self._chol_inv @ diff[..., None])[..., 0]
 
     def _split_log_density(self, u: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(y, log_dens) for one point u (D,), from the one whitening
@@ -426,7 +485,7 @@ def merge_into(c: WeightedGaussian, x) -> WeightedGaussian:
     if x.shape[0] != c.g.dim:
         raise ValueError(f"sample dimension {x.shape[0]} != component dimension {c.g.dim}")
     mean, cov = c.g.mean.copy(), c.g.cov.copy()
-    _absorb(c.w, mean, cov, x)
+    _absorb(c.w, mean, cov, x - mean)
     # _absorb keeps a symmetric covariance exactly symmetric
     return WeightedGaussian(Gaussian._trusted(mean, cov), c.w + 1.0, c.creation_cov)
 
@@ -564,34 +623,46 @@ class DynamicGaussianMixture(MixtureCore):
 
     def _quad_at(self, x: np.ndarray) -> np.ndarray:
         """Squared Mahalanobis distance of one point (D,) to each component,
-        |V_i (x - mean_i)|^2: shape (m,).
+        |V_i (x - mean_i)|^2: shape (m,); see _distances."""
+        return self._distances(x)[1]
+
+    def _distances(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """(diff, quad, nearest) for one point x (D,), from one whitening:
+        the differences diff_i = x - mean_i (m, D), the squared Mahalanobis
+        distances quad_i = |V_i diff_i|^2 (m,) and their minimum.
 
         A finite x can still lie so far from every component, against
         small enough covariances, that every distance overflows to inf (or
         one to NaN), and then neither d nor the draw has a defined value:
         that raises ValueError.  It uses no randomness, so add_sample and
         select_component raise before the rng is touched."""
-        y = self._whitened(x)
-        quad = np.einsum("md,md->m", y, y)
+        diff = x - self._mean
+        y = self._whiten(diff)
+        quad = _einsum("md,md->m", y, y)
         # np.minimum.reduce is what quad.min() calls, without its Python
         # wrapper: half the cost on a few dozen entries
-        if not np.minimum.reduce(quad) < math.inf:
+        nearest = float(np.minimum.reduce(quad))
+        if not nearest < math.inf:
             raise ValueError("sample is too far from the mixture: its squared Mahalanobis "
                              "distance to every component overflows float64")
-        return quad
+        return diff, quad, nearest
 
     def _selection_scores(self, quad: np.ndarray) -> np.ndarray:
         """w_i * exp(-maha_i^2 / 2) from the squared distances to one point."""
         return self._w * np.exp(-0.5 * quad)
 
-    def _draw(self, quad: np.ndarray, rng: np.random.Generator) -> int:
+    def _draw(self, quad: np.ndarray, rng: np.random.Generator,
+              nearest: float | None = None) -> int:
         """One categorical draw with probability proportional to
         w_i * exp(-quad_i / 2), from exactly one rng.random().  The scores
-        are shifted by the smallest distance, so the nearest component
-        scores its own weight and the total is positive and finite even
-        where every unshifted score underflows."""
-        cum = self._selection_scores(quad - np.minimum.reduce(quad)).cumsum()
-        return min(bisect.bisect_right(cum.tolist(), rng.random() * cum[-1]), len(cum) - 1)
+        are shifted by the smallest distance, nearest (found here when not
+        given), so the nearest component scores its own weight and the
+        total is positive and finite even where every unshifted score
+        underflows."""
+        if nearest is None:
+            nearest = np.minimum.reduce(quad)
+        cum = self._selection_scores(quad - nearest).cumsum().tolist()
+        return min(bisect.bisect_right(cum, rng.random() * cum[-1]), len(cum) - 1)
 
     def select_component(self, x, rng: np.random.Generator) -> int:
         """Draw a component index with probability proportional to
@@ -602,7 +673,8 @@ class DynamicGaussianMixture(MixtureCore):
         whose distance to every component overflows, raises ValueError, as
         in add_sample, before the rng is touched."""
         pts, _ = self._check_points(x)
-        return self._draw(self._quad_at(check_coordinates(pts[0], "sample")), rng)
+        _, quad, nearest = self._distances(check_coordinates(pts[0], "sample"))
+        return self._draw(quad, rng, nearest)
 
     def _check_sample(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float).reshape(-1)
@@ -617,15 +689,22 @@ class DynamicGaussianMixture(MixtureCore):
 
         A sample with a NaN, an infinite coordinate, or a coordinate whose
         square overflows float64, a sample whose distance to every
-        component overflows (see _quad_at), a k that is negative or NaN, a
-        new_cov_scale outside (0, inf), and a mixture holding a component
+        component overflows (see _distances), a k that is negative or NaN,
+        a new_cov_scale outside (0, inf), and a mixture holding a component
         of weight below 1 (which no merge can take) raise ValueError
         before anything else happens, leaving the mixture and rng
         untouched.  Otherwise the uniform draw happens first,
         unconditionally, so a fixed seed yields the same decision sequence
         regardless of branch outcomes; a merge then makes exactly one more
-        draw, for its component (see _draw).  The component distances to x
-        are evaluated once and serve both d and the component selection.
+        draw, for its component (see _draw).
+
+        Each piece of a sample's work is computed once: one whitening gives
+        the differences x - mean_i, the squared distances and their
+        minimum (_distances); the distances serve d and the draw, the
+        minimum shifts the draw's scores, and the merge takes the drawn
+        component's difference as its dx (_absorb).  exp(-k n) is
+        evaluated once, and each threshold the decision needs is formed
+        from it (_merges).
         """
         if not k >= 0:
             raise ValueError("k must be non-negative")
@@ -635,13 +714,16 @@ class DynamicGaussianMixture(MixtureCore):
             raise ValueError(f"component {self._light} has weight {float(self._w[self._light])!r} < 1; "
                              "a mixture absorbs samples only when every component has weight >= 1")
         x = self._check_sample(x)
-        quad = self._quad_at(x) if len(self) else None
+        diff = None
+        if len(self):
+            diff, quad, nearest = self._distances(x)
         r = rng.random()
         # an empty mixture has d = n = 0, so t = 0 and it always appends
-        if quad is not None and self._merges(quad, r, k):
-            self._merge(self._draw(quad, rng), x)
+        if diff is not None and self._merges(quad, r, k):
+            i = self._draw(quad, rng, nearest)
+            self._merge(i, x, diff[i])
         else:
-            self._append(x, new_cov_scale * np.eye(self.dim))
+            self._append(x, scale=new_cov_scale)
         self._W += 1.0
 
     def _merges(self, quad: np.ndarray, r: float, k: float) -> bool:
@@ -655,36 +737,51 @@ class DynamicGaussianMixture(MixtureCore):
         d's scaled numerator, an O(m) dot product.  The scaled peak is at
         least 1 (see _scaled_peak), so d = min(num / peak, 1) <= min(num, 1)
         also after rounding.  Only a draw between the bounds builds the
-        peak, and d is then the value _normalized gives."""
-        if r < merge_threshold(0.0, self._W, k):
+        peak, and d is then the value _normalized gives.
+
+        exp(-k n) is evaluated once, and t(0), t(min(num, 1)) and t(d) are
+        formed from it by merge_threshold's own expression (_threshold), so
+        each has merge_threshold's bits.  Every d here lies in [0, 1] and
+        add_sample has checked k, so merge_threshold's checks are skipped."""
+        decay = float(np.exp(-k * self._W))
+        if r < _threshold(0.0, decay):
             return True
         _, a = self._scaled_weights()
         num = float(np.exp(-0.5 * quad) @ a)
-        if r >= merge_threshold(min(num, 1.0), self._W, k):
+        if r >= _threshold(min(num, 1.0), decay):
             return False
-        return r < merge_threshold(min(num / self._scaled_peak(a), 1.0), self._W, k)
+        return r < _threshold(min(num / self._scaled_peak(a), 1.0), decay)
 
-    def _merge(self, i: int, x: np.ndarray) -> None:
+    def _merge(self, i: int, x: np.ndarray, dx: np.ndarray | None = None) -> None:
         """Absorb x into component i, whose weight is >= 1 (add_sample
-        checks that every weight is before it draws)."""
-        w = self._w[i]
-        _absorb(w, self._mean[i], self._cov[i], x)
-        self._w[i] = w + 1.0
-        self._refactor(i)
+        checks that every weight is before it draws); dx, when given, is
+        x - mean_i.  The weight is a Python float, and the new evaluation
+        covariance is written into its row before i alone is re-factored."""
+        w = float(self._w[i])
+        _absorb(w, self._mean[i], self._cov[i], x - self._mean[i] if dx is None else dx)
+        w += 1.0
+        self._w[i] = w
+        row = self._eval_cov[i]
+        eval_cov, self._chol_inv[i] = _factor(
+            _evaluation_cov(self._cov[i], w, self._creation[i], out=row))
+        if eval_cov is not row:  # cov itself, or loaded by _factor_linalg
+            row[...] = eval_cov
 
-    def _append(self, x: np.ndarray, cov: np.ndarray) -> None:
+    def _append(self, x: np.ndarray, cov: np.ndarray | None = None, scale: float = 1.0) -> None:
         """Grow every array by one row for a weight-1 component at x whose
-        covariance and creation covariance are cov.  Its evaluation
-        covariance and factor depend on cov alone, so they are kept in the
-        module's `_fresh` entry for the last cov any mixture appended, and
-        reused while cov repeats, as it does within a stream and across the
-        mixtures of one motion model; the components share one read-only
-        copy of it as their creation covariance."""
+        covariance and creation covariance are cov, or scale * I when cov
+        is None.  Its evaluation covariance and factor depend on that
+        covariance alone, so they are kept in the module's `_fresh` entry
+        for the last one any mixture appended, and reused while it repeats,
+        as it does within a stream and across the mixtures of one motion
+        model; the components share one read-only copy of it as their
+        creation covariance.  The entry is keyed by (D, scale) or by cov's
+        bytes, so a repeated scale * I is not even built."""
         global _fresh
-        key = cov.tobytes()
+        key = (self.dim, scale) if cov is None else cov.tobytes()
         fresh = _fresh
         if fresh is None or fresh[0] != key:
-            cov = cov.copy()
+            cov = scale * np.eye(self.dim) if cov is None else cov.copy()
             eval_cov, chol_inv = _factor(_evaluation_cov(cov, 1.0, cov))
             for arr in (cov, eval_cov, chol_inv):
                 arr.flags.writeable = False
@@ -696,12 +793,6 @@ class DynamicGaussianMixture(MixtureCore):
         self._creation.append(cov)
         self._eval_cov = np.concatenate([self._eval_cov, eval_cov[None]])
         self._chol_inv = np.concatenate([self._chol_inv, chol_inv[None]])
-
-    def _refactor(self, i: int) -> None:
-        """Re-derive component i's evaluation covariance and inverse factor
-        from its moments, factoring only component i as one (D, D) matrix."""
-        self._eval_cov[i], self._chol_inv[i] = _factor(
-            _evaluation_cov(self._cov[i], self._w[i], self._creation[i]))
 
     # -- construction ------------------------------------------------------
 

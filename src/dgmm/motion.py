@@ -579,9 +579,20 @@ def _fail(field: str, why: str):
     raise ValueError(f"model file: field '{field}': {why}")
 
 
+def _finite_number(val) -> bool:
+    """True for a JSON number (int or float, not a boolean) that is a
+    finite float64: an int too large to convert, such as 10**400, is not."""
+    if not isinstance(val, (int, float)) or isinstance(val, bool):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:
+        return False
+
+
 def _expect_number(obj: dict, name: str, prefix: str = "") -> float:
     val = obj.get(name)
-    if not isinstance(val, (int, float)) or isinstance(val, bool) or not math.isfinite(val):
+    if not _finite_number(val):
         _fail(prefix + name, "missing or not a finite number")
     return float(val)
 
@@ -602,11 +613,14 @@ def _expect_floats(obj: dict, name: str, length: int, prefix: str = "") -> np.nd
     if not isinstance(val, list) or len(val) != length:
         _fail(prefix + name, f"missing or not a list of {length} numbers")
     if set(map(type, val)) <= {float, int}:
-        out = np.array(val, dtype=float)
-        if np.isfinite(out).all():
+        try:
+            out = np.array(val, dtype=float)
+        except OverflowError:  # an int beyond float64's range, named below
+            out = None
+        if out is not None and np.isfinite(out).all():
             return out
     for i, v in enumerate(val):
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+        if not _finite_number(v):
             _fail(f"{prefix}{name}[{i}]", "not a finite number")
     # subclasses of int or float, from a document not read from JSON
     return np.array(val, dtype=float)

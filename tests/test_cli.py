@@ -81,6 +81,20 @@ def test_query_nan_coordinate_exits_2(tmp_path, incline_csv, capsys):
     assert "error: query coordinate 0 is NaN" in capsys.readouterr().err
 
 
+def test_query_integer_beyond_float_range_exits_2(tmp_path, incline_csv, capsys):
+    model_path = tmp_path / "plain.json"
+    assert run(["fit", "--input", str(incline_csv), "--no-z", "--seed", "1",
+                "--out", str(model_path)]) == 0
+    doc = json.loads(model_path.read_text())
+    doc["commands"][0]["components"][0]["mean"][0] = 10**400
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["query", "--model", str(model_path), "--command", "0.5,0,0",
+                "--x", "0,0,0,0,0,0"]) == 2
+    assert ("field 'commands[0].components[0].mean[0]': not a finite number"
+            in capsys.readouterr().err)
+
+
 def test_fit_missing_input_exits_2(tmp_path, capsys):
     code = run(["fit", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "m.json")])
     assert code == 2

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from dgmm.evaluation import (
     stratified_kfold,
     terrain_comparison,
 )
-from dgmm.mixture import DynamicGaussianMixture
+from dgmm.mixture import DynamicGaussianMixture, _count_is_final
 from dgmm.motion import DeltaPose, MotionModel, Standardizer, TerrainSupportError, TerrainVector
 
 
@@ -401,3 +402,113 @@ class TestPointValidation:
             with pytest.raises(ValueError, match=r"^point 25: sample coordinate 0 is NaN$"):
                 run(rng)
             assert rng.bit_generator.state == state
+
+
+def _per_sample_stream(decided):
+    """Reference for evaluation._stream_shuffle that ignores the stop rule it
+    is given and stops on decided(model), evaluated after every sample."""
+
+    def stream(points, k, seed, stop):
+        sub = np.random.default_rng(seed)
+        model = DynamicGaussianMixture(points.shape[1])
+        for x in points[sub.permutation(points.shape[0])]:
+            model.add_sample(x, k, sub)
+            if decided(model, k):
+                break
+        return model
+
+    return stream
+
+
+class TestStopCount:
+    """The streams stop on a count found once per k: exactly where the
+    per-sample rule on _count_is_final would stop them, with the same
+    number of add_sample calls."""
+
+    @pytest.mark.parametrize("k, target_m", [
+        (0.0, 2), (0.1, 2), (0.1, 7), (0.7, 2), (0.7, 3), (1000.0, 2), (1000.0, 1), (math.inf, 1)])
+    def test_mise_experiment_calls_equal_the_per_sample_rule(self, k, target_m, monkeypatch):
+        pts = load_old_faithful(standardize=True)[0][::2]
+        calls = _counting_add_sample(monkeypatch)
+        got = [mise_experiment(pts, k, target_m, needed=2, max_attempts=4,
+                               rng=np.random.default_rng(seed)).to_json()
+               for seed in range(5)]
+        got_calls = calls[0]
+
+        def decided(model, k):
+            m = len(model)
+            return m > target_m or (m != target_m and _count_is_final(model.total_weight(), k))
+
+        monkeypatch.setattr(evaluation, "_stream_shuffle", _per_sample_stream(decided))
+        want = [mise_experiment(pts, k, target_m, needed=2, max_attempts=4,
+                                rng=np.random.default_rng(seed)).to_json()
+                for seed in range(5)]
+        assert got == want
+        assert got_calls == calls[0] - got_calls
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_k_sweep_calls_equal_the_per_sample_rule(self, seed, monkeypatch):
+        pts = sample_gmm(three_component_benchmark(), 120, np.random.default_rng([36, seed]))
+        grid = [0.0, 0.05, 0.3, 0.7, 1000.0, math.inf]
+        calls = _counting_add_sample(monkeypatch)
+        got = k_sweep(pts, grid, 2, np.random.default_rng(seed)).to_json()
+        got_calls = calls[0]
+        monkeypatch.setattr(evaluation, "_stream_shuffle", _per_sample_stream(
+            lambda model, k: _count_is_final(model.total_weight(), k)))
+        assert got == k_sweep(pts, grid, 2, np.random.default_rng(seed)).to_json()
+        assert got_calls == calls[0] - got_calls
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("called before the arguments were checked")
+
+
+class TestArgumentsCheckedFirst:
+    """k_sweep, mise_experiment and terrain_comparison check k and repeats
+    before the EM fit, the fold split or any stream, and leave the rng
+    untouched."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        calls = _counting_add_sample(monkeypatch)
+        monkeypatch.setattr(evaluation, "em_fit", _never)
+        monkeypatch.setattr(evaluation, "stratified_kfold", _never)
+        yield
+        assert calls[0] == 0
+
+    @staticmethod
+    def raises_untouched(run, pattern):
+        rng = np.random.default_rng(37)
+        state = rng.bit_generator.state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=pattern):
+                run(rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("grid", [
+        [0.1, 0.5, math.nan], [0.1, math.nan, 0.5], [math.nan], [-0.5, 0.1], [0.1, 0.5, -math.inf]])
+    def test_k_sweep_bad_k(self, grid, no_work):
+        pts = np.random.default_rng(38).standard_normal((30, 2))
+        self.raises_untouched(lambda rng: k_sweep(pts, grid, 2, rng), "^k must be non-negative$")
+
+    @pytest.mark.parametrize("k", [-0.1, math.nan, -math.inf])
+    def test_mise_experiment_bad_k(self, k, no_work):
+        pts = load_old_faithful(standardize=True)[0]
+        self.raises_untouched(lambda rng: mise_experiment(pts, k, 2, needed=1, max_attempts=3, rng=rng),
+                              "^k must be non-negative$")
+
+    @pytest.mark.parametrize("k", [-0.1, math.nan, -math.inf])
+    def test_terrain_comparison_bad_k(self, k, no_work):
+        records = simulate_incline(InclineConfig(reps_per_orientation=2))
+        self.raises_untouched(lambda rng: terrain_comparison(records, 2, 1, k, rng),
+                              "^k must be non-negative$")
+
+    @pytest.mark.parametrize("repeats", [0, -1])
+    def test_repeats_below_one(self, repeats, no_work):
+        pts = np.random.default_rng(39).standard_normal((30, 2))
+        records = simulate_incline(InclineConfig(reps_per_orientation=2))
+        self.raises_untouched(lambda rng: k_sweep(pts, [0.1, 0.5], repeats, rng),
+                              "^repeats must be >= 1$")
+        self.raises_untouched(lambda rng: terrain_comparison(records, 2, repeats, 0.3, rng),
+                              "^repeats must be >= 1$")

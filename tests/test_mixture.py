@@ -12,7 +12,10 @@ from dgmm.mixture import (
     DynamicGaussianMixture,
     WeightedGaussian,
     _count_is_final,
+    _evaluation_cov,
     _factor,
+    _final_count,
+    _threshold,
     logsumexp,
     merge_into,
     merge_threshold,
@@ -899,6 +902,108 @@ def outcome(f, a):
         except Exception as exc:  # compared, not swallowed
             out = (type(exc), str(exc))
     return out, [(w.category, str(w.message)) for w in caught]
+
+
+class TestFinalCount:
+    """_final_count(k) is the first n at which _count_is_final(n, k) holds,
+    found once per k, so a stream that stops when its total weight reaches
+    it stops where the per-sample predicate would."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_k=st.floats(-4.0, 4.0))
+    @example(log_k=-4.0)
+    @example(log_k=4.0)
+    @example(log_k=0.0)
+    def test_first_count_where_the_predicate_holds(self, log_k):
+        k = 10.0**log_k
+        n = _final_count(k)
+        assert n == int(n) >= 1
+        assert _count_is_final(n, k)
+        assert not _count_is_final(n - 1, k)
+
+    def test_zero_k_is_never_final(self):
+        assert _final_count(0.0) == math.inf
+        assert not _count_is_final(2.0**53, 0.0)
+
+    def test_infinite_k_is_final_at_one(self):
+        assert _final_count(math.inf) == 1.0
+        assert _count_is_final(1, math.inf)
+        assert not _count_is_final(0, math.inf)
+
+    def test_huge_and_tiny_k(self):
+        assert _final_count(1e300) == 1.0
+        # k n must pass about 37.4, beyond the weights a stream can count
+        assert _final_count(1e-300) == math.inf
+
+    def test_negative_or_nan_k_raises(self):
+        for k in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="n and k must be non-negative"):
+                _final_count(k)
+
+
+class TestOnePassPieces:
+    """The pieces add_sample computes once give the bits of the expressions
+    they stand for."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(1, 8), m=st.integers(1, 12), offset=st.floats(-1e6, 1e6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_distances_and_merge_with_the_difference(self, dim, m, offset, seed):
+        rng = np.random.default_rng(seed)
+        comps = []
+        for _ in range(m):
+            a = rng.standard_normal((dim, dim))
+            cov = a @ a.T / dim + 0.1 * np.eye(dim)
+            comps.append(WeightedGaussian(Gaussian(offset + rng.standard_normal(dim), 0.5 * (cov + cov.T)),
+                                          float(rng.integers(1, 10)), creation_cov=np.eye(dim)))
+        a, b = DynamicGaussianMixture(dim, comps), DynamicGaussianMixture(dim, comps)
+        x = offset + rng.standard_normal(dim)
+        diff, quad, nearest = a._distances(x)
+        y = a._whitened(x)
+        assert np.array_equal(diff, x - a._mean)
+        assert np.array_equal(quad, np.einsum("md,md->m", y, y))
+        assert np.array_equal(quad, a._quad_at(x))
+        assert nearest == quad.min()
+        i = int(rng.integers(m))
+        a._merge(i, x, diff[i])
+        b._merge(i, x)
+        assert_same_mixture(a, b)
+        r = np.random.default_rng(seed)
+        assert a._draw(quad, r, nearest) == b._draw(quad, np.random.default_rng(seed))
+
+    @settings(max_examples=100, deadline=None)
+    @given(dim=st.integers(1, 8), w=st.floats(0.5, 1e6), log_scale=st.floats(-6.0, 6.0),
+           with_creation=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_evaluation_cov_into_a_row(self, dim, w, log_scale, with_creation, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((dim, dim))
+        cov = 10.0**log_scale * (a @ a.T)
+        creation = 10.0**log_scale * np.eye(dim) if with_creation else None
+        rows = np.full((3, dim, dim), np.nan)
+        got = _evaluation_cov(cov, w, creation, out=rows[1])
+        assert np.array_equal(got, _evaluation_cov(cov, w, creation))
+        if creation is None or w < 1.0:
+            assert got is cov and np.isnan(rows).all()
+        else:
+            assert np.shares_memory(got, rows[1]) and np.array_equal(got, rows[1])
+            assert np.isnan(rows[[0, 2]]).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.floats(0.0, 1.0), n=st.floats(0.0, 1e6), k=st.floats(0.0, 1e3))
+    def test_threshold_from_the_decay_has_merge_thresholds_bits(self, d, n, k):
+        assert _threshold(d, float(np.exp(-k * n))) == merge_threshold(d, n, k)
+
+    def test_append_by_scale_equals_append_of_the_covariance(self, monkeypatch):
+        monkeypatch.setattr(dgmm.mixture, "_fresh", None)
+        a, b = DynamicGaussianMixture(3), DynamicGaussianMixture(3)
+        for i, scale in enumerate((2.0, 2.0, 0.5, 2.0)):
+            x = np.full(3, float(i))
+            a._append(x, scale=scale)
+            b._append(x, scale * np.eye(3))
+            a._W += 1.0
+            b._W += 1.0
+        assert_same_mixture(a, b)
+        assert [c[0, 0] for c in a._creation] == [2.0, 2.0, 0.5, 2.0]
 
 
 class TestFactor:

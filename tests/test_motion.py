@@ -755,6 +755,29 @@ class TestPersistence:
         doc["commands"][0]["components"][0]["mean"] = [np.float64(0.5), np.float64(-1.0)]
         assert MotionModel.from_dict(doc).to_dict() == mm.to_dict()
 
+    @pytest.mark.parametrize("field, message, mutate", [
+        ("k", "missing or not a finite number", lambda d: d.__setitem__("k", 10**400)),
+        ("commands[0].components[0].w", "missing or not a finite number",
+         lambda d: d["commands"][0]["components"][0].__setitem__("w", 10**400)),
+        ("commands[0].components[0].mean[1]", "not a finite number",
+         lambda d: d["commands"][0]["components"][0]["mean"].__setitem__(1, 10**400)),
+        ("commands[0].components[0].cov[3]", "not a finite number",
+         lambda d: d["commands"][0]["components"][0]["cov"].__setitem__(3, -10**400)),
+        ("commands[0].key[0]", "not a finite number",
+         lambda d: d["commands"][0]["key"].__setitem__(0, 10**400)),
+    ])
+    def test_integer_beyond_float_range_is_named(self, field, message, mutate):
+        # JSON integers are unbounded; one that float64 cannot hold is not
+        # a finite number
+        mm = MotionModel(k=0.5, x_dim=2, z_dim=0)
+        mm.models[FWD] = DynamicGaussianMixture.from_components(
+            [WeightedGaussian(Gaussian(np.zeros(2), np.eye(2)), 2.0)])
+        doc = json.loads(json.dumps(mm.to_dict()))
+        mutate(doc)
+        doc = json.loads(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(f"model file: field '{field}': {message}")):
+            MotionModel.from_dict(doc)
+
     def test_component_below_unit_weight_loads_but_does_not_train(self):
         # a hand-built model may hold such a weight and still be queried;
         # no merge can take it, so training fails before the first draw
