@@ -8,26 +8,27 @@ randomness flows from one master generator: each independent work item
 master stream, so runs are independent, reproducible, and replayable from
 the report alone.
 
-The terrain comparison works on arrays: it builds its records' vectors
-once, and every fold's models train on rows of them (`_fit`, which
-fit_motion_model wraps too) and are scored on rows of them
-(`_score_fold`), with the bits and errors of training and scoring one
-record at a time.  Every training record is still one
-DynamicGaussianMixture.add_sample call.
+The terrain comparison builds its records' vectors once, and every
+fold's models train on rows of them (`_fit`, which fit_motion_model wraps
+too), with the bits and errors of training one record at a time: every
+training record is one DynamicGaussianMixture.add_sample call.  Every
+held-out record is scored through the public query, one
+MotionModel.log_density call per record and model (`_score_fold`).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .datasets import SampleRecord
 from .em import DENSITY_FLOOR, em_fit, ise
-from .mixture import MAX_COORDINATE, DynamicGaussianMixture, _final_count, check_rows
-from .motion import MotionModel, Standardizer
+from .mixture import DynamicGaussianMixture, _final_count, check_rows
+from .motion import MotionModel, Standardizer, TerrainSupportError
 
 LOG_FLOOR = math.log(DENSITY_FLOOR)
 
@@ -183,9 +184,13 @@ def _check_k(k: float) -> None:
         raise ValueError("k must be non-negative")
 
 
-def _check_repeats(repeats: int) -> None:
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+def _check_count(value: int, name: str, low: int) -> None:
+    """A run count's check, made before an experiment does any work: an
+    integer (Python or numpy) of at least low."""
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer")
 
 
 def _stream_shuffle(points: np.ndarray, k: float, seed: int, stop) -> DynamicGaussianMixture:
@@ -214,8 +219,8 @@ def k_sweep(points, k_grid, repeats: int, rng: np.random.Generator) -> EvalRepor
     reaches it.  Each stream draws from its own generator, so stopping one
     changes no other run and the report is the one that streaming every
     point would give.  Every k (negative or NaN: "k must be non-negative"),
-    repeats (at least 1) and every point (NaN, infinite and overflowing
-    coordinates) are checked before the first stream.
+    repeats (an integer, at least 1) and every point (NaN, infinite and
+    overflowing coordinates) are checked before the first stream.
     """
     k_grid = [float(k) for k in k_grid]
     if not k_grid:
@@ -224,7 +229,7 @@ def k_sweep(points, k_grid, repeats: int, rng: np.random.Generator) -> EvalRepor
         _check_k(k)
     if any(b <= a for a, b in zip(k_grid, k_grid[1:])):
         raise ValueError("k_grid must be strictly ascending")
-    _check_repeats(repeats)
+    _check_count(repeats, "repeats", 1)
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points[:, None]
@@ -272,13 +277,14 @@ def mise_experiment(points, k: float, target_m: int, needed: int,
     (mixture._final_count), and compared with each run's total weight.
     Accepted runs stream every point.  Each attempt draws from its own
     generator, so the report is the one that streaming every point would
-    give.  k (negative or NaN: "k must be non-negative"), needed and every
+    give.  k (negative or NaN: "k must be non-negative"), needed (an
+    integer, at least 1), max_attempts (an integer, at least 0) and every
     point (NaN, infinite and overflowing coordinates) are checked before
     the EM fit.
     """
     _check_k(k)
-    if needed < 1:
-        raise ValueError("needed must be >= 1")
+    _check_count(needed, "needed", 1)
+    _check_count(max_attempts, "max_attempts", 0)
     points = np.asarray(points, dtype=float)
     check_rows(points, "point {row}: sample")
     final = _final_count(k)
@@ -327,43 +333,21 @@ def mise_experiment(points, k: float, target_m: int, needed: int,
     )
 
 
-def _score_fold(model: MotionModel, commands: list, vectors: np.ndarray,
-                rows: list[int]) -> tuple[float, int]:
-    """Summed floored log density under the model of the records `rows`,
-    given by their commands and their vectors in original units (x || z
-    for a terrain model, x otherwise); the second value counts records that
-    could not be scored properly (unknown command or terrain outside the
-    training support) and took the floor.
-
-    It gives what calling model.log_density on each record in turn and
-    summing in record order gives, bit for bit, and raises the error that
-    loop would raise first.  The records of one command are scored
-    together (MotionModel._log_density_rows)."""
-    v = vectors[rows]
-    # a record of a known command with a NaN, infinite or overflowing
-    # coordinate makes log_density raise: the first one raises here
-    for pos in np.flatnonzero(~(np.abs(v) <= MAX_COORDINATE).all(axis=1)).tolist():
-        if commands[rows[pos]] in model.models:
-            x_dim = model.x_dim
-            model.log_density(commands[rows[pos]], v[pos, :x_dim],
-                              v[pos, x_dim:] if model.augmented else None)
-            raise AssertionError("log_density accepted a record with a bad coordinate")
-    groups: dict = {}
-    for pos, i in enumerate(rows):
-        groups.setdefault(commands[i], []).append(pos)
-    ll = np.full(len(rows), LOG_FLOOR)
-    unscored = 0
-    for c, pos in groups.items():
-        if c not in model.models:
-            unscored += len(pos)
-            continue
-        pos = np.array(pos)
-        scored, values = model._log_density_rows(c, v[pos])
-        ll[pos[scored]] = np.maximum(values, LOG_FLOOR)
-        unscored += len(pos) - int(scored.sum())
-    total = 0.0
-    for value in ll.tolist():
-        total += value
+def _score_fold(model: MotionModel, records: list[SampleRecord]) -> tuple[float, int]:
+    """Summed floored log density of the records under the model, one
+    MotionModel.log_density call per record in record order (with its
+    terrain vector for a terrain model, without one otherwise); the second
+    value counts records that could not be scored (unknown command or
+    terrain outside the training support) and took the floor.  A record
+    with a bad coordinate raises log_density's ValueError."""
+    total, unscored = 0.0, 0
+    for r in records:
+        try:
+            ll = model.log_density(r.command, r.x, r.z if model.augmented else None)
+        except (KeyError, TerrainSupportError):
+            unscored += 1
+            ll = LOG_FLOOR
+        total += max(ll, LOG_FLOOR)
     return total, unscored
 
 
@@ -382,18 +366,18 @@ def terrain_comparison(s1: list[SampleRecord], folds: int, repeats: int, k: floa
     The records' x || z vectors are built once, and the terrain-free
     model uses a contiguous copy of their x block.  Each fold's two models
     train on the rows of the fold's shuffled training records (see _fit),
-    and each is scored on the target rows (see _score_fold).  The report
-    is bit for bit the one that fitting with fit_motion_model and scoring
-    each record with MotionModel.log_density gives, and a bad record
-    raises the same ValueError.  Every record needs a terrain vector; k
-    (negative or NaN: "k must be non-negative") and repeats (at least 1)
-    are checked before the first fold split.
+    bit for bit as fit_motion_model would.  Each target record is then
+    scored by one MotionModel.log_density call per model, in record order
+    (see _score_fold), so a bad record raises log_density's ValueError.
+    Every record needs a terrain vector; k (negative or NaN: "k must be
+    non-negative") and repeats (an integer, at least 1) are checked before
+    the first fold split.
     """
     if not s1 or any(r.z is None for r in s1):
         raise ValueError("terrain comparison needs records with terrain vectors")
     _check_k(k)
-    _check_repeats(repeats)
-    # built once: every fold trains and scores on rows of these
+    _check_count(repeats, "repeats", 1)
+    # built once: every fold trains on rows of these
     with_z = _record_vectors(s1, True)
     without_z = np.ascontiguousarray(with_z[:, :6])
     commands = [r.command for r in s1]
@@ -409,8 +393,9 @@ def terrain_comparison(s1: list[SampleRecord], folds: int, repeats: int, k: floa
             with_model = _fit(with_z[order], order_commands, 2, k, sub, standardize)
             without_model = _fit(without_z[order], order_commands, 0, k, sub, standardize)
             target_idx = train_idx if score_training else fold
-            case1, miss1 = _score_fold(with_model, commands, with_z, target_idx)
-            case2, miss2 = _score_fold(without_model, commands, without_z, target_idx)
+            target = [s1[i] for i in target_idx]
+            case1, miss1 = _score_fold(with_model, target)
+            case2, miss2 = _score_fold(without_model, target)
             runs.append({
                 "repeat": rep,
                 "fold": fi,

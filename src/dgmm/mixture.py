@@ -47,8 +47,7 @@ stored arrays and that whitening.
 It gives `density`, `log_density`, `support_box` and the terrain
 `conditional`; `_factor` is the one place that factorizes, and `_quad`
 (many points against every component in one product) and `_whitened`
-(one point, or a stack of points each whitened on its own) are its
-Mahalanobis kernels.
+(one point against every component) are its Mahalanobis kernels.
 `_factor` calls the LAPACK gufuncs behind np.linalg.cholesky and
 np.linalg.inv directly, since at D <= 8 those functions' Python wrappers
 cost more than the factorization itself; it falls back to numpy.linalg,
@@ -378,10 +377,7 @@ class MixtureCore:
         return (self._mean - n_sigma * sig).min(axis=0), (self._mean + n_sigma * sig).max(axis=0)
 
     def _whitened(self, x: np.ndarray) -> np.ndarray:
-        """V_i (x - mean_i) for one point x (D,) and every component: (m, D);
-        for a stack of points x (n, D), (n, m, D).  Each point of a stack
-        is whitened by the same (D, D) @ (D, 1) products as a lone point,
-        so its rows hold the lone point's bits."""
+        """V_i (x - mean_i) for one point x (D,) and every component: (m, D)."""
         return self._whiten(x[..., None, :] - self._mean)
 
     def _whiten(self, diff: np.ndarray) -> np.ndarray:
@@ -394,9 +390,7 @@ class MixtureCore:
         log N(u; component i) in row 0 and log N(u[k:]; marginal_i over k:)
         in row 1.  y_i[k:] is the marginal's whitening and the trailing
         diagonal of V_i its inverse factor's (see the module docstring),
-        so y[:, k:] and row 1 are the same for any finite u[:k].  For a
-        stack of points u (n, D), y is (n, m, D) and log_dens (2, n, m),
-        each point's entries equal to its own call's."""
+        so y[:, k:] and row 1 are the same for any finite u[:k]."""
         y = self._whitened(u)
         terms = np.log(self._chol_inv.diagonal(axis1=1, axis2=2)) - 0.5 * y * y
         half_log_2pi = 0.5 * LOG_2PI
@@ -412,12 +406,14 @@ class MixtureCore:
         pointwise joint(x || z) / marginal(z).  Everything comes from the
         stored factors (see the module docstring); nothing is factorized.
         Components whose weight underflows to zero are dropped; the result
-        is empty when all of them do.
+        is empty when all of them do.  A NaN, infinite or overflowing
+        coordinate of z raises ValueError naming it.
         """
         z = np.asarray(z, dtype=float).reshape(-1)
         k = self.dim - z.shape[0]
         if not 0 < k < self.dim:
             raise ValueError(f"z has dimension {z.shape[0]}; must be in (0, {self.dim})")
+        check_coordinates(z, "z")
         # any finite leading coordinates give the same terrain terms
         return self._conditional(k, *self._split_log_density(np.concatenate([np.zeros(k), z]), k))
 

@@ -252,15 +252,17 @@ class MotionModel:
 
     # -- training ----------------------------------------------------------
 
+    def _check_terrain_given(self, z) -> None:
+        """ValueError unless a terrain vector is given exactly when the
+        model has a terrain block."""
+        if self.augmented and z is None:
+            raise ValueError("model is terrain-augmented; a terrain vector is required")
+        if not self.augmented and z is not None:
+            raise ValueError("model has no terrain block; got a terrain vector")
+
     def _training_vector(self, x: DeltaPose, z: TerrainVector | None) -> np.ndarray:
-        if self.augmented:
-            if z is None:
-                raise ValueError("model is terrain-augmented; a terrain vector is required")
-            d = np.concatenate([x.as_vector(), z.as_vector()])
-        else:
-            if z is not None:
-                raise ValueError("model has no terrain block; got a terrain vector")
-            d = x.as_vector()
+        self._check_terrain_given(z)
+        d = np.concatenate([x.as_vector(), z.as_vector()]) if self.augmented else x.as_vector()
         return self._std.transform(d)
 
     def record_sample(self, c: CommandKey, x: DeltaPose, z: TerrainVector | None,
@@ -349,6 +351,7 @@ class MotionModel:
         mixture would be empty -- raises TerrainSupportError."""
         if not self.augmented:
             raise ValueError("model has no terrain block")
+        self._check_terrain_given(z)
         joint = self.mixture_for(c)
         zv = z.as_vector() if isinstance(z, TerrainVector) else np.asarray(z, dtype=float).reshape(-1)
         if zv.shape[0] != self.z_dim:
@@ -393,39 +396,15 @@ class MotionModel:
         mixture is built.  It shares _terrain with
         conditional_motion_density, so it raises TerrainSupportError
         exactly where that does; a bad x is reported before an unsupported
-        z."""
+        z.  z is required exactly when the model has a terrain block: a
+        missing or superfluous one raises ValueError."""
         if not self.augmented:
+            self._check_terrain_given(z)
             return self.mixture_for(c).log_density(self._x_vector(x)) + self._x_log_jacobian
         joint, _, log_dens = self._terrain(c, z, x)
-        return float(self._terrain_log_density(joint, log_dens))
-
-    def _terrain_log_density(self, joint: DynamicGaussianMixture, log_dens: np.ndarray):
-        """log p(x | c, z) in original units from the joint's
-        _split_log_density at x || z: one value for one point, (n,) for a
-        stack of n points."""
         # the marginal has the joint's weights; the total weight cancels
         log_joint, log_marginal = logsumexp(log_dens + np.log(joint._w))
-        return log_joint - log_marginal + self._x_log_jacobian
-
-    def _log_density_rows(self, c: CommandKey, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """log_density of the rows v (n, dim) of command c, each x or
-        x || z in original units, for rows whose every coordinate has
-        passed check_coordinates: (scored, ll), where scored (n,) is False
-        for a row whose terrain lies outside the support (where
-        log_density raises TerrainSupportError) and ll holds the log
-        densities of the scored rows, in order.  Each value has the bits
-        log_density gives its row: terrain rows are whitened in one stack
-        (MixtureCore._whitened), and terrain-free rows go one at a time
-        through MixtureCore.log_density.  An unknown command raises
-        KeyError, as in log_density."""
-        mix = self.mixture_for(c)
-        u = self._std.transform(v)
-        if not self.augmented:
-            ll = np.array([mix.log_density(row) for row in u]) + self._x_log_jacobian
-            return np.ones(len(u), dtype=bool), ll
-        _, log_dens = mix._split_log_density(u, self.x_dim)
-        scored = _supported(mix, log_dens)
-        return scored, self._terrain_log_density(mix, log_dens[:, scored])
+        return float(log_joint - log_marginal + self._x_log_jacobian)
 
     # -- persistence -----------------------------------------------------------
 
@@ -549,11 +528,11 @@ class MotionModel:
         return cls.from_dict(doc)
 
 
-def _supported(joint: MixtureCore, log_dens: np.ndarray):
+def _supported(joint: MixtureCore, log_dens: np.ndarray) -> bool:
     """Whether some component keeps a positive weight w_i N(z; marginal_i),
     the weight MixtureCore.conditional gives it, from _split_log_density's
-    log_dens: one answer for one point, (n,) for a stack of n points."""
-    return (joint._w * np.exp(log_dens[1]) > 0.0).any(axis=-1)
+    log_dens at one point."""
+    return bool((joint._w * np.exp(log_dens[1]) > 0.0).any())
 
 
 def _component_docs(mix: DynamicGaussianMixture, default_creation: np.ndarray) -> list[dict]:

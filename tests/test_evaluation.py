@@ -248,10 +248,10 @@ def awkward_incline_set():
 
 
 class TestBatchedFolds:
-    """terrain_comparison builds its record arrays once, trains every fold
-    through one row trainer and scores each command's held-out records in
-    one stack; its runs equal those of training and scoring one record at a
-    time, bit for bit, and every training record is one add_sample."""
+    """terrain_comparison builds its record arrays once and trains every
+    fold through one row trainer; its runs equal those of training and
+    scoring one record at a time, bit for bit, every training record is
+    one add_sample and every scored record one log_density per model."""
 
     @pytest.mark.parametrize("standardize, score_training", [(True, False), (False, False),
                                                              (True, True)])
@@ -296,6 +296,23 @@ class TestBatchedFolds:
         calls[0] = 0
         fit_motion_model(records, 0.3, np.random.default_rng(45))
         assert calls[0] == len(records)
+
+    def test_every_scored_record_is_one_log_density_per_model(self, monkeypatch):
+        records = awkward_incline_set()
+        calls = [0]
+        orig = MotionModel.log_density
+
+        def log_density(self, *args, **kwargs):
+            calls[0] += 1
+            return orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(MotionModel, "log_density", log_density)
+        report = terrain_comparison(records, folds=3, repeats=2, k=0.3, rng=np.random.default_rng(46))
+        # every record is held out once per repeat and scored by both
+        # models, counting the calls that raise (unknown command, terrain
+        # outside the support)
+        assert report.summary["unscored_with"] > report.summary["unscored_without"] > 0
+        assert calls[0] == 2 * 2 * len(records)
 
 
 class TestReportReproducibility:
@@ -464,9 +481,9 @@ def _never(*args, **kwargs):
 
 
 class TestArgumentsCheckedFirst:
-    """k_sweep, mise_experiment and terrain_comparison check k and repeats
-    before the EM fit, the fold split or any stream, and leave the rng
-    untouched."""
+    """k_sweep, mise_experiment and terrain_comparison check k and their
+    run counts before the EM fit, the fold split or any stream, and leave
+    the rng untouched."""
 
     @pytest.fixture
     def no_work(self, monkeypatch):
@@ -512,3 +529,25 @@ class TestArgumentsCheckedFirst:
                               "^repeats must be >= 1$")
         self.raises_untouched(lambda rng: terrain_comparison(records, 2, repeats, 0.3, rng),
                               "^repeats must be >= 1$")
+
+    @pytest.mark.parametrize("repeats", [1.5, 2.5, math.nan, 2.0])
+    def test_repeats_not_an_integer(self, repeats, no_work):
+        pts = np.random.default_rng(40).standard_normal((30, 2))
+        records = simulate_incline(InclineConfig(reps_per_orientation=2))
+        self.raises_untouched(lambda rng: k_sweep(pts, [0.1, 0.5], repeats, rng),
+                              "^repeats must be an integer$")
+        self.raises_untouched(lambda rng: terrain_comparison(records, 2, repeats, 0.3, rng),
+                              "^repeats must be an integer$")
+
+    @pytest.mark.parametrize("needed, max_attempts, pattern", [
+        (0, 3, "^needed must be >= 1$"),
+        (1.5, 3, "^needed must be an integer$"),
+        (1, -1, "^max_attempts must be >= 0$"),
+        (1, 2.5, "^max_attempts must be an integer$"),
+        (1, math.nan, "^max_attempts must be an integer$"),
+    ])
+    def test_mise_experiment_bad_counts(self, needed, max_attempts, pattern, no_work):
+        pts = load_old_faithful(standardize=True)[0]
+        self.raises_untouched(
+            lambda rng: mise_experiment(pts, 0.5, 2, needed=needed, max_attempts=max_attempts,
+                                        rng=rng), pattern)

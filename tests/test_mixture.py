@@ -515,6 +515,19 @@ class TestSampleValidation:
         m.add_sample(np.array([1e150]), 0.3, np.random.default_rng(31))
         assert m.means()[0, 0] == 1e150
 
+    @pytest.mark.parametrize("bad, problem", [
+        (math.nan, "is NaN"),
+        (-math.inf, "is infinite"),
+        (1e200, "= 1e+200 is too large: its square overflows float64"),
+    ])
+    def test_conditioning_value_is_checked(self, bad, problem):
+        m = mix(([0.0, 0.0, 0.0], np.eye(3), 2.0), ([1.0, 0.0, 1.0], 2.0 * np.eye(3), 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^z coordinate 1 " + re.escape(problem) + "$"):
+                m.conditional(np.array([0.5, bad]))
+        assert len(m.conditional(np.array([0.5, 0.0]))) == 2
+
 
 def _batch_cov(X):
     # X - X[0] is exact by Sterbenz's lemma (every row is within a factor

@@ -258,6 +258,23 @@ class TestQueryValidation:
                 call(np.array([0.0, bad]))
             assert not isinstance(info.value, TerrainSupportError)
 
+    def test_terrain_vector_given_to_a_terrain_free_model(self):
+        plain = MotionModel(k=0.5)
+        plain.record_sample(FWD, DeltaPose(0.1, 0, 0, 0, 0, 0), None, np.random.default_rng(33))
+        with pytest.raises(ValueError, match="^model has no terrain block; got a terrain vector$"):
+            plain.log_density(FWD, np.zeros(6), TerrainVector(0.1, 0.0))
+
+    @pytest.mark.parametrize("call", [
+        lambda mm: mm.log_density(FWD, np.zeros(6)),
+        lambda mm: mm.conditional_density(FWD, np.zeros(6), None),
+        lambda mm: mm.conditional_motion_density(FWD, None),
+    ])
+    def test_terrain_model_queried_without_terrain(self, call):
+        aug = random_joint_model(np.random.default_rng(34), x_dim=6, z_dim=2, n_comps=2)
+        with pytest.raises(ValueError,
+                           match="^model is terrain-augmented; a terrain vector is required$"):
+            call(aug)
+
 
 class TestConditionalMotionDensity:
     def test_single_component_ratio_identity(self):
@@ -541,46 +558,6 @@ class TestFusedTerrainQuery:
             assert np.array_equal(getattr(joint, name), array), name
         assert joint.total_weight() == before["_w"].sum()
         assert np.array_equal(np.random.get_state()[1], global_state)
-
-
-class TestStackedRows:
-    """_log_density_rows scores many rows of one command in one stacked
-    whitening, with the bits log_density gives each row alone, and marks
-    exactly the rows where log_density raises TerrainSupportError."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        z_dim=st.sampled_from([0, 2]),
-        m=st.integers(1, 12),
-        n=st.integers(1, 12),
-        offset=st.floats(-1e6, 1e6),
-        log_scale=st.floats(-3.0, 3.0),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_rows_equal_log_density(self, z_dim, m, n, offset, log_scale, seed):
-        rng = np.random.default_rng(seed)
-        dim, scale = 6 + z_dim, 10.0**log_scale
-        std = Standardizer(offset + rng.standard_normal(dim), scale * rng.uniform(0.5, 2.0, dim))
-        mm = MotionModel(k=0.5, x_dim=6, z_dim=z_dim, standardizer=std)
-        mix = mm.models[FWD] = DynamicGaussianMixture(
-            dim, hand_built_components(rng, dim, m, 0.0, 1.0, 1.0, integral=True))
-        # rows near the components, some with the terrain moved far away
-        u = mix._mean[rng.integers(m, size=n)] + rng.standard_normal((n, dim))
-        if z_dim:
-            u[:, 6:] += np.where(rng.random((n, 1)) < 0.3, 60.0, 0.0)
-        v = std.offset + std.scale * u
-        scored, values = mm._log_density_rows(FWD, v)
-        want, supported = [], []
-        for row in v:
-            try:
-                want.append(mm.log_density(FWD, row[:6], row[6:] if z_dim else None))
-                supported.append(True)
-            except TerrainSupportError:
-                supported.append(False)
-        assert scored.tolist() == supported
-        assert values.tolist() == want
-        with pytest.raises(KeyError):
-            mm._log_density_rows(TURN, v)
 
 
 class TestPersistence:
