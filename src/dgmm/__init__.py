@@ -15,7 +15,7 @@ from .motion import (
     pose_delta,
     wrap_angle,
 )
-from .em import FixedGaussianMixture, Grid, em_fit, integrate_on_grid, ise, log_likelihood, mise
+from .em import FixedGaussianMixture, Grid, em_fit, integrate_on_grid, ise, mise
 from .datasets import (
     InclineConfig,
     SampleRecord,
@@ -64,7 +64,6 @@ __all__ = [
     "em_fit",
     "integrate_on_grid",
     "ise",
-    "log_likelihood",
     "mise",
     "InclineConfig",
     "SampleRecord",

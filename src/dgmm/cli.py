@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 usage error, 2 data or model error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -139,21 +138,12 @@ def _write_report(report, args) -> None:
         sys.stdout.write(text)
 
 
-def _sniff_has_z(path) -> bool:
-    with open(path, newline="", encoding="utf-8") as f:
-        for row in csv.reader(f):
-            if row and not row[0].lstrip().startswith("#"):
-                return tuple(h.strip() for h in row) == datasets.HEADER_WITH_Z
-    raise ValueError(f"{path}: empty sample file")
-
-
 # -- subcommand bodies ---------------------------------------------------------
 
 
 def _cmd_fit(args) -> int:
-    has_z = _sniff_has_z(args.input)
-    records = load_samples(args.input, expect_z=has_z)
-    if args.no_z and has_z:
+    records = load_samples(args.input)
+    if args.no_z:
         records = datasets.strip_z(records)
     rng = np.random.default_rng(args.seed)
     mm = evaluation.fit_motion_model(records, args.k, rng, standardize=args.standardize)
@@ -206,7 +196,7 @@ def _cmd_compare_em(args) -> int:
 
 
 def _cmd_xval_terrain(args) -> int:
-    records = load_samples(args.input, expect_z=True)
+    records = load_samples(args.input)
     report = evaluation.terrain_comparison(
         records, args.folds, args.repeats, args.k,
         np.random.default_rng(args.seed),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -72,10 +72,11 @@ def strip_z(records: list[SampleRecord]) -> list[SampleRecord]:
 # -- motion sample CSV ---------------------------------------------------------
 
 
-def load_samples(path, expect_z: bool) -> list[SampleRecord]:
-    """Read a motion sample CSV.  The header decides whether the terrain
-    block is present and must agree with expect_z; data errors report the
-    offending line number.  Lines starting with '#' are ignored."""
+def load_samples(path) -> list[SampleRecord]:
+    """Read a motion sample CSV.  The header decides whether the records
+    carry terrain vectors (HEADER_WITH_Z) or not (HEADER_NO_Z); data errors
+    report the offending line number.  Lines starting with '#' are
+    ignored."""
     with open(path, newline="", encoding="utf-8") as f:
         rows = [
             (lineno, row)
@@ -92,11 +93,6 @@ def load_samples(path, expect_z: bool) -> list[SampleRecord]:
         has_z = False
     else:
         raise ValueError(f"{path}:{header_line}: unrecognized header {','.join(header)!r}")
-    if has_z != expect_z:
-        raise ValueError(
-            f"{path}:{header_line}: terrain columns {'present' if has_z else 'absent'} "
-            f"but expect_z={expect_z}"
-        )
     records = []
     width = len(header)
     for lineno, row in rows[1:]:

@@ -1,6 +1,7 @@
-"""Offline EM fitting of fixed-size Gaussian mixtures, plus the two scoring
-metrics used to compare density estimates: summed log-likelihood and the
-integrated square error between two mixtures.
+"""Offline EM fitting of fixed-size Gaussian mixtures, plus the metric used
+to compare density estimates: the integrated square error between two
+mixtures.  (Held-out records are scored in log space by
+MotionModel.log_density; see dgmm.evaluation.)
 
 The integrated square error is computed in closed form (`ise`): for
 mixtures p = sum_i a_i N(mu_i, S_i) and q = sum_j b_j N(nu_j, T_j),
@@ -31,10 +32,6 @@ import numpy as np
 
 from .gaussian import Gaussian, symmetrize
 from .mixture import MixtureCore, _factor, _log_norm, _quad, logsumexp
-
-#: Densities are floored here before taking logs, so held-out points far
-#: from every component keep fold averages finite.
-DENSITY_FLOOR = 1e-300
 
 
 class FixedGaussianMixture(MixtureCore):
@@ -134,20 +131,6 @@ def em_fit(points, m: int, tol: float = 1e-8, max_iter: int = 500,
         if best is None or fit.loglik_path[-1] > best.loglik_path[-1]:
             best = fit
     return best
-
-
-def log_likelihood(density, points) -> float:
-    """Sum of ln density over the points, with the density floored at
-    DENSITY_FLOOR so the result is always finite.  `density` is any
-    callable mapping a point (or batch of points) to pdf values, e.g. the
-    bound density method of a fitted mixture."""
-    points = np.asarray(points, dtype=float)
-    if points.size == 0:
-        return 0.0
-    if points.ndim == 1:
-        points = points[:, None]
-    vals = np.asarray(density(points), dtype=float).reshape(-1)
-    return float(np.log(np.maximum(vals, DENSITY_FLOOR)).sum())
 
 
 @dataclass(frozen=True)

@@ -26,11 +26,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import SampleRecord
-from .em import DENSITY_FLOOR, em_fit, ise
+from .em import em_fit, ise
 from .mixture import DynamicGaussianMixture, _final_count, check_rows
 from .motion import MotionModel, Standardizer, TerrainSupportError
 
-LOG_FLOOR = math.log(DENSITY_FLOOR)
+#: Held-out log densities are floored here, so a record far from every
+#: component, or one that cannot be scored, keeps fold sums finite.
+LOG_FLOOR = math.log(1e-300)
 
 
 def summary_stats(values) -> tuple[float, float]:
@@ -184,13 +186,18 @@ def _check_k(k: float) -> None:
         raise ValueError("k must be non-negative")
 
 
+def _check_integer(value: int, name: str) -> None:
+    """ValueError unless value is an integer (Python or numpy)."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer")
+
+
 def _check_count(value: int, name: str, low: int) -> None:
     """A run count's check, made before an experiment does any work: an
     integer (Python or numpy) of at least low."""
     if value < low:
         raise ValueError(f"{name} must be >= {low}")
-    if not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer")
+    _check_integer(value, name)
 
 
 def _stream_shuffle(points: np.ndarray, k: float, seed: int, stop) -> DynamicGaussianMixture:
@@ -277,12 +284,13 @@ def mise_experiment(points, k: float, target_m: int, needed: int,
     (mixture._final_count), and compared with each run's total weight.
     Accepted runs stream every point.  Each attempt draws from its own
     generator, so the report is the one that streaming every point would
-    give.  k (negative or NaN: "k must be non-negative"), needed (an
-    integer, at least 1), max_attempts (an integer, at least 0) and every
-    point (NaN, infinite and overflowing coordinates) are checked before
-    the EM fit.
+    give.  k (negative or NaN: "k must be non-negative"), target_m (an
+    integer; em_fit rejects one below 1), needed (an integer, at least 1),
+    max_attempts (an integer, at least 0) and every point (NaN, infinite
+    and overflowing coordinates) are checked before the EM fit.
     """
     _check_k(k)
+    _check_integer(target_m, "target_m")
     _check_count(needed, "needed", 1)
     _check_count(max_attempts, "max_attempts", 0)
     points = np.asarray(points, dtype=float)
@@ -369,12 +377,14 @@ def terrain_comparison(s1: list[SampleRecord], folds: int, repeats: int, k: floa
     bit for bit as fit_motion_model would.  Each target record is then
     scored by one MotionModel.log_density call per model, in record order
     (see _score_fold), so a bad record raises log_density's ValueError.
-    Every record needs a terrain vector; k (negative or NaN: "k must be
+    Every record needs a terrain vector; folds (an integer;
+    stratified_kfold rejects one below 2), k (negative or NaN: "k must be
     non-negative") and repeats (an integer, at least 1) are checked before
     the first fold split.
     """
     if not s1 or any(r.z is None for r in s1):
         raise ValueError("terrain comparison needs records with terrain vectors")
+    _check_integer(folds, "folds")
     _check_k(k)
     _check_count(repeats, "repeats", 1)
     # built once: every fold trains on rows of these

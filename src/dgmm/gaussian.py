@@ -33,10 +33,17 @@ def symmetrize(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.multiply(0.5, m + m.T, out)
 
 
+def asymmetric(cov: np.ndarray) -> np.ndarray:
+    """For each square matrix of cov (..., D, D): whether some entry is
+    further than SYMMETRY_RTOL * max(1, |entry|) from its transpose's."""
+    far = np.abs(cov - np.swapaxes(cov, -1, -2)) > SYMMETRY_RTOL * np.maximum(1.0, np.abs(cov))
+    return far.any(axis=(-2, -1))
+
+
 def check_symmetric(cov: np.ndarray) -> None:
-    """ValueError("cov is not symmetric") unless every entry of the square
-    matrix cov is within SYMMETRY_RTOL * max(1, |entry|) of its transpose's."""
-    if np.any(np.abs(cov - cov.T) > SYMMETRY_RTOL * np.maximum(1.0, np.abs(cov))):
+    """ValueError("cov is not symmetric") if the square matrix cov is
+    asymmetric."""
+    if asymmetric(cov):
         raise ValueError("cov is not symmetric")
 
 
@@ -77,16 +84,6 @@ class Gaussian:
         self.cov = cov
         self._chol = None
         self._log_norm = None
-
-    @classmethod
-    def _trusted(cls, mean: np.ndarray, cov: np.ndarray) -> "Gaussian":
-        """A Gaussian on float arrays mean (D,) and cov (D, D), taken as they
-        are, without __init__'s conversions and checks: for moments this
-        package has just computed from checked ones, such as merge_into's,
-        whose covariance is symmetric by construction."""
-        g = cls.__new__(cls)
-        g.mean, g.cov, g._chol, g._log_norm = mean, cov, None, None
-        return g
 
     @property
     def dim(self) -> int:

@@ -41,13 +41,13 @@ whole point u, y_i = V_i (u - mean_i), gives in y_i[k:] the whitening of
 u[k:] against the marginal over k:, whatever finite u[:k] holds (those
 columns add exact zeros).  One whitening
 therefore gives the joint and the terrain-marginal log densities at x || z
-(`_split_log_density`), and the terrain `conditional` is products of the
-stored arrays and that whitening.
+(`_split_log_density`), and the terrain conditional (`_conditional`) is
+products of the stored arrays and that whitening.
 
-It gives `density`, `log_density`, `support_box` and the terrain
-`conditional`; `_factor` is the one place that factorizes, and `_quad`
-(many points against every component in one product) and `_whitened`
-(one point against every component) are its Mahalanobis kernels.
+It gives `density`, `log_density` and `support_box`; `_factor` is the one
+place that factorizes, and `_quad` (many points against every component in
+one product) and `_whitened` (one point against every component) are its
+Mahalanobis kernels.
 `_factor` calls the LAPACK gufuncs behind np.linalg.cholesky and
 np.linalg.inv directly, since at D <= 8 those functions' Python wrappers
 cost more than the factorization itself; it falls back to numpy.linalg,
@@ -66,10 +66,10 @@ component-at-mean densities N(mean_i; component j), an (m, m) matrix the
 peak estimate needs, are not stored: `_scaled_peak` builds them from the
 current arrays on each call, in O(m^2 D^2), scaled by the largest weighted
 density at a mean, so that d is one ratio of numbers in [0, m] at every
-covariance scale (`_peak` gives the unscaled matrix).  That scaled peak is
-at least 1, so the scaled numerator alone, an O(m) dot product of the
-distances already in hand, bounds d from above: add_sample builds the peak
-matrix only for a draw that neither t(0) nor t(that bound) settles.  The
+covariance scale.  That scaled peak is at least 1, so the scaled numerator
+alone, an O(m) dot product of the distances already in hand, bounds d from
+above: add_sample builds the peak matrix only for a draw that neither t(0)
+nor t(that bound) settles.  The
 merge's draw is likewise one expression: its scores are shifted by the
 nearest component's distance, so it needs no nearest-component fallback,
 and every merge makes exactly one draw.
@@ -81,9 +81,9 @@ draw, the minimum shifts the draw's scores, and a merge takes the drawn
 component's difference as _absorb's dx.  exp(-k n) is evaluated once, and
 t(0), t(bound) and t(d) are formed from it by merge_threshold's own
 expression (`_threshold`).  A merge keeps the weight as a Python float and
-writes the new evaluation covariance into its row; an append whose
-creation covariance is new_cov_scale * I, as every add_sample's is, looks
-`_fresh` up by (D, scale) without building that matrix.  A stream that
+writes the new evaluation covariance into its row; an append, whose
+creation covariance is new_cov_scale * I, looks `_fresh` up by
+(D, new_cov_scale) without building that matrix.  A stream that
 stops once its count is final compares its total weight with
 `_final_count(k)`, the first n at which `_count_is_final(n, k)` holds,
 found once per k.
@@ -98,8 +98,8 @@ on its creation covariance alone, so one module-level entry, `_fresh`,
 keeps them with a read-only copy of that covariance, and every mixture
 built with the same creation covariance (the many per-command mixtures of
 a motion model, say) shares them.  Reads
-(density, log_density, normalized_density, select_component, components,
-conditional) never mutate a mixture; only add_sample writes.
+(density, log_density, normalized_density, select_component, components)
+never mutate a mixture; only add_sample writes.
 
 A whole mixture is built from its moment arrays by one constructor,
 `DynamicGaussianMixture._from_arrays`, the one place that derives _eval_cov
@@ -109,6 +109,9 @@ per-component objects -- `WeightedGaussian` with `pd_gaussian`,
 `merge_into`, and the `components` property that builds them on each
 access -- are a reference layer: tests and benchmark oracles check the
 arrays against them, and no learning, persistence or EM path builds them.
+They, and the `density` entry in DynamicGaussianMixture's own namespace,
+stay because the benchmark harness (bench/) wraps or reads them; no other
+entry point or argument is kept for tests alone.
 """
 
 from __future__ import annotations
@@ -136,13 +139,12 @@ try:
 except ImportError:  # numpy < 2
     from numpy.core.multiarray import c_einsum as _einsum
 
-# (key, read-only copies of the creation covariance, its fresh component's
-# evaluation covariance and inverse factor) for the last creation
-# covariance appended by any mixture, or None; the key is (D, scale) for
-# scale * I and the covariance's bytes otherwise: see
+# ((D, scale), read-only copies of the creation covariance scale * I, its
+# fresh component's evaluation covariance and inverse factor) for the last
+# creation covariance appended by any mixture, or None: see
 # DynamicGaussianMixture._append.  The entry is replaced whole, never
 # written in place.
-_fresh: tuple[tuple | bytes, np.ndarray, np.ndarray, np.ndarray] | None = None
+_fresh: tuple[tuple[int, float], np.ndarray, np.ndarray, np.ndarray] | None = None
 
 #: Largest accepted sample coordinate magnitude: its square is finite in float64.
 MAX_COORDINATE = math.sqrt(np.finfo(float).max)
@@ -397,28 +399,17 @@ class MixtureCore:
         return y, np.array([terms.sum(axis=-1) - half_log_2pi * self.dim,
                             terms[..., k:].sum(axis=-1) - half_log_2pi * (self.dim - k)])
 
-    def conditional(self, z) -> "MixtureCore":
-        """Mixture over the leading coordinates given that the trailing
-        len(z) coordinates equal z, from the evaluation Gaussians.
+    def _conditional(self, k: int, y: np.ndarray, log_dens: np.ndarray) -> "MixtureCore":
+        """Mixture over the leading k coordinates given that the trailing
+        ones equal z = u[k:], from the evaluation Gaussians and
+        _split_log_density(u, k) = (y, log_dens).
 
         Component i is conditioned in closed form and reweighted by w_i
         times its trailing-block marginal density at z, so the result is
         pointwise joint(x || z) / marginal(z).  Everything comes from the
         stored factors (see the module docstring); nothing is factorized.
         Components whose weight underflows to zero are dropped; the result
-        is empty when all of them do.  A NaN, infinite or overflowing
-        coordinate of z raises ValueError naming it.
-        """
-        z = np.asarray(z, dtype=float).reshape(-1)
-        k = self.dim - z.shape[0]
-        if not 0 < k < self.dim:
-            raise ValueError(f"z has dimension {z.shape[0]}; must be in (0, {self.dim})")
-        check_coordinates(z, "z")
-        # any finite leading coordinates give the same terrain terms
-        return self._conditional(k, *self._split_log_density(np.concatenate([np.zeros(k), z]), k))
-
-    def _conditional(self, k: int, y: np.ndarray, log_dens: np.ndarray) -> "MixtureCore":
-        """conditional(z) for z = u[k:], given _split_log_density(u, k)."""
+        is empty when all of them do."""
         weight = self._w * np.exp(log_dens[1])
         keep = weight > 0.0
         u_xz = self._eval_cov[:, :k, k:] @ self._chol_inv[:, k:, k:].transpose(0, 2, 1)
@@ -482,8 +473,7 @@ def merge_into(c: WeightedGaussian, x) -> WeightedGaussian:
         raise ValueError(f"sample dimension {x.shape[0]} != component dimension {c.g.dim}")
     mean, cov = c.g.mean.copy(), c.g.cov.copy()
     _absorb(c.w, mean, cov, x - mean)
-    # _absorb keeps a symmetric covariance exactly symmetric
-    return WeightedGaussian(Gaussian._trusted(mean, cov), c.w + 1.0, c.creation_cov)
+    return WeightedGaussian(Gaussian(mean, cov), c.w + 1.0, c.creation_cov)
 
 
 class DynamicGaussianMixture(MixtureCore):
@@ -559,12 +549,6 @@ class DynamicGaussianMixture(MixtureCore):
     # wrappers (bench/tracer.py) look it up
     density = MixtureCore.density
 
-    @property
-    def _peak(self) -> np.ndarray:
-        """N(mean_i; component j) for every pair: (m, m), built from the
-        current arrays on each read in O(m^2 D^2)."""
-        return np.exp(self._log_norm - 0.5 * _quad(self._mean, self._mean, self._chol_inv))
-
     def _scaled_weights(self) -> tuple[float, np.ndarray]:
         """(c, a): the mixture scaled by exp(-c), in O(m D).
 
@@ -617,11 +601,6 @@ class DynamicGaussianMixture(MixtureCore):
 
     # -- online update -----------------------------------------------------
 
-    def _quad_at(self, x: np.ndarray) -> np.ndarray:
-        """Squared Mahalanobis distance of one point (D,) to each component,
-        |V_i (x - mean_i)|^2: shape (m,); see _distances."""
-        return self._distances(x)[1]
-
     def _distances(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """(diff, quad, nearest) for one point x (D,), from one whitening:
         the differences diff_i = x - mean_i (m, D), the squared Mahalanobis
@@ -647,16 +626,12 @@ class DynamicGaussianMixture(MixtureCore):
         """w_i * exp(-maha_i^2 / 2) from the squared distances to one point."""
         return self._w * np.exp(-0.5 * quad)
 
-    def _draw(self, quad: np.ndarray, rng: np.random.Generator,
-              nearest: float | None = None) -> int:
+    def _draw(self, quad: np.ndarray, rng: np.random.Generator, nearest: float) -> int:
         """One categorical draw with probability proportional to
         w_i * exp(-quad_i / 2), from exactly one rng.random().  The scores
-        are shifted by the smallest distance, nearest (found here when not
-        given), so the nearest component scores its own weight and the
-        total is positive and finite even where every unshifted score
-        underflows."""
-        if nearest is None:
-            nearest = np.minimum.reduce(quad)
+        are shifted by the smallest distance, nearest (see _distances), so
+        the nearest component scores its own weight and the total is
+        positive and finite even where every unshifted score underflows."""
         cum = self._selection_scores(quad - nearest).cumsum().tolist()
         return min(bisect.bisect_right(cum, rng.random() * cum[-1]), len(cum) - 1)
 
@@ -717,9 +692,9 @@ class DynamicGaussianMixture(MixtureCore):
         # an empty mixture has d = n = 0, so t = 0 and it always appends
         if diff is not None and self._merges(quad, r, k):
             i = self._draw(quad, rng, nearest)
-            self._merge(i, x, diff[i])
+            self._merge(i, diff[i])
         else:
-            self._append(x, scale=new_cov_scale)
+            self._append(x, new_cov_scale)
         self._W += 1.0
 
     def _merges(self, quad: np.ndarray, r: float, k: float) -> bool:
@@ -748,13 +723,13 @@ class DynamicGaussianMixture(MixtureCore):
             return False
         return r < _threshold(min(num / self._scaled_peak(a), 1.0), decay)
 
-    def _merge(self, i: int, x: np.ndarray, dx: np.ndarray | None = None) -> None:
-        """Absorb x into component i, whose weight is >= 1 (add_sample
-        checks that every weight is before it draws); dx, when given, is
-        x - mean_i.  The weight is a Python float, and the new evaluation
-        covariance is written into its row before i alone is re-factored."""
+    def _merge(self, i: int, dx: np.ndarray) -> None:
+        """Absorb the sample x = mean_i + dx into component i, whose weight
+        is >= 1 (add_sample checks that every weight is before it draws).
+        The weight is a Python float, and the new evaluation covariance is
+        written into its row before i alone is re-factored."""
         w = float(self._w[i])
-        _absorb(w, self._mean[i], self._cov[i], x - self._mean[i] if dx is None else dx)
+        _absorb(w, self._mean[i], self._cov[i], dx)
         w += 1.0
         self._w[i] = w
         row = self._eval_cov[i]
@@ -763,21 +738,20 @@ class DynamicGaussianMixture(MixtureCore):
         if eval_cov is not row:  # cov itself, or loaded by _factor_linalg
             row[...] = eval_cov
 
-    def _append(self, x: np.ndarray, cov: np.ndarray | None = None, scale: float = 1.0) -> None:
+    def _append(self, x: np.ndarray, scale: float) -> None:
         """Grow every array by one row for a weight-1 component at x whose
-        covariance and creation covariance are cov, or scale * I when cov
-        is None.  Its evaluation covariance and factor depend on that
-        covariance alone, so they are kept in the module's `_fresh` entry
-        for the last one any mixture appended, and reused while it repeats,
-        as it does within a stream and across the mixtures of one motion
-        model; the components share one read-only copy of it as their
-        creation covariance.  The entry is keyed by (D, scale) or by cov's
-        bytes, so a repeated scale * I is not even built."""
+        covariance and creation covariance are scale * I.  Its evaluation
+        covariance and factor depend on that covariance alone, so they are
+        kept in the module's `_fresh` entry for the last one any mixture
+        appended, and reused while it repeats, as it does within a stream
+        and across the mixtures of one motion model; the components share
+        one read-only copy of it as their creation covariance.  The entry
+        is keyed by (D, scale), so a repeated scale * I is not even built."""
         global _fresh
-        key = (self.dim, scale) if cov is None else cov.tobytes()
+        key = (self.dim, scale)
         fresh = _fresh
         if fresh is None or fresh[0] != key:
-            cov = scale * np.eye(self.dim) if cov is None else cov.copy()
+            cov = scale * np.eye(self.dim)
             eval_cov, chol_inv = _factor(_evaluation_cov(cov, 1.0, cov))
             for arr in (cov, eval_cov, chol_inv):
                 arr.flags.writeable = False

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import check_symmetric
+from .gaussian import asymmetric, check_symmetric
 from .mixture import (
     DynamicGaussianMixture,
     MixtureCore,
@@ -360,7 +360,8 @@ class MotionModel:
         xv = np.zeros(self.x_dim) if x is None else self._query_x(x)
         y, log_dens = joint._split_log_density(self._std.transform(np.concatenate([xv, zv])),
                                                self.x_dim)
-        if not _supported(joint, log_dens):
+        # the weight w_i N(z; marginal_i) that _conditional gives component i
+        if not (joint._w * np.exp(log_dens[1]) > 0.0).any():
             raise TerrainSupportError(
                 f"terrain {np.array2string(zv, precision=4)} is far outside the training support"
             )
@@ -373,7 +374,7 @@ class MotionModel:
         and reweighted by w_i times its terrain marginal at z, which makes
         the returned mixture pointwise equal to joint(x || z) / marginal(z).
         All components are conditioned in one batched pass
-        (MixtureCore.conditional).  Lives in the model's internal
+        (MixtureCore._conditional).  Lives in the model's internal
         (possibly standardized) space; use conditional_density for values
         in original units.  A NaN, infinite or overflowing terrain
         coordinate raises ValueError naming it.
@@ -500,11 +501,7 @@ class MotionModel:
                 if w[-1] <= 0:
                     _fail(f"{cwhere}.w", "must be a positive finite number")
                 means.append(_expect_floats(comp, "mean", dim, prefix=cwhere + "."))
-                covs.append(_expect_matrix(comp, "cov", dim, prefix=cwhere + "."))
-                # exact moments are PSD, rank-deficient ones up to rounding
-                eig = np.linalg.eigvalsh(covs[-1])
-                if eig[0] < -PSD_TOLERANCE * max(1.0, float(np.abs(eig).max())):
-                    _fail(f"{cwhere}.cov", "not positive semidefinite")
+                covs.append(_expect_floats(comp, "cov", dim * dim, prefix=cwhere + "."))
                 creation = comp.get("creation_cov", default_creation)
                 if creation is not None and creation is not default_creation:
                     creation = _expect_matrix(comp, "creation_cov", dim, prefix=cwhere + ".")
@@ -514,8 +511,15 @@ class MotionModel:
                     except np.linalg.LinAlgError:
                         _fail(f"{cwhere}.creation_cov", "not positive definite")
                 creations.append(creation)
+            # the command's covariances are checked together, in one pass each
+            covs = np.array(covs).reshape(-1, dim, dim)
+            _fail_first_cov(where, asymmetric(covs), "cov is not symmetric")
+            # exact moments are PSD, rank-deficient ones up to rounding
+            eig = np.linalg.eigvalsh(covs)
+            _fail_first_cov(where, eig[:, 0] < -PSD_TOLERANCE * np.maximum(1.0, np.abs(eig).max(axis=1)),
+                            "not positive semidefinite")
             mm.models[command] = DynamicGaussianMixture._from_arrays(
-                np.array(w), np.array(means), np.array(covs), creations)
+                np.array(w), np.array(means), covs, creations)
         return mm
 
     @classmethod
@@ -526,13 +530,6 @@ class MotionModel:
             except json.JSONDecodeError as exc:
                 raise ValueError(f"model file: field '<root>': invalid JSON ({exc})") from exc
         return cls.from_dict(doc)
-
-
-def _supported(joint: MixtureCore, log_dens: np.ndarray) -> bool:
-    """Whether some component keeps a positive weight w_i N(z; marginal_i),
-    the weight MixtureCore.conditional gives it, from _split_log_density's
-    log_dens at one point."""
-    return bool((joint._w * np.exp(log_dens[1]) > 0.0).any())
 
 
 def _component_docs(mix: DynamicGaussianMixture, default_creation: np.ndarray) -> list[dict]:
@@ -556,6 +553,13 @@ def _component_docs(mix: DynamicGaussianMixture, default_creation: np.ndarray) -
 
 def _fail(field: str, why: str):
     raise ValueError(f"model file: field '{field}': {why}")
+
+
+def _fail_first_cov(where: str, bad: np.ndarray, why: str) -> None:
+    """_fail naming the covariance of the first component of command
+    `where` that bad (m,) flags, if any."""
+    if bad.any():
+        _fail(f"{where}.components[{int(bad.argmax())}].cov", why)
 
 
 def _finite_number(val) -> bool:

@@ -104,14 +104,14 @@ def test_fit_missing_input_exits_2(tmp_path, capsys):
 def test_gen_incline_outputs(tmp_path):
     out = tmp_path / "run.csv"
     assert run(["gen-incline", "--out", str(out), "--reps", "1", "--seed", "7"]) == 0
-    records = load_samples(out, expect_z=True)
+    records = load_samples(out)
     assert len(records) == 78
     meta = json.loads((tmp_path / "run.csv.meta.json").read_text())
     assert meta["config"]["seed"] == 7
     assert meta["invocation"]["subcommand"] == "gen-incline"
     no_z = tmp_path / "run_noz.csv"
     assert run(["gen-incline", "--out", str(no_z), "--reps", "1", "--seed", "7", "--no-z"]) == 0
-    assert all(r.z is None for r in load_samples(no_z, expect_z=False))
+    assert all(r.z is None for r in load_samples(no_z))
 
 
 def test_gen_gmm_and_sweep(tmp_path):
@@ -147,6 +147,30 @@ def test_xval_terrain_smoke(tmp_path, incline_csv):
     assert len(doc["runs"]) == 3
     assert {"with_terrain_mean", "without_terrain_mean", "gap", "pooled_se"} <= doc["summary"].keys()
     assert np.isfinite(doc["summary"]["gap"])
+
+
+def test_terrain_free_file_fits_and_queries_without_flags(tmp_path, capsys):
+    # the header, not an option, decides whether records carry terrain
+    no_z = tmp_path / "samples-noz.csv"
+    assert run(["gen-incline", "--no-z", "--out", str(no_z), "--reps", "2", "--seed", "3"]) == 0
+    model_path = tmp_path / "model.json"
+    assert run(["fit", "--input", str(no_z), "--seed", "3", "--out", str(model_path)]) == 0
+    assert json.loads(model_path.read_text())["layout"] == {"x_dim": 6, "z_dim": 0}
+    capsys.readouterr()
+    assert run(["query", "--model", str(model_path), "--command", "0.5,0,0",
+                "--x", "0.1,0,0,0,0,0"]) == 0
+    value = float(capsys.readouterr().out)
+    mm = MotionModel.load(model_path)
+    assert value == mm.motion_density(CommandKey(0.5, 0, 0), np.array([0.1, 0, 0, 0, 0, 0]))
+
+
+def test_xval_terrain_on_a_terrain_free_file_exits_2(tmp_path, capsys):
+    no_z = tmp_path / "samples-noz.csv"
+    assert run(["gen-incline", "--no-z", "--out", str(no_z), "--reps", "2", "--seed", "3"]) == 0
+    capsys.readouterr()
+    assert run(["xval-terrain", "--input", str(no_z), "--folds", "2", "--repeats", "1",
+                "--seed", "3"]) == 2
+    assert capsys.readouterr().err == "error: terrain comparison needs records with terrain vectors\n"
 
 
 def test_reruns_are_byte_identical(tmp_path, incline_csv):

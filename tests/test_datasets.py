@@ -27,7 +27,7 @@ class TestSampleCsv:
         records = simulate_incline(InclineConfig(reps_per_orientation=1))[:3]
         path = tmp_path / "s.csv"
         write_samples(path, records)
-        back = load_samples(path, expect_z=True)
+        back = load_samples(path)
         assert len(back) == 3
         for a, b in zip(records, back):
             assert a.command == b.command
@@ -38,19 +38,8 @@ class TestSampleCsv:
         records = strip_z(simulate_incline(InclineConfig(reps_per_orientation=1))[:3])
         path = tmp_path / "s.csv"
         write_samples(path, records)
-        back = load_samples(path, expect_z=False)
+        back = load_samples(path)
         assert all(r.z is None for r in back)
-
-    def test_z_expectation_enforced(self, tmp_path):
-        with_z = simulate_incline(InclineConfig(reps_per_orientation=1))[:2]
-        p1 = tmp_path / "z.csv"
-        write_samples(p1, with_z)
-        with pytest.raises(ValueError, match="expect_z"):
-            load_samples(p1, expect_z=False)
-        p2 = tmp_path / "noz.csv"
-        write_samples(p2, strip_z(with_z))
-        with pytest.raises(ValueError, match="expect_z"):
-            load_samples(p2, expect_z=True)
 
     def test_errors_carry_line_numbers(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -60,10 +49,10 @@ class TestSampleCsv:
             "0.5,0,oops,0.1,0,0,0,0,0\n"
         )
         with pytest.raises(ValueError, match=":3"):
-            load_samples(path, expect_z=False)
+            load_samples(path)
         path.write_text("not,a,real,header\n")
         with pytest.raises(ValueError, match=":1"):
-            load_samples(path, expect_z=False)
+            load_samples(path)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cells_rejected(self, tmp_path, cell):
@@ -74,14 +63,14 @@ class TestSampleCsv:
             f"0.5,0,0,{cell},0,0,0,0,0\n"
         )
         with pytest.raises(ValueError, match=r"bad\.csv:3: non-finite cell"):
-            load_samples(path, expect_z=False)
+            load_samples(path)
 
     def test_comment_lines_ignored(self, tmp_path):
         records = strip_z(simulate_incline(InclineConfig(reps_per_orientation=1))[:2])
         path = tmp_path / "s.csv"
         write_samples(path, records, comment="provenance goes here")
         assert path.read_text().startswith("# provenance")
-        assert len(load_samples(path, expect_z=False)) == 2
+        assert len(load_samples(path)) == 2
 
 
 class TestOldFaithful:

@@ -551,3 +551,27 @@ class TestArgumentsCheckedFirst:
         self.raises_untouched(
             lambda rng: mise_experiment(pts, 0.5, 2, needed=needed, max_attempts=max_attempts,
                                         rng=rng), pattern)
+
+    @pytest.mark.parametrize("count", [1.5, 2.5, math.nan, 2.0])
+    def test_folds_and_target_m_not_an_integer(self, count, no_work):
+        records = simulate_incline(InclineConfig(reps_per_orientation=2))
+        pts = load_old_faithful(standardize=True)[0]
+        self.raises_untouched(lambda rng: terrain_comparison(records, count, 1, 0.3, rng),
+                              "^folds must be an integer$")
+        self.raises_untouched(
+            lambda rng: mise_experiment(pts, 0.5, count, needed=1, max_attempts=5, rng=rng),
+            "^target_m must be an integer$")
+
+    @pytest.mark.parametrize("count", [1, 0, -1])
+    def test_folds_and_target_m_too_small(self, count, monkeypatch):
+        # the fold split and the EM fit name these, before any draw
+        calls = _counting_add_sample(monkeypatch)
+        records = simulate_incline(InclineConfig(reps_per_orientation=2))
+        pts = load_old_faithful(standardize=True)[0]
+        self.raises_untouched(lambda rng: terrain_comparison(records, count, 1, 0.3, rng),
+                              "^need at least 2 folds$")
+        if count < 1:
+            self.raises_untouched(
+                lambda rng: mise_experiment(pts, 0.5, count, needed=1, max_attempts=5, rng=rng),
+                "^m must be >= 1$")
+        assert calls[0] == 0

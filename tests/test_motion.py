@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -254,8 +255,10 @@ class TestQueryValidation:
         for call in (lambda z: aug.conditional_motion_density(FWD, z),
                      lambda z: aug.conditional_density(FWD, np.zeros(6), z),
                      lambda z: aug.log_density(FWD, np.zeros(6), z)):
-            with pytest.raises(ValueError, match=f"terrain coordinate 1 {problem}") as info:
-                call(np.array([0.0, bad]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=f"terrain coordinate 1 {problem}") as info:
+                    call(np.array([0.0, bad]))
             assert not isinstance(info.value, TerrainSupportError)
 
     def test_terrain_vector_given_to_a_terrain_free_model(self):
@@ -412,7 +415,7 @@ class TestConditioningInvariant:
 
         split = IndexSplit(kept=tuple(range(k)), dropped=tuple(range(k, dim)))
         want_w = np.array([c.w * float(g.marginal(range(k, dim)).density(z)) for c, g in zip(comps, evals)])
-        cond = joint.conditional(z)
+        cond = mm.conditional_motion_density(FWD, z)
         assert len(cond) == int(np.count_nonzero(want_w))
         resolution = 1e-15 * abs(offset)
         for w, mean, cov, i in zip(cond._w, cond._mean, cond._eval_cov, np.flatnonzero(want_w)):
@@ -663,6 +666,25 @@ class TestPersistence:
                                              "not positive semidefinite"):
             MotionModel.from_dict(doc)
 
+    @pytest.mark.parametrize("cov, why", [
+        ([1.0, 0.5, 0.2, 1.0], "cov is not symmetric"),
+        ([1.0, 2.0, 2.0, 1.0], "not positive semidefinite"),
+    ])
+    def test_bad_covariance_named_past_the_first_component(self, cov, why):
+        # a command's covariances are checked together; the error names
+        # the first bad one, here the second of the second command's three
+        mm = MotionModel(k=0.5, x_dim=2, z_dim=0)
+        for c in (FWD, TURN):
+            mm.models[c] = DynamicGaussianMixture.from_components(
+                [WeightedGaussian(Gaussian([float(i), 0.0], np.eye(2)), 2.0) for i in range(3)])
+        doc = json.loads(json.dumps(mm.to_dict()))
+        assert MotionModel.from_dict(doc).to_dict() == doc
+        doc["commands"][1]["components"][1]["cov"] = cov
+        doc["commands"][1]["components"][2]["cov"] = cov
+        with pytest.raises(ValueError, match=r"^model file: field 'commands\[1\]\.components\[1\]\.cov': "
+                                             + why + "$"):
+            MotionModel.from_dict(doc)
+
     def test_rank_deficient_covariance_loads(self):
         # the exact unbiased covariance of two samples has rank one
         a, b = np.array([0.1, -0.3, 2.0]), np.array([1.7, 0.4, -0.9])
@@ -830,7 +852,7 @@ def assert_same_model(a, b):
     for c in a.commands():
         ma, mb = a.mixture_for(c), b.mixture_for(c)
         assert ma.total_weight() == mb.total_weight()
-        for name in ("_w", "_mean", "_cov", "_eval_cov", "_chol_inv", "_log_norm", "_peak"):
+        for name in ("_w", "_mean", "_cov", "_eval_cov", "_chol_inv", "_log_norm"):
             assert np.array_equal(getattr(ma, name), getattr(mb, name)), name
         for ca, cb in zip(ma._creation, mb._creation):
             assert (ca is None and cb is None) or np.array_equal(ca, cb)
