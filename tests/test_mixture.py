@@ -22,8 +22,10 @@ from dgmm.mixture import (
 )
 from dgmm.em import FixedGaussianMixture, Grid, integrate_on_grid, mixture_support_box
 from dgmm.datasets import sample_gmm
+from dgmm.motion import CommandKey, MotionModel
 
 STD_PEAK = 1.0 / math.sqrt(2 * math.pi)
+FWD = CommandKey(0.5, 0.0, 0.0)
 
 
 def mix(*comps):
@@ -514,6 +516,23 @@ class TestSampleValidation:
         m = DynamicGaussianMixture(1)
         m.add_sample(np.array([1e150]), 0.3, np.random.default_rng(31))
         assert m.means()[0, 0] == 1e150
+
+    @pytest.mark.parametrize("bad, problem", [
+        (math.nan, "is NaN"),
+        (-math.inf, "is infinite"),
+        (1e200, "= 1e+200 is too large: its square overflows float64"),
+    ])
+    def test_conditioning_value_is_checked(self, bad, problem):
+        # a mixture is conditioned through the motion model that holds it
+        # as a joint over (x, z); the conditioning value is checked there
+        mm = MotionModel(k=0.5, x_dim=1, z_dim=2)
+        mm.models[FWD] = mix(([0.0, 0.0, 0.0], np.eye(3), 2.0), ([1.0, 0.0, 1.0], 2.0 * np.eye(3), 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match="^terrain coordinate 1 " + re.escape(problem) + "$"):
+                mm.conditional_motion_density(FWD, np.array([0.5, bad]))
+        assert len(mm.conditional_motion_density(FWD, np.array([0.5, 0.0]))) == 2
 
 
 def _batch_cov(X):
