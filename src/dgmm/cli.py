@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import datasets, evaluation
 from .datasets import InclineConfig, load_old_faithful, load_points, load_samples
-from .motion import CommandKey, MotionModel, Standardizer, TerrainSupportError, TerrainVector
+from .motion import CommandKey, MotionModel, Standardizer
 
 
 class _UsageError(Exception):
@@ -155,22 +156,9 @@ def _cmd_fit(args) -> int:
 
 def _cmd_query(args) -> int:
     mm = MotionModel.load(args.model)
-    command = CommandKey.parse(args.command)
-    x = _float_list(args.x)
-    if len(x) != mm.x_dim:
-        raise ValueError(f"--x needs {mm.x_dim} components, got {len(x)}")
-    if mm.augmented:
-        if args.z is None:
-            raise ValueError("model is terrain-augmented: --z pitch,roll is required")
-        z = _float_list(args.z)
-        if len(z) != mm.z_dim:
-            raise ValueError(f"--z needs {mm.z_dim} components, got {len(z)}")
-        value = mm.conditional_density(command, np.array(x), TerrainVector(*z))
-    else:
-        if args.z is not None:
-            raise ValueError("model has no terrain block: --z is not applicable")
-        value = mm.motion_density(command, np.array(x))
-    print(repr(value))
+    z = None if args.z is None else _float_list(args.z)
+    log_p = mm.log_density(CommandKey.parse(args.command), _float_list(args.x), z)
+    print(repr(math.exp(log_p)))
     return 0
 
 
@@ -239,16 +227,17 @@ def _cmd_gen_gmm(args) -> int:
 
 def run(argv: list[str]) -> int:
     parser = build_parser()
+    # a number list is parsed in the subcommand body, so a usage error can
+    # come from there too
     try:
         args = parser.parse_args(argv)
+        args.invocation = _invocation(args, argv)
+        return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
-    args.invocation = _invocation(args, argv)
-    try:
-        return args.func(args)
-    except (ValueError, KeyError, OSError, TerrainSupportError, np.linalg.LinAlgError) as exc:
+    except (ValueError, KeyError, OSError, np.linalg.LinAlgError) as exc:
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {msg}", file=sys.stderr)
         return 2

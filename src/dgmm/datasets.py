@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 
@@ -236,8 +237,16 @@ class InclineConfig:
     def __post_init__(self):
         if not 0.0 <= self.slope_deg <= 45.0:
             raise ValueError("slope_deg must lie in [0, 45]")
+        if not isinstance(self.reps_per_orientation, numbers.Integral):
+            raise ValueError("reps_per_orientation must be an integer")
         if self.reps_per_orientation < 1:
             raise ValueError("reps_per_orientation must be >= 1")
+        # an infinite gain makes infinite pose deltas; a negative noise
+        # scale a negative noise standard deviation in the metadata
+        if not math.isfinite(self.drift_gain):
+            raise ValueError("drift_gain must be finite")
+        if not 0.0 <= self.noise_scale < math.inf:
+            raise ValueError("noise_scale must be finite and >= 0")
         object.__setattr__(self, "orientations_deg", tuple(float(o) for o in self.orientations_deg))
 
 

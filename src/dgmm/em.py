@@ -33,6 +33,10 @@ import numpy as np
 from .gaussian import Gaussian, symmetrize
 from .mixture import MixtureCore, _factor, _log_norm, _quad, logsumexp
 
+#: em_fit stops a run once the per-point log-likelihood improves by less
+#: than TOL, or after MAX_ITER iterations, and keeps the best of RESTARTS runs.
+TOL, MAX_ITER, RESTARTS = 1e-8, 500, 5
+
 
 class FixedGaussianMixture(MixtureCore):
     """Gaussian mixture with a component count fixed at fit time; weights
@@ -69,8 +73,7 @@ class FixedGaussianMixture(MixtureCore):
         return [Gaussian(mean.copy(), cov.copy()) for mean, cov in zip(self._mean, self._eval_cov)]
 
 
-def _em_once(points: np.ndarray, m: int, tol: float, max_iter: int,
-             rng: np.random.Generator) -> FixedGaussianMixture:
+def _em_once(points: np.ndarray, m: int, rng: np.random.Generator) -> FixedGaussianMixture:
     n, d = points.shape
     # init: m distinct data points as means, shared data covariance, uniform weights
     idx = rng.choice(n, size=m, replace=False)
@@ -80,7 +83,7 @@ def _em_once(points: np.ndarray, m: int, tol: float, max_iter: int,
     covs, chol_inv = _factor(np.repeat(base_cov[None], m, axis=0))
     path = []
     prev_ll = -np.inf
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         # E-step
         log_weighted = _log_norm(chol_inv) - 0.5 * _quad(points, means, chol_inv) + np.log(weights)
         log_total = logsumexp(log_weighted)
@@ -94,7 +97,7 @@ def _em_once(points: np.ndarray, m: int, tol: float, max_iter: int,
         diff = points[None] - means[:, None]
         covs = (resp.T[:, :, None] * diff).transpose(0, 2, 1) @ diff / nk[:, None, None]
         covs, chol_inv = _factor(0.5 * (covs + covs.transpose(0, 2, 1)))
-        if (ll - prev_ll) / n < tol and np.isfinite(prev_ll):
+        if (ll - prev_ll) / n < TOL and np.isfinite(prev_ll):
             break
         prev_ll = ll
     # the last M-step's arrays and factors, as they are: nothing is factored again
@@ -104,15 +107,16 @@ def _em_once(points: np.ndarray, m: int, tol: float, max_iter: int,
     return fit
 
 
-def em_fit(points, m: int, tol: float = 1e-8, max_iter: int = 500,
-           rng: np.random.Generator | None = None, restarts: int = 5) -> FixedGaussianMixture:
-    """Fit an m-component Gaussian mixture by expectation-maximization.
+def em_fit(points, m: int, rng: np.random.Generator) -> FixedGaussianMixture:
+    """Fit an m-component Gaussian mixture by expectation-maximization,
+    drawing every initialization from rng.
 
     Means initialize to m distinct random data points, covariances to the
-    data covariance, weights uniform; the best of `restarts` runs (by final
+    data covariance, weights uniform; the best of RESTARTS runs (by final
     data log-likelihood) is returned.  Iteration stops when the per-point
-    log-likelihood improves by less than tol.  Covariances that collapse
-    (e.g. duplicated points) are regularized rather than failing.
+    log-likelihood improves by less than TOL, or after MAX_ITER
+    iterations.  Covariances that collapse (e.g. duplicated points) are
+    regularized rather than failing.  1-D points are one column.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
@@ -123,11 +127,9 @@ def em_fit(points, m: int, tol: float = 1e-8, max_iter: int = 500,
         raise ValueError("m must be >= 1")
     if points.shape[0] < m:
         raise ValueError(f"need at least {m} points to fit {m} components")
-    if rng is None:
-        rng = np.random.default_rng()
     best = None
-    for _ in range(max(1, restarts)):
-        fit = _em_once(points, m, tol, max_iter, rng)
+    for _ in range(RESTARTS):
+        fit = _em_once(points, m, rng)
         if best is None or fit.loglik_path[-1] > best.loglik_path[-1]:
             best = fit
     return best

@@ -200,6 +200,17 @@ def _check_count(value: int, name: str, low: int) -> None:
     _check_integer(value, name)
 
 
+def _checked_points(points) -> np.ndarray:
+    """The points as rows (N, D), 1-D points as one column (as em_fit reads
+    them), with every coordinate checked: NaN, infinite and overflowing
+    ones raise add_sample's ValueError, naming the point."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1:
+        points = points[:, None]
+    check_rows(points, "point {row}: sample")
+    return points
+
+
 def _stream_shuffle(points: np.ndarray, k: float, seed: int, stop) -> DynamicGaussianMixture:
     """A fresh online mixture fed one shuffle of the points, until stop(model)
     holds after an update or the points run out; the shuffle and every
@@ -237,12 +248,9 @@ def k_sweep(points, k_grid, repeats: int, rng: np.random.Generator) -> EvalRepor
     if any(b <= a for a, b in zip(k_grid, k_grid[1:])):
         raise ValueError("k_grid must be strictly ascending")
     _check_count(repeats, "repeats", 1)
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
     # a stream may stop before its last point, so every point is checked
     # before any is streamed
-    check_rows(points, "point {row}: sample")
+    points = _checked_points(points)
     seeds = _spawn_seeds(rng, len(k_grid) * repeats)
     runs = []
     for ki, k in enumerate(k_grid):
@@ -287,14 +295,14 @@ def mise_experiment(points, k: float, target_m: int, needed: int,
     give.  k (negative or NaN: "k must be non-negative"), target_m (an
     integer; em_fit rejects one below 1), needed (an integer, at least 1),
     max_attempts (an integer, at least 0) and every point (NaN, infinite
-    and overflowing coordinates) are checked before the EM fit.
+    and overflowing coordinates) are checked before the EM fit.  1-D
+    points are one column, as in k_sweep and em_fit.
     """
     _check_k(k)
     _check_integer(target_m, "target_m")
     _check_count(needed, "needed", 1)
     _check_count(max_attempts, "max_attempts", 0)
-    points = np.asarray(points, dtype=float)
-    check_rows(points, "point {row}: sample")
+    points = _checked_points(points)
     final = _final_count(k)
     em_ref = em_fit(points, target_m, rng=rng)
     em_steps = np.diff(em_ref.loglik_path)
@@ -377,6 +385,8 @@ def terrain_comparison(s1: list[SampleRecord], folds: int, repeats: int, k: floa
     bit for bit as fit_motion_model would.  Each target record is then
     scored by one MotionModel.log_density call per model, in record order
     (see _score_fold), so a bad record raises log_density's ValueError.
+    The fold splits' warnings (a command with fewer records than folds)
+    are the report's, each once, in first-seen order.
     Every record needs a terrain vector; folds (an integer;
     stratified_kfold rejects one below 2), k (negative or NaN: "k must be
     non-negative") and repeats (an integer, at least 1) are checked before
@@ -391,9 +401,10 @@ def terrain_comparison(s1: list[SampleRecord], folds: int, repeats: int, k: floa
     with_z = _record_vectors(s1, True)
     without_z = np.ascontiguousarray(with_z[:, :6])
     commands = [r.command for r in s1]
-    runs = []
+    runs, split_warnings = [], []
     for rep in range(repeats):
         split = stratified_kfold(s1, folds, rng)
+        split_warnings += split.warnings
         seeds = _spawn_seeds(rng, len(split.folds))
         for fi, fold in enumerate(split.folds):
             sub = np.random.default_rng(seeds[fi])
@@ -443,4 +454,6 @@ def terrain_comparison(s1: list[SampleRecord], folds: int, repeats: int, k: floa
             "unscored_with": int(sum(r["unscored_with"] for r in runs)),
             "unscored_without": int(sum(r["unscored_without"] for r in runs)),
         },
+        # each repeat's split repeats its warnings: keep the first of each
+        warnings=list(dict.fromkeys(split_warnings)),
     )

@@ -44,10 +44,10 @@ therefore gives the joint and the terrain-marginal log densities at x || z
 (`_split_log_density`), and the terrain conditional (`_conditional`) is
 products of the stored arrays and that whitening.
 
-It gives `density`, `log_density` and `support_box`; `_factor` is the one
-place that factorizes, and `_quad` (many points against every component in
-one product) and `_whitened` (one point against every component) are its
-Mahalanobis kernels.
+It gives `log_density`, of which `density` is the exp, and `support_box`;
+`_factor` is the one place that factorizes, and `_quad` (many points
+against every component in one product) and `_whitened` (one point
+against every component) are its Mahalanobis kernels.
 `_factor` calls the LAPACK gufuncs behind np.linalg.cholesky and
 np.linalg.inv directly, since at D <= 8 those functions' Python wrappers
 cost more than the factorization itself; it falls back to numpy.linalg,
@@ -354,15 +354,11 @@ class MixtureCore:
             raise ValueError(f"point dimension {pts.shape[1]} != mixture dimension {self.dim}")
         return pts, single
 
-    def _mix(self, quad: np.ndarray) -> np.ndarray:
-        """Mixture density from the squared distances (N, m) of N points."""
-        return np.exp(self._log_norm - 0.5 * quad) @ (self._w / self._W)
-
     def density(self, x):
-        """Mixture pdf at one point (D,) or a batch (N, D)."""
-        pts, single = self._check_points(x)
-        vals = self._mix(_quad(pts, self._mean, self._chol_inv))
-        return float(vals[0]) if single else vals
+        """Mixture pdf at one point (D,), a float, or a batch (N, D): exp of
+        log_density, the one formula for the mixture."""
+        vals = self.log_density(x)
+        return math.exp(vals) if isinstance(vals, float) else np.exp(vals)
 
     def log_density(self, x):
         """Log of the mixture pdf, summed in log space: finite wherever one

@@ -12,11 +12,14 @@ on the observed terrain:
 Both sides of that ratio are mixtures of the same components, so the
 conditional is again a Gaussian mixture: component i is conditioned on z
 in closed form and reweighted by w_i times its terrain-block marginal
-density at z.  `log_density` evaluates the ratio itself, in log space,
-without building that mixture or a marginal one: x || z is whitened once
-against the joint's inverse upper factors, and the trailing z_dim entries
-of that whitening are the terrain marginal's (see dgmm.mixture), so one
-pass gives both sides of the ratio.
+density at z (`conditional_motion_density` returns that mixture).
+`log_density` evaluates the ratio itself, in log space, without building
+that mixture or a marginal one: x || z is whitened once against the
+joint's inverse upper factors, and the trailing z_dim entries of that
+whitening are the terrain marginal's (see dgmm.mixture), so one pass gives
+both sides of the ratio.  It is the one query path: `motion_density` and
+`conditional_density` are its exp, and it is the one place that checks a
+query's command, pose delta and terrain vector.
 
 Models are serialized to a single JSON document with exact decimal
 round-trip of all floating point values.
@@ -161,7 +164,8 @@ class Standardizer:
     The identity creation covariance of new mixture components is scale
     sensitive, so training data should be near unit scale.  Constant
     dimensions get scale 1 to stay well defined.  With offset 0 and scale 1
-    the map is the identity bit for bit.
+    the map is the identity bit for bit.  Offsets must be finite and scales
+    positive and finite: an infinite scale would map every value to 0.
     """
 
     def __init__(self, offset, scale):
@@ -169,8 +173,11 @@ class Standardizer:
         self.scale = np.asarray(scale, dtype=float).reshape(-1)
         if self.offset.shape != self.scale.shape:
             raise ValueError("offset and scale must have the same length")
-        if np.any(self.scale <= 0):
-            raise ValueError("scales must be positive")
+        if not np.isfinite(self.offset).all():
+            raise ValueError("offsets must be finite")
+        # NaN fails both comparisons
+        if not np.all((self.scale > 0) & (self.scale < math.inf)):
+            raise ValueError("scales must be positive and finite")
 
     @classmethod
     def fit(cls, points: np.ndarray) -> "Standardizer":
@@ -326,15 +333,10 @@ class MotionModel:
             raise ValueError(f"query has dimension {v.shape[0]}, expected {self.x_dim}")
         return check_coordinates(v, "query")
 
-    def _x_vector(self, x) -> np.ndarray:
-        """The pose delta of a query, checked, in the model's internal space."""
-        return self._x_std.transform(self._query_x(x))
-
     def motion_density(self, c: CommandKey, x) -> float:
-        """p(x | c) for an un-augmented model, in original sample units."""
-        if self.augmented:
-            raise ValueError("model is terrain-augmented; use conditional_motion_density")
-        return self.mixture_for(c).density(self._x_vector(x)) * math.exp(self._x_log_jacobian)
+        """p(x | c) for an un-augmented model, in original sample units:
+        exp of log_density, which raises ValueError for a terrain model."""
+        return math.exp(self.log_density(c, x))
 
     def _terrain(self, c: CommandKey, z, x=None):
         """(joint mixture of c, y, log_dens) for a conditioned query, in the
@@ -383,9 +385,9 @@ class MotionModel:
         return joint._conditional(self.x_dim, y, log_dens)
 
     def conditional_density(self, c: CommandKey, x, z: TerrainVector) -> float:
-        """p(x | c, z) in original sample units."""
-        cond = self.conditional_motion_density(c, z)
-        return cond.density(self._x_vector(x)) * math.exp(self._x_log_jacobian)
+        """p(x | c, z) in original sample units: exp of log_density, so it
+        builds no conditioned mixture and checks its input as that does."""
+        return math.exp(self.log_density(c, x, z))
 
     def log_density(self, c: CommandKey, x, z: TerrainVector | None = None) -> float:
         """log p(x | c[, z]) in original units, summed in log space: finite
@@ -401,7 +403,8 @@ class MotionModel:
         missing or superfluous one raises ValueError."""
         if not self.augmented:
             self._check_terrain_given(z)
-            return self.mixture_for(c).log_density(self._x_vector(x)) + self._x_log_jacobian
+            mix = self.mixture_for(c)
+            return mix.log_density(self._x_std.transform(self._query_x(x))) + self._x_log_jacobian
         joint, _, log_dens = self._terrain(c, z, x)
         # the marginal has the joint's weights; the total weight cancels
         log_joint, log_marginal = logsumexp(log_dens + np.log(joint._w))

@@ -71,6 +71,52 @@ def test_query_error_paths(tmp_path, incline_csv):
                 "--x", "0,0,0,0,0,0"]) == 2
 
 
+@pytest.mark.parametrize("model, args, message", [
+    ("model.json", ["--z", "0.3,0", "--x", "0,0,0,0,0"], "query has dimension 5, expected 6"),
+    ("model.json", ["--z", "0.3,0,0", "--x", "0,0,0,0,0,0"],
+     "terrain vector has dimension 3, expected 2"),
+    ("model.json", ["--z=nan,0", "--x", "0,0,0,0,0,0"], "terrain coordinate 0 is NaN"),
+    ("model.json", ["--x", "0,0,0,0,0,0"], "model is terrain-augmented; a terrain vector is required"),
+    ("plain.json", ["--z", "0.3,0", "--x", "0,0,0,0,0,0"],
+     "model has no terrain block; got a terrain vector"),
+])
+def test_query_exits_2_with_the_library_message(tmp_path, incline_csv, capsys, model, args, message):
+    # the query is checked once, by MotionModel.log_density
+    assert run(["fit", "--input", str(incline_csv), "--seed", "1",
+                "--out", str(tmp_path / "model.json")]) == 0
+    assert run(["fit", "--input", str(incline_csv), "--no-z", "--seed", "1",
+                "--out", str(tmp_path / "plain.json")]) == 0
+    capsys.readouterr()
+    assert run(["query", "--model", str(tmp_path / model), "--command", "0.5,0,0", *args]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_number_list_that_does_not_parse_is_a_usage_error(tmp_path, incline_csv, capsys):
+    # number lists are parsed in the subcommand body, past argparse
+    model_path = tmp_path / "plain.json"
+    assert run(["fit", "--input", str(incline_csv), "--no-z", "--seed", "1",
+                "--out", str(model_path)]) == 0
+    capsys.readouterr()
+    assert run(["query", "--model", str(model_path), "--command", "0.5,0,0", "--x", "abc"]) == 1
+    assert "usage error: not a comma-separated number list: 'abc'" in capsys.readouterr().err
+    points = tmp_path / "points.txt"
+    points.write_text("0.1 0.2\n0.3 0.4\n")
+    assert run(["sweep-k", "--input", str(points), "--k-grid", "0.1,x"]) == 1
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--drift-gain", "inf", "drift_gain must be finite"),
+    ("--drift-gain", "nan", "drift_gain must be finite"),
+    ("--noise-scale", "-0.5", "noise_scale must be finite and >= 0"),
+    ("--noise-scale", "inf", "noise_scale must be finite and >= 0"),
+])
+def test_gen_incline_rejects_non_finite_parameters(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "samples.csv"
+    assert run(["gen-incline", "--out", str(out), f"{flag}={value}"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_query_nan_coordinate_exits_2(tmp_path, incline_csv, capsys):
     model_path = tmp_path / "plain.json"
     assert run(["fit", "--input", str(incline_csv), "--no-z", "--seed", "1",

@@ -216,3 +216,23 @@ class TestSimulateIncline:
             InclineConfig(slope_deg=60.0)
         with pytest.raises(ValueError):
             InclineConfig(reps_per_orientation=0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("drift_gain", math.inf, "drift_gain must be finite"),
+        ("drift_gain", -math.inf, "drift_gain must be finite"),
+        ("drift_gain", math.nan, "drift_gain must be finite"),
+        ("noise_scale", -0.5, "noise_scale must be finite and >= 0"),
+        ("noise_scale", math.inf, "noise_scale must be finite and >= 0"),
+        ("noise_scale", math.nan, "noise_scale must be finite and >= 0"),
+        ("reps_per_orientation", 2.5, "reps_per_orientation must be an integer"),
+        ("reps_per_orientation", 2.0, "reps_per_orientation must be an integer"),
+    ])
+    def test_non_finite_or_non_integer_parameters_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            InclineConfig(**{field: value})
+
+    def test_zero_noise_and_numpy_integer_reps_accepted(self):
+        cfg = InclineConfig(noise_scale=0.0, drift_gain=-0.5, reps_per_orientation=np.int64(1))
+        records = simulate_incline(cfg)
+        assert len(records) == 78
+        assert all(np.isfinite(r.x.as_vector()).all() for r in records)

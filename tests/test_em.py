@@ -42,11 +42,11 @@ class TestEmFit:
         monkeypatch.setattr(dgmm.em, "_em_once", counting_em_once)
         monkeypatch.setattr(Gaussian, "__init__", refuse)
         monkeypatch.setattr(WeightedGaussian, "__init__", refuse)
-        fit = em_fit(pts, 3, rng=np.random.default_rng(9), restarts=4)
-        # one for each restart's initial covariances, one per iteration,
-        # none for the returned fit
-        assert len(iterations) == 4
-        assert len(factored) == 4 + sum(iterations)
+        fit = em_fit(pts, 3, rng=np.random.default_rng(9))
+        # one for each of the 5 restarts' initial covariances, one per
+        # iteration, none for the returned fit
+        assert len(iterations) == 5
+        assert len(factored) == 5 + sum(iterations)
         monkeypatch.undo()
         assert np.array_equal(dgmm.em._factor(fit._eval_cov)[1], fit._chol_inv)
         assert fit.weights is fit._w and fit.weights.sum() == pytest.approx(1.0, abs=1e-15)
@@ -102,6 +102,16 @@ class TestEmFit:
             em_fit(np.empty((0, 2)), 1, rng=np.random.default_rng(4))
         with pytest.raises(ValueError):
             em_fit(np.zeros((3, 2)), 5, rng=np.random.default_rng(4))
+
+    def test_generator_is_required(self):
+        # as in every experiment function: no fresh entropy is drawn silently
+        pts = np.random.default_rng(5).standard_normal((20, 2))
+        with pytest.raises(TypeError):
+            em_fit(pts, 2)
+        a = em_fit(pts, 2, np.random.default_rng(6))
+        b = em_fit(pts, 2, rng=np.random.default_rng(6))
+        assert a.loglik_path == b.loglik_path
+        assert np.array_equal(a._mean, b._mean)
 
 
 class TestLogLikelihood:

@@ -150,7 +150,28 @@ class TestMiseExperiment:
                 assert report.summary["mise_std"] == pytest.approx(np.std(values, ddof=1), abs=1e-12)
 
 
+    def test_one_dimensional_points_are_one_column(self):
+        # as in k_sweep and em_fit, before any work: the report equals the
+        # one for the same points as a column
+        points = np.random.default_rng(40).standard_normal(60)
+        flat = mise_experiment(points, 0.5, 1, 1, 5, np.random.default_rng(41))
+        column = mise_experiment(points[:, None], 0.5, 1, 1, 5, np.random.default_rng(41))
+        assert flat.to_json() == column.to_json()
+        assert flat.summary["attempts"] >= 1
+
+
 class TestTerrainComparison:
+    def test_fold_split_warnings_reach_the_report(self):
+        # 3 records per command for 5 folds: every command warns, in every
+        # repeat; the report keeps each warning once, in first-seen order
+        records = simulate_incline(InclineConfig(reps_per_orientation=1, seed=2))
+        split = stratified_kfold(records, 5, np.random.default_rng(0))
+        assert len(split.warnings) == 26
+        report = terrain_comparison(records, folds=5, repeats=2, k=0.3,
+                                    rng=np.random.default_rng(42))
+        assert report.warnings == split.warnings
+        assert report.to_dict()["warnings"] == split.warnings
+
     def test_flat_ground_cases_indistinguishable(self):
         records = simulate_incline(InclineConfig(slope_deg=0.0, seed=20))
         report = terrain_comparison(records, folds=5, repeats=2, k=0.3,

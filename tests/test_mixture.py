@@ -62,6 +62,22 @@ class TestMixtureDensity:
         with pytest.raises(ValueError):
             m.density(np.zeros(2))
 
+    def test_density_is_exp_of_log_density(self):
+        # one formula: density is exp of log_density, bit for bit, a float
+        # for one point and an array for a batch
+        rng = np.random.default_rng(40)
+        m = mix(([0.0, 1.0], [[1.0, 0.3], [0.3, 0.5]], 2.0), ([3.0, -1.0], [[0.2, 0.0], [0.0, 4.0]], 5.0))
+        pts = 3.0 * rng.standard_normal((50, 2))
+        pts[0] = [300.0, 0.0]  # far enough that the density underflows to 0
+        for x in pts:
+            got = m.density(x)
+            assert type(got) is float
+            assert got == math.exp(m.log_density(x))
+        assert m.density(pts[0]) == 0.0
+        batch = m.density(pts)
+        assert isinstance(batch, np.ndarray) and batch.shape == (50,)
+        assert np.array_equal(batch, np.exp(m.log_density(pts)))
+
 
 class TestNormalizedMixtureDensity:
     def test_peak_of_single_component(self):

@@ -225,12 +225,14 @@ class TestLogSpaceQueries:
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_conditioned_log_density_matches_density(self):
+        # the reference is the closed-form conditioned mixture, which
+        # log_density does not build (no standardizer: no Jacobian)
         rng = np.random.default_rng(30)
         mm = random_joint_model(rng, x_dim=2, z_dim=1, n_comps=3)
         for _ in range(10):
             x, z = rng.standard_normal(2), rng.standard_normal(1)
             assert mm.log_density(FWD, x, z) == pytest.approx(
-                math.log(mm.conditional_density(FWD, x, z)), rel=1e-12)
+                math.log(mm.conditional_motion_density(FWD, z).density(x)), rel=1e-12)
         x_far = np.array([1e3, 0.0])
         assert mm.conditional_density(FWD, x_far, np.zeros(1)) == 0.0
         assert math.isfinite(mm.log_density(FWD, x_far, np.zeros(1)))
@@ -271,6 +273,7 @@ class TestQueryValidation:
         lambda mm: mm.log_density(FWD, np.zeros(6)),
         lambda mm: mm.conditional_density(FWD, np.zeros(6), None),
         lambda mm: mm.conditional_motion_density(FWD, None),
+        lambda mm: mm.motion_density(FWD, np.zeros(6)),
     ])
     def test_terrain_model_queried_without_terrain(self, call):
         aug = random_joint_model(np.random.default_rng(34), x_dim=6, z_dim=2, n_comps=2)
@@ -485,10 +488,53 @@ class TestTerrainSupport:
     @pytest.mark.parametrize("z", [0.5, 99.0])
     def test_partly_underflowing_terrain_scores_everywhere(self, z):
         mm, zv = self.model(), np.array([z])
-        assert len(mm.conditional_motion_density(FWD, zv)) == 1
+        cond = mm.conditional_motion_density(FWD, zv)
+        assert len(cond) == 1
         for x in (np.array([0.1, -0.2]), np.array([3.0, 2.0])):
             log_p = mm.log_density(FWD, x, zv)
-            assert log_p == pytest.approx(math.log(mm.conditional_density(FWD, x, zv)), rel=1e-12)
+            assert log_p == pytest.approx(math.log(cond.density(x)), rel=1e-12)
+
+    def test_bad_query_reported_before_unsupported_terrain(self):
+        # conditional_density checks its input as log_density does: the
+        # pose delta before the terrain's support
+        mm, zv = self.model(), np.array([1e6])
+        for call in (mm.conditional_density, mm.log_density):
+            with pytest.raises(TerrainSupportError):
+                call(FWD, np.array([0.1, -0.2]), zv)
+            with pytest.raises(ValueError, match="^query coordinate 0 is NaN$") as info:
+                call(FWD, np.array([math.nan, -0.2]), zv)
+            assert not isinstance(info.value, TerrainSupportError)
+            with pytest.raises(ValueError, match="^query has dimension 3, expected 2$"):
+                call(FWD, np.zeros(3), zv)
+
+
+class TestOneQueryPath:
+    """motion_density and conditional_density are exp of log_density, bit
+    for bit: conditional_density builds no conditioned mixture."""
+
+    def test_conditional_density_builds_no_conditioned_mixture(self, monkeypatch):
+        records = simulate_incline(InclineConfig(reps_per_orientation=1))
+        mm = fit_motion_model(records, k=0.3, rng=np.random.default_rng(36), standardize=True)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a conditioned mixture was built")
+
+        monkeypatch.setattr(dgmm.mixture.MixtureCore, "_conditional", refuse)
+        for r in records[:20]:
+            density = mm.conditional_density(r.command, r.x, r.z)
+            assert density > 0.0
+            assert density == math.exp(mm.log_density(r.command, r.x, r.z))
+        with pytest.raises(AssertionError, match="conditioned mixture"):
+            mm.conditional_motion_density(records[0].command, records[0].z)
+
+    def test_motion_density_is_exp_of_log_density(self):
+        mm = MotionModel(k=0.5, standardizer=Standardizer(np.full(6, 0.1), np.linspace(0.5, 2.0, 6)))
+        rng = np.random.default_rng(37)
+        for _ in range(30):
+            mm.record_sample(FWD, DeltaPose(*rng.normal(0.1, 0.5, 6)), None, rng)
+        for _ in range(10):
+            x = rng.normal(0.1, 0.5, 6)
+            assert mm.motion_density(FWD, x) == math.exp(mm.log_density(FWD, x))
 
 
 class TestFusedTerrainQuery:
@@ -536,12 +582,15 @@ class TestFusedTerrainQuery:
             # near a component mean, in the model's internal space
             v = original(joint._mean[int(rng.integers(m))] + 0.5 * rng.standard_normal(dim))
             x, z = v[:x_dim], v[x_dim:]
-            density = mm.conditional_density(FWD, x, z)
+            # the conditioned mixture at the standardized x, times the
+            # x block's Jacobian
+            u = std.transform(v)
+            density = (mm.conditional_motion_density(FWD, z).density(u[:x_dim])
+                       / np.prod(std.scale[:x_dim]))
             assert density > 0.0
             log_p = mm.log_density(FWD, x, z)
             assert log_p == pytest.approx(math.log(density), rel=1e-12)
             # the per-Gaussian ratio at the point the model standardizes v to
-            u = std.transform(v)
             want = (logsumexp(log_w + np.array([g.log_density(u) for g in evals]))
                     - logsumexp(log_w + np.array([g.marginal(range(x_dim, dim)).log_density(u[x_dim:])
                                                   for g in evals]))
@@ -934,6 +983,19 @@ class TestSaveLoadProperties:
 
 
 class TestStandardizer:
+    @pytest.mark.parametrize("offset, scale, message", [
+        ([0.0], [math.inf], "scales must be positive and finite"),
+        ([0.0], [math.nan], "scales must be positive and finite"),
+        ([0.0, 1.0], [1.0, 0.0], "scales must be positive and finite"),
+        ([0.0, 1.0], [1.0, -2.0], "scales must be positive and finite"),
+        ([math.nan], [1.0], "offsets must be finite"),
+        ([0.0, -math.inf], [1.0, 1.0], "offsets must be finite"),
+    ])
+    def test_rejects_non_finite_parameters(self, offset, scale, message):
+        # an infinite scale maps every value to 0 and has log Jacobian -inf
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Standardizer(offset, scale)
+
     def test_fit_floors_constant_dimensions(self):
         pts = np.column_stack([np.random.default_rng(20).normal(2, 3, 50), np.zeros(50)])
         s = Standardizer.fit(pts)
