@@ -24,6 +24,7 @@ import numpy as np
 
 from .em import FixedGaussianMixture
 from .gaussian import Gaussian
+from .mixture import MAX_COORDINATE, check_coordinates
 from .motion import CommandKey, DeltaPose, Standardizer, TerrainVector
 
 SAMPLE_COLUMNS = ("cmd_long", "cmd_lat", "cmd_turn")
@@ -260,38 +261,68 @@ def simulate_incline(cfg: InclineConfig) -> list[SampleRecord]:
     attitude (drift_gain) plus isotropic Gaussian noise (noise_scale).
     At zero slope the terrain vector is exactly zero and the drift
     vanishes, so the terrain block carries no information.
+
+    A noise_scale or drift_gain so large that a record would hold a NaN,
+    infinite or overflowing coordinate (one that no model accepts, see
+    mixture.check_rows) raises ValueError naming that parameter
+    (_check_incline_rows), and no record is returned.
     """
     rng = np.random.default_rng(cfg.seed)
     slope = math.radians(cfg.slope_deg)
     z_noise = cfg.noise_scale * slope
-    records = []
-    for command in command_set():
-        nominal = np.array([
-            FORWARD_GAIN * command.long,
-            LATERAL_GAIN * command.lat,
-            0.0,
-            0.0,
-            0.0,
-            TURN_GAIN * command.turn,
-        ])
-        for theta_deg in cfg.orientations_deg:
-            theta = math.radians(theta_deg)
-            pitch_nom = -slope * math.sin(theta)
-            roll_nom = slope * math.cos(theta)
-            for _ in range(cfg.reps_per_orientation):
-                pitch = pitch_nom + z_noise * rng.standard_normal()
-                roll = roll_nom + z_noise * rng.standard_normal()
-                x = nominal.copy()
-                # gravity drift projected into the robot frame: nose-down
-                # slides forward, right-side-down slides right
-                x[0] += cfg.drift_gain * (-pitch)
-                x[1] += cfg.drift_gain * roll
-                x[:3] += cfg.noise_scale * rng.standard_normal(3)
-                x[3:] += 0.5 * cfg.noise_scale * rng.standard_normal(3)
-                records.append(
-                    SampleRecord(command, TerrainVector(pitch, roll), DeltaPose(*x))
-                )
-    return records
+    raw = []
+    # a huge noise_scale or drift_gain overflows here; the rows are checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for command in command_set():
+            nominal = np.array([
+                FORWARD_GAIN * command.long,
+                LATERAL_GAIN * command.lat,
+                0.0,
+                0.0,
+                0.0,
+                TURN_GAIN * command.turn,
+            ])
+            for theta_deg in cfg.orientations_deg:
+                theta = math.radians(theta_deg)
+                pitch_nom = -slope * math.sin(theta)
+                roll_nom = slope * math.cos(theta)
+                for _ in range(cfg.reps_per_orientation):
+                    pitch = pitch_nom + z_noise * rng.standard_normal()
+                    roll = roll_nom + z_noise * rng.standard_normal()
+                    x = nominal.copy()
+                    # gravity drift projected into the robot frame: nose-down
+                    # slides forward, right-side-down slides right
+                    x[0] += cfg.drift_gain * (-pitch)
+                    x[1] += cfg.drift_gain * roll
+                    x[:3] += cfg.noise_scale * rng.standard_normal(3)
+                    x[3:] += 0.5 * cfg.noise_scale * rng.standard_normal(3)
+                    raw.append((command, x, pitch, roll))
+    _check_incline_rows(np.concatenate([np.array([x for _, x, _, _ in raw]),
+                                        np.array([(pitch, roll) for _, _, pitch, roll in raw])],
+                                       axis=1), cfg)
+    return [SampleRecord(command, TerrainVector(pitch, roll), DeltaPose(*x))
+            for command, x, pitch, roll in raw]
+
+
+def _check_incline_rows(rows: np.ndarray, cfg: InclineConfig) -> None:
+    """check_rows' rule on the rows (N, 8) of pose delta || terrain that
+    simulate_incline generated, with a message that names the parameter at
+    fault: ValueError("<parameter> = <value> is too large; simulated record
+    i coordinate j ...") for the first row holding a NaN, infinite or
+    overflowing coordinate.  The terrain and coordinates 2-5 are a nominal
+    value plus noise, so noise_scale made them; dx and dy add the drift
+    drift_gain * (-pitch) and drift_gain * roll, and drift_gain is named
+    when that term is out of range by itself."""
+    bad = ~(np.abs(rows) <= MAX_COORDINATE)
+    if not bad.any():
+        return
+    i = int(np.argwhere(bad)[0, 0])
+    pitch, roll = float(rows[i, 6]), float(rows[i, 7])
+    drift = (cfg.drift_gain * -pitch, cfg.drift_gain * roll)
+    name = "noise_scale"
+    if not bad[i, 2:].any() and not all(abs(d) <= MAX_COORDINATE for d in drift):
+        name = "drift_gain"
+    check_coordinates(rows[i], f"{name} = {getattr(cfg, name)!r} is too large; simulated record {i}")
 
 
 def incline_metadata(cfg: InclineConfig) -> dict:

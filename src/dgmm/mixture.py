@@ -40,9 +40,14 @@ U_xz = S_xz V_zz^T).  Rows k: of V are zero in columns :k, so whitening a
 whole point u, y_i = V_i (u - mean_i), gives in y_i[k:] the whitening of
 u[k:] against the marginal over k:, whatever finite u[:k] holds (those
 columns add exact zeros).  One whitening
-therefore gives the joint and the terrain-marginal log densities at x || z
-(`_split_log_density`), and the terrain conditional (`_conditional`) is
-products of the stored arrays and that whitening.
+therefore gives the joint and the terrain-marginal log densities at x || z,
+one row per component of an (m, 2) array (`_split_log_density`): both are
+sums over coordinates of the terms log diag(V_i) - 1/2 log(2 pi) - y_i^2 / 2,
+column 0 over all of them and column 1 over the trailing ones, so a term
+that overflows to -inf reaches only the sums it belongs to.  The diagonal
+logs come from `_log_diag`, which `_log_norm` shares.  The terrain
+conditional (`_conditional`) is products of the stored arrays and that
+whitening.
 
 It gives `log_density`, of which `density` is the exp, and `support_box`;
 `_factor` is the one place that factorizes, and `_quad` (many points
@@ -120,7 +125,6 @@ import bisect
 import math
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .gaussian import (
     LOG_2PI,
@@ -130,14 +134,25 @@ from .gaussian import (
     symmetrize,
 )
 
-# the gufuncs that np.linalg.cholesky and np.linalg.inv call
-_cholesky_lo, _inv = _umath_linalg.cholesky_lo, _umath_linalg.inv
+# the gufuncs that np.linalg.cholesky and np.linalg.inv call, from numpy's
+# private API; None where a numpy lacks them, and then _factor calls
+# numpy.linalg itself, which gives the same bits
+try:
+    from numpy.linalg import _umath_linalg
+
+    _cholesky_lo, _inv = _umath_linalg.cholesky_lo, _umath_linalg.inv
+except (ImportError, AttributeError):
+    _cholesky_lo = _inv = None
 # what np.einsum calls (without `optimize`), skipping its Python wrapper,
-# which costs more than the product on a few dozen entries
+# which costs more than the product on a few dozen entries; np.einsum
+# itself, with the same bits, where neither private path has it
 try:
     from numpy._core.multiarray import c_einsum as _einsum
-except ImportError:  # numpy < 2
-    from numpy.core.multiarray import c_einsum as _einsum
+except ImportError:
+    try:  # numpy < 2
+        from numpy.core.multiarray import c_einsum as _einsum
+    except ImportError:
+        _einsum = np.einsum
 
 # ((D, scale), read-only copies of the creation covariance scale * I, its
 # fresh component's evaluation covariance and inverse factor) for the last
@@ -145,6 +160,9 @@ except ImportError:  # numpy < 2
 # DynamicGaussianMixture._append.  The entry is replaced whole, never
 # written in place.
 _fresh: tuple[tuple[int, float], np.ndarray, np.ndarray, np.ndarray] | None = None
+
+# the shift that _log_ratio gives a column whose every entry is -inf
+_LOWEST = float(np.finfo(float).min)
 
 #: Largest accepted sample coordinate magnitude: its square is finite in float64.
 MAX_COORDINATE = math.sqrt(np.finfo(float).max)
@@ -280,8 +298,11 @@ def _factor(eval_cov: np.ndarray):
     with NaN, and a NaN factor makes a non-finite inverse; so when either
     output holds a non-finite entry, the work is redone by
     `_factor_linalg`, which diagonally loads a covariance that does not
-    factor and raises or warns as numpy.linalg does.
+    factor and raises or warns as numpy.linalg does.  Where numpy has no
+    such gufuncs, `_factor_linalg` does all the work.
     """
+    if _cholesky_lo is None:
+        return _factor_linalg(eval_cov)
     flipped = eval_cov[..., ::-1, ::-1]
     with np.errstate(all="ignore"):
         chol = _cholesky_lo(flipped, signature="d->d")
@@ -307,11 +328,16 @@ def _factor_linalg(eval_cov: np.ndarray):
     return eval_cov, np.linalg.inv(chol[..., ::-1, ::-1])
 
 
+def _log_diag(chol_inv: np.ndarray) -> np.ndarray:
+    """Logs of the diagonals of inverse Cholesky factors (..., D, D), read
+    through one strided view: (..., D)."""
+    return np.log(chol_inv.diagonal(axis1=-2, axis2=-1))
+
+
 def _log_norm(chol_inv: np.ndarray) -> np.ndarray:
     """Log normalization constants from inverse Cholesky factors (..., D, D):
     -D/2 log(2 pi) + log|V|."""
-    log_det = np.log(chol_inv.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
-    return -0.5 * chol_inv.shape[-1] * LOG_2PI + log_det
+    return -0.5 * chol_inv.shape[-1] * LOG_2PI + _log_diag(chol_inv).sum(axis=-1)
 
 
 def _quad(pts: np.ndarray, mean: np.ndarray, chol_inv: np.ndarray) -> np.ndarray:
@@ -362,11 +388,16 @@ class MixtureCore:
 
     def log_density(self, x):
         """Log of the mixture pdf, summed in log space: finite wherever one
-        component's log density is, even where density() underflows to 0."""
+        component's log density is, even where density() underflows to 0.
+        One point takes the query kernel: _split_log_density over all D
+        coordinates, whose column 1 is then 0, and _log_ratio, whose
+        second sum is then the total weight.  A batch sums its (N, m)
+        component log densities with logsumexp."""
         pts, single = self._check_points(x)
+        if single:
+            return self._log_ratio(self._split_log_density(pts[0], self.dim)[1])
         log_components = self._log_norm - 0.5 * _quad(pts, self._mean, self._chol_inv)
-        vals = logsumexp(log_components + np.log(self._w / self._W))
-        return float(vals[0]) if single else vals
+        return logsumexp(log_components + np.log(self._w / self._W))
 
     def support_box(self, n_sigma: float) -> tuple[np.ndarray, np.ndarray]:
         """Per-coordinate (low, high) covering every component's mean
@@ -383,22 +414,41 @@ class MixtureCore:
         return (self._chol_inv @ diff[..., None])[..., 0]
 
     def _split_log_density(self, u: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(y, log_dens) for one point u (D,), from the one whitening
-        y_i = V_i (u - mean_i) (m, D): log_dens (2, m) holds
-        log N(u; component i) in row 0 and log N(u[k:]; marginal_i over k:)
-        in row 1.  y_i[k:] is the marginal's whitening and the trailing
-        diagonal of V_i its inverse factor's (see the module docstring),
-        so y[:, k:] and row 1 are the same for any finite u[:k]."""
+        """(y, s) for one point u (D,), from the one whitening
+        y_i = V_i (u - mean_i) (m, D): s (m, 2) holds log N(u; component i)
+        in column 0 and log N(u[k:]; marginal_i over k:) in column 1, each
+        a sum over its coordinates of the terms
+        log diag(V_i) - 1/2 log(2 pi) - y_i^2 / 2.  With k = D column 1
+        sums no term and is 0.  y_i[k:] is the marginal's whitening and the
+        trailing diagonal of V_i its inverse factor's (see the module
+        docstring), so y[:, k:] and column 1 are the same for any finite
+        u[:k].  A coordinate whose square overflows gives a -inf term, and
+        a sum, never a product with it, forms each column, so the other
+        column keeps its value."""
         y = self._whitened(u)
-        terms = np.log(self._chol_inv.diagonal(axis1=1, axis2=2)) - 0.5 * y * y
-        half_log_2pi = 0.5 * LOG_2PI
-        return y, np.array([terms.sum(axis=-1) - half_log_2pi * self.dim,
-                            terms[..., k:].sum(axis=-1) - half_log_2pi * (self.dim - k)])
+        terms = _log_diag(self._chol_inv) - 0.5 * y * y
+        s = np.empty((len(terms), 2))
+        # each sum starts from its coordinates' share of -1/2 log(2 pi)
+        np.add.reduce(terms, axis=1, out=s[:, 0], initial=-0.5 * LOG_2PI * self.dim)
+        np.add.reduce(terms[:, k:], axis=1, out=s[:, 1], initial=-0.5 * LOG_2PI * (self.dim - k))
+        return y, s
 
-    def _conditional(self, k: int, y: np.ndarray, log_dens: np.ndarray) -> "MixtureCore":
+    def _log_ratio(self, s: np.ndarray) -> float:
+        """log sum_i w_i exp(s_i0) - log sum_i w_i exp(s_i1) for s (m, 2)
+        from _split_log_density: the log of the joint over the marginal,
+        in which the total weight cancels.  Each sum is taken as
+        top + log(w @ exp(s - top)), top being its column's maximum, so its
+        largest term is w_i exp(0) and it neither overflows nor underflows
+        to 0.  A column whose every entry is -inf is shifted by the lowest
+        float instead, so its sum is log(0) = -inf, not NaN."""
+        top = np.maximum.reduce(s, initial=_LOWEST)
+        log_joint, log_marginal = (top + np.log(self._w @ np.exp(s - top))).tolist()
+        return log_joint - log_marginal
+
+    def _conditional(self, k: int, y: np.ndarray, s: np.ndarray) -> "MixtureCore":
         """Mixture over the leading k coordinates given that the trailing
         ones equal z = u[k:], from the evaluation Gaussians and
-        _split_log_density(u, k) = (y, log_dens).
+        _split_log_density(u, k) = (y, s).
 
         Component i is conditioned in closed form and reweighted by w_i
         times its trailing-block marginal density at z, so the result is
@@ -406,7 +456,7 @@ class MixtureCore:
         stored factors (see the module docstring); nothing is factorized.
         Components whose weight underflows to zero are dropped; the result
         is empty when all of them do."""
-        weight = self._w * np.exp(log_dens[1])
+        weight = self._w * np.exp(s[:, 1])
         keep = weight > 0.0
         u_xz = self._eval_cov[:, :k, k:] @ self._chol_inv[:, k:, k:].transpose(0, 2, 1)
         mean = self._mean[:, :k] + (u_xz @ y[:, k:, None])[:, :, 0]
@@ -509,8 +559,14 @@ class DynamicGaussianMixture(MixtureCore):
         # component below 1, which no merge could take (see add_sample)
         light = np.flatnonzero(w < 1.0)
         self._light = int(light[0]) if light.size else None
-        eval_cov = np.array([_evaluation_cov(*row) for row in zip(cov, w, creation)],
-                            dtype=float).reshape(cov.shape)
+        # _evaluation_cov for every row at once: the blend where a row has a
+        # creation covariance and w >= 1, cov itself elsewhere
+        eval_cov = cov.copy()
+        blended = np.flatnonzero((w >= 1.0) & np.array([c is not None for c in creation], dtype=bool))
+        if blended.size:
+            wb = w[blended, None, None]
+            blend = ((wb - 1.0) * cov[blended] + np.array([creation[i] for i in blended])) / wb
+            eval_cov[blended] = 0.5 * (blend + blend.transpose(0, 2, 1))
         super().__init__(w, mean, *(_factor(eval_cov) if len(w) else (eval_cov, eval_cov.copy())))
 
     # -- bookkeeping ------------------------------------------------------

@@ -17,7 +17,15 @@ density at z (`conditional_motion_density` returns that mixture).
 that mixture or a marginal one: x || z is whitened once against the
 joint's inverse upper factors, and the trailing z_dim entries of that
 whitening are the terrain marginal's (see dgmm.mixture), so one pass gives
-both sides of the ratio.  It is the one query path: `motion_density` and
+both sides of the ratio, per component, as the two columns of an (m, 2)
+array s.  Each side is then one shifted weighted sum,
+log sum_i w_i exp(s_i) = top + log(w @ exp(s - top)) with top the column's
+maximum, taken for both columns in the same few array operations; the
+support test is the unshifted sum of the marginal column, w @ exp(s[:, 1]),
+which is 0 exactly where every component's terrain weight underflows.  A
+model without terrain reads the same kernel, whose marginal column then
+covers no coordinate and is 0, so its sum is the total weight and p(x | c)
+is the same ratio.  It is the one query path: `motion_density` and
 `conditional_density` are its exp, and it is the one place that checks a
 query's command, pose delta and terrain vector.
 
@@ -39,7 +47,6 @@ from .mixture import (
     MixtureCore,
     check_coordinates,
     check_rows,
-    logsumexp,
 )
 
 MODEL_FORMAT = "dgmm-motion-model/1"
@@ -213,8 +220,9 @@ class MotionModel:
     optionally augmented with a terrain block.
 
     The standardizer is fixed at construction: training vectors and
-    terrain queries x || z go through it whole, plain queries through its x
-    block.  Without one, both are identity maps, so there is one query path
+    queries, x || z or x alone for a model without terrain, go through it
+    whole, and a query's log density gains its pose block's log Jacobian.
+    Without one, the map is the identity, so there is one query path
     either way."""
 
     def __init__(self, k: float, x_dim: int = 6, z_dim: int = 0,
@@ -232,11 +240,10 @@ class MotionModel:
         self.x_dim = int(x_dim)
         self.z_dim = int(z_dim)
         self.standardizer = standardizer
-        # the whole map and its x block; without a standardizer these are
-        # identity maps (offset 0, scale 1), which change no bit
+        # without a standardizer the map is the identity (offset 0, scale
+        # 1), which changes no bit
         std = self._std = standardizer or Standardizer(np.zeros(self.dim), np.ones(self.dim))
-        self._x_std = Standardizer(std.offset[:x_dim], std.scale[:x_dim])
-        self._x_log_jacobian = self._x_std.log_jacobian()
+        self._x_log_jacobian = Standardizer(std.offset[:x_dim], std.scale[:x_dim]).log_jacobian()
         self.creation_cov_scale = float(creation_cov_scale)
         self.models: dict[CommandKey, DynamicGaussianMixture] = {}
 
@@ -339,18 +346,19 @@ class MotionModel:
         return math.exp(self.log_density(c, x))
 
     def _terrain(self, c: CommandKey, z, x=None):
-        """(joint mixture of c, y, log_dens) for a conditioned query, in the
+        """(joint mixture of c, y, s) for a conditioned query, in the
         model's internal space: the one whitening y_i = V_i (x || z - mean_i)
-        (m, D), and log N(x || z; component i) and log N(z; marginal_i) in
-        the rows of log_dens (2, m) (MixtureCore._split_log_density).
-        Without x the pose block is zero; y[:, x_dim:] and the marginal row
-        are the same for any finite pose block, so every conditioned query
-        decides support from the same numbers.
+        (m, D), and s (m, 2), log N(x || z; component i) in column 0 and
+        log N(z; marginal_i) in column 1 (MixtureCore._split_log_density).
+        Without x the pose block is zero; y[:, x_dim:] and column 1 are the
+        same for any finite pose block, so every conditioned query decides
+        support from the same numbers.
 
         A NaN, infinite or overflowing terrain coordinate, then query
         coordinate, raises ValueError naming it.  Where every w_i N(z;
-        marginal_i) underflows to 0 -- exactly where the conditioned
-        mixture would be empty -- raises TerrainSupportError."""
+        marginal_i) underflows to 0, that is where their sum, one dot
+        product, is 0 -- exactly where the conditioned mixture would be
+        empty -- raises TerrainSupportError."""
         if not self.augmented:
             raise ValueError("model has no terrain block")
         self._check_terrain_given(z)
@@ -360,14 +368,13 @@ class MotionModel:
             raise ValueError(f"terrain vector has dimension {zv.shape[0]}, expected {self.z_dim}")
         check_coordinates(zv, "terrain")
         xv = np.zeros(self.x_dim) if x is None else self._query_x(x)
-        y, log_dens = joint._split_log_density(self._std.transform(np.concatenate([xv, zv])),
-                                               self.x_dim)
-        # the weight w_i N(z; marginal_i) that _conditional gives component i
-        if not (joint._w * np.exp(log_dens[1]) > 0.0).any():
+        y, s = joint._split_log_density(self._std.transform(np.concatenate([xv, zv])), self.x_dim)
+        # the weights w_i N(z; marginal_i) that _conditional gives the components
+        if not joint._w @ np.exp(s[:, 1]) > 0.0:
             raise TerrainSupportError(
                 f"terrain {np.array2string(zv, precision=4)} is far outside the training support"
             )
-        return joint, y, log_dens
+        return joint, y, s
 
     def conditional_motion_density(self, c: CommandKey, z: TerrainVector) -> MixtureCore:
         """Mixture over the pose-delta block representing p(x | c, z).
@@ -381,8 +388,8 @@ class MotionModel:
         in original units.  A NaN, infinite or overflowing terrain
         coordinate raises ValueError naming it.
         """
-        joint, y, log_dens = self._terrain(c, z)
-        return joint._conditional(self.x_dim, y, log_dens)
+        joint, y, s = self._terrain(c, z)
+        return joint._conditional(self.x_dim, y, s)
 
     def conditional_density(self, c: CommandKey, x, z: TerrainVector) -> float:
         """p(x | c, z) in original sample units: exp of log_density, so it
@@ -396,19 +403,23 @@ class MotionModel:
 
         With terrain this is the ratio joint(x || z) / marginal(z) in log
         space, from one whitening of x || z: no conditioned or marginal
-        mixture is built.  It shares _terrain with
+        mixture is built.  Each side is log sum_i w_i exp(s_i) over a column
+        of _split_log_density's s, shifted by the column's maximum
+        (MixtureCore._log_ratio), so no sum overflows or underflows to 0.
+        Without terrain the same kernel has an empty column 1, whose sum is
+        the total weight, so it is one path for both, and the one
+        MixtureCore.log_density takes for one point.  It shares _terrain with
         conditional_motion_density, so it raises TerrainSupportError
         exactly where that does; a bad x is reported before an unsupported
         z.  z is required exactly when the model has a terrain block: a
         missing or superfluous one raises ValueError."""
-        if not self.augmented:
+        if self.augmented:
+            joint, _, s = self._terrain(c, z, x)
+        else:
             self._check_terrain_given(z)
-            mix = self.mixture_for(c)
-            return mix.log_density(self._x_std.transform(self._query_x(x))) + self._x_log_jacobian
-        joint, _, log_dens = self._terrain(c, z, x)
-        # the marginal has the joint's weights; the total weight cancels
-        log_joint, log_marginal = logsumexp(log_dens + np.log(joint._w))
-        return float(log_joint - log_marginal + self._x_log_jacobian)
+            joint = self.mixture_for(c)
+            _, s = joint._split_log_density(self._std.transform(self._query_x(x)), self.x_dim)
+        return joint._log_ratio(s) + self._x_log_jacobian
 
     # -- persistence -----------------------------------------------------------
 

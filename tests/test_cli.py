@@ -117,6 +117,18 @@ def test_gen_incline_rejects_non_finite_parameters(tmp_path, capsys, flag, value
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--noise-scale", "1e308", "noise_scale"),
+    ("--drift-gain", "1e308", "drift_gain"),
+])
+def test_gen_incline_rejects_overflowing_records(tmp_path, capsys, flag, value, field):
+    out = tmp_path / "samples.csv"
+    assert run(["gen-incline", "--out", str(out), flag, value, "--seed", "1"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field} = 1e+308 is too large; simulated record ")
+    assert not out.exists()
+    assert not (tmp_path / "samples.csv.meta.json").exists()
+
+
 def test_query_nan_coordinate_exits_2(tmp_path, incline_csv, capsys):
     model_path = tmp_path / "plain.json"
     assert run(["fit", "--input", str(incline_csv), "--no-z", "--seed", "1",

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from dgmm.datasets import (
 )
 from dgmm.em import FixedGaussianMixture
 from dgmm.gaussian import Gaussian
+from dgmm.mixture import check_rows
 
 
 class TestSampleCsv:
@@ -230,6 +233,27 @@ class TestSimulateIncline:
     def test_non_finite_or_non_integer_parameters_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             InclineConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("noise_scale", 1e308),
+        ("noise_scale", 1e160),
+        ("drift_gain", 1e308),
+        ("drift_gain", -1e160),
+    ])
+    def test_overflowing_records_rejected_naming_the_parameter(self, field, value):
+        # finite parameters whose records would hold an infinite coordinate,
+        # or one whose square overflows, which no model accepts
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"{field} = {value!r} is too large; simulated record ")
+                               + r"\d+ coordinate \d+ "):
+                simulate_incline(InclineConfig(**{field: value}))
+
+    def test_large_parameters_that_fit_float64_accepted(self):
+        records = simulate_incline(InclineConfig(noise_scale=1e100, drift_gain=-1e50))
+        rows = np.array([np.concatenate([r.x.as_vector(), r.z.as_vector()]) for r in records])
+        check_rows(rows, "record {row}")
+        assert np.abs(rows).max() > 1e90
 
     def test_zero_noise_and_numpy_integer_reps_accepted(self):
         cfg = InclineConfig(noise_scale=0.0, drift_gain=-0.5, reps_per_orientation=np.int64(1))

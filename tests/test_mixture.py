@@ -1,5 +1,9 @@
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -1175,3 +1179,94 @@ class TestFreshComponents:
         assert len(m) == 1
         reference = DynamicGaussianMixture(2, [merge_into(WeightedGaussian(c.g, 2.0, np.eye(2)), np.full(2, 0.1))])
         assert np.array_equal(m._eval_cov, reference._eval_cov)
+
+
+class TestAdoptBlend:
+    """_adopt forms the evaluation covariances of a whole mixture in one
+    expression; it gives, bit for bit, what _evaluation_cov gives row by
+    row, for rows without a creation covariance, with the shared default
+    one, with their own one, and at weights below, at and above 1."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 8),
+        m=st.integers(0, 12),
+        log_scale=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_per_row_evaluation_cov(self, dim, m, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        default = scale * np.eye(dim)
+
+        def pd():
+            # symmetric up to rounding only, as a model file may hold it
+            a = rng.standard_normal((dim, dim))
+            cov = scale * (a @ a.T / dim + 0.1 * np.eye(dim))
+            cov[0, -1] *= 1.0 + 1e-13
+            return cov
+
+        w = rng.choice([0.5, 1.0, 2.0, 3.7, 40.0], size=m)
+        mean = rng.standard_normal((m, dim))
+        cov = np.array([pd() for _ in range(m)]).reshape(m, dim, dim)
+        creation = [(None, default, pd())[int(rng.integers(3))] for _ in range(m)]
+        want = np.array([_evaluation_cov(c, wi, cr) for c, wi, cr in zip(cov, w, creation)])
+        mixture = DynamicGaussianMixture._from_arrays(w.copy(), mean, cov.copy(), list(creation))
+        assert mixture._eval_cov.tobytes() == want.reshape(m, dim, dim).tobytes()
+        if m:
+            assert mixture._chol_inv.tobytes() == _factor(want)[1].tobytes()
+
+
+# Runs in a fresh interpreter: "plain" as numpy is, "fallback" after taking
+# away the private numpy names that dgmm.mixture reads at import (the LAPACK
+# gufuncs of numpy.linalg._umath_linalg and c_einsum), as a numpy without
+# them would.  numpy.linalg and np.einsum keep their own references.
+FALLBACK_SCRIPT = """
+import hashlib, json, sys, types
+import numpy as np
+import numpy.linalg
+if sys.argv[1] == "fallback":
+    numpy.linalg._umath_linalg = types.SimpleNamespace()
+    try:
+        import numpy._core.multiarray as multiarray
+    except ImportError:
+        import numpy.core.multiarray as multiarray
+    del multiarray.c_einsum
+import dgmm.mixture as mx
+
+rng = np.random.default_rng(7)
+a = rng.standard_normal((3, 4, 4))
+pd = a @ a.transpose(0, 2, 1) + 4.0 * np.eye(4)
+singular = np.zeros((4, 4))
+singular[:2, :2] = 1.0
+factors = [[arr.tobytes().hex() for arr in mx._factor(cov)]
+           for cov in (pd[0], pd, singular, np.array([pd[1], singular]))]
+mix, sizes = mx.DynamicGaussianMixture(3), []
+for x in rng.standard_normal((300, 3)) * [1.0, 3.0, 0.5]:
+    mix.add_sample(x, 0.05, rng)
+    sizes.append(len(mix))
+arrays = b"".join(getattr(mix, name).tobytes() for name in ("_w", "_mean", "_cov", "_eval_cov", "_chol_inv"))
+print(json.dumps({"private": mx._cholesky_lo is not None, "c_einsum": mx._einsum is not np.einsum,
+                  "factors": factors, "sizes": sizes, "arrays": hashlib.sha256(arrays).hexdigest(),
+                  "state": str(rng.bit_generator.state["state"])}))
+"""
+
+
+def run_fallback_script(mode):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", FALLBACK_SCRIPT, mode],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_numpy_without_private_names_falls_back_with_the_same_bits():
+    plain, fallback = run_fallback_script("plain"), run_fallback_script("fallback")
+    assert plain["private"] and plain["c_einsum"]
+    assert not fallback["private"] and not fallback["c_einsum"]
+    # the same factors, and a seeded stream makes the same decisions
+    # (mixture sizes, arrays and generator state after every draw)
+    for key in ("factors", "sizes", "arrays", "state"):
+        assert fallback[key] == plain[key], key
+    assert plain["sizes"][-1] > 1

@@ -612,6 +612,143 @@ class TestFusedTerrainQuery:
         assert np.array_equal(np.random.get_state()[1], global_state)
 
 
+class TestQueryKernel:
+    """The query kernel: per-component joint and terrain-marginal log
+    densities as one (m, 2) array, each column summed as
+    top + log(w @ exp(s - top)), at the edges of float64."""
+
+    @staticmethod
+    def fitted(z):
+        records = simulate_incline(InclineConfig(reps_per_orientation=1))
+        if not z:
+            records = [SampleRecord(r.command, None, r.x) for r in records]
+        return records, fit_motion_model(records, k=0.3, rng=np.random.default_rng(38), standardize=True)
+
+    @staticmethod
+    def reference(mm, c, x, z=None):
+        """log p(x | c[, z]) from the per-component evaluation Gaussians."""
+        mix, k = mm.mixture_for(c), mm.x_dim
+        v = x if z is None else np.concatenate([x, z])
+        u = mm._std.transform(v)
+        evals = [comp.pd_gaussian() for comp in mix.components]
+        log_w = np.log(mix.weights() / mix.total_weight())
+        value = logsumexp(log_w + np.array([g.log_density(u) for g in evals]))
+        if z is not None:
+            value -= logsumexp(log_w + np.array([g.marginal(range(k, mm.dim)).log_density(u[k:])
+                                                 for g in evals]))
+        return float(value) - np.log(mm._std.scale[:k]).sum()
+
+    @pytest.mark.parametrize("z", [True, False])
+    def test_far_query_is_finite_without_warnings(self, z):
+        # about 1e3 units from every component: every joint term underflows
+        # to 0, and the shifted sum still takes the log of a sum >= 1
+        records, mm = self.fitted(z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for r in records[:10]:
+                for shift in (1e3, -1e3):
+                    x = r.x.as_vector() + shift
+                    zv = None if r.z is None else r.z.as_vector()
+                    log_p = mm.log_density(r.command, x, zv)
+                    assert math.isfinite(log_p) and log_p < -1e5
+                    assert log_p == pytest.approx(self.reference(mm, r.command, x, zv), rel=1e-12)
+                    if z:
+                        assert mm.conditional_density(r.command, x, zv) == 0.0
+
+    @pytest.mark.parametrize("z", [True, False])
+    def test_all_minus_inf_joint_column_gives_minus_inf(self, z):
+        # every component's whitening overflows: the joint column is all
+        # -inf, and the query gives -inf as the logsumexp path did, not NaN
+        records, mm = self.fitted(z)
+        r = records[0]
+        x = r.x.as_vector() + 1e153
+        zv = None if r.z is None else r.z.as_vector()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert mm.log_density(r.command, x, zv) == -math.inf
+            if z:
+                assert mm.conditional_density(r.command, x, zv) == 0.0
+                assert len(mm.conditional_motion_density(r.command, zv)) > 0
+
+    def test_overflowing_component_keeps_its_terrain_marginal(self):
+        # the first component's pose block is so narrow that its whitening
+        # at this x overflows: it drops out of the joint, but not out of the
+        # marginal p(z), which it shares with the second
+        narrow = np.diag([1e-300, 1e-300, 1.0])
+        broad = np.diag([1e10, 1e10, 1.0])
+        comps = [WeightedGaussian(Gaussian(np.zeros(3), narrow), 3.0),
+                 WeightedGaussian(Gaussian(np.zeros(3), broad), 1.0)]
+        mm = MotionModel(k=0.5, x_dim=2, z_dim=1)
+        mm.models[FWD] = DynamicGaussianMixture.from_components(comps)
+        x, zv = np.array([1e5, 0.0]), np.array([0.3])
+        want = (Gaussian(np.zeros(2), broad[:2, :2]).log_density(x) + math.log(1.0 / 4.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert mm.log_density(FWD, x, zv) == pytest.approx(want, rel=1e-12)
+
+    def test_support_edge_raises_everywhere_at_once(self):
+        # bisect the terrain to the last supported float: there all three
+        # queries score, and from the next float on all three raise
+        mm, x = TestTerrainSupport().model(), np.array([0.1, -0.2])
+
+        def unsupported(z):
+            try:
+                mm.conditional_motion_density(FWD, np.array([z]))
+            except TerrainSupportError:
+                return True
+            return False
+
+        inside, outside = 0.0, 50.0
+        while np.nextafter(inside, outside) != outside:
+            mid = 0.5 * (inside + outside)
+            if mid in (inside, outside):
+                break
+            if unsupported(mid):
+                outside = mid
+            else:
+                inside = mid
+        assert np.nextafter(inside, outside) == outside
+        zv = np.array([inside])
+        assert len(mm.conditional_motion_density(FWD, zv)) == 1
+        assert math.isfinite(mm.log_density(FWD, x, zv))
+        assert mm.conditional_density(FWD, x, zv) >= 0.0
+        for z in (outside, np.nextafter(outside, 100.0), outside + 1e-9, 45.0, 50.0):
+            zv = np.array([z])
+            for call in (lambda: mm.conditional_motion_density(FWD, zv),
+                         lambda: mm.conditional_density(FWD, x, zv),
+                         lambda: mm.log_density(FWD, x, zv)):
+                with pytest.raises(TerrainSupportError):
+                    call()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        x_dim=st.integers(1, 6),
+        z_dim=st.integers(0, 2),
+        m=st.integers(1, 6),
+        offset=st.floats(-1e6, 1e6),
+        log_scale=st.floats(-3.0, 3.0),
+        dist=st.floats(0.0, 6.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_gaussian_reference(self, x_dim, z_dim, m, offset, log_scale, dist, seed):
+        # both branches, the terrain ratio and the terrain-free mixture,
+        # through a standardizer, near and up to 6 units from a component;
+        # the offset moves the data and the components' internal means
+        rng = np.random.default_rng(seed)
+        dim, scale = x_dim + z_dim, 10.0**log_scale
+        std = Standardizer(offset + rng.standard_normal(dim), scale * rng.uniform(0.5, 2.0, dim))
+        mm = MotionModel(k=0.5, x_dim=x_dim, z_dim=z_dim, standardizer=std)
+        joint = mm.models[FWD] = DynamicGaussianMixture(
+            dim, hand_built_components(rng, dim, m, offset, 1.0, 1.0, integral=False))
+        for _ in range(4):
+            step = rng.standard_normal(dim)
+            u = joint._mean[int(rng.integers(m))] + dist * step / np.linalg.norm(step)
+            v = std.offset + std.scale * u
+            x, zv = v[:x_dim], (v[x_dim:] if z_dim else None)
+            want = self.reference(mm, FWD, x, zv)
+            assert mm.log_density(FWD, x, zv) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 class TestPersistence:
     def test_empty_round_trip(self, tmp_path):
         mm = MotionModel(k=0.7, z_dim=2)
