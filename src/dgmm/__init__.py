@@ -2,8 +2,7 @@
 motion models, an offline EM baseline, and the experiment harness that
 compares them."""
 
-from .gaussian import Gaussian, IndexSplit, ensure_positive_definite, regularize
-from .mixture import DynamicGaussianMixture, WeightedGaussian, merge_into, merge_threshold
+from .mixture import DynamicGaussianMixture, merge_threshold
 from .motion import (
     CommandKey,
     DeltaPose,
@@ -15,7 +14,7 @@ from .motion import (
     pose_delta,
     wrap_angle,
 )
-from .em import FixedGaussianMixture, Grid, em_fit, integrate_on_grid, ise, mise
+from .em import FixedGaussianMixture, em_fit, ise
 from .datasets import (
     InclineConfig,
     SampleRecord,
@@ -42,13 +41,7 @@ from .evaluation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Gaussian",
-    "IndexSplit",
-    "ensure_positive_definite",
-    "regularize",
     "DynamicGaussianMixture",
-    "WeightedGaussian",
-    "merge_into",
     "merge_threshold",
     "CommandKey",
     "DeltaPose",
@@ -60,11 +53,8 @@ __all__ = [
     "pose_delta",
     "wrap_angle",
     "FixedGaussianMixture",
-    "Grid",
     "em_fit",
-    "integrate_on_grid",
     "ise",
-    "mise",
     "InclineConfig",
     "SampleRecord",
     "command_set",

@@ -23,7 +23,6 @@ from importlib import resources
 import numpy as np
 
 from .em import FixedGaussianMixture
-from .gaussian import Gaussian
 from .mixture import MAX_COORDINATE, check_coordinates
 from .motion import CommandKey, DeltaPose, Standardizer, TerrainVector
 
@@ -216,11 +215,8 @@ def three_component_benchmark() -> FixedGaussianMixture:
     merge-constant sweep experiments."""
     return FixedGaussianMixture(
         [0.4, 0.35, 0.25],
-        [
-            Gaussian([-2.5, 0.0], [[0.6, 0.2], [0.2, 0.4]]),
-            Gaussian([2.5, 2.0], [[0.5, -0.15], [-0.15, 0.7]]),
-            Gaussian([0.5, -2.5], [[0.4, 0.0], [0.0, 0.4]]),
-        ],
+        [[-2.5, 0.0], [2.5, 2.0], [0.5, -2.5]],
+        [[[0.6, 0.2], [0.2, 0.4]], [[0.5, -0.15], [-0.15, 0.7]], [[0.4, 0.0], [0.0, 0.4]]],
     )
 
 

@@ -20,18 +20,23 @@ A fitted mixture is evaluated by the same array core as the online one
 (dgmm.mixture.MixtureCore), and EM iterates on stacked arrays: the E-step
 runs the core's Mahalanobis kernel and log-sum-exp, the M-step forms all
 covariances in one batched product, and `_factor` diagonally loads any
-that collapse.  The returned fit takes the last M-step's arrays and factors
-as they are; it builds `Gaussian` objects only when `gaussians` is read.
+that collapse.  The returned fit is built from the last M-step's weights,
+means and covariances by FixedGaussianMixture's one constructor, which
+every mixture with a fixed component count goes through; it re-factors
+those covariances (about m small factorizations per fit) and gets the
+factors the M-step already had, bit for bit.  No `Gaussian` object is
+built.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import Gaussian, symmetrize
-from .mixture import MixtureCore, _factor, _log_norm, _quad, logsumexp
+from .gaussian import asymmetric, symmetrize
+from .mixture import MixtureCore, _factor, _log_norm, _quad, check_rows, logsumexp
 
 #: em_fit stops a run once the per-point log-likelihood improves by less
 #: than TOL, or after MAX_ITER iterations, and keeps the best of RESTARTS runs.
@@ -43,19 +48,28 @@ class FixedGaussianMixture(MixtureCore):
     are normalized mixture proportions summing to 1.  A covariance that
     does not factor is evaluated with diagonal loading."""
 
-    def __init__(self, weights, gaussians: list[Gaussian]):
-        weights = np.asarray(weights, dtype=float).reshape(-1)
-        gaussians = list(gaussians)
-        if len(gaussians) != weights.shape[0]:
-            raise ValueError("one weight per component required")
-        if np.any(weights <= 0):
-            raise ValueError("weights must be positive")
-        if abs(weights.sum() - 1.0) > 1e-12:
+    def __init__(self, weights, means, covs):
+        """The mixture sum_i weights_i N(means_i, covs_i), from weights (m,),
+        means (m, D) and covariances (m, D, D), which it copies.  Weights
+        must be positive, finite and sum to 1, means and covariances
+        finite, and covariances symmetric; the covariances are factored
+        once, here."""
+        w = np.array(weights, dtype=float)
+        mean = np.array(means, dtype=float)
+        cov = np.array(covs, dtype=float)
+        if not (w.ndim == 1 and mean.ndim == 2 and mean.shape[0] == len(w) and mean.shape[1] >= 1
+                and cov.shape == mean.shape + mean.shape[1:]):
+            raise ValueError(f"weights {w.shape}, means {mean.shape} and covs {cov.shape} "
+                             "must have shapes (m,), (m, D) and (m, D, D)")
+        if not np.all((w > 0.0) & (w < np.inf)):
+            raise ValueError("weights must be positive and finite")
+        if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
-        if len({g.dim for g in gaussians}) != 1:
-            raise ValueError("components must share one dimension")
-        super().__init__(weights, np.array([g.mean for g in gaussians]),
-                         *_factor(np.array([g.cov for g in gaussians])))
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValueError("means and covs must be finite")
+        if asymmetric(cov).any():
+            raise ValueError("covs must be symmetric")
+        super().__init__(w, mean, *_factor(cov))
         #: per-iteration data log-likelihood of the restart that produced
         #: this fit; useful for monotonicity checks.
         self.loglik_path: list[float] = []
@@ -64,13 +78,6 @@ class FixedGaussianMixture(MixtureCore):
     def weights(self) -> np.ndarray:
         """The mixture proportions (m,)."""
         return self._w
-
-    @property
-    def gaussians(self) -> list[Gaussian]:
-        """The components as Gaussian objects with their evaluation
-        covariances (diagonally loaded where a covariance does not factor),
-        built on each access from copies of the arrays."""
-        return [Gaussian(mean.copy(), cov.copy()) for mean, cov in zip(self._mean, self._eval_cov)]
 
 
 def _em_once(points: np.ndarray, m: int, rng: np.random.Generator) -> FixedGaussianMixture:
@@ -100,9 +107,9 @@ def _em_once(points: np.ndarray, m: int, rng: np.random.Generator) -> FixedGauss
         if (ll - prev_ll) / n < TOL and np.isfinite(prev_ll):
             break
         prev_ll = ll
-    # the last M-step's arrays and factors, as they are: nothing is factored again
-    fit = FixedGaussianMixture.__new__(FixedGaussianMixture)
-    MixtureCore.__init__(fit, weights / weights.sum(), means, covs, chol_inv)
+    # the last M-step's arrays, through the one constructor: re-factoring
+    # its covariances gives the factors it already holds, bit for bit
+    fit = FixedGaussianMixture(weights / weights.sum(), means, covs)
     fit.loglik_path = path
     return fit
 
@@ -117,14 +124,21 @@ def em_fit(points, m: int, rng: np.random.Generator) -> FixedGaussianMixture:
     log-likelihood improves by less than TOL, or after MAX_ITER
     iterations.  Covariances that collapse (e.g. duplicated points) are
     regularized rather than failing.  1-D points are one column.
+
+    m must be an integer (Python or numpy) of at least 1, and a point with
+    a NaN, an infinite or an overflowing coordinate raises ValueError
+    naming it (check_rows); both are checked before rng is touched.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points[:, None]
     if points.size == 0:
         raise ValueError("no points to fit")
+    if not isinstance(m, numbers.Integral):
+        raise ValueError("m must be an integer")
     if m < 1:
         raise ValueError("m must be >= 1")
+    check_rows(points, "point {row}")
     if points.shape[0] < m:
         raise ValueError(f"need at least {m} points to fit {m} components")
     best = None

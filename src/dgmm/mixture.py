@@ -108,12 +108,13 @@ never mutate a mixture; only add_sample writes.
 
 A whole mixture is built from its moment arrays by one constructor,
 `DynamicGaussianMixture._from_arrays`, the one place that derives _eval_cov
-and _chol_inv from moments; model files load through it, and __init__ and
-from_components stack their components into the same code.  The
-per-component objects -- `WeightedGaussian` with `pd_gaussian`,
-`merge_into`, and the `components` property that builds them on each
-access -- are a reference layer: tests and benchmark oracles check the
-arrays against them, and no learning, persistence or EM path builds them.
+and _chol_inv from moments; model files load through it, and
+`DynamicGaussianMixture(dim)` builds only an empty mixture.  No
+constructor takes component objects.  The per-component objects --
+`WeightedGaussian` with `pd_gaussian`, `merge_into`, and the `components`
+property that builds them on each access -- are a reference layer: tests
+and benchmark oracles check the arrays against them, and no learning,
+persistence or EM path builds them.
 They, and the `density` entry in DynamicGaussianMixture's own namespace,
 stay because the benchmark harness (bench/) wraps or reads them; no other
 entry point or argument is kept for tests alone.
@@ -424,13 +425,15 @@ class MixtureCore:
         docstring), so y[:, k:] and column 1 are the same for any finite
         u[:k].  A coordinate whose square overflows gives a -inf term, and
         a sum, never a product with it, forms each column, so the other
-        column keeps its value."""
-        y = self._whitened(u)
-        terms = _log_diag(self._chol_inv) - 0.5 * y * y
-        s = np.empty((len(terms), 2))
-        # each sum starts from its coordinates' share of -1/2 log(2 pi)
-        np.add.reduce(terms, axis=1, out=s[:, 0], initial=-0.5 * LOG_2PI * self.dim)
-        np.add.reduce(terms[:, k:], axis=1, out=s[:, 1], initial=-0.5 * LOG_2PI * (self.dim - k))
+        column keeps its value.  Such an overflow, in the square or in a
+        sum, is the -inf the column means, so it raises no warning."""
+        with np.errstate(over="ignore"):
+            y = self._whitened(u)
+            terms = _log_diag(self._chol_inv) - 0.5 * y * y
+            s = np.empty((len(terms), 2))
+            # each sum starts from its coordinates' share of -1/2 log(2 pi)
+            np.add.reduce(terms, axis=1, out=s[:, 0], initial=-0.5 * LOG_2PI * self.dim)
+            np.add.reduce(terms[:, k:], axis=1, out=s[:, 1], initial=-0.5 * LOG_2PI * (self.dim - k))
         return y, s
 
     def _log_ratio(self, s: np.ndarray) -> float:
@@ -440,9 +443,15 @@ class MixtureCore:
         top + log(w @ exp(s - top)), top being its column's maximum, so its
         largest term is w_i exp(0) and it neither overflows nor underflows
         to 0.  A column whose every entry is -inf is shifted by the lowest
-        float instead, so its sum is log(0) = -inf, not NaN."""
+        float instead, so its sum is 0, not NaN.  Only the joint column can
+        sum to 0 (the marginal column sums no term, or has passed
+        MotionModel._terrain's support test), and then the ratio is -inf,
+        returned without taking log(0) and its warning."""
         top = np.maximum.reduce(s, initial=_LOWEST)
-        log_joint, log_marginal = (top + np.log(self._w @ np.exp(s - top))).tolist()
+        sums = self._w @ np.exp(s - top)
+        if sums[0] == 0.0:
+            return -math.inf
+        log_joint, log_marginal = (top + np.log(sums)).tolist()
         return log_joint - log_marginal
 
     def _conditional(self, k: int, y: np.ndarray, s: np.ndarray) -> "MixtureCore":
@@ -526,26 +535,20 @@ class DynamicGaussianMixture(MixtureCore):
     """Variable-size weighted Gaussian mixture over a D-dimensional space,
     stored as parallel arrays (see the module docstring)."""
 
-    def __init__(self, dim: int, components: list[WeightedGaussian] | None = None):
+    def __init__(self, dim: int):
+        """An empty mixture over dim dimensions; _from_arrays builds one
+        from moment arrays."""
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        comps, d = list(components or []), int(dim)
-        for c in comps:
-            if c.g.dim != d:
-                raise ValueError(f"component dimension {c.g.dim} != mixture dimension {d}")
-        m = len(comps)
-        self._adopt(np.array([c.w for c in comps], dtype=float),
-                    np.array([c.g.mean for c in comps], dtype=float).reshape(m, d),
-                    np.array([c.g.cov for c in comps], dtype=float).reshape(m, d, d),
-                    [None if c.creation_cov is None else np.array(c.creation_cov, dtype=float)
-                     for c in comps])
+        d = int(dim)
+        self._adopt(np.empty(0), np.empty((0, d)), np.empty((0, d, d)), [])
 
     @classmethod
     def _from_arrays(cls, w: np.ndarray, mean: np.ndarray, cov: np.ndarray,
                      creation: list) -> "DynamicGaussianMixture":
         """A mixture that takes ownership of weights (m,), means (m, D),
         exact covariances (m, D, D) and creation covariances (m entries,
-        each (D, D) or None); no component object is built."""
+        each (D, D) or None): the one way to build a mixture from moments."""
         mix = cls.__new__(cls)
         mix._adopt(w, mean, cov, creation)
         return mix
@@ -588,12 +591,6 @@ class DynamicGaussianMixture(MixtureCore):
         """Sum of unnormalized weights; the number of absorbed samples for
         models built purely by add_sample."""
         return self._W
-
-    def weights(self) -> np.ndarray:
-        return self._w.copy()
-
-    def means(self) -> np.ndarray:
-        return self._mean.copy()
 
     # -- evaluation --------------------------------------------------------
 
@@ -815,11 +812,3 @@ class DynamicGaussianMixture(MixtureCore):
         self._creation.append(cov)
         self._eval_cov = np.concatenate([self._eval_cov, eval_cov[None]])
         self._chol_inv = np.concatenate([self._chol_inv, chol_inv[None]])
-
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def from_components(cls, components: list[WeightedGaussian]) -> "DynamicGaussianMixture":
-        if not components:
-            raise ValueError("need at least one component")
-        return cls(components[0].g.dim, components)

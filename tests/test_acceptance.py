@@ -26,6 +26,8 @@ from dgmm.gaussian import Gaussian, IndexSplit
 from dgmm.mixture import DynamicGaussianMixture, WeightedGaussian, merge_into
 from dgmm.motion import CommandKey, MotionModel
 
+from builders import dynamic_mixture
+
 
 def rel_err(got, want):
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
@@ -117,20 +119,19 @@ def test_ac5_conditioning_matches_density_ratio():
         x_dim = int(rng.integers(2, 7))
         z_dim = int(rng.integers(1, 3))
         dim = x_dim + z_dim
-        comps = []
+        w, means, covs = [], [], []
         for _ in range(int(rng.integers(1, 11))):
             a = rng.standard_normal((dim, dim))
-            comps.append(WeightedGaussian(
-                Gaussian(rng.standard_normal(dim), a @ a.T + dim * np.eye(dim)),
-                float(rng.integers(1, 30)),
-            ))
+            means.append(rng.standard_normal(dim))
+            covs.append(a @ a.T + dim * np.eye(dim))
+            w.append(float(rng.integers(1, 30)))
         mm = MotionModel(k=0.5, x_dim=x_dim, z_dim=z_dim)
-        mm.models[command] = DynamicGaussianMixture(dim, comps)
+        mm.models[command] = dynamic_mixture(w, means, covs)
         joint = mm.models[command]
         z = rng.standard_normal(z_dim)
         cond = mm.conditional_motion_density(command, z)
         # independent ratio oracle: joint mixture over the z-marginal mixture
-        w_hat = joint.weights() / joint.total_weight()
+        w_hat = joint._w / joint.total_weight()
         z_block = list(range(x_dim, dim))
         denom = sum(
             wh * float(c.g.marginal(z_block).density(z))
@@ -171,13 +172,14 @@ def test_ac6_densities_integrate_to_one(faithful):
     cases.append(("online 1-D", m1.density, [m1]))
 
     # a conditioned mixture over a 2-D kept block
-    comps = []
+    w, means, covs = [], [], []
     for _ in range(3):
         a = rng.standard_normal((3, 3))
-        comps.append(WeightedGaussian(Gaussian(rng.standard_normal(3), a @ a.T + 3 * np.eye(3)),
-                                      float(rng.integers(1, 10))))
+        means.append(rng.standard_normal(3))
+        covs.append(a @ a.T + 3 * np.eye(3))
+        w.append(float(rng.integers(1, 10)))
     mm = MotionModel(k=0.5, x_dim=2, z_dim=1)
-    mm.models[CommandKey(0.5, 0, 0)] = DynamicGaussianMixture(3, comps)
+    mm.models[CommandKey(0.5, 0, 0)] = dynamic_mixture(w, means, covs)
     cond = mm.conditional_motion_density(CommandKey(0.5, 0, 0), np.array([0.2]))
     cases.append(("conditioned 2-D", cond.density, [cond]))
 
@@ -206,9 +208,9 @@ def test_ac7_em_sanity(faithful, mise_report):
     # m = 1 equals the closed-form maximum likelihood estimates
     fit1 = em_fit(faithful, 1, rng=np.random.default_rng(8))
     assert fit1.weights == pytest.approx(np.array([1.0]), abs=1e-15)
-    assert np.max(np.abs(fit1.gaussians[0].mean - faithful.mean(axis=0))) <= 1e-10
+    assert np.max(np.abs(fit1._mean[0] - faithful.mean(axis=0))) <= 1e-10
     ml_cov = np.cov(faithful, rowvar=False, bias=True)
-    assert np.max(np.abs(fit1.gaussians[0].cov - ml_cov)) <= 1e-10
+    assert np.max(np.abs(fit1._eval_cov[0] - ml_cov)) <= 1e-10
     print(
         f"\nAC-7 PASS: EM log-likelihood non-decreasing (min step "
         f"{min(float(steps.min()), mise_report.summary['em_loglik_min_step']):.2e} >= -1e-10); "

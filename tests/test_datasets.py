@@ -135,7 +135,7 @@ class TestSampleGmm:
         assert out.shape == (0, 2)
 
     def test_single_component_mean_within_clt_bound(self):
-        g = FixedGaussianMixture([1.0], [Gaussian([2.0, -1.0], 0.5 * np.eye(2))])
+        g = FixedGaussianMixture([1.0], [[2.0, -1.0]], [0.5 * np.eye(2)])
         n = 100_000
         draws = sample_gmm(g, n, np.random.default_rng(2))
         sigma = math.sqrt(0.5)
@@ -143,11 +143,10 @@ class TestSampleGmm:
         assert draws.mean(axis=0) == pytest.approx(np.array([2.0, -1.0]), abs=bound)
 
     def test_singular_component_draws_from_its_evaluated_density(self):
-        # density() evaluates the diagonally loaded covariance; gaussians
-        # reports it, so sample_gmm draws from the density density() gives
-        gmm = FixedGaussianMixture([1.0], [Gaussian([0.0, 0.0], np.ones((2, 2)))])
-        (g,) = gmm.gaussians
-        assert np.array_equal(g.cov, gmm._eval_cov[0])
+        # density() evaluates the diagonally loaded covariance, and
+        # sample_gmm draws from the density density() gives
+        gmm = FixedGaussianMixture([1.0], [[0.0, 0.0]], [np.ones((2, 2))])
+        g = Gaussian(gmm._mean[0], gmm._eval_cov[0])
         assert not np.array_equal(g.cov, np.ones((2, 2)))
         assert gmm.density(np.zeros(2)) == pytest.approx(3558.8, rel=1e-4)
         assert float(g.density(np.zeros(2))) == pytest.approx(gmm.density(np.zeros(2)), rel=1e-9)
@@ -157,10 +156,7 @@ class TestSampleGmm:
         assert draws[:, 0].var() == pytest.approx(1.0, rel=0.1)
 
     def test_component_frequencies(self):
-        gmm = FixedGaussianMixture(
-            [0.3, 0.7],
-            [Gaussian([0.0], [[0.01]]), Gaussian([100.0], [[0.01]])],
-        )
+        gmm = FixedGaussianMixture([0.3, 0.7], [[0.0], [100.0]], [[[0.01]], [[0.01]]])
         draws = sample_gmm(gmm, 100_000, np.random.default_rng(3))
         frac_high = (draws[:, 0] > 50).mean()
         assert frac_high == pytest.approx(0.7, abs=0.01)

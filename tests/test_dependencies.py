@@ -22,7 +22,8 @@ import dgmm
 for info in pkgutil.iter_modules(dgmm.__path__):
     importlib.import_module("dgmm." + info.name)
 
-from dgmm import Gaussian, IndexSplit, InclineConfig, em_fit, fit_motion_model, simulate_incline
+from dgmm import InclineConfig, em_fit, fit_motion_model, simulate_incline
+from dgmm.gaussian import Gaussian, IndexSplit
 
 records = simulate_incline(InclineConfig(reps_per_orientation=1))
 mm = fit_motion_model(records, k=0.3, rng=np.random.default_rng(1))

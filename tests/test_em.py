@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,62 @@ from dgmm.em import (
     mixture_support_box,
     support_grid,
 )
+
+from builders import dynamic_mixture
+
+
+class TestFixedGaussianMixture:
+    """The one constructor of a fixed mixture: weights, means and
+    covariances as arrays, checked, then factored once."""
+
+    def test_arrays_are_copied_and_factored(self):
+        w, mean = np.array([0.25, 0.75]), np.array([[0.0, 0.0], [3.0, 1.0]])
+        cov = np.array([np.eye(2), 0.5 * np.eye(2)])
+        fit = FixedGaussianMixture(w, mean, cov)
+        w[0], mean[0, 0], cov[0, 0, 0] = 9.0, 9.0, 9.0
+        assert np.array_equal(fit.weights, [0.25, 0.75])
+        assert np.array_equal(fit._mean, [[0.0, 0.0], [3.0, 1.0]])
+        assert np.array_equal(fit._eval_cov, [np.eye(2), 0.5 * np.eye(2)])
+        assert np.array_equal(fit._chol_inv, dgmm.em._factor(fit._eval_cov)[1])
+        assert fit.loglik_path == []
+
+    @pytest.mark.parametrize("weights, message", [
+        ([math.nan, 0.5], "weights must be positive and finite"),
+        ([math.inf, 0.5], "weights must be positive and finite"),
+        ([1.5, -0.5], "weights must be positive and finite"),
+        ([0.0, 1.0], "weights must be positive and finite"),
+        ([0.5, 0.4], "weights must sum to 1"),
+    ])
+    def test_bad_weights_rejected(self, weights, message):
+        # a NaN weight used to be accepted, and gave a NaN density
+        with pytest.raises(ValueError, match="^" + message + "$"):
+            FixedGaussianMixture(weights, [[0.0], [1.0]], [[[1.0]], [[1.0]]])
+
+    @pytest.mark.parametrize("weights, means, covs", [
+        ([1.0], [[0.0], [1.0]], [[[1.0]], [[1.0]]]),
+        ([0.5, 0.5], [[0.0], [1.0]], [[[1.0]]]),
+        ([0.5, 0.5], [[0.0, 0.0], [1.0, 1.0]], [[[1.0]], [[1.0]]]),
+        ([0.5, 0.5], [0.0, 1.0], [[[1.0]], [[1.0]]]),
+        ([[0.5, 0.5]], [[0.0], [1.0]], [[[1.0]], [[1.0]]]),
+        ([0.5, 0.5], np.empty((2, 0)), np.empty((2, 0, 0))),
+    ])
+    def test_mismatched_shapes_rejected_with_one_message(self, weights, means, covs):
+        with pytest.raises(ValueError, match=r"must have shapes \(m,\), \(m, D\) and \(m, D, D\)"):
+            FixedGaussianMixture(weights, means, covs)
+
+    @pytest.mark.parametrize("means, covs", [
+        ([[math.nan, 0.0]], [np.eye(2)]),
+        ([[math.inf, 0.0]], [np.eye(2)]),
+        ([[0.0, 0.0]], [[[math.nan, 0.0], [0.0, 1.0]]]),
+    ])
+    def test_non_finite_moments_rejected(self, means, covs):
+        # they used to be accepted, and gave a NaN density
+        with pytest.raises(ValueError, match="^means and covs must be finite$"):
+            FixedGaussianMixture([1.0], means, covs)
+
+    def test_asymmetric_covariance_rejected(self):
+        with pytest.raises(ValueError, match="^covs must be symmetric$"):
+            FixedGaussianMixture([1.0], [[0.0, 0.0]], [[[1.0, 0.5], [0.2, 1.0]]])
 
 
 class TestEmFit:
@@ -44,9 +101,10 @@ class TestEmFit:
         monkeypatch.setattr(WeightedGaussian, "__init__", refuse)
         fit = em_fit(pts, 3, rng=np.random.default_rng(9))
         # one for each of the 5 restarts' initial covariances, one per
-        # iteration, none for the returned fit
+        # iteration, and one for each restart's fit, which the constructor
+        # factors from the last M-step's covariances
         assert len(iterations) == 5
-        assert len(factored) == 5 + sum(iterations)
+        assert len(factored) == 5 + sum(iterations) + 5
         monkeypatch.undo()
         assert np.array_equal(dgmm.em._factor(fit._eval_cov)[1], fit._chol_inv)
         assert fit.weights is fit._w and fit.weights.sum() == pytest.approx(1.0, abs=1e-15)
@@ -56,15 +114,15 @@ class TestEmFit:
         pts = rng.normal(2.0, 1.5, size=(200, 2)) @ np.array([[1.0, 0.3], [0.0, 1.0]])
         fit = em_fit(pts, 1, rng=rng)
         assert fit.weights == pytest.approx(np.array([1.0]))
-        assert fit.gaussians[0].mean == pytest.approx(pts.mean(axis=0), abs=1e-10)
+        assert fit._mean[0] == pytest.approx(pts.mean(axis=0), abs=1e-10)
         ml_cov = np.cov(pts, rowvar=False, bias=True)
-        assert fit.gaussians[0].cov == pytest.approx(ml_cov, abs=1e-10)
+        assert fit._eval_cov[0] == pytest.approx(ml_cov, abs=1e-10)
 
     def test_recovers_separated_clusters(self):
         rng = np.random.default_rng(1)
         pts = np.concatenate([rng.normal(0.0, 1.0, 500), rng.normal(10.0, 1.0, 500)])
         fit = em_fit(pts, 2, rng=rng)
-        means = sorted(g.mean[0] for g in fit.gaussians)
+        means = sorted(fit._mean[:, 0])
         assert means[0] == pytest.approx(0.0, abs=0.2)
         assert means[1] == pytest.approx(10.0, abs=0.2)
         assert fit.weights == pytest.approx(np.array([0.5, 0.5]), abs=0.05)
@@ -94,14 +152,39 @@ class TestEmFit:
         pts = np.concatenate([rng.normal(0, 1, (150, 2)), rng.normal(4, 0.7, (100, 2))])
         fit = em_fit(pts, 3, rng=np.random.default_rng(3))
         assert np.isfinite(fit.loglik_path[-1])
-        for g in fit.gaussians:
-            g.chol()  # every returned covariance factors
+        for cov in fit._eval_cov:
+            np.linalg.cholesky(cov)  # every returned covariance factors
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
             em_fit(np.empty((0, 2)), 1, rng=np.random.default_rng(4))
         with pytest.raises(ValueError):
             em_fit(np.zeros((3, 2)), 5, rng=np.random.default_rng(4))
+
+    @pytest.mark.parametrize("m", [2.5, 2.0, "2"])
+    def test_non_integral_m_rejected_before_any_draw(self, m):
+        pts = np.random.default_rng(5).standard_normal((20, 2))
+        rng = np.random.default_rng(6)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="^m must be an integer$"):
+            em_fit(pts, m, rng)
+        assert rng.bit_generator.state == state
+        assert len(em_fit(pts, np.int64(2), rng)) == 2
+
+    @pytest.mark.parametrize("bad, problem", [
+        (math.nan, "is NaN"),
+        (-math.inf, "is infinite"),
+        (1e200, "= 1e+200 is too large: its square overflows float64"),
+    ])
+    def test_bad_point_rejected_before_any_draw(self, bad, problem):
+        # one NaN point used to give a fit with NaN means and log-likelihood
+        pts = np.random.default_rng(5).standard_normal((20, 2))
+        pts[7, 1] = bad
+        rng = np.random.default_rng(6)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="^point 7 coordinate 1 " + re.escape(problem) + "$"):
+            em_fit(pts, 2, rng)
+        assert rng.bit_generator.state == state
 
     def test_generator_is_required(self):
         # as in every experiment function: no fresh entropy is drawn silently
@@ -119,10 +202,9 @@ class TestLogLikelihood:
         # a dynamic mixture and a fixed mixture with the same parameters
         # must score identically
         gaussians = [Gaussian([0.0, 0.0], np.eye(2)), Gaussian([3.0, 1.0], 0.5 * np.eye(2))]
-        fixed = FixedGaussianMixture([0.25, 0.75], gaussians)
-        dynamic = DynamicGaussianMixture.from_components(
-            [WeightedGaussian(gaussians[0], 1.0), WeightedGaussian(gaussians[1], 3.0)]
-        )
+        means, covs = [g.mean for g in gaussians], [g.cov for g in gaussians]
+        fixed = FixedGaussianMixture([0.25, 0.75], means, covs)
+        dynamic = dynamic_mixture([1.0, 3.0], means, covs)
         pts = np.random.default_rng(6).standard_normal((50, 2))
         assert dynamic.log_density(pts).sum() == pytest.approx(
             fixed.log_density(pts).sum(), rel=1e-12
@@ -131,10 +213,9 @@ class TestLogLikelihood:
         # the third component is singular and takes the diagonal-loading path
         gaussians.append(Gaussian([-1.0, 2.0], [[1.0, 1.0], [1.0, 1.0]]))
         weights = np.array([1.0, 3.0, 2.0])
-        fixed = FixedGaussianMixture(weights / weights.sum(), gaussians)
-        dynamic = DynamicGaussianMixture.from_components(
-            [WeightedGaussian(g, w) for g, w in zip(gaussians, weights)]
-        )
+        means, covs = [g.mean for g in gaussians], [g.cov for g in gaussians]
+        fixed = FixedGaussianMixture(weights / weights.sum(), means, covs)
+        dynamic = dynamic_mixture(weights, means, covs)
         pts = np.vstack([pts, [-1.0, 2.0], [0.0, 1.0], [-3.0, 0.0]])
         want = sum(w / weights.sum() * ensure_positive_definite(g).density(pts)
                    for g, w in zip(gaussians, weights))
@@ -175,9 +256,7 @@ class TestMise:
             Grid((0.0,), (1.0,), (1,))
 
     def test_support_grid_covers_components(self):
-        p = FixedGaussianMixture(
-            [0.5, 0.5], [Gaussian([0.0, 0.0], np.eye(2)), Gaussian([5.0, -2.0], 2 * np.eye(2))]
-        )
+        p = FixedGaussianMixture([0.5, 0.5], [[0.0, 0.0], [5.0, -2.0]], [np.eye(2), 2 * np.eye(2)])
         grid = support_grid([p], resolution=100)
         assert np.all(np.asarray(grid.lower) <= np.array([-8.0, -8.0]))
         assert np.all(np.asarray(grid.upper) >= np.array([5.0 + 8 * math.sqrt(2), -2.0 + 8 * math.sqrt(2)]) - 1e-9)
@@ -268,9 +347,10 @@ class TestIse:
         # a power of 4 makes the Cholesky factorization fail exactly
         c = 4.0 ** round(math.log(scale**2, 4))
         singular = Gaussian(offset + scale * rng.standard_normal(2), c * np.ones((2, 2)))
-        p2 = DynamicGaussianMixture.from_components(
-            p.components + [WeightedGaussian(singular, p.total_weight())])
-        q2 = FixedGaussianMixture(np.append(q.weights / 2.0, 0.5), q.gaussians + [singular])
+        p2 = dynamic_mixture(np.append(p._w, p.total_weight()), np.vstack([p._mean, singular.mean]),
+                             np.concatenate([p._cov, [singular.cov]]), p._creation + [None])
+        q2 = FixedGaussianMixture(np.append(q.weights / 2.0, 0.5), np.vstack([q._mean, singular.mean]),
+                                  np.concatenate([q._eval_cov, [singular.cov]]))
         assert not np.array_equal(p2._eval_cov[-1], singular.cov)
         assert np.array_equal(p2._eval_cov[-1], q2._eval_cov[-1])
         got = ise(p2, q2)
@@ -297,10 +377,10 @@ class TestIse:
         u = rng.standard_normal(dim)
         delta = maha * np.linalg.cholesky(cov) @ (u / np.linalg.norm(u))
         mean = offset + scale * rng.standard_normal(dim)
-        p = FixedGaussianMixture([1.0], [Gaussian(mean, cov)])
-        q = FixedGaussianMixture([1.0], [Gaussian(mean + delta, cov)])
+        p = FixedGaussianMixture([1.0], [mean], [cov])
+        q = FixedGaussianMixture([1.0], [mean + delta], [cov])
         # at an offset, mean + delta rounds; the stored difference is exact
-        want = equal_cov_ise(q.gaussians[0].mean - mean, cov)
+        want = equal_cov_ise(q._mean[0] - mean, cov)
         got = ise(p, q)
         assert got >= 0.0
         assert got == pytest.approx(want, rel=1e-10)
@@ -308,8 +388,8 @@ class TestIse:
         assert ise(p, p) == 0.0
 
     def test_rejects_empty_and_mismatched_mixtures(self):
-        one = FixedGaussianMixture([1.0], [Gaussian([0.0], [[1.0]])])
-        two = FixedGaussianMixture([1.0], [Gaussian([0.0, 0.0], np.eye(2))])
+        one = FixedGaussianMixture([1.0], [[0.0]], [[[1.0]]])
+        two = FixedGaussianMixture([1.0], [[0.0, 0.0]], [np.eye(2)])
         with pytest.raises(ValueError, match="empty"):
             ise(one, DynamicGaussianMixture(1))
         with pytest.raises(ValueError, match="dimensions differ"):

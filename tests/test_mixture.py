@@ -28,14 +28,44 @@ from dgmm.em import FixedGaussianMixture, Grid, integrate_on_grid, mixture_suppo
 from dgmm.datasets import sample_gmm
 from dgmm.motion import CommandKey, MotionModel
 
+from builders import dynamic_mixture
+
 STD_PEAK = 1.0 / math.sqrt(2 * math.pi)
 FWD = CommandKey(0.5, 0.0, 0.0)
 
 
 def mix(*comps):
-    return DynamicGaussianMixture.from_components(
-        [WeightedGaussian(Gaussian(m, np.atleast_2d(c)), w) for m, c, w in comps]
-    )
+    means, covs, w = zip(*comps)
+    return dynamic_mixture(w, means, covs)
+
+
+class TestConstruction:
+    """Each mixture kind has one way to be built from moments, and takes
+    arrays: no constructor stacks component objects."""
+
+    def test_no_component_object_constructor(self):
+        assert not hasattr(DynamicGaussianMixture, "from_components")
+        with pytest.raises(TypeError):
+            DynamicGaussianMixture(1, [WeightedGaussian(Gaussian([0.0], [[1.0]]), 1.0)])
+        with pytest.raises(TypeError):
+            FixedGaussianMixture([1.0], [Gaussian([0.0], [[1.0]])])
+        for owner, name in ((DynamicGaussianMixture, "weights"), (DynamicGaussianMixture, "means"),
+                            (FixedGaussianMixture, "gaussians")):
+            assert not hasattr(owner, name), name
+
+    def test_empty_mixture_from_its_dimension(self):
+        m = DynamicGaussianMixture(3)
+        assert len(m) == 0 and m.dim == 3 and m.total_weight() == 0.0
+        assert m._mean.shape == (0, 3) and m._cov.shape == m._chol_inv.shape == (0, 3, 3)
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            DynamicGaussianMixture(0)
+
+    def test_reference_layer_is_not_exported(self):
+        names = ("Gaussian", "IndexSplit", "ensure_positive_definite", "regularize",
+                 "WeightedGaussian", "merge_into", "Grid", "integrate_on_grid", "mise")
+        for name in names:
+            assert name not in dgmm.__all__ and not hasattr(dgmm, name), name
+        assert all(hasattr(dgmm, name) for name in dgmm.__all__)
 
 
 class TestMixtureDensity:
@@ -90,7 +120,7 @@ class TestNormalizedMixtureDensity:
 
     def test_reduces_to_component_normalized_density(self):
         g = Gaussian([1.0], [[3.0]])
-        m = DynamicGaussianMixture.from_components([WeightedGaussian(g, 2.0)])
+        m = mix(([1.0], [[3.0]], 2.0))
         for x in (-2.0, 0.0, 1.5):
             assert m.normalized_density(np.array([x])) == pytest.approx(
                 g.normalized_density(np.array([x])), rel=1e-12
@@ -169,7 +199,7 @@ class TestScaledNormalizedDensity:
             cov = math.exp(log_s) * (a @ a.T / dim + 0.1 * np.eye(dim))
             comps.append(WeightedGaussian(Gaussian(3.0 * sd * rng.standard_normal(dim), 0.5 * (cov + cov.T)),
                                           rng.uniform(0.1, 20.0)))
-        mixture = DynamicGaussianMixture.from_components(comps)
+        mixture = dynamic_mixture([c.w for c in comps], [c.g.mean for c in comps], [c.g.cov for c in comps])
         pds = [c.pd_gaussian() for c in comps]
         log_w = np.log(np.array([c.w for c in comps]) / sum(c.w for c in comps))
 
@@ -398,9 +428,7 @@ class TestAddSample:
     def test_two_cluster_stream_concentrates_on_two_components(self):
         # 300 draws from a two-component generator; with k chosen by a
         # sweep, the run-final component count is most often exactly 2
-        gen = FixedGaussianMixture(
-            [0.5, 0.5], [Gaussian([0.0], [[0.25]]), Gaussian([4.0], [[0.25]])]
-        )
+        gen = FixedGaussianMixture([0.5, 0.5], [[0.0], [4.0]], [[[0.25]], [[0.25]]])
         counts = {}
         for seed in range(100):
             rng = np.random.default_rng(seed)
@@ -423,7 +451,7 @@ class TestAddSample:
             models.append(m)
         a, b = models
         assert len(a) == len(b)
-        assert np.array_equal(a.weights(), b.weights())
+        assert np.array_equal(a._w, b._w)
         for ca, cb in zip(a.components, b.components):
             assert np.array_equal(ca.g.mean, cb.g.mean)
             assert np.array_equal(ca.g.cov, cb.g.cov)
@@ -447,7 +475,7 @@ class TestAddSample:
         m = DynamicGaussianMixture(1)
         for x in pts:
             m.add_sample([x], 0.4, rng)
-        means = m.means().reshape(-1)
+        means = m._mean.reshape(-1)
         sig = math.sqrt(max(np.diag(c.pd_gaussian().cov)[0] for c in m.components))
         grid = Grid((means.min() - 8 * sig,), (means.max() + 8 * sig,), (8001,))
         assert integrate_on_grid(m.density, grid) == pytest.approx(1.0, abs=1e-3)
@@ -475,7 +503,7 @@ class TestEvaluationBlend:
 
     def test_hand_built_components_evaluate_exactly(self):
         g = Gaussian([0.0], [[0.04]])
-        m = DynamicGaussianMixture.from_components([WeightedGaussian(g, 5.0)])
+        m = mix(([0.0], [[0.04]], 5.0))
         assert m.density(np.array([0.0])) == pytest.approx(g.density(np.array([0.0])), rel=1e-12)
 
 
@@ -535,7 +563,7 @@ class TestSampleValidation:
     def test_largest_finite_square_is_accepted(self):
         m = DynamicGaussianMixture(1)
         m.add_sample(np.array([1e150]), 0.3, np.random.default_rng(31))
-        assert m.means()[0, 0] == 1e150
+        assert m._mean[0, 0] == 1e150
 
     @pytest.mark.parametrize("bad, problem", [
         (math.nan, "is NaN"),
@@ -644,9 +672,9 @@ class TestSharedCore:
         w = rng.uniform(0.1, 10.0, m)
         pts = np.array([g.mean for g in gaussians]) + scale * rng.standard_normal((m, dim))
         want = sum(wi / w.sum() * g.density(pts) for wi, g in zip(w, gaussians))
-        fixed = FixedGaussianMixture(w / w.sum(), gaussians)
-        dynamic = DynamicGaussianMixture.from_components(
-            [WeightedGaussian(g, wi) for g, wi in zip(gaussians, w)])
+        means, covs = [g.mean for g in gaussians], [g.cov for g in gaussians]
+        fixed = FixedGaussianMixture(w / w.sum(), means, covs)
+        dynamic = dynamic_mixture(w, means, covs)
         box = mixture_support_box([fixed])
         for model in (fixed, dynamic):
             assert model.density(pts) == pytest.approx(want, rel=1e-9)
@@ -722,7 +750,7 @@ class TestUpdateProperties:
             m.add_sample(x, 10.0**log_k, rng, new_cov_scale=scale**2)
             assert m.total_weight() == i + 1
         assert m._w.sum() == n
-        fresh = DynamicGaussianMixture.from_components(m.components)
+        fresh = dynamic_mixture(m._w, m._mean, m._cov, m._creation)
         for name in ("_eval_cov", "_chol_inv", "_log_norm"):
             np.testing.assert_allclose(getattr(m, name), getattr(fresh, name), rtol=1e-12, atol=0.0,
                                        err_msg=name)
@@ -806,14 +834,15 @@ class TestDensityBound:
         rng = np.random.default_rng(seed)
         k, cov_scale = 10.0**log_k, 10.0**log_cov_scale
         scale = math.sqrt(cov_scale)
-        comps = []
+        w, means, covs = [], [], []
         for _ in range(m):
             a = rng.standard_normal((dim, dim))
             cov = cov_scale * (a @ a.T / dim + 0.1 * np.eye(dim))
-            comps.append(WeightedGaussian(
-                Gaussian(offset + 3.0 * scale * rng.standard_normal(dim), 0.5 * (cov + cov.T)),
-                float(rng.integers(1, 10)), creation_cov=cov_scale * np.eye(dim)))
-        bounded, eager = DynamicGaussianMixture(dim, comps), DynamicGaussianMixture(dim, comps)
+            means.append(offset + 3.0 * scale * rng.standard_normal(dim))
+            covs.append(0.5 * (cov + cov.T))
+            w.append(float(rng.integers(1, 10)))
+        creation = [cov_scale * np.eye(dim)] * m
+        bounded, eager = (dynamic_mixture(w, means, covs, creation) for _ in range(2))
         spread = scale * np.where(rng.random((n, 1)) < 0.3, 30.0, 1.0)
         pts = offset + 3.0 * scale * rng.standard_normal((1, dim)) + spread * rng.standard_normal((n, dim))
         rng_bounded, rng_eager = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
@@ -842,8 +871,8 @@ class TestDensityBound:
 
 
 class TestRebuiltMixture:
-    """A mixture rebuilt from its components (the path a loaded model file
-    takes) holds the live mixture's arrays bit for bit and continues a
+    """A mixture rebuilt from its moment arrays (the path a loaded model
+    file takes) holds the live mixture's arrays bit for bit and continues a
     stream exactly as the live one does."""
 
     @settings(max_examples=40, deadline=None)
@@ -856,14 +885,14 @@ class TestRebuiltMixture:
         log_scale=st.floats(-3.0, 3.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_from_components_resumes_bit_for_bit(self, dim, n, more, log_k, offset, log_scale, seed):
+    def test_from_arrays_resumes_bit_for_bit(self, dim, n, more, log_k, offset, log_scale, seed):
         k, scale = 10.0**log_k, 10.0**log_scale
         pts = clustered_stream(np.random.default_rng(seed), n + more, dim, offset, scale)
         live = DynamicGaussianMixture(dim)
         rng = np.random.default_rng([seed, 2])
         for x in pts[:n]:
             live.add_sample(x, k, rng, new_cov_scale=scale**2)
-        rebuilt = DynamicGaussianMixture.from_components(live.components)
+        rebuilt = dynamic_mixture(live._w, live._mean, live._cov, live._creation)
         assert_same_mixture(live, rebuilt)
         rng_rebuilt = np.random.default_rng()
         rng_rebuilt.bit_generator.state = rng.bit_generator.state
@@ -898,12 +927,9 @@ class TestCountIsFinal:
         # carrying the rest of the weight when n_final is large
         streamed = min(n_final, 20)
         rest = n_final - streamed
-        comps = [
-            WeightedGaussian(
-                Gaussian(offset + scale * rng.standard_normal(dim), scale**2 * np.eye(dim)), w)
-            for w in ([rest - 2, 1, 1] if rest > 2 else [rest] if rest else [])
-        ]
-        m = DynamicGaussianMixture(dim, comps)
+        w = [rest - 2, 1, 1] if rest > 2 else [rest] if rest else []
+        m = dynamic_mixture(w, offset + scale * rng.standard_normal((len(w), dim)),
+                            [scale**2 * np.eye(dim)] * len(w))
         # points at the components and far from them (density ratio d ~ 0)
         spread = scale * np.where(rng.random((streamed + extra, 1)) < 0.3, 1e3, 1.0)
         pts = offset + spread * rng.standard_normal((streamed + extra, dim))
@@ -990,13 +1016,14 @@ class TestOnePassPieces:
            seed=st.integers(0, 2**32 - 1))
     def test_distances_and_merge_with_the_difference(self, dim, m, offset, seed):
         rng = np.random.default_rng(seed)
-        comps = []
+        w, means, covs = [], [], []
         for _ in range(m):
             a = rng.standard_normal((dim, dim))
             cov = a @ a.T / dim + 0.1 * np.eye(dim)
-            comps.append(WeightedGaussian(Gaussian(offset + rng.standard_normal(dim), 0.5 * (cov + cov.T)),
-                                          float(rng.integers(1, 10)), creation_cov=np.eye(dim)))
-        a, b = DynamicGaussianMixture(dim, comps), DynamicGaussianMixture(dim, comps)
+            means.append(offset + rng.standard_normal(dim))
+            covs.append(0.5 * (cov + cov.T))
+            w.append(float(rng.integers(1, 10)))
+        a, b = (dynamic_mixture(w, means, covs, [np.eye(dim)] * m) for _ in range(2))
         x = offset + rng.standard_normal(dim)
         diff, quad, nearest = a._distances(x)
         y = a._whitened(x)
@@ -1125,7 +1152,7 @@ class TestFreshComponents:
         assert len(m) == 6
         assert [c[0, 0] for c in factored] == [2.0, 0.5, 2.0]
         monkeypatch.undo()
-        rebuilt = DynamicGaussianMixture.from_components(m.components)
+        rebuilt = dynamic_mixture(m._w, m._mean, m._cov, m._creation)
         for name in ("_eval_cov", "_chol_inv"):
             assert np.array_equal(getattr(m, name), getattr(rebuilt, name)), name
 
@@ -1149,7 +1176,7 @@ class TestFreshComponents:
         monkeypatch.undo()
         assert all(m._creation[0] is mixtures[0]._creation[0] for m in mixtures)
         for m in mixtures:
-            rebuilt = DynamicGaussianMixture.from_components(m.components)
+            rebuilt = dynamic_mixture(m._w, m._mean, m._cov, m._creation)
             for name in ("_eval_cov", "_chol_inv"):
                 assert np.array_equal(getattr(m, name), getattr(rebuilt, name)), name
 
@@ -1169,15 +1196,12 @@ class TestFreshComponents:
         assert np.array_equal(m._eval_cov[3], np.eye(2))
         assert np.array_equal(m.components[3].creation_cov, np.eye(2))
 
-    def test_construction_copies_creation_covariances(self):
-        creation = np.eye(2)
-        c = WeightedGaussian(Gaussian(np.zeros(2), np.eye(2)), 2.0, creation)
-        m = DynamicGaussianMixture(2, [c])
-        creation[0, 0] = 99.0
-        assert np.array_equal(m._creation[0], np.eye(2))
+    def test_hand_built_creation_covariance_blends_after_a_merge(self):
+        m = dynamic_mixture([2.0], [np.zeros(2)], [np.eye(2)], [np.eye(2)])
         m.add_sample(np.full(2, 0.1), 1e9, np.random.default_rng(6))
         assert len(m) == 1
-        reference = DynamicGaussianMixture(2, [merge_into(WeightedGaussian(c.g, 2.0, np.eye(2)), np.full(2, 0.1))])
+        c = merge_into(WeightedGaussian(Gaussian(np.zeros(2), np.eye(2)), 2.0, np.eye(2)), np.full(2, 0.1))
+        reference = dynamic_mixture([c.w], [c.g.mean], [c.g.cov], [c.creation_cov])
         assert np.array_equal(m._eval_cov, reference._eval_cov)
 
 

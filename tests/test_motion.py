@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import dgmm.mixture
 from dgmm.gaussian import Gaussian, IndexSplit
-from dgmm.mixture import DynamicGaussianMixture, WeightedGaussian, logsumexp
+from dgmm.mixture import WeightedGaussian, logsumexp
 from dgmm.motion import (
     CommandKey,
     DeltaPose,
@@ -24,6 +24,8 @@ from dgmm.motion import (
 from dgmm.datasets import InclineConfig, SampleRecord, simulate_incline
 from dgmm.evaluation import fit_motion_model
 
+from builders import dynamic_mixture
+
 FWD = CommandKey(0.5, 0.0, 0.0)
 TURN = CommandKey(0.0, 0.0, 0.5)
 
@@ -31,15 +33,14 @@ TURN = CommandKey(0.0, 0.0, 0.5)
 def random_joint_model(rng, x_dim, z_dim, n_comps, k=0.5):
     """Hand-built augmented model with random full-covariance components."""
     dim = x_dim + z_dim
-    comps = []
+    w, means, covs = [], [], []
     for _ in range(n_comps):
         a = rng.standard_normal((dim, dim))
-        comps.append(
-            WeightedGaussian(Gaussian(rng.standard_normal(dim), a @ a.T + dim * np.eye(dim)),
-                             float(rng.integers(1, 20)))
-        )
+        means.append(rng.standard_normal(dim))
+        covs.append(a @ a.T + dim * np.eye(dim))
+        w.append(float(rng.integers(1, 20)))
     mm = MotionModel(k=k, x_dim=x_dim, z_dim=z_dim)
-    mm.models[FWD] = DynamicGaussianMixture(dim, comps)
+    mm.models[FWD] = dynamic_mixture(w, means, covs)
     return mm
 
 
@@ -195,9 +196,7 @@ class TestMotionDensity:
         offset = np.array([0.1, -0.2, 0.0, 0.05, 0.0, 0.3])
         scale = np.array([0.5, 2.0, 1.0, 0.1, 0.2, 1.5])
         mm = MotionModel(k=0.5, standardizer=Standardizer(offset, scale))
-        mm.models[FWD] = DynamicGaussianMixture.from_components(
-            [WeightedGaussian(Gaussian(np.zeros(6), np.eye(6)), 1.0)]
-        )
+        mm.models[FWD] = dynamic_mixture([1.0], [np.zeros(6)], [np.eye(6)])
         oracle = Gaussian(offset, np.diag(scale**2))
         rng = np.random.default_rng(11)
         for _ in range(10):
@@ -213,8 +212,7 @@ class TestLogSpaceQueries:
         scale = np.array([0.5, 2.0, 1.0, 0.1, 0.2, 1.5])
         mean, cov = np.full(6, 0.25), 0.3 * np.eye(6)
         mm = MotionModel(k=0.5, standardizer=Standardizer(offset, scale))
-        mm.models[FWD] = DynamicGaussianMixture.from_components(
-            [WeightedGaussian(Gaussian(mean, cov), 4.0)])
+        mm.models[FWD] = dynamic_mixture([4.0], [mean], [cov])
         x = offset + scale * np.array([40.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         assert mm.motion_density(FWD, x) == 0.0
         u = (x - offset) / scale
@@ -307,7 +305,8 @@ class TestConditionalMotionDensity:
             cov[2:, 2:] = z_cov
             comps.append(WeightedGaussian(Gaussian(np.array(mu), cov), w))
         mm = MotionModel(k=0.5, x_dim=2, z_dim=1)
-        mm.models[FWD] = DynamicGaussianMixture(3, comps)
+        mm.models[FWD] = dynamic_mixture([c.w for c in comps], [c.g.mean for c in comps],
+                                         [c.g.cov for c in comps])
         zv = np.array([0.0])
         cond = mm.conditional_motion_density(FWD, zv)
         # x-parts unchanged, weights scaled by each component's z likelihood
@@ -324,9 +323,7 @@ class TestConditionalMotionDensity:
         joint = mm.mixture_for(FWD)
         zv = rng.standard_normal(1)
         cond = mm.conditional_motion_density(FWD, zv)
-        zmarg = DynamicGaussianMixture.from_components(
-            [WeightedGaussian(c.g.marginal([2]), c.w) for c in joint.components]
-        )
+        zmarg = dynamic_mixture(joint._w, joint._mean[:, 2:], joint._cov[:, 2:, 2:])
         xs = np.linspace(-3, 3, 20)
         for x0 in xs:
             pts = np.column_stack([np.full(20, x0), xs])
@@ -367,7 +364,7 @@ class TestConditionalMotionDensity:
         rng = np.random.default_rng(17)
         mm = random_joint_model(rng, x_dim=1, z_dim=1, n_comps=4)
         joint = mm.mixture_for(FWD)
-        w_hat = joint.weights() / joint.total_weight()
+        w_hat = joint._w / joint.total_weight()
         z = 0.4
         marginal_value = sum(
             wh * float(comp.g.marginal([1]).density(np.array([z])))
@@ -407,7 +404,7 @@ class TestConditioningInvariant:
                 cov[j, :] = cov[:, j] = 0.0
             mean = offset + 3.0 * scale * rng.standard_normal(dim)
             comps.append(WeightedGaussian(Gaussian(mean, 0.5 * (cov + cov.T)), float(rng.uniform(0.5, 20.0))))
-        joint = DynamicGaussianMixture.from_components(comps)
+        joint = dynamic_mixture([c.w for c in comps], [c.g.mean for c in comps], [c.g.cov for c in comps])
         mm = MotionModel(k=0.5, x_dim=k, z_dim=z_dim)
         mm.models[FWD] = joint
         evals = [c.pd_gaussian() for c in comps]
@@ -468,11 +465,9 @@ class TestTerrainSupport:
     agree on which terrains they can score."""
 
     def model(self):
-        comps = [WeightedGaussian(Gaussian(np.array([0.0, 0.0, mu_z]),
-                                           np.array([[1.0, 0.3, 0.2], [0.3, 1.0, 0.1], [0.2, 0.1, 1.0]])), w)
-                 for mu_z, w in ((0.0, 2.0), (100.0, 3.0))]
+        cov = np.array([[1.0, 0.3, 0.2], [0.3, 1.0, 0.1], [0.2, 0.1, 1.0]])
         mm = MotionModel(k=0.5, x_dim=2, z_dim=1)
-        mm.models[FWD] = DynamicGaussianMixture.from_components(comps)
+        mm.models[FWD] = dynamic_mixture([2.0, 3.0], [[0.0, 0.0, 0.0], [0.0, 0.0, 100.0]], [cov, cov])
         return mm
 
     @pytest.mark.parametrize("z", [50.0, -60.0, 1e6])
@@ -559,10 +554,11 @@ class TestFusedTerrainQuery:
         std = Standardizer(offset + rng.standard_normal(dim), scale * rng.uniform(0.5, 2.0, dim))
         mm = MotionModel(k=0.5, x_dim=x_dim, z_dim=z_dim, standardizer=std)
         # with creation: components cycle through none, a non-default and the default one
-        comps = hand_built_components(rng, dim, m, 0.0, 1.0, 1.0, integral=False)
+        joint = hand_built_mixture(rng, dim, m, 0.0, 1.0, 1.0, integral=False)
         if not creation:
-            comps = [WeightedGaussian(c.g, c.w) for c in comps]
-        joint = mm.models[FWD] = DynamicGaussianMixture(dim, comps)
+            joint = dynamic_mixture(joint._w, joint._mean, joint._cov)
+        mm.models[FWD] = joint
+        comps = joint.components
         arrays = ("_w", "_mean", "_cov", "_eval_cov", "_chol_inv")
         before = {name: getattr(joint, name).copy() for name in arrays}
         global_state = np.random.get_state()[1].copy()
@@ -631,7 +627,7 @@ class TestQueryKernel:
         v = x if z is None else np.concatenate([x, z])
         u = mm._std.transform(v)
         evals = [comp.pd_gaussian() for comp in mix.components]
-        log_w = np.log(mix.weights() / mix.total_weight())
+        log_w = np.log(mix._w / mix.total_weight())
         value = logsumexp(log_w + np.array([g.log_density(u) for g in evals]))
         if z is not None:
             value -= logsumexp(log_w + np.array([g.marginal(range(k, mm.dim)).log_density(u[k:])
@@ -664,11 +660,34 @@ class TestQueryKernel:
         x = r.x.as_vector() + 1e153
         zv = None if r.z is None else r.z.as_vector()
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             assert mm.log_density(r.command, x, zv) == -math.inf
             if z:
                 assert mm.conditional_density(r.command, x, zv) == 0.0
                 assert len(mm.conditional_motion_density(r.command, zv)) > 0
+
+    @pytest.mark.parametrize("standardize, shifts", [(True, (5e153, 1.3e154)),
+                                                     (False, (1e154, 1.3e154))])
+    def test_overflowing_whitening_drops_components_without_warnings(self, standardize, shifts):
+        # one rule for a query whose whitening overflows: the components it
+        # overflows for drop out of the joint, silently, and the query is
+        # -inf when all of them do.  Standardized, 5e153 overflows every
+        # component; unstandardized, 1e154 overflows some of them only
+        records = simulate_incline(InclineConfig(reps_per_orientation=3))
+        mm = fit_motion_model(records, 0.3, np.random.default_rng(0), standardize=standardize)
+        r = records[0]
+        got = []
+        for shift in shifts:
+            x = r.x.as_vector().copy()
+            x[0] += shift
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got.append(mm.log_density(r.command, x, r.z))
+                assert mm.conditional_density(r.command, x, r.z) == math.exp(got[-1])
+        # a finite value this far out is of the order of -shift^2
+        assert math.isfinite(got[0]) == (not standardize)
+        assert not got[0] > -1e307
+        assert got[-1] == -math.inf
 
     def test_overflowing_component_keeps_its_terrain_marginal(self):
         # the first component's pose block is so narrow that its whitening
@@ -676,14 +695,12 @@ class TestQueryKernel:
         # marginal p(z), which it shares with the second
         narrow = np.diag([1e-300, 1e-300, 1.0])
         broad = np.diag([1e10, 1e10, 1.0])
-        comps = [WeightedGaussian(Gaussian(np.zeros(3), narrow), 3.0),
-                 WeightedGaussian(Gaussian(np.zeros(3), broad), 1.0)]
         mm = MotionModel(k=0.5, x_dim=2, z_dim=1)
-        mm.models[FWD] = DynamicGaussianMixture.from_components(comps)
+        mm.models[FWD] = dynamic_mixture([3.0, 1.0], np.zeros((2, 3)), [narrow, broad])
         x, zv = np.array([1e5, 0.0]), np.array([0.3])
         want = (Gaussian(np.zeros(2), broad[:2, :2]).log_density(x) + math.log(1.0 / 4.0))
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             assert mm.log_density(FWD, x, zv) == pytest.approx(want, rel=1e-12)
 
     def test_support_edge_raises_everywhere_at_once(self):
@@ -738,8 +755,7 @@ class TestQueryKernel:
         dim, scale = x_dim + z_dim, 10.0**log_scale
         std = Standardizer(offset + rng.standard_normal(dim), scale * rng.uniform(0.5, 2.0, dim))
         mm = MotionModel(k=0.5, x_dim=x_dim, z_dim=z_dim, standardizer=std)
-        joint = mm.models[FWD] = DynamicGaussianMixture(
-            dim, hand_built_components(rng, dim, m, offset, 1.0, 1.0, integral=False))
+        joint = mm.models[FWD] = hand_built_mixture(rng, dim, m, offset, 1.0, 1.0, integral=False)
         for _ in range(4):
             step = rng.standard_normal(dim)
             u = joint._mean[int(rng.integers(m))] + dist * step / np.linalg.norm(step)
@@ -768,7 +784,7 @@ class TestPersistence:
         assert back.commands() == mm.commands()
         for c in mm.commands():
             a, b = mm.mixture_for(c), back.mixture_for(c)
-            assert np.array_equal(a.weights(), b.weights())
+            assert np.array_equal(a._w, b._w)
             for ca, cb in zip(a.components, b.components):
                 assert ca.g.mean == pytest.approx(cb.g.mean, rel=1e-15)
                 assert ca.g.cov == pytest.approx(cb.g.cov, rel=1e-15)
@@ -784,12 +800,10 @@ class TestPersistence:
         # components without a creation covariance, or with one other than
         # creation_cov_scale * I, keep their densities through a save/load
         mm = MotionModel(k=0.5, creation_cov_scale=2.0)
-        mm.models[FWD] = DynamicGaussianMixture.from_components(
-            [WeightedGaussian(Gaussian(np.zeros(6), 0.1 * np.eye(6)), 3.0)])
-        mm.models[TURN] = DynamicGaussianMixture.from_components([
-            WeightedGaussian(Gaussian(np.ones(6), 0.2 * np.eye(6)), 2.0, creation_cov=0.5 * np.eye(6)),
-            WeightedGaussian(Gaussian(-np.ones(6), 0.3 * np.eye(6)), 5.0, creation_cov=2.0 * np.eye(6)),
-        ])
+        mm.models[FWD] = dynamic_mixture([3.0], [np.zeros(6)], [0.1 * np.eye(6)])
+        mm.models[TURN] = dynamic_mixture([2.0, 5.0], [np.ones(6), -np.ones(6)],
+                                          [0.2 * np.eye(6), 0.3 * np.eye(6)],
+                                          [0.5 * np.eye(6), 2.0 * np.eye(6)])
         doc = mm.to_dict()
         back = MotionModel.from_dict(json.loads(json.dumps(doc)))
         assert back.to_dict() == doc
@@ -810,9 +824,7 @@ class TestPersistence:
 
     def test_non_symmetric_covariance_rejected(self, tmp_path):
         mm = MotionModel(k=0.5, x_dim=2, z_dim=0)
-        mm.models[FWD] = DynamicGaussianMixture.from_components(
-            [WeightedGaussian(Gaussian([0.0, 0.0], np.eye(2)), 2.0)]
-        )
+        mm.models[FWD] = dynamic_mixture([2.0], [[0.0, 0.0]], [np.eye(2)])
         doc = mm.to_dict()
         doc["commands"][0]["components"][0]["cov"] = [1.0, 0.5, 0.2, 1.0]
         path = tmp_path / "bad.json"
@@ -827,9 +839,7 @@ class TestPersistence:
     ])
     def test_bad_creation_covariance_rejected(self, dim, creation, why):
         mm = MotionModel(k=0.5, x_dim=dim, z_dim=0)
-        mm.models[FWD] = DynamicGaussianMixture.from_components(
-            [WeightedGaussian(Gaussian(np.zeros(dim), np.eye(dim)), 2.0, creation_cov=2.0 * np.eye(dim))]
-        )
+        mm.models[FWD] = dynamic_mixture([2.0], [np.zeros(dim)], [np.eye(dim)], [2.0 * np.eye(dim)])
         doc = json.loads(json.dumps(mm.to_dict()))
         doc["commands"][0]["components"][0]["creation_cov"] = creation
         field = r"model file: field 'commands\[0\]\.components\[0\]\.creation_cov': "
@@ -844,8 +854,7 @@ class TestPersistence:
     ])
     def test_indefinite_covariance_rejected(self, dim, cov):
         mm = MotionModel(k=0.5, x_dim=dim, z_dim=0)
-        mm.models[FWD] = DynamicGaussianMixture.from_components(
-            [WeightedGaussian(Gaussian(np.zeros(dim), np.eye(dim)), 3.0)])
+        mm.models[FWD] = dynamic_mixture([3.0], [np.zeros(dim)], [np.eye(dim)])
         doc = json.loads(json.dumps(mm.to_dict()))
         doc["commands"][0]["components"][0]["cov"] = cov
         with pytest.raises(ValueError, match=r"model file: field 'commands\[0\]\.components\[0\]\.cov': "
@@ -861,8 +870,7 @@ class TestPersistence:
         # the first bad one, here the second of the second command's three
         mm = MotionModel(k=0.5, x_dim=2, z_dim=0)
         for c in (FWD, TURN):
-            mm.models[c] = DynamicGaussianMixture.from_components(
-                [WeightedGaussian(Gaussian([float(i), 0.0], np.eye(2)), 2.0) for i in range(3)])
+            mm.models[c] = dynamic_mixture([2.0] * 3, [[float(i), 0.0] for i in range(3)], [np.eye(2)] * 3)
         doc = json.loads(json.dumps(mm.to_dict()))
         assert MotionModel.from_dict(doc).to_dict() == doc
         doc["commands"][1]["components"][1]["cov"] = cov
@@ -878,8 +886,7 @@ class TestPersistence:
         cov = np.outer(a - mean, a - mean) + np.outer(b - mean, b - mean)
         assert np.linalg.matrix_rank(cov) == 1
         mm = MotionModel(k=0.5, x_dim=3, z_dim=0)
-        mm.models[FWD] = DynamicGaussianMixture.from_components(
-            [WeightedGaussian(Gaussian(mean, cov), 2.0, creation_cov=np.eye(3))])
+        mm.models[FWD] = dynamic_mixture([2.0], [mean], [cov], [np.eye(3)])
         doc = json.loads(json.dumps(mm.to_dict()))
         assert MotionModel.from_dict(doc).to_dict() == doc
 
@@ -912,8 +919,7 @@ class TestPersistence:
     def test_untrainable_fields_are_named(self, field, mutate):
         # no trained model writes any of these
         mm = MotionModel(k=0.5, x_dim=2, z_dim=0)
-        mm.models[FWD] = DynamicGaussianMixture.from_components(
-            [WeightedGaussian(Gaussian(np.zeros(2), np.eye(2)), 2.0)])
+        mm.models[FWD] = dynamic_mixture([2.0], [np.zeros(2)], [np.eye(2)])
         doc = json.loads(json.dumps(mm.to_dict()))
         MotionModel.from_dict(json.loads(json.dumps(doc)))  # loads unmutated
         mutate(doc)
@@ -923,8 +929,7 @@ class TestPersistence:
     @pytest.mark.parametrize("entry", [True, "1.0", None, [1.0]])
     def test_bad_number_in_a_list_is_named(self, entry):
         mm = MotionModel(k=0.5, x_dim=2, z_dim=0)
-        mm.models[FWD] = DynamicGaussianMixture.from_components(
-            [WeightedGaussian(Gaussian(np.zeros(2), np.eye(2)), 2.0)])
+        mm.models[FWD] = dynamic_mixture([2.0], [np.zeros(2)], [np.eye(2)])
         doc = json.loads(json.dumps(mm.to_dict()))
         doc["commands"][0]["components"][0]["cov"][2] = entry
         with pytest.raises(ValueError, match=re.escape(
@@ -934,8 +939,7 @@ class TestPersistence:
     def test_numbers_that_subclass_float_load(self):
         # a document built in Python rather than read from JSON
         mm = MotionModel(k=0.5, x_dim=2, z_dim=0)
-        mm.models[FWD] = DynamicGaussianMixture.from_components(
-            [WeightedGaussian(Gaussian(np.array([0.5, -1.0]), np.eye(2)), 2.0)])
+        mm.models[FWD] = dynamic_mixture([2.0], [np.array([0.5, -1.0])], [np.eye(2)])
         doc = json.loads(json.dumps(mm.to_dict()))
         doc["commands"][0]["components"][0]["mean"] = [np.float64(0.5), np.float64(-1.0)]
         assert MotionModel.from_dict(doc).to_dict() == mm.to_dict()
@@ -955,8 +959,7 @@ class TestPersistence:
         # JSON integers are unbounded; one that float64 cannot hold is not
         # a finite number
         mm = MotionModel(k=0.5, x_dim=2, z_dim=0)
-        mm.models[FWD] = DynamicGaussianMixture.from_components(
-            [WeightedGaussian(Gaussian(np.zeros(2), np.eye(2)), 2.0)])
+        mm.models[FWD] = dynamic_mixture([2.0], [np.zeros(2)], [np.eye(2)])
         doc = json.loads(json.dumps(mm.to_dict()))
         mutate(doc)
         doc = json.loads(json.dumps(doc))
@@ -967,8 +970,7 @@ class TestPersistence:
         # a hand-built model may hold such a weight and still be queried;
         # no merge can take it, so training fails before the first draw
         mm = MotionModel(k=5.0)
-        mm.models[FWD] = DynamicGaussianMixture.from_components(
-            [WeightedGaussian(Gaussian(np.zeros(6), np.eye(6)), 0.5)])
+        mm.models[FWD] = dynamic_mixture([0.5], [np.zeros(6)], [np.eye(6)])
         doc = json.loads(json.dumps(mm.to_dict()))
         back = MotionModel.from_dict(doc)
         assert back.motion_density(FWD, np.zeros(6)) == mm.motion_density(FWD, np.zeros(6))
@@ -992,10 +994,8 @@ class TestPersistence:
     def test_persistence_builds_no_component_objects(self, monkeypatch):
         records = simulate_incline(InclineConfig(reps_per_orientation=1))
         mm = fit_motion_model(records, k=0.3, rng=np.random.default_rng(35), standardize=True)
-        mm.models[TURN] = DynamicGaussianMixture.from_components([
-            WeightedGaussian(Gaussian(np.ones(8), 0.2 * np.eye(8)), 2.0, creation_cov=0.5 * np.eye(8)),
-            WeightedGaussian(Gaussian(-np.ones(8), 0.3 * np.eye(8)), 5.0),
-        ])
+        mm.models[TURN] = dynamic_mixture([2.0, 5.0], [np.ones(8), -np.ones(8)],
+                                          [0.2 * np.eye(8), 0.3 * np.eye(8)], [0.5 * np.eye(8), None])
 
         def refuse(*args, **kwargs):
             raise AssertionError("a component object was built")
@@ -1017,20 +1017,19 @@ class TestPersistence:
         MotionModel.load(path)  # extra field tolerated
 
 
-def hand_built_components(rng, dim, m, offset, scale, default_scale, integral):
-    """m random components cycling through no creation covariance, a
-    non-default one and the default default_scale * I."""
-    comps = []
+def hand_built_mixture(rng, dim, m, offset, scale, default_scale, integral):
+    """A mixture of m random components cycling through no creation
+    covariance, a non-default one and the default default_scale * I."""
+    w, means, covs, creations = [], [], [], []
     for i in range(m):
         a = rng.standard_normal((dim, dim))
         cov = scale**2 * (a @ a.T / dim + 0.1 * np.eye(dim))
-        creation = (None, scale**2 * rng.uniform(0.5, 2.0) * np.eye(dim),
-                    default_scale * np.eye(dim))[i % 3]
-        w = float(rng.integers(1, 20)) if integral else rng.uniform(0.1, 20.0)
-        comps.append(WeightedGaussian(
-            Gaussian(offset + 3.0 * scale * rng.standard_normal(dim), 0.5 * (cov + cov.T)), w,
-            creation_cov=creation))
-    return comps
+        creations.append((None, scale**2 * rng.uniform(0.5, 2.0) * np.eye(dim),
+                          default_scale * np.eye(dim))[i % 3])
+        w.append(float(rng.integers(1, 20)) if integral else rng.uniform(0.1, 20.0))
+        means.append(offset + 3.0 * scale * rng.standard_normal(dim))
+        covs.append(0.5 * (cov + cov.T))
+    return dynamic_mixture(w, means, covs, creations)
 
 
 def assert_same_model(a, b):
@@ -1068,8 +1067,7 @@ class TestSaveLoadProperties:
         mm = MotionModel(k=rng.uniform(0.01, 2.0), x_dim=x_dim, z_dim=z_dim, standardizer=std,
                          creation_cov_scale=scale**2)
         for c, count in ((FWD, m), (TURN, 1 + m // 2)):
-            mm.models[c] = DynamicGaussianMixture(
-                dim, hand_built_components(rng, dim, count, offset, scale, scale**2, integral=False))
+            mm.models[c] = hand_built_mixture(rng, dim, count, offset, scale, scale**2, integral=False)
         doc = json.loads(json.dumps(mm.to_dict()))
         back = MotionModel.from_dict(doc)
         assert back.to_dict() == doc
@@ -1097,8 +1095,7 @@ class TestSaveLoadProperties:
         # a loaded mixture re-sums its weights, which matches the live running
         # total bit for bit only when the weights are integral
         if m:
-            mm.models[TURN] = DynamicGaussianMixture(
-                dim, hand_built_components(rng, dim, m, offset, scale, scale**2, integral=True))
+            mm.models[TURN] = hand_built_mixture(rng, dim, m, offset, scale, scale**2, integral=True)
         # angle coordinates wrap, so the samples stay within pi of zero there
         samples = offset + scale * rng.standard_normal((n + more, dim))
         commands = [(FWD, TURN)[i] for i in rng.integers(2, size=n + more)]
