@@ -14,6 +14,14 @@ too), with the bits and errors of training one record at a time: every
 training record is one DynamicGaussianMixture.add_sample call.  Every
 held-out record is scored through the public query, one
 MotionModel.log_density call per record and model (`_score_fold`).
+
+Each stream (`_stream_shuffle`) and each fold owns a generator, seeded
+from the master stream, that it discards when it ends.  After its
+shuffle, that generator is read only by add_sample's rng.random() calls,
+so the updates read it through a mixture._Uniforms, which draws the same
+values in blocks; a fold's two models read one _Uniforms in sequence, as
+they would read the generator.  Every streamed sample is still one
+add_sample call.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ import numpy as np
 
 from .datasets import SampleRecord
 from .em import em_fit, ise
-from .mixture import DynamicGaussianMixture, _final_count, check_rows
+from .mixture import DynamicGaussianMixture, _final_count, _Uniforms, check_rows
 from .motion import MotionModel, Standardizer, TerrainSupportError
 
 #: Held-out log densities are floored here, so a record far from every
@@ -164,13 +172,13 @@ def _record_vectors(records: list[SampleRecord], with_terrain: bool) -> np.ndarr
     ])
 
 
-def _fit(vectors: np.ndarray, commands: list, z_dim: int, k: float, rng: np.random.Generator,
-         standardize: bool) -> MotionModel:
+def _fit(vectors: np.ndarray, commands: list, z_dim: int, k: float,
+         rng: np.random.Generator | _Uniforms, standardize: bool) -> MotionModel:
     """A fresh motion model trained on the rows of vectors (N, 6 + z_dim),
     x or x || z in original units, in order, each with its command: with
     standardize, the standardizer is fitted on every row first.  The rows
     are standardized in one batch, then each is one add_sample
-    (MotionModel._train)."""
+    (MotionModel._train), drawing from rng, a generator or its _Uniforms."""
     std = Standardizer.fit(vectors) if standardize else None
     mm = MotionModel(k=k, x_dim=vectors.shape[1] - z_dim, z_dim=z_dim, standardizer=std)
     mm._train(commands, mm._std.transform(vectors), rng)
@@ -214,11 +222,14 @@ def _checked_points(points) -> np.ndarray:
 def _stream_shuffle(points: np.ndarray, k: float, seed: int, stop) -> DynamicGaussianMixture:
     """A fresh online mixture fed one shuffle of the points, until stop(model)
     holds after an update or the points run out; the shuffle and every
-    update draw from one generator seeded with seed."""
+    update draw from one generator seeded with seed, the updates through
+    its _Uniforms."""
     sub = np.random.default_rng(seed)
     model = DynamicGaussianMixture(points.shape[1])
-    for x in points[sub.permutation(points.shape[0])]:
-        model.add_sample(x, k, sub)
+    shuffled = points[sub.permutation(points.shape[0])]
+    draws = _Uniforms(sub)
+    for x in shuffled:
+        model.add_sample(x, k, draws)
         if stop(model):
             break
     return model
@@ -411,8 +422,10 @@ def terrain_comparison(s1: list[SampleRecord], folds: int, repeats: int, k: floa
             train_idx = [i for fj, f in enumerate(split.folds) if fj != fi for i in f]
             order = [train_idx[j] for j in sub.permutation(len(train_idx))]
             order_commands = [commands[i] for i in order]
-            with_model = _fit(with_z[order], order_commands, 2, k, sub, standardize)
-            without_model = _fit(without_z[order], order_commands, 0, k, sub, standardize)
+            # both models read the fold generator's uniforms, in sequence
+            draws = _Uniforms(sub)
+            with_model = _fit(with_z[order], order_commands, 2, k, draws, standardize)
+            without_model = _fit(without_z[order], order_commands, 0, k, draws, standardize)
             target_idx = train_idx if score_training else fold
             target = [s1[i] for i in target_idx]
             case1, miss1 = _score_fold(with_model, target)

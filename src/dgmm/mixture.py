@@ -56,7 +56,10 @@ against every component) are its Mahalanobis kernels.
 `_factor` calls the LAPACK gufuncs behind np.linalg.cholesky and
 np.linalg.inv directly, since at D <= 8 those functions' Python wrappers
 cost more than the factorization itself; it falls back to numpy.linalg,
-with the same bits, errors and warnings, when a gufunc fails.
+with the same bits, errors and warnings, when a gufunc fails.  It and
+`_split_log_density` run under floating-point error states built once at
+import (`_quiet`), not under np.errstate, which builds its state anew on
+every entry.
 The online mixture (DynamicGaussianMixture, here) and the EM fit
 (em.FixedGaussianMixture) are MixtureCore subclasses; the
 terrain-conditioned query mixture is a plain MixtureCore.
@@ -85,8 +88,16 @@ distances and their minimum: the distances serve the bound, d and the
 draw, the minimum shifts the draw's scores, and a merge takes the drawn
 component's difference as _absorb's dx.  exp(-k n) is evaluated once, and
 t(0), t(bound) and t(d) are formed from it by merge_threshold's own
-expression (`_threshold`).  A merge keeps the weight as a Python float and
-writes the new evaluation covariance into its row; an append, whose
+expression (`_threshold`).  The draw's shifted distances, scores and
+running sums share one buffer.  A merge keeps the weight as a Python float
+and forms the new evaluation covariance in its row by three in-place
+operations, with the bits of _evaluation_cov's blend.  That blend is
+symmetrized only in a mixture holding a row, covariance or creation
+covariance, that is not exactly symmetric, as a model file's rows may be
+within its tolerance; _adopt decides this once per mixture (`_symmetric`).
+Every row trained online is exactly symmetric: _absorb's outer product is
+(dx_i dx_j = dx_j dx_i), and every other step is elementwise, so
+symmetrizing would change no bit.  An append, whose
 creation covariance is new_cov_scale * I, looks `_fresh` up by
 (D, new_cov_scale) without building that matrix.  A stream that
 stops once its count is final compares its total weight with
@@ -106,6 +117,11 @@ a motion model, say) shares them.  Reads
 (density, log_density, normalized_density, select_component, components)
 never mutate a mixture; only add_sample writes.
 
+add_sample's only call on its generator is random(), so the experiments
+(dgmm.evaluation) pass it a `_Uniforms`, which serves the same values
+from blocks drawn by rng.random(n), one numpy call per block instead of
+one per draw.
+
 A whole mixture is built from its moment arrays by one constructor,
 `DynamicGaussianMixture._from_arrays`, the one place that derives _eval_cov
 and _chol_inv from moments; model files load through it, and
@@ -123,6 +139,7 @@ entry point or argument is kept for tests alone.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 
 import numpy as np
@@ -154,6 +171,31 @@ except ImportError:
         from numpy.core.multiarray import c_einsum as _einsum
     except ImportError:
         _einsum = np.einsum
+
+# the floating-point error states of _factor (every error ignored) and of
+# _split_log_density (numpy's default state with overflow ignored), both
+# whatever np.seterr a caller has set.  np.errstate builds its state with
+# _make_extobj on every entry, which costs more than the rest of its work;
+# these are built once, here, and _quiet(state) sets one in numpy's
+# error-state context variable, returning the token that _unquiet(token)
+# resets it with (a token per entry, so nesting and threads are safe).
+# Where a numpy lacks those private names, np.errstate does the same work.
+_ALL_QUIET = {"all": "ignore"}
+_OVER_QUIET = {"divide": "warn", "over": "ignore", "under": "ignore", "invalid": "warn"}
+try:
+    from numpy._core.umath import _extobj_contextvar, _make_extobj
+
+    _ALL_QUIET, _OVER_QUIET = _make_extobj(**_ALL_QUIET), _make_extobj(**_OVER_QUIET)
+    _quiet, _unquiet = _extobj_contextvar.set, _extobj_contextvar.reset
+except ImportError:
+
+    def _quiet(state):
+        context = np.errstate(**state)
+        context.__enter__()
+        return context
+
+    def _unquiet(context):
+        context.__exit__(None, None, None)
 
 # ((D, scale), read-only copies of the creation covariance scale * I, its
 # fresh component's evaluation covariance and inverse factor) for the last
@@ -277,14 +319,12 @@ def _absorb(w: float, mean: np.ndarray, cov: np.ndarray, dx: np.ndarray) -> None
     cov /= w
 
 
-def _evaluation_cov(cov: np.ndarray, w: float, creation: np.ndarray | None,
-                    out: np.ndarray | None = None) -> np.ndarray:
+def _evaluation_cov(cov: np.ndarray, w: float, creation: np.ndarray | None) -> np.ndarray:
     """Covariance a component is evaluated with (see WeightedGaussian): cov
-    itself when it is evaluated as it is, else the blend, written into out
-    (D, D) when given."""
+    itself when it is evaluated as it is, else the blend, symmetrized."""
     if creation is None or w < 1.0:
         return cov
-    return symmetrize(((w - 1.0) * cov + creation) / w, out)
+    return symmetrize(((w - 1.0) * cov + creation) / w)
 
 
 def _factor(eval_cov: np.ndarray):
@@ -305,11 +345,14 @@ def _factor(eval_cov: np.ndarray):
     if _cholesky_lo is None:
         return _factor_linalg(eval_cov)
     flipped = eval_cov[..., ::-1, ::-1]
-    with np.errstate(all="ignore"):
+    token = _quiet(_ALL_QUIET)
+    try:
         chol = _cholesky_lo(flipped, signature="d->d")
         chol_inv = _inv(chol[..., ::-1, ::-1], signature="d->d")
         # non-finite when an entry of either is: so is its term of the sum
         ok = math.isfinite(np.vdot(chol, chol_inv))
+    finally:
+        _unquiet(token)
     if ok:
         return eval_cov, chol_inv
     return _factor_linalg(eval_cov)
@@ -346,6 +389,25 @@ def _quad(pts: np.ndarray, mean: np.ndarray, chol_inv: np.ndarray) -> np.ndarray
     component (m, D): shape (N, m)."""
     y = (pts[None] - mean[:, None]) @ chol_inv.transpose(0, 2, 1)
     return np.einsum("mnd,mnd->nm", y, y)
+
+
+class _Uniforms:
+    """rng.random()'s sequence, served from blocks of BLOCK values drawn by
+    rng.random(BLOCK): `random()` returns, bit for bit, the value the next
+    rng.random() call would have (both are one 64-bit output of the bit
+    generator each), and a block is drawn when the last one runs out.
+
+    add_sample draws only rng.random(), so it takes this in place of a
+    generator that nothing else reads from here on: the experiments' stream
+    and fold generators (dgmm.evaluation), which are discarded with their
+    streams, so the values drawn past a stream's end are never read and no
+    generator state needs to be rewound."""
+
+    BLOCK = 64
+
+    def __init__(self, rng: np.random.Generator):
+        blocks = iter(lambda: rng.random(self.BLOCK).tolist(), None)
+        self.random = itertools.chain.from_iterable(blocks).__next__
 
 
 class MixtureCore:
@@ -427,13 +489,16 @@ class MixtureCore:
         a sum, never a product with it, forms each column, so the other
         column keeps its value.  Such an overflow, in the square or in a
         sum, is the -inf the column means, so it raises no warning."""
-        with np.errstate(over="ignore"):
+        token = _quiet(_OVER_QUIET)
+        try:
             y = self._whitened(u)
             terms = _log_diag(self._chol_inv) - 0.5 * y * y
             s = np.empty((len(terms), 2))
             # each sum starts from its coordinates' share of -1/2 log(2 pi)
             np.add.reduce(terms, axis=1, out=s[:, 0], initial=-0.5 * LOG_2PI * self.dim)
             np.add.reduce(terms[:, k:], axis=1, out=s[:, 1], initial=-0.5 * LOG_2PI * (self.dim - k))
+        finally:
+            _unquiet(token)
         return y, s
 
     def _log_ratio(self, s: np.ndarray) -> float:
@@ -566,9 +631,14 @@ class DynamicGaussianMixture(MixtureCore):
         # creation covariance and w >= 1, cov itself elsewhere
         eval_cov = cov.copy()
         blended = np.flatnonzero((w >= 1.0) & np.array([c is not None for c in creation], dtype=bool))
+        # whether every covariance and creation covariance is exactly
+        # symmetric, and so every blend a merge forms (see _merge)
+        self._symmetric = bool((cov == cov.transpose(0, 2, 1)).all())
         if blended.size:
             wb = w[blended, None, None]
-            blend = ((wb - 1.0) * cov[blended] + np.array([creation[i] for i in blended])) / wb
+            created = np.array([creation[i] for i in blended])
+            self._symmetric &= bool((created == created.transpose(0, 2, 1)).all())
+            blend = ((wb - 1.0) * cov[blended] + created) / wb
             eval_cov[blended] = 0.5 * (blend + blend.transpose(0, 2, 1))
         super().__init__(w, mean, *(_factor(eval_cov) if len(w) else (eval_cov, eval_cov.copy())))
 
@@ -671,17 +741,24 @@ class DynamicGaussianMixture(MixtureCore):
                              "distance to every component overflows float64")
         return diff, quad, nearest
 
-    def _selection_scores(self, quad: np.ndarray) -> np.ndarray:
-        """w_i * exp(-maha_i^2 / 2) from the squared distances to one point."""
-        return self._w * np.exp(-0.5 * quad)
+    def _selection_scores(self, quad: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """w_i * exp(-maha_i^2 / 2) from the squared distances to one point,
+        built in one buffer: out (m,) when given (quad itself may be it)."""
+        scores = np.multiply(quad, -0.5, out=out)
+        np.exp(scores, out=scores)
+        scores *= self._w
+        return scores
 
     def _draw(self, quad: np.ndarray, rng: np.random.Generator, nearest: float) -> int:
         """One categorical draw with probability proportional to
         w_i * exp(-quad_i / 2), from exactly one rng.random().  The scores
         are shifted by the smallest distance, nearest (see _distances), so
         the nearest component scores its own weight and the total is
-        positive and finite even where every unshifted score underflows."""
-        cum = self._selection_scores(quad - nearest).cumsum().tolist()
+        positive and finite even where every unshifted score underflows.
+        The shifted distances, the scores and their running sums share one
+        buffer."""
+        scores = quad - nearest
+        cum = self._selection_scores(scores, out=scores).cumsum(out=scores).tolist()
         return min(bisect.bisect_right(cum, rng.random() * cum[-1]), len(cum) - 1)
 
     def select_component(self, x, rng: np.random.Generator) -> int:
@@ -693,6 +770,8 @@ class DynamicGaussianMixture(MixtureCore):
         whose distance to every component overflows, raises ValueError, as
         in add_sample, before the rng is touched."""
         pts, _ = self._check_points(x)
+        if len(pts) != 1:
+            raise ValueError(f"select_component draws for one point (D,); got points of shape {pts.shape}")
         _, quad, nearest = self._distances(check_coordinates(pts[0], "sample"))
         return self._draw(quad, rng, nearest)
 
@@ -716,7 +795,9 @@ class DynamicGaussianMixture(MixtureCore):
         untouched.  Otherwise the uniform draw happens first,
         unconditionally, so a fixed seed yields the same decision sequence
         regardless of branch outcomes; a merge then makes exactly one more
-        draw, for its component (see _draw).
+        draw, for its component (see _draw).  rng.random() is the only
+        call add_sample makes on rng, so the experiments pass a _Uniforms,
+        which serves the same values from blocks.
 
         Each piece of a sample's work is computed once: one whitening gives
         the differences x - mean_i, the squared distances and their
@@ -775,16 +856,34 @@ class DynamicGaussianMixture(MixtureCore):
     def _merge(self, i: int, dx: np.ndarray) -> None:
         """Absorb the sample x = mean_i + dx into component i, whose weight
         is >= 1 (add_sample checks that every weight is before it draws).
-        The weight is a Python float, and the new evaluation covariance is
-        written into its row before i alone is re-factored."""
+        The weight is a Python float, and the new evaluation covariance,
+        _evaluation_cov's, is formed in its row before i alone is
+        re-factored: the blend ((w' - 1) S' + C) / w' by three in-place
+        operations on the row, with _evaluation_cov's bits.
+
+        The blend is symmetrized only in a mixture that _adopt found holding
+        a row that is not exactly symmetric (a model file's rows may be
+        symmetric only within its tolerance).  Elsewhere it is exactly
+        symmetric already: _absorb's update is, and every other step is
+        elementwise on symmetric rows.  Symmetrizing would then change no
+        bit: (a + a^T) / 2 = a, and as w' >= 2 a finite blend entry is at
+        most half the largest float, so even a + a^T cannot overflow."""
         w = float(self._w[i])
-        _absorb(w, self._mean[i], self._cov[i], dx)
+        cov = self._cov[i]
+        _absorb(w, self._mean[i], cov, dx)
         w += 1.0
         self._w[i] = w
-        row = self._eval_cov[i]
-        eval_cov, self._chol_inv[i] = _factor(
-            _evaluation_cov(self._cov[i], w, self._creation[i], out=row))
-        if eval_cov is not row:  # cov itself, or loaded by _factor_linalg
+        row, creation = self._eval_cov[i], self._creation[i]
+        if creation is None:
+            row[...] = cov
+        else:
+            np.multiply(cov, w - 1.0, out=row)
+            row += creation
+            row /= w
+            if not self._symmetric:
+                symmetrize(row, out=row)
+        eval_cov, self._chol_inv[i] = _factor(row)
+        if eval_cov is not row:  # loaded by _factor_linalg
             row[...] = eval_cov
 
     def _append(self, x: np.ndarray, scale: float) -> None:

@@ -45,6 +45,7 @@ from .gaussian import asymmetric, check_symmetric
 from .mixture import (
     DynamicGaussianMixture,
     MixtureCore,
+    _Uniforms,
     check_coordinates,
     check_rows,
 )
@@ -300,11 +301,12 @@ class MotionModel:
         mix = self.models.get(c)
         return DynamicGaussianMixture(self.dim) if mix is None else mix
 
-    def _train(self, commands, rows: np.ndarray, rng: np.random.Generator) -> None:
+    def _train(self, commands, rows: np.ndarray, rng: np.random.Generator | _Uniforms) -> None:
         """record_sample for many training vectors already in the model's
         internal space, rows (n, dim), with their commands (n entries), in
-        order: one add_sample per row, so the rng sees exactly the draws
-        record_sample would make row by row.
+        order: one add_sample per row, so the rng (a generator, or its
+        _Uniforms) sees exactly the draws record_sample would make row by
+        row.
 
         Each command is resolved to its mixture once, in first-seen order,
         so a no-op command raises before any row is streamed.  A command

@@ -257,11 +257,11 @@ def per_record_runs(s1, folds, repeats, k, rng, standardize=True, score_training
     return runs
 
 
-def awkward_incline_set():
+def awkward_incline_set(seed=40):
     """A small incline set with a command of one record (unknown to the
     models of the fold that holds it out) and a record whose terrain is far
     outside every other record's (unsupported where it is held out)."""
-    records = simulate_incline(InclineConfig(reps_per_orientation=2, seed=40))
+    records = simulate_incline(InclineConfig(reps_per_orientation=2, seed=seed))
     lone = records[0].command
     records = [r for r in records if r.command != lone] + [records[0]]
     far = records[1]
@@ -334,6 +334,40 @@ class TestBatchedFolds:
         # outside the support)
         assert report.summary["unscored_with"] > report.summary["unscored_without"] > 0
         assert calls[0] == 2 * 2 * len(records)
+
+
+class TestPinnedDecisions:
+    """The experiments' decisions at small settings, seeds 1-3, as recorded
+    when every update drew from its generator one rng.random() at a time:
+    drawing the uniforms in blocks (mixture._Uniforms) changes none."""
+
+    K_SWEEP = {1: [36, 23, 4, 8, 2, 1], 2: [35, 28, 6, 7, 1, 1], 3: [28, 33, 6, 7, 2, 1]}
+    MISE = {1: (6, [3, 5, 6]), 2: (5, [2, 3, 5]), 3: (10, [3, 6, 10])}
+    UNSCORED = {1: [(2, 1), (0, 0), (0, 0), (1, 1), (1, 0), (0, 0)],
+                2: [(1, 1), (0, 0), (1, 0), (1, 1), (1, 0), (0, 0)],
+                3: [(1, 1), (0, 0), (1, 0), (1, 1), (0, 0), (1, 0)]}
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_k_sweep_component_counts(self, seed):
+        pts = sample_gmm(three_component_benchmark(), 200, np.random.default_rng([50, seed]))
+        report = k_sweep(pts, [0.02, 0.1, 0.7], 2, np.random.default_rng(seed))
+        assert [run["components"] for run in report.runs] == self.K_SWEEP[seed]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_mise_experiment_attempts_and_accepted(self, seed):
+        pts = load_old_faithful(standardize=True)[0]
+        report = mise_experiment(pts, 0.7, 2, needed=3, max_attempts=30, rng=np.random.default_rng(seed))
+        attempts, accepted_at = self.MISE[seed]
+        assert report.summary["attempts"] == attempts and report.summary["accepted"] == 3
+        assert [run["attempt"] for run in report.runs] == accepted_at
+        assert [run["components"] for run in report.runs] == [2, 2, 2]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_terrain_comparison_unscored_counts(self, seed):
+        report = terrain_comparison(awkward_incline_set(seed), folds=3, repeats=2, k=0.3,
+                                    rng=np.random.default_rng(seed))
+        got = [(run["unscored_with"], run["unscored_without"]) for run in report.runs]
+        assert got == self.UNSCORED[seed]
 
 
 class TestReportReproducibility:

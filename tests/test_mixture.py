@@ -15,6 +15,8 @@ from dgmm.gaussian import Gaussian, positive_definite_cholesky
 from dgmm.mixture import (
     DynamicGaussianMixture,
     WeightedGaussian,
+    _Uniforms,
+    _absorb,
     _count_is_final,
     _evaluation_cov,
     _factor,
@@ -339,6 +341,17 @@ class TestSelectComponent:
         with pytest.raises(ValueError, match="sample coordinate 1 " + re.escape(problem)):
             m.select_component(np.array([0.5, bad]), rng)
         assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("shape", [(2, 2), (0, 2), (5, 2)])
+    def test_batch_rejected_before_any_draw(self, shape):
+        m = mix(([0.0, 0.0], np.eye(2), 1.0), ([3.0, 0.0], np.eye(2), 2.0))
+        rng = np.random.default_rng(11)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=re.escape(f"got points of shape {shape}")):
+            m.select_component(np.zeros(shape), rng)
+        assert rng.bit_generator.state == state
+        # one point, also as a batch of one, draws
+        assert m.select_component(np.zeros(2), rng) == m.select_component(np.zeros((1, 2)), rng) == 0
 
     def test_distance_overflowing_for_every_component_is_rejected(self):
         # finite coordinates whose whitened squares overflow against small
@@ -1040,19 +1053,19 @@ class TestOnePassPieces:
     @settings(max_examples=100, deadline=None)
     @given(dim=st.integers(1, 8), w=st.floats(0.5, 1e6), log_scale=st.floats(-6.0, 6.0),
            with_creation=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_evaluation_cov_into_a_row(self, dim, w, log_scale, with_creation, seed):
+    def test_evaluation_cov_is_the_covariance_itself_without_a_blend(self, dim, w, log_scale,
+                                                                      with_creation, seed):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((dim, dim))
         cov = 10.0**log_scale * (a @ a.T)
         creation = 10.0**log_scale * np.eye(dim) if with_creation else None
-        rows = np.full((3, dim, dim), np.nan)
-        got = _evaluation_cov(cov, w, creation, out=rows[1])
-        assert np.array_equal(got, _evaluation_cov(cov, w, creation))
+        got = _evaluation_cov(cov, w, creation)
         if creation is None or w < 1.0:
-            assert got is cov and np.isnan(rows).all()
+            assert got is cov
         else:
-            assert np.shares_memory(got, rows[1]) and np.array_equal(got, rows[1])
-            assert np.isnan(rows[[0, 2]]).all()
+            blend = ((w - 1.0) * cov + creation) / w
+            assert not np.shares_memory(got, cov)
+            assert got.tobytes() == (0.5 * (blend + blend.T)).tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(d=st.floats(0.0, 1.0), n=st.floats(0.0, 1e6), k=st.floats(0.0, 1e3))
@@ -1241,10 +1254,118 @@ class TestAdoptBlend:
             assert mixture._chol_inv.tobytes() == _factor(want)[1].tobytes()
 
 
-# Runs in a fresh interpreter: "plain" as numpy is, "fallback" after taking
-# away the private numpy names that dgmm.mixture reads at import (the LAPACK
-# gufuncs of numpy.linalg._umath_linalg and c_einsum), as a numpy without
-# them would.  numpy.linalg and np.einsum keep their own references.
+class TestUniforms:
+    """_Uniforms serves Generator.random()'s sequence bit for bit, from
+    blocks: after a permutation (which may leave a buffered 32-bit value
+    behind) and across the blocks it draws as it runs out."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), shuffled=st.integers(0, 40),
+           n=st.integers(0, 3 * _Uniforms.BLOCK + 5))
+    @example(seed=1, shuffled=7, n=_Uniforms.BLOCK)
+    @example(seed=1, shuffled=0, n=_Uniforms.BLOCK + 1)
+    def test_serves_generator_random_bit_for_bit(self, seed, shuffled, n):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert rng.permutation(shuffled).tolist() == twin.permutation(shuffled).tolist()
+        draws = _Uniforms(rng)
+        got = [draws.random() for _ in range(n)]
+        want = [twin.random() for _ in range(n)]
+        assert all(type(u) is float for u in got)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def merged_by_parts(m, i, dx):
+    """Row i of m after absorbing mean_i + dx, from the parts the fused
+    merge replaces: _absorb, then _evaluation_cov, then _factor, on copies."""
+    w, mean, cov = float(m._w[i]), m._mean[i].copy(), m._cov[i].copy()
+    _absorb(w, mean, cov, dx)
+    eval_cov, chol_inv = _factor(_evaluation_cov(cov, w + 1.0, m._creation[i]))
+    return np.array(w + 1.0), mean, cov, eval_cov, chol_inv
+
+
+class TestFusedMerge:
+    """_merge forms the blend ((w' - 1) S' + C) / w' in place in its row and
+    symmetrizes it only in a mixture holding a row that is not exactly
+    symmetric: the bits equal _absorb, then _evaluation_cov, then _factor,
+    for rows without a creation covariance, with the shared default one and
+    with their own one, at integral and fractional weights."""
+
+    ROWS = ("_w", "_mean", "_cov", "_eval_cov", "_chol_inv")
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dim=st.integers(1, 8),
+        m=st.integers(1, 5),
+        log_scale=st.floats(-4.0, 4.0),
+        asymmetric=st.sampled_from([None, "cov", "creation"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_parts(self, dim, m, log_scale, asymmetric, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        default = scale * np.eye(dim)
+
+        def pd():
+            a = rng.standard_normal((dim, dim))
+            cov = scale * (a @ a.T / dim + 0.1 * np.eye(dim))
+            return 0.5 * (cov + cov.T)  # exactly symmetric
+
+        w = np.concatenate([[3.5], rng.choice([1.0, 1.25, 2.0, 7.0, 1e6], size=m - 1)])
+        cov = np.array([pd() for _ in range(m)])
+        creation = [(None, default, pd())[int(rng.integers(3))] for _ in range(m - 1)]
+        # row 0 is merged into and has its own creation covariance
+        creation.insert(0, pd())
+        if asymmetric is not None:
+            # symmetric only within a model file's tolerance (1e-12)
+            (cov[0] if asymmetric == "cov" else creation[0])[0, -1] *= 1.0 + 1e-13
+        a = DynamicGaussianMixture._from_arrays(w, rng.standard_normal((m, dim)), cov, creation)
+        assert a._symmetric == (asymmetric is None or dim == 1)
+        for _ in range(3):
+            i = int(rng.integers(m))
+            dx = scale**0.5 * rng.standard_normal(dim)
+            before = {name: getattr(a, name).copy() for name in self.ROWS}
+            want = merged_by_parts(a, i, dx)
+            a._merge(i, dx)
+            for name, row in zip(self.ROWS, want):
+                assert getattr(a, name)[i].tobytes() == row.tobytes(), name
+                others = np.delete(getattr(a, name), i, axis=0)
+                assert others.tobytes() == np.delete(before[name], i, axis=0).tobytes(), name
+
+    def test_a_row_symmetric_within_tolerance_keeps_the_symmetrized_bits(self):
+        # the blend of this row is not exactly symmetric, so skipping the
+        # symmetrization would change its evaluation covariance
+        cov = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, 0.2], [0.1, 0.2, 1.0]])
+        cov[0, 2] *= 1.0 + 1e-13
+        a = dynamic_mixture([4.0], [[0.0, 0.0, 0.0]], [cov], [np.eye(3)])
+        assert not a._symmetric
+        dx = np.array([0.3, -0.2, 0.1])
+        want = merged_by_parts(a, 0, dx)
+        unsymmetrized = ((want[0] - 1.0) * want[2] + np.eye(3)) / want[0]
+        assert unsymmetrized.tobytes() != want[3].tobytes()
+        a._merge(0, dx)
+        assert a._eval_cov[0].tobytes() == want[3].tobytes()
+        assert a._chol_inv[0].tobytes() == want[4].tobytes()
+
+    def test_online_mixtures_are_exactly_symmetric(self):
+        rng = np.random.default_rng(14)
+        a = DynamicGaussianMixture(4)
+        for x in rng.standard_normal((300, 4)) * [1.0, 3.0, 0.5, 1e3]:
+            a.add_sample(x, 0.05, rng)
+        assert a._symmetric
+        for name in ("_cov", "_eval_cov"):
+            arr = getattr(a, name)
+            assert np.array_equal(arr, arr.transpose(0, 2, 1)), name
+        rebuilt = dynamic_mixture(a._w, a._mean, a._cov, a._creation)
+        assert rebuilt._symmetric
+        assert_same_mixture(a, rebuilt)
+
+
+# Runs in a fresh interpreter, with every warning an error: "plain" as
+# numpy is, "fallback" after taking away the private numpy names that
+# dgmm.mixture reads at import (the LAPACK gufuncs of
+# numpy.linalg._umath_linalg, c_einsum, and the error-state context
+# variable with its state builder), as a numpy without them would.
+# numpy.linalg, np.einsum and np.errstate keep their own references.
 FALLBACK_SCRIPT = """
 import hashlib, json, sys, types
 import numpy as np
@@ -1253,11 +1374,17 @@ if sys.argv[1] == "fallback":
     numpy.linalg._umath_linalg = types.SimpleNamespace()
     try:
         import numpy._core.multiarray as multiarray
+        import numpy._core.umath as umath
     except ImportError:
         import numpy.core.multiarray as multiarray
+        umath = types.SimpleNamespace()
     del multiarray.c_einsum
+    for name in ("_extobj_contextvar", "_make_extobj"):
+        if hasattr(umath, name):
+            delattr(umath, name)
 import dgmm.mixture as mx
 
+errstates = [np.geterr()]
 rng = np.random.default_rng(7)
 a = rng.standard_normal((3, 4, 4))
 pd = a @ a.transpose(0, 2, 1) + 4.0 * np.eye(4)
@@ -1265,14 +1392,24 @@ singular = np.zeros((4, 4))
 singular[:2, :2] = 1.0
 factors = [[arr.tobytes().hex() for arr in mx._factor(cov)]
            for cov in (pd[0], pd, singular, np.array([pd[1], singular]))]
+errstates.append(np.geterr())  # after factors that fail
 mix, sizes = mx.DynamicGaussianMixture(3), []
 for x in rng.standard_normal((300, 3)) * [1.0, 3.0, 0.5]:
     mix.add_sample(x, 0.05, rng)
     sizes.append(len(mix))
 arrays = b"".join(getattr(mix, name).tobytes() for name in ("_w", "_mean", "_cov", "_eval_cov", "_chol_inv"))
+# the last point's whitening overflows: -inf, with no warning
+queries = [repr(mix.log_density(p)) for p in ([0.1, -0.2, 0.3], [0.0, 0.0, 1.3e154])]
+# errors raised inside the quiet error states leave numpy's state as it was
+for call in (lambda: mx._factor(np.zeros((2, 3))), lambda: mix._split_log_density(np.zeros(5), 3)):
+    try:
+        call()
+    except ValueError:
+        errstates.append(np.geterr())
 print(json.dumps({"private": mx._cholesky_lo is not None, "c_einsum": mx._einsum is not np.einsum,
+                  "prebuilt": not isinstance(mx._ALL_QUIET, dict), "errstates": errstates,
                   "factors": factors, "sizes": sizes, "arrays": hashlib.sha256(arrays).hexdigest(),
-                  "state": str(rng.bit_generator.state["state"])}))
+                  "queries": queries, "state": str(rng.bit_generator.state["state"])}))
 """
 
 
@@ -1288,9 +1425,17 @@ def run_fallback_script(mode):
 def test_numpy_without_private_names_falls_back_with_the_same_bits():
     plain, fallback = run_fallback_script("plain"), run_fallback_script("fallback")
     assert plain["private"] and plain["c_einsum"]
-    assert not fallback["private"] and not fallback["c_einsum"]
+    assert plain["prebuilt"] == (not isinstance(dgmm.mixture._ALL_QUIET, dict))
+    assert not fallback["private"] and not fallback["c_einsum"] and not fallback["prebuilt"]
     # the same factors, and a seeded stream makes the same decisions
-    # (mixture sizes, arrays and generator state after every draw)
-    for key in ("factors", "sizes", "arrays", "state"):
+    # (mixture sizes, arrays and generator state after every draw), and
+    # the same queries
+    for key in ("factors", "sizes", "arrays", "state", "queries"):
         assert fallback[key] == plain[key], key
     assert plain["sizes"][-1] > 1
+    assert plain["queries"][1] == "-inf"
+    # numpy's error state is as it was after a failing factor and after
+    # each of two errors raised inside the quiet states
+    for run in (plain, fallback):
+        assert len(run["errstates"]) == 4
+        assert all(state == run["errstates"][0] for state in run["errstates"])
