@@ -74,21 +74,28 @@ component-at-mean densities N(mean_i; component j), an (m, m) matrix the
 peak estimate needs, are not stored: `_scaled_peak` builds them from the
 current arrays on each call, in O(m^2 D^2), scaled by the largest weighted
 density at a mean, so that d is one ratio of numbers in [0, m] at every
-covariance scale.  That scaled peak is at least 1, so the scaled numerator
-alone, an O(m) dot product of the distances already in hand, bounds d from
-above: add_sample builds the peak matrix only for a draw that neither t(0)
-nor t(that bound) settles.  The
+covariance scale.  add_sample builds no more of d than its draw needs
+(`_merges`): t is non-decreasing in d, so it tries, in order, t(0); the
+upper bound sum_j exp(-q_j / 2) on d, which needs no scaled weights (every
+a_j is at most 1); the scaled numerator num, an O(m) dot product, which
+bounds d from above as the scaled peak is at least 1; the lower bound
+num / sum_j a_j, as the peak is at most the sum of the scaled weights; and
+only then the peak matrix.  The two sums are widened by the rounding
+slack 1 + 4 m eps, which covers any order in which m non-negative terms
+are summed, so each bound holds for the computed values and no decision
+differs from the one d itself gives.  The
 merge's draw is likewise one expression: its scores are shifted by the
 nearest component's distance, so it needs no nearest-component fallback,
 and every merge makes exactly one draw.
 
 add_sample makes one pass over a sample, computing each piece once.  One
 whitening (`_distances`) gives the differences x - mean_i, the squared
-distances and their minimum: the distances serve the bound, d and the
+distances and their minimum: the distances serve the bounds, d and the
 draw, the minimum shifts the draw's scores, and a merge takes the drawn
 component's difference as _absorb's dx.  exp(-k n) is evaluated once, and
-t(0), t(bound) and t(d) are formed from it by merge_threshold's own
-expression (`_threshold`).  The draw's shifted distances, scores and
+t(0), t(each bound) and t(d) are formed from it by merge_threshold's own
+expression (`_threshold`); exp(-q_j / 2) is formed once and serves both
+upper bounds.  The draw's shifted distances, scores and
 running sums share one buffer.  A merge keeps the weight as a Python float
 and forms the new evaluation covariance in its row by three in-place
 operations, with the bits of _evaluation_cov's blend.  That blend is
@@ -206,6 +213,9 @@ _fresh: tuple[tuple[int, float], np.ndarray, np.ndarray, np.ndarray] | None = No
 
 # the shift that _log_ratio gives a column whose every entry is -inf
 _LOWEST = float(np.finfo(float).min)
+
+# float64's machine epsilon, 2^-52: _merges' rounding slack is 1 + 4 m _EPS
+_EPS = float(np.finfo(float).eps)
 
 #: Largest accepted sample coordinate magnitude: its square is finite in float64.
 MAX_COORDINATE = math.sqrt(np.finfo(float).max)
@@ -381,7 +391,7 @@ def _log_diag(chol_inv: np.ndarray) -> np.ndarray:
 def _log_norm(chol_inv: np.ndarray) -> np.ndarray:
     """Log normalization constants from inverse Cholesky factors (..., D, D):
     -D/2 log(2 pi) + log|V|."""
-    return -0.5 * chol_inv.shape[-1] * LOG_2PI + _log_diag(chol_inv).sum(axis=-1)
+    return -0.5 * chol_inv.shape[-1] * LOG_2PI + np.add.reduce(_log_diag(chol_inv), axis=-1)
 
 
 def _quad(pts: np.ndarray, mean: np.ndarray, chol_inv: np.ndarray) -> np.ndarray:
@@ -437,6 +447,8 @@ class MixtureCore:
         if not len(self):
             raise ValueError("mixture is empty")
         x = np.asarray(x, dtype=float)
+        if x.ndim > 2:
+            raise ValueError(f"points must be one point (D,) or a batch (N, D); got shape {x.shape}")
         single = x.ndim == 1
         pts = np.atleast_2d(x)
         if pts.shape[1] != self.dim:
@@ -676,7 +688,9 @@ class DynamicGaussianMixture(MixtureCore):
         point with squared distances q_j is exp(c) sum_j a_j exp(-q_j / 2).
         Every a_j is <= 1, and the argmax's is exactly 1."""
         log_a = np.log(self._w / self._W) + self._log_norm
-        c = log_a.max()
+        # np.maximum.reduce and np.add.reduce (in _log_norm) are what .max()
+        # and .sum() call, with the same bits, without their Python wrappers
+        c = np.maximum.reduce(log_a)
         return float(c), np.exp(log_a - c)
 
     def _scaled_peak(self, a: np.ndarray) -> float:
@@ -805,7 +819,8 @@ class DynamicGaussianMixture(MixtureCore):
         minimum shifts the draw's scores, and the merge takes the drawn
         component's difference as its dx (_absorb).  exp(-k n) is
         evaluated once, and each threshold the decision needs is formed
-        from it (_merges).
+        from it; bounds on d settle most draws before d is built
+        (_merges).
         """
         if not k >= 0:
             raise ValueError("k must be non-negative")
@@ -832,25 +847,54 @@ class DynamicGaussianMixture(MixtureCore):
         t(d) = merge_threshold(d, n, k) and d = _normalized(quad).
 
         t is non-decreasing in d also after rounding (fl(1 - d) <= 1 and
-        rounding is monotone), so two bounds on d settle most draws
-        without the O(m^2 D^2) peak estimate: r < t(0) merges, and
-        r >= t(min(num, 1)) appends, where num = sum_j a_j exp(-q_j / 2) is
-        d's scaled numerator, an O(m) dot product.  The scaled peak is at
-        least 1 (see _scaled_peak), so d = min(num / peak, 1) <= min(num, 1)
-        also after rounding.  Only a draw between the bounds builds the
-        peak, and d is then the value _normalized gives.
+        rounding is monotone), so bounds on d settle most draws without
+        the work d needs; they are tried cheapest first, each only for a
+        draw the ones before it left open:
 
-        exp(-k n) is evaluated once, and t(0), t(min(num, 1)) and t(d) are
-        formed from it by merge_threshold's own expression (_threshold), so
-        each has merge_threshold's bits.  Every d here lies in [0, 1] and
-        add_sample has checked k, so merge_threshold's checks are skipped."""
+        1. r < t(0) merges.
+        2. r >= t(min(sum(e) * slack, 1)) appends, with e_j = exp(-q_j / 2)
+           and slack = 1 + 4 m eps, before the scaled weights are built:
+           every a_j is <= 1 (see _scaled_weights), so d's scaled
+           numerator num = e @ a is at most sum(e).
+        3. r >= t(min(num, 1)) appends: the scaled peak is at least 1 (see
+           _scaled_peak), so d = min(num / peak, 1) <= min(num, 1).
+        4. r < t(min(num / (sum(a) * slack), 1)) merges before the O(m^2 D^2)
+           peak matrix is built: each of its rows, sum_j a_j exp(-q_ij / 2),
+           has terms at most a_j, so the peak is at most sum(a).
+        5. Otherwise the peak is built, and d is the value _normalized gives.
+
+        The bounds hold for the computed values, not only the exact ones,
+        so no decision changes.  Each computed product e_j a_j (or
+        exp(-q_ij / 2) a_j) is at most e_j (or a_j), as rounding is
+        monotone, and so is each step of any summation order, fused
+        multiply-add or not: the computed num is at most sum(e) summed in
+        the dot product's order, and a computed row of the peak matrix at
+        most sum(a) in its order.  Two orders of m non-negative terms each
+        lie within a factor (1 +- eps / 2)^(m - 1) of the exact sum (a sum
+        that rounds is normal; a subnormal one is exact), so they differ by
+        a factor below 1 + (m - 1) eps + O(eps^2), and the product with
+        slack rounds by at most another eps / 2; 4 m eps covers both with
+        room to spare.  So num <= fl(fl(sum(e)) * slack) and
+        peak <= fl(fl(sum(a)) * slack), and the quotient that bound 4 forms
+        is at most the computed num / peak (division rounds monotonically).
+
+        exp(-k n) is evaluated once, and every threshold is formed from it
+        by merge_threshold's own expression (_threshold), so each has
+        merge_threshold's bits.  Every d here lies in [0, 1] and add_sample
+        has checked k, so merge_threshold's checks are skipped."""
         decay = float(np.exp(-k * self._W))
         if r < _threshold(0.0, decay):
             return True
+        e = np.exp(-0.5 * quad)
+        slack = 1.0 + 4.0 * len(quad) * _EPS
+        if r >= _threshold(min(float(np.add.reduce(e)) * slack, 1.0), decay):
+            return False
         _, a = self._scaled_weights()
-        num = float(np.exp(-0.5 * quad) @ a)
+        num = float(e @ a)
         if r >= _threshold(min(num, 1.0), decay):
             return False
+        if r < _threshold(min(num / (float(np.add.reduce(a)) * slack), 1.0), decay):
+            return True
         return r < _threshold(min(num / self._scaled_peak(a), 1.0), decay)
 
     def _merge(self, i: int, dx: np.ndarray) -> None:

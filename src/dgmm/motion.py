@@ -86,6 +86,12 @@ class CommandKey:
             if v not in (-0.5, 0.0, 0.5):
                 raise ValueError(f"command {name} must be one of -0.5, 0, +0.5; got {v}")
             object.__setattr__(self, name, v)
+        # the hash the dataclass would build from a tuple on every call,
+        # built once: a key is looked up for each record, query and cycle
+        object.__setattr__(self, "_hash", hash(self.as_tuple()))
+
+    def __hash__(self):
+        return self._hash
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.long, self.lat, self.turn)

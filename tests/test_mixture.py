@@ -98,6 +98,17 @@ class TestMixtureDensity:
         with pytest.raises(ValueError):
             m.density(np.zeros(2))
 
+    @pytest.mark.parametrize("read", ["density", "log_density", "normalized_density", "select_component"])
+    @pytest.mark.parametrize("shape", [(1, 2, 2), (3, 2, 2), (1, 1, 1, 2)])
+    def test_points_with_more_than_two_dimensions_rejected(self, read, shape):
+        m = mix(([0.0, 0.0], np.eye(2), 1.0), ([3.0, 0.0], np.eye(2), 2.0))
+        rng = np.random.default_rng(41)
+        state = rng.bit_generator.state
+        call = getattr(m, read)
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            call(np.zeros(shape), rng) if read == "select_component" else call(np.zeros(shape))
+        assert rng.bit_generator.state == state
+
     def test_density_is_exp_of_log_density(self):
         # one formula: density is exp of log_density, bit for bit, a float
         # for one point and an array for a batch
@@ -786,6 +797,14 @@ def eager_add_sample(m, x, k, rng, new_cov_scale=1.0):
     m._W += 1.0
 
 
+class ScriptedUniforms:
+    """A stand-in for the generator add_sample reads: random() serves the
+    given values in order."""
+
+    def __init__(self, values):
+        self.random = iter(values).__next__
+
+
 def clustered_stream(rng, n, dim, offset, scale):
     """n points around three centers, a fifth of them far out (d ~ 0)."""
     centers = offset + 4.0 * scale * rng.standard_normal((3, dim))
@@ -828,10 +847,13 @@ class TestLazyDensity:
 
 
 class TestDensityBound:
-    """add_sample settles a draw at or above t(0) without the peak matrix
-    when r >= t(min(num, 1)), num being d's scaled numerator: the scaled
-    peak is at least 1, so that is an upper bound on d and skips no
-    merge."""
+    """add_sample settles a draw at or above t(0) by bounds on d before it
+    builds d (see DynamicGaussianMixture._merges): r >= t(min(sum(e) *
+    slack, 1)) appends before the scaled weights are built, r >=
+    t(min(num, 1)) appends, num being d's scaled numerator (the scaled peak
+    is at least 1), and r < t(min(num / (sum(a) * slack), 1)) merges
+    before the peak matrix is built (the scaled peak is at most sum(a)).
+    Each holds for the computed values, so no decision changes."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -881,6 +903,134 @@ class TestDensityBound:
         for i in range(20):
             m.add_sample(np.array([1e3 * (i + 1)]), 1e-3, rng)
         assert m.total_weight() == 30.0 and len(m) > 15 and built == []
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dim=st.integers(1, 8),
+        m=st.integers(1, 40),
+        log_cov_scale=st.floats(-150.0, 150.0),
+        layout=st.sampled_from(["coincident", "clustered", "far apart"]),
+        fractional=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sums_bound_the_computed_numerator_and_peak(self, dim, m, log_cov_scale, layout,
+                                                         fractional, seed):
+        # the computed num = e @ a is at most fl(sum(e)) * slack, and every
+        # computed row of the peak matrix at most fl(sum(a)) * slack, in
+        # whatever order the dot product and the matrix product sum
+        rng = np.random.default_rng(seed)
+        cov_scale = 10.0**log_cov_scale
+        sd = math.sqrt(cov_scale)
+        w = 1.0 + (1e3 * rng.random(m) if fractional else rng.integers(0, 1000, m).astype(float))
+        spread = {"coincident": 0.0, "clustered": 1.0, "far apart": 1e3}[layout]
+        means = sd * (rng.standard_normal(dim) + spread * rng.standard_normal((m, dim)))
+        if layout == "coincident":
+            # every density at a mean is exactly 1: the peak is sum(a), rounded
+            covs = [cov_scale * np.eye(dim)] * m
+        else:
+            covs = []
+            for _ in range(m):
+                b = rng.standard_normal((dim, dim))
+                covs.append(cov_scale * (b @ b.T / dim + 0.1 * np.eye(dim)))
+        mixture = dynamic_mixture(w, means, covs)
+        slack = 1.0 + 4.0 * m * np.finfo(float).eps
+        _, a = mixture._scaled_weights()
+        assert a.max() == 1.0 and (a <= 1.0).all()
+        assert 1.0 <= mixture._scaled_peak(a) <= float(a.sum()) * slack
+        pts = np.concatenate([means, means[rng.integers(m, size=8)] + sd * rng.standard_normal((8, dim))])
+        for x in pts:
+            quad = mixture._distances(x)[1]
+            e = np.exp(-0.5 * quad)
+            assert float(e @ a) <= float(e.sum()) * slack
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 8),
+        m=st.integers(1, 12),
+        n=st.integers(1, 30),
+        log_k=st.floats(-6.0, -2.0),
+        log_cov_scale=st.floats(-150.0, 150.0),
+        fractional=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_draws_between_t0_and_the_numerator_bound_change_no_decision(
+            self, dim, m, n, log_k, log_cov_scale, fractional, seed):
+        # every decision draw r is placed in [t(0), t(min(num, 1))), where
+        # neither t(0) nor the numerator bound settles it: the sum bounds
+        # and, past them, the peak decide, as d itself does in the eager
+        # reference
+        rng = np.random.default_rng(seed)
+        k, cov_scale = 10.0**log_k, 10.0**log_cov_scale
+        sd = math.sqrt(cov_scale)
+        w = 1.0 + (30.0 * rng.random(m) if fractional else rng.integers(0, 30, m).astype(float))
+        means = sd * 2.0 * rng.standard_normal((m, dim))
+        covs = []
+        for _ in range(m):
+            b = rng.standard_normal((dim, dim))
+            covs.append(cov_scale * (b @ b.T / dim + 0.1 * np.eye(dim)))
+        creation = [cov_scale * np.eye(dim)] * m
+        bounded, eager = (dynamic_mixture(w, means, covs, creation) for _ in range(2))
+        near = means[rng.integers(m, size=n)] + sd * np.where(rng.random((n, 1)) < 0.2, 30.0, 0.5) \
+            * rng.standard_normal((n, dim))
+        for x, u, v in zip(near, rng.random(n), rng.random(n)):
+            quad = bounded._distances(x)[1]
+            _, a = bounded._scaled_weights()
+            num = float(np.exp(-0.5 * quad) @ a)
+            lo = merge_threshold(0.0, bounded.total_weight(), k)
+            hi = merge_threshold(min(num, 1.0), bounded.total_weight(), k)
+            r = min(lo + u * (hi - lo), math.nextafter(hi, 0.0)) if hi > lo else lo
+            assert lo <= r < 1.0
+            d = float(bounded._normalized(quad))
+            assert d >= min(num / (float(a.sum()) * (1.0 + 4.0 * len(a) * np.finfo(float).eps)), 1.0)
+            bounded.add_sample(x, k, ScriptedUniforms([r, v]), new_cov_scale=cov_scale)
+            eager_add_sample(eager, x, k, ScriptedUniforms([r, v]), new_cov_scale=cov_scale)
+            assert_same_mixture(bounded, eager)
+
+    def test_far_sample_never_builds_the_scaled_weights(self, monkeypatch):
+        # every e_j underflows to 0, so sum(e) settles the draw at t(0)
+        m = mix(([0.0], [[1.0]], 5.0), ([4.0], [[1.0]], 5.0))
+        built = []
+        weights = DynamicGaussianMixture._scaled_weights
+        monkeypatch.setattr(DynamicGaussianMixture, "_scaled_weights",
+                            lambda self: built.append(len(self)) or weights(self))
+        rng = np.random.default_rng(12)
+        for i in range(20):
+            m.add_sample(np.array([1e3 * (i + 1)]), 1e-3, rng)
+        assert m.total_weight() == 30.0 and len(m) > 15 and built == []
+
+    def test_sum_bound_leaves_open_a_sample_between_components(self):
+        # at x = 0 between unit components at -1 and 1, each e_j is
+        # exp(-1/2) ~ 0.61 but d = 1: the bound is the sum of the e_j, not
+        # their largest, and a draw above t(0.61) still merges
+        k, x = 1e-3, np.array([0.0])
+        r = merge_threshold(0.8, 10.0, k)
+        bounded, eager = (mix(([-1.0], [[1.0]], 5.0), ([1.0], [[1.0]], 5.0)) for _ in range(2))
+        quad = bounded._distances(x)[1]
+        assert float(np.exp(-0.5 * quad).max()) < 0.8 and float(bounded._normalized(quad)) == 1.0
+        bounded.add_sample(x, k, ScriptedUniforms([r, 0.0]))
+        eager_add_sample(eager, x, k, ScriptedUniforms([r, 0.0]))
+        assert len(bounded) == 2 and bounded.total_weight() == 11.0
+        assert_same_mixture(bounded, eager)
+
+    def test_lower_bound_merges_without_the_peak_matrix(self, monkeypatch):
+        # a sample at one of two equal, well-separated components: a = (1, 1)
+        # and num ~ 1, so t(min(num, 1)) = 1 settles nothing, but d >= num / 2
+        built = []
+        peak = DynamicGaussianMixture._scaled_peak
+        monkeypatch.setattr(DynamicGaussianMixture, "_scaled_peak",
+                            lambda self, a: built.append(len(self)) or peak(self, a))
+        k, x = 1e-3, np.array([0.0])
+        t0, t_half = merge_threshold(0.0, 10.0, k), merge_threshold(0.5, 10.0, k)
+        # below t(num / sum(a)) the lower bound merges; above it the peak decides
+        for r, peaks in ((0.3, []), (0.9, [2])):
+            assert t0 <= r < 1.0 and (r < t_half) == (not peaks)
+            bounded, eager = (mix(([0.0], [[1.0]], 5.0), ([4.0], [[1.0]], 5.0)) for _ in range(2))
+            bounded.add_sample(x, k, ScriptedUniforms([r, 0.0]))
+            assert built == peaks
+            eager_add_sample(eager, x, k, ScriptedUniforms([r, 0.0]))
+            assert len(bounded) == 2 and bounded.total_weight() == 11.0
+            assert_same_mixture(bounded, eager)
+            built.clear()
 
 
 class TestRebuiltMixture:
