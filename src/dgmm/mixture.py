@@ -391,7 +391,7 @@ def _log_diag(chol_inv: np.ndarray) -> np.ndarray:
 def _log_norm(chol_inv: np.ndarray) -> np.ndarray:
     """Log normalization constants from inverse Cholesky factors (..., D, D):
     -D/2 log(2 pi) + log|V|."""
-    return -0.5 * chol_inv.shape[-1] * LOG_2PI + np.add.reduce(_log_diag(chol_inv), axis=-1)
+    return -0.5 * chol_inv.shape[-1] * LOG_2PI + _log_diag(chol_inv).sum(axis=-1)
 
 
 def _quad(pts: np.ndarray, mean: np.ndarray, chol_inv: np.ndarray) -> np.ndarray:
@@ -688,9 +688,7 @@ class DynamicGaussianMixture(MixtureCore):
         point with squared distances q_j is exp(c) sum_j a_j exp(-q_j / 2).
         Every a_j is <= 1, and the argmax's is exactly 1."""
         log_a = np.log(self._w / self._W) + self._log_norm
-        # np.maximum.reduce and np.add.reduce (in _log_norm) are what .max()
-        # and .sum() call, with the same bits, without their Python wrappers
-        c = np.maximum.reduce(log_a)
+        c = log_a.max()
         return float(c), np.exp(log_a - c)
 
     def _scaled_peak(self, a: np.ndarray) -> float:

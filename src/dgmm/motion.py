@@ -87,7 +87,8 @@ class CommandKey:
                 raise ValueError(f"command {name} must be one of -0.5, 0, +0.5; got {v}")
             object.__setattr__(self, name, v)
         # the hash the dataclass would build from a tuple on every call,
-        # built once: a key is looked up for each record, query and cycle
+        # built once: a live model looks its key up about six times per
+        # control cycle
         object.__setattr__(self, "_hash", hash(self.as_tuple()))
 
     def __hash__(self):

@@ -855,17 +855,24 @@ class TestDensityBound:
     before the peak matrix is built (the scaled peak is at most sum(a)).
     Each holds for the computed values, so no decision changes."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
         dim=st.integers(1, 8),
         m=st.integers(1, 12),
         n=st.integers(1, 30),
-        log_k=st.floats(-3.0, 0.0),
-        offset=st.floats(-1e6, 1e6),
-        log_cov_scale=st.floats(-6.0, 6.0),
+        log_k=st.floats(-6.0, 0.0),
+        offset=st.floats(-1e9, 1e9),
+        log_cov_scale=st.floats(-150.0, 150.0),
+        fractional=st.booleans(),
+        scripted=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_bound_holds_and_changes_no_decision(self, dim, m, n, log_k, offset, log_cov_scale, seed):
+    def test_bound_holds_and_changes_no_decision(self, dim, m, n, log_k, offset, log_cov_scale,
+                                                 fractional, scripted, seed):
+        # scripted: every decision draw r is placed in [t(0), t(min(num, 1))),
+        # where neither t(0) nor the numerator bound settles it, so the sum
+        # bounds and, past them, the peak decide, as d itself does in the
+        # eager reference
         rng = np.random.default_rng(seed)
         k, cov_scale = 10.0**log_k, 10.0**log_cov_scale
         scale = math.sqrt(cov_scale)
@@ -873,32 +880,48 @@ class TestDensityBound:
         for _ in range(m):
             a = rng.standard_normal((dim, dim))
             cov = cov_scale * (a @ a.T / dim + 0.1 * np.eye(dim))
-            means.append(offset + 3.0 * scale * rng.standard_normal(dim))
+            means.append(scale * (offset + 3.0 * rng.standard_normal(dim)))
             covs.append(0.5 * (cov + cov.T))
-            w.append(float(rng.integers(1, 10)))
+            w.append(1.0 + 9.0 * rng.random() if fractional else float(rng.integers(1, 10)))
         creation = [cov_scale * np.eye(dim)] * m
         bounded, eager = (dynamic_mixture(w, means, covs, creation) for _ in range(2))
-        spread = scale * np.where(rng.random((n, 1)) < 0.3, 30.0, 1.0)
-        pts = offset + 3.0 * scale * rng.standard_normal((1, dim)) + spread * rng.standard_normal((n, dim))
+        # near a mean, between means, or far out (d ~ 0)
+        spread = scale * np.array([0.5, 0.5, 3.0, 30.0])[rng.integers(4, size=(n, 1))]
+        pts = np.array(means)[rng.integers(m, size=n)] + spread * rng.standard_normal((n, dim))
         rng_bounded, rng_eager = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
         for x in pts:
             quad = bounded._distances(x)[1]
             _, a = bounded._scaled_weights()
             num = float(np.exp(-0.5 * quad) @ a)
+            slack = 1.0 + 4.0 * len(a) * np.finfo(float).eps
             assert bounded._scaled_peak(a) >= 1.0
-            assert float(bounded._normalized(quad)) <= min(num, 1.0)
-            bounded.add_sample(x, k, rng_bounded, new_cov_scale=cov_scale)
-            eager_add_sample(eager, x, k, rng_eager, new_cov_scale=cov_scale)
+            d = float(bounded._normalized(quad))
+            assert min(num / (float(a.sum()) * slack), 1.0) <= d <= min(num, 1.0)
+            draws_bounded, draws_eager = rng_bounded, rng_eager
+            if scripted:
+                lo = merge_threshold(0.0, bounded.total_weight(), k)
+                hi = merge_threshold(min(num, 1.0), bounded.total_weight(), k)
+                u, v = rng.random(2)
+                # where t(0) rounds to 1, no draw lies in [t(0), 1): every one merges
+                r = min(lo + u * (hi - lo), math.nextafter(hi, 0.0)) if hi > lo else min(lo, u)
+                assert r < 1.0
+                draws_bounded, draws_eager = ScriptedUniforms([r, v]), ScriptedUniforms([r, v])
+            bounded.add_sample(x, k, draws_bounded, new_cov_scale=cov_scale)
+            eager_add_sample(eager, x, k, draws_eager, new_cov_scale=cov_scale)
             assert_same_mixture(bounded, eager)
             assert rng_bounded.bit_generator.state == rng_eager.bit_generator.state
 
     def test_peak_matrix_is_built_only_between_the_bounds(self, monkeypatch):
-        # far samples (d ~ 0) draw at or above t(0) but are settled by the bound
+        # far samples (d ~ 0) draw at or above t(0), but every e_j underflows
+        # to 0, so sum(e) settles them before the scaled weights, let alone
+        # the peak matrix, are built
         m = mix(([0.0], [[1.0]], 5.0), ([4.0], [[1.0]], 5.0))
         built = []
-        peak = DynamicGaussianMixture._scaled_peak
-        monkeypatch.setattr(DynamicGaussianMixture, "_scaled_peak",
-                            lambda self, a: built.append(len(self)) or peak(self, a))
+        for name in ("_scaled_weights", "_scaled_peak"):
+            method = getattr(DynamicGaussianMixture, name)
+            monkeypatch.setattr(DynamicGaussianMixture, name,
+                                lambda self, *args, name=name, method=method:
+                                built.append(name) or method(self, *args))
         rng = np.random.default_rng(12)
         for i in range(20):
             m.add_sample(np.array([1e3 * (i + 1)]), 1e-3, rng)
@@ -942,61 +965,6 @@ class TestDensityBound:
             quad = mixture._distances(x)[1]
             e = np.exp(-0.5 * quad)
             assert float(e @ a) <= float(e.sum()) * slack
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        dim=st.integers(1, 8),
-        m=st.integers(1, 12),
-        n=st.integers(1, 30),
-        log_k=st.floats(-6.0, -2.0),
-        log_cov_scale=st.floats(-150.0, 150.0),
-        fractional=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_draws_between_t0_and_the_numerator_bound_change_no_decision(
-            self, dim, m, n, log_k, log_cov_scale, fractional, seed):
-        # every decision draw r is placed in [t(0), t(min(num, 1))), where
-        # neither t(0) nor the numerator bound settles it: the sum bounds
-        # and, past them, the peak decide, as d itself does in the eager
-        # reference
-        rng = np.random.default_rng(seed)
-        k, cov_scale = 10.0**log_k, 10.0**log_cov_scale
-        sd = math.sqrt(cov_scale)
-        w = 1.0 + (30.0 * rng.random(m) if fractional else rng.integers(0, 30, m).astype(float))
-        means = sd * 2.0 * rng.standard_normal((m, dim))
-        covs = []
-        for _ in range(m):
-            b = rng.standard_normal((dim, dim))
-            covs.append(cov_scale * (b @ b.T / dim + 0.1 * np.eye(dim)))
-        creation = [cov_scale * np.eye(dim)] * m
-        bounded, eager = (dynamic_mixture(w, means, covs, creation) for _ in range(2))
-        near = means[rng.integers(m, size=n)] + sd * np.where(rng.random((n, 1)) < 0.2, 30.0, 0.5) \
-            * rng.standard_normal((n, dim))
-        for x, u, v in zip(near, rng.random(n), rng.random(n)):
-            quad = bounded._distances(x)[1]
-            _, a = bounded._scaled_weights()
-            num = float(np.exp(-0.5 * quad) @ a)
-            lo = merge_threshold(0.0, bounded.total_weight(), k)
-            hi = merge_threshold(min(num, 1.0), bounded.total_weight(), k)
-            r = min(lo + u * (hi - lo), math.nextafter(hi, 0.0)) if hi > lo else lo
-            assert lo <= r < 1.0
-            d = float(bounded._normalized(quad))
-            assert d >= min(num / (float(a.sum()) * (1.0 + 4.0 * len(a) * np.finfo(float).eps)), 1.0)
-            bounded.add_sample(x, k, ScriptedUniforms([r, v]), new_cov_scale=cov_scale)
-            eager_add_sample(eager, x, k, ScriptedUniforms([r, v]), new_cov_scale=cov_scale)
-            assert_same_mixture(bounded, eager)
-
-    def test_far_sample_never_builds_the_scaled_weights(self, monkeypatch):
-        # every e_j underflows to 0, so sum(e) settles the draw at t(0)
-        m = mix(([0.0], [[1.0]], 5.0), ([4.0], [[1.0]], 5.0))
-        built = []
-        weights = DynamicGaussianMixture._scaled_weights
-        monkeypatch.setattr(DynamicGaussianMixture, "_scaled_weights",
-                            lambda self: built.append(len(self)) or weights(self))
-        rng = np.random.default_rng(12)
-        for i in range(20):
-            m.add_sample(np.array([1e3 * (i + 1)]), 1e-3, rng)
-        assert m.total_weight() == 30.0 and len(m) > 15 and built == []
 
     def test_sum_bound_leaves_open_a_sample_between_components(self):
         # at x = 0 between unit components at -1 and 1, each e_j is
