@@ -15,13 +15,16 @@ training record is one DynamicGaussianMixture.add_sample call.  Every
 held-out record is scored through the public query, one
 MotionModel.log_density call per record and model (`_score_fold`).
 
-Each stream (`_stream_shuffle`) and each fold owns a generator, seeded
-from the master stream, that it discards when it ends.  After its
-shuffle, that generator is read only by add_sample's rng.random() calls,
-so the updates read it through a mixture._Uniforms, which draws the same
-values in blocks; a fold's two models read one _Uniforms in sequence, as
-they would read the generator.  Every streamed sample is still one
-add_sample call.
+k_sweep and mise_experiment state their streams as data: a plan of
+(k, seed) pairs and a target component count, which one runner
+(`_streams`) executes in order, each stream only when the experiment
+asks for it, with one stop rule.  Each stream and each fold owns a
+generator, seeded from the master stream, that it discards when it ends.
+After its shuffle, that generator is read only by add_sample's
+rng.random() calls, so the updates read it through a mixture._Uniforms,
+which draws the same values in blocks; a fold's two models read one
+_Uniforms in sequence, as they would read the generator.  Every streamed
+sample is still one add_sample call.
 """
 
 from __future__ import annotations
@@ -219,20 +222,34 @@ def _checked_points(points) -> np.ndarray:
     return points
 
 
-def _stream_shuffle(points: np.ndarray, k: float, seed: int, stop) -> DynamicGaussianMixture:
-    """A fresh online mixture fed one shuffle of the points, until stop(model)
-    holds after an update or the points run out; the shuffle and every
-    update draw from one generator seeded with seed, the updates through
-    its _Uniforms."""
-    sub = np.random.default_rng(seed)
-    model = DynamicGaussianMixture(points.shape[1])
-    shuffled = points[sub.permutation(points.shape[0])]
-    draws = _Uniforms(sub)
-    for x in shuffled:
-        model.add_sample(x, k, draws)
-        if stop(model):
-            break
-    return model
+def _streams(points: np.ndarray, plan: list[tuple[float, int]], target_m: float):
+    """The online mixtures of a plan's streams, one per (k, seed) pair, in
+    plan order, each built only when the caller asks for the next: a fresh
+    mixture fed one shuffle of the points at k, the shuffle and every
+    update drawing from one generator seeded with seed, the updates
+    through its _Uniforms.
+
+    A stream stops once its outcome is decided: when it has more than
+    target_m components (components are never removed), or when its count
+    is final and is not target_m.  A count is final once the merge
+    threshold has rounded to 1 (see mixture._count_is_final): every later
+    sample merges, so the rest of the shuffle could not change it.  The
+    total weight at which that happens is found once per stream
+    (mixture._final_count).  With target_m = inf, a stream stops when its
+    count is final.  Each stream draws from its own generator, so
+    stopping one changes no other, and its count, or whether its count is
+    target_m, is the one that streaming every point would give."""
+    for k, seed in plan:
+        final = _final_count(k)
+        sub = np.random.default_rng(seed)
+        model = DynamicGaussianMixture(points.shape[1])
+        draws = _Uniforms(sub)
+        for x in points[sub.permutation(points.shape[0])]:
+            model.add_sample(x, k, draws)
+            m = len(model)
+            if m > target_m or (m != target_m and model.total_weight() >= final):
+                break
+        yield model
 
 
 def k_sweep(points, k_grid, repeats: int, rng: np.random.Generator) -> EvalReport:
@@ -240,16 +257,11 @@ def k_sweep(points, k_grid, repeats: int, rng: np.random.Generator) -> EvalRepor
     and repeat, stream a fresh shuffle of the points through the online
     update and record the final component count.
 
-    A stream stops as soon as its count is final: once the merge threshold
-    has rounded to 1 (see mixture._count_is_final), every later sample
-    merges, so the rest of the shuffle could not change the count.  The
-    count at which that happens is found once per k (mixture._final_count,
-    on the same predicate), and a stream stops when its total weight
-    reaches it.  Each stream draws from its own generator, so stopping one
-    changes no other run and the report is the one that streaming every
-    point would give.  Every k (negative or NaN: "k must be non-negative"),
-    repeats (an integer, at least 1) and every point (NaN, infinite and
-    overflowing coordinates) are checked before the first stream.
+    Each stream stops as soon as its count is final (see _streams), so
+    the report is the one that streaming every point would give.  Every k
+    (negative or NaN: "k must be non-negative"), repeats (an integer, at
+    least 1) and every point (NaN, infinite and overflowing coordinates)
+    are checked before the first stream.
     """
     k_grid = [float(k) for k in k_grid]
     if not k_grid:
@@ -263,13 +275,9 @@ def k_sweep(points, k_grid, repeats: int, rng: np.random.Generator) -> EvalRepor
     # before any is streamed
     points = _checked_points(points)
     seeds = _spawn_seeds(rng, len(k_grid) * repeats)
-    runs = []
-    for ki, k in enumerate(k_grid):
-        final = _final_count(k)
-        for rep in range(repeats):
-            seed = seeds[ki * repeats + rep]
-            model = _stream_shuffle(points, k, seed, lambda model: model.total_weight() >= final)
-            runs.append({"k": k, "repeat": rep, "seed": seed, "components": len(model)})
+    plan = list(zip([k for k in k_grid for _ in range(repeats)], seeds))
+    runs = [{"k": k, "repeat": i % repeats, "seed": seed, "components": len(model)}
+            for i, ((k, seed), model) in enumerate(zip(plan, _streams(points, plan, math.inf)))]
     per_k = []
     for k in k_grid:
         counts = [r["components"] for r in runs if r["k"] == k]
@@ -296,46 +304,36 @@ def mise_experiment(points, k: float, target_m: int, needed: int,
     Stops after `needed` accepted runs or max_attempts attempts (the report
     is flagged incomplete in the latter case).
 
-    A rejected run stops streaming as soon as its outcome is decided: when
-    it has more than target_m components (components are never removed),
-    or when its count is final (see k_sweep) and is not target_m.  The
-    count at which it is final is found once, before the EM fit
-    (mixture._final_count), and compared with each run's total weight.
-    Accepted runs stream every point.  Each attempt draws from its own
-    generator, so the report is the one that streaming every point would
-    give.  k (negative or NaN: "k must be non-negative"), target_m (an
-    integer; em_fit rejects one below 1), needed (an integer, at least 1),
-    max_attempts (an integer, at least 0) and every point (NaN, infinite
-    and overflowing coordinates) are checked before the EM fit.  1-D
-    points are one column, as in k_sweep and em_fit.
+    A rejected run stops streaming as soon as its outcome is decided (see
+    _streams), and accepted runs stream every point, so the report is the
+    one that streaming every point would give; no stream is built after
+    the needed-th acceptance.  With no accepted run, mise_mean and
+    mise_std are None (null in JSON).  k (negative or NaN: "k must be
+    non-negative"), target_m (an integer; em_fit rejects one below 1),
+    needed (an integer, at least 1), max_attempts (an integer, at least 0)
+    and every point (NaN, infinite and overflowing coordinates) are
+    checked before the EM fit.  1-D points are one column, as in k_sweep
+    and em_fit.
     """
     _check_k(k)
     _check_integer(target_m, "target_m")
     _check_count(needed, "needed", 1)
     _check_count(max_attempts, "max_attempts", 0)
     points = _checked_points(points)
-    final = _final_count(k)
     em_ref = em_fit(points, target_m, rng=rng)
     em_steps = np.diff(em_ref.loglik_path)
-    seeds = _spawn_seeds(rng, max_attempts)
-
-    def decided(model):
-        m = len(model)
-        return m > target_m or (m != target_m and model.total_weight() >= final)
-
+    plan = [(k, seed) for seed in _spawn_seeds(rng, max_attempts)]
     runs = []
     attempts = 0
-    for seed in seeds:
-        if len(runs) >= needed:
-            break
+    for (_, seed), model in zip(plan, _streams(points, plan, target_m)):
         attempts += 1
-        model = _stream_shuffle(points, k, seed, decided)
-        if len(model) != target_m:
-            continue
-        runs.append({"attempt": attempts, "seed": seed, "components": len(model),
-                     "mise": ise(model, em_ref)})
+        if len(model) == target_m:
+            runs.append({"attempt": attempts, "seed": seed, "components": len(model),
+                         "mise": ise(model, em_ref)})
+            if len(runs) == needed:
+                break
     values = [r["mise"] for r in runs]
-    mean, std = summary_stats(values) if values else (float("nan"), float("nan"))
+    mean, std = summary_stats(values) if values else (None, None)
     return EvalReport(
         name="mise_vs_em",
         config={

@@ -196,6 +196,23 @@ def test_compare_em_smoke(tmp_path):
     assert doc["summary"]["accepted"] <= 2
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_compare_em_with_no_accepted_run_writes_strict_json(tmp_path):
+    # at k = 0 every sample appends, so no run ends with 2 components; the
+    # summary statistics of no runs are null, which strict readers accept
+    report_path = tmp_path / "em.json"
+    code = run(["compare-em", "--k", "0", "--target-m", "2", "--needed", "2",
+                "--max-attempts", "3", "--seed", "3", "--out", str(report_path)])
+    assert code == 0
+    doc = json.loads(report_path.read_text(), parse_constant=_reject_constant)
+    summary = doc["summary"]
+    assert summary["accepted"] == 0 and summary["attempts"] == 3 and summary["incomplete"]
+    assert summary["mise_mean"] is None and summary["mise_std"] is None
+
+
 def test_xval_terrain_smoke(tmp_path, incline_csv):
     report_path = tmp_path / "xval.json"
     code = run(["xval-terrain", "--input", str(incline_csv), "--folds", "3",

@@ -387,14 +387,22 @@ class TestReportReproducibility:
         assert len(lines) == 2 + 6
 
 
-def _full_stream(points, k, seed, stop):
-    """Reference for evaluation._stream_shuffle that ignores the stop rule
-    and streams every point."""
-    sub = np.random.default_rng(seed)
-    model = DynamicGaussianMixture(points.shape[1])
-    for x in points[sub.permutation(points.shape[0])]:
-        model.add_sample(x, k, sub)
-    return model
+def _reference_streams(decided):
+    """Reference for evaluation._streams that ignores the target it is given
+    and stops a stream on decided(model, k), evaluated after every sample;
+    every update draws from the stream's generator itself."""
+
+    def streams(points, plan, target_m):
+        for k, seed in plan:
+            sub = np.random.default_rng(seed)
+            model = DynamicGaussianMixture(points.shape[1])
+            for x in points[sub.permutation(points.shape[0])]:
+                model.add_sample(x, k, sub)
+                if decided(model, k):
+                    break
+            yield model
+
+    return streams
 
 
 def _counting_add_sample(monkeypatch):
@@ -421,7 +429,7 @@ class TestEarlyStop:
         calls = _counting_add_sample(monkeypatch)
         early = k_sweep(pts, grid, 2, np.random.default_rng(seed))
         early_calls = calls[0]
-        monkeypatch.setattr(evaluation, "_stream_shuffle", _full_stream)
+        monkeypatch.setattr(evaluation, "_streams", _reference_streams(lambda model, k: False))
         full = k_sweep(pts, grid, 2, np.random.default_rng(seed))
         assert early.to_json() == full.to_json()
         assert early.to_tsv() == full.to_tsv()
@@ -438,13 +446,30 @@ class TestEarlyStop:
                                  rng=np.random.default_rng(seed))
                  for seed in range(5)]
         early_calls = calls[0]
-        monkeypatch.setattr(evaluation, "_stream_shuffle", _full_stream)
+        monkeypatch.setattr(evaluation, "_streams", _reference_streams(lambda model, k: False))
         full = [mise_experiment(pts, k, target_m, needed=2, max_attempts=4,
                                 rng=np.random.default_rng(seed))
                 for seed in range(5)]
         for a, b in zip(early, full):
             assert a.to_json() == b.to_json()
         assert early_calls <= calls[0] - early_calls
+
+    def test_mise_experiment_builds_no_stream_after_the_last_acceptance(self, monkeypatch):
+        # at TestPinnedDecisions' settings, seed 1 accepts its third run at
+        # attempt 6 of 30: the streams are built one at a time, as the
+        # experiment asks for them
+        built = [0]
+        init = DynamicGaussianMixture.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(DynamicGaussianMixture, "__init__", counting_init)
+        pts = load_old_faithful(standardize=True)[0]
+        report = mise_experiment(pts, 0.7, 2, needed=3, max_attempts=30, rng=np.random.default_rng(1))
+        assert report.summary["attempts"] == 6 and report.summary["accepted"] == 3
+        assert built[0] == 6
 
 
 class TestPointValidation:
@@ -476,24 +501,8 @@ class TestPointValidation:
             assert rng.bit_generator.state == state
 
 
-def _per_sample_stream(decided):
-    """Reference for evaluation._stream_shuffle that ignores the stop rule it
-    is given and stops on decided(model), evaluated after every sample."""
-
-    def stream(points, k, seed, stop):
-        sub = np.random.default_rng(seed)
-        model = DynamicGaussianMixture(points.shape[1])
-        for x in points[sub.permutation(points.shape[0])]:
-            model.add_sample(x, k, sub)
-            if decided(model, k):
-                break
-        return model
-
-    return stream
-
-
 class TestStopCount:
-    """The streams stop on a count found once per k: exactly where the
+    """The streams stop on a count found once per stream: exactly where the
     per-sample rule on _count_is_final would stop them, with the same
     number of add_sample calls."""
 
@@ -511,7 +520,7 @@ class TestStopCount:
             m = len(model)
             return m > target_m or (m != target_m and _count_is_final(model.total_weight(), k))
 
-        monkeypatch.setattr(evaluation, "_stream_shuffle", _per_sample_stream(decided))
+        monkeypatch.setattr(evaluation, "_streams", _reference_streams(decided))
         want = [mise_experiment(pts, k, target_m, needed=2, max_attempts=4,
                                 rng=np.random.default_rng(seed)).to_json()
                 for seed in range(5)]
@@ -525,7 +534,7 @@ class TestStopCount:
         calls = _counting_add_sample(monkeypatch)
         got = k_sweep(pts, grid, 2, np.random.default_rng(seed)).to_json()
         got_calls = calls[0]
-        monkeypatch.setattr(evaluation, "_stream_shuffle", _per_sample_stream(
+        monkeypatch.setattr(evaluation, "_streams", _reference_streams(
             lambda model, k: _count_is_final(model.total_weight(), k)))
         assert got == k_sweep(pts, grid, 2, np.random.default_rng(seed)).to_json()
         assert got_calls == calls[0] - got_calls

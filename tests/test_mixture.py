@@ -27,7 +27,7 @@ from dgmm.mixture import (
     merge_threshold,
 )
 from dgmm.em import FixedGaussianMixture, Grid, integrate_on_grid, mixture_support_box
-from dgmm.datasets import sample_gmm
+from dgmm.datasets import sample_gmm, three_component_benchmark
 from dgmm.motion import CommandKey, MotionModel
 
 from builders import dynamic_mixture
@@ -1557,3 +1557,44 @@ def test_numpy_without_private_names_falls_back_with_the_same_bits():
     for run in (plain, fallback):
         assert len(run["errstates"]) == 4
         assert all(state == run["errstates"][0] for state in run["errstates"])
+
+
+class DecisionLog(DynamicGaussianMixture):
+    """A mixture that logs each sample's decision: ("merge", i) for a merge
+    into component i, ("append", m) for a new component m."""
+
+    def __init__(self, dim):
+        super().__init__(dim)
+        self.log = []
+
+    def _merge(self, i, dx):
+        self.log.append(("merge", int(i)))
+        super()._merge(i, dx)
+
+    def _append(self, x, scale):
+        self.log.append(("append", len(self)))
+        super()._append(x, scale)
+
+
+class TestDecisionInvariance:
+    """A stream's decisions are those of the same stream with its points
+    scaled by s and its creation covariance s^2 I, or offset: the draw,
+    d and the merge thresholds read whitened distances."""
+
+    @staticmethod
+    def decisions(points, k, new_cov_scale):
+        model, rng = DecisionLog(points.shape[1]), np.random.default_rng(1)
+        for x in points:
+            model.add_sample(x, k, rng, new_cov_scale=new_cov_scale)
+        return model.log
+
+    @pytest.mark.parametrize("k", [0.02, 0.3])
+    @pytest.mark.parametrize("scale, offset", [
+        (1e-150, 0.0), (1e-30, 0.0), (1e30, 0.0), (1e150, 0.0),
+        (1.0, 1e4), (1.0, 1e8), (1.0, -1e8)])
+    def test_scaled_or_offset_stream_makes_the_same_decisions(self, k, scale, offset):
+        points = sample_gmm(three_component_benchmark(), 500, np.random.default_rng(1))
+        want = self.decisions(points, k, 1.0)
+        got = self.decisions(scale * points + offset, k, scale**2)
+        assert len(want) == 500 and {branch for branch, _ in want} == {"merge", "append"}
+        assert got == want
