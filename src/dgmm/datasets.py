@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
 from .em import FixedGaussianMixture
-from .mixture import MAX_COORDINATE, check_coordinates
+from .mixture import MAX_COORDINATE, check_coordinates, check_count
 from .motion import CommandKey, DeltaPose, Standardizer, TerrainVector
 
 SAMPLE_COLUMNS = ("cmd_long", "cmd_lat", "cmd_turn")
@@ -195,9 +194,9 @@ def load_old_faithful(path=None, standardize: bool = True):
 def sample_gmm(gmm: FixedGaussianMixture, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n independent points: categorical component choice by weight,
     then the component's lower Cholesky transform of unit normals, from the
-    mixture's evaluation covariances (one batched factorization)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    mixture's evaluation covariances (one batched factorization).  n must
+    be an integer of at least 0; it is checked before any draw."""
+    n = check_count(n, "n", 0)
     if n == 0:
         return np.empty((0, gmm.dim))
     comp = rng.choice(len(gmm), size=n, p=gmm.weights)
@@ -234,10 +233,7 @@ class InclineConfig:
     def __post_init__(self):
         if not 0.0 <= self.slope_deg <= 45.0:
             raise ValueError("slope_deg must lie in [0, 45]")
-        if not isinstance(self.reps_per_orientation, numbers.Integral):
-            raise ValueError("reps_per_orientation must be an integer")
-        if self.reps_per_orientation < 1:
-            raise ValueError("reps_per_orientation must be >= 1")
+        check_count(self.reps_per_orientation, "reps_per_orientation", 1)
         # an infinite gain makes infinite pose deltas; a negative noise
         # scale a negative noise standard deviation in the metadata
         if not math.isfinite(self.drift_gain):

@@ -30,13 +30,12 @@ built.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gaussian import asymmetric, symmetrize
-from .mixture import MixtureCore, _factor, _log_norm, _quad, check_rows, logsumexp
+from .mixture import MixtureCore, _factor, _log_norm, _quad, check_batch, check_count, logsumexp
 
 #: em_fit stops a run once the per-point log-likelihood improves by less
 #: than TOL, or after MAX_ITER iterations, and keeps the best of RESTARTS runs.
@@ -125,20 +124,15 @@ def em_fit(points, m: int, rng: np.random.Generator) -> FixedGaussianMixture:
     iterations.  Covariances that collapse (e.g. duplicated points) are
     regularized rather than failing.  1-D points are one column.
 
-    m must be an integer (Python or numpy) of at least 1, and a point with
-    a NaN, an infinite or an overflowing coordinate raises ValueError
-    naming it (check_rows); both are checked before rng is touched.
+    A point with a NaN, an infinite or an overflowing coordinate raises
+    ValueError naming it (check_batch), and so does an m that is not an
+    integer (Python or numpy) of at least 1; both are checked before rng
+    is touched.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
+    points = check_batch(points, "point {row}")
     if points.size == 0:
         raise ValueError("no points to fit")
-    if not isinstance(m, numbers.Integral):
-        raise ValueError("m must be an integer")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    check_rows(points, "point {row}")
+    m = check_count(m, "m", 1)
     if points.shape[0] < m:
         raise ValueError(f"need at least {m} points to fit {m} components")
     best = None

@@ -31,14 +31,14 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .datasets import SampleRecord
 from .em import em_fit, ise
-from .mixture import DynamicGaussianMixture, _final_count, _Uniforms, check_rows
+from .mixture import (DynamicGaussianMixture, _final_count, _Uniforms, check_batch, check_count,
+                      check_integer, check_k)
 from .motion import MotionModel, Standardizer, TerrainSupportError
 
 #: Held-out log densities are floored here, so a record far from every
@@ -77,7 +77,10 @@ class EvalReport:
         return doc
 
     def to_json(self, invocation: dict | None = None) -> str:
-        return json.dumps(self.to_dict(invocation), indent=1) + "\n"
+        """Strict JSON (RFC 8259): a non-finite float is written as its repr
+        string, "inf", "-inf" or "nan", as to_tsv writes it and float()
+        reads it back, so no bare Infinity or NaN can reach the text."""
+        return json.dumps(_finite_json(self.to_dict(invocation)), indent=1, allow_nan=False) + "\n"
 
     def to_tsv(self, invocation: dict | None = None) -> str:
         """One row per run; floats rendered with exact round-trip repr."""
@@ -93,6 +96,16 @@ class EvalReport:
         for run in self.runs:
             lines.append("\t".join(_cell(run.get(c)) for c in cols))
         return "\n".join(lines) + "\n"
+
+
+def _finite_json(v):
+    """v with every non-finite float, in any list or dict value, replaced
+    by its repr string."""
+    if isinstance(v, dict):
+        return {key: _finite_json(x) for key, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite_json(x) for x in v]
+    return repr(float(v)) if isinstance(v, float) and not math.isfinite(v) else v
 
 
 def _cell(v) -> str:
@@ -191,37 +204,6 @@ def _fit(vectors: np.ndarray, commands: list, z_dim: int, k: float,
 # -- experiments --------------------------------------------------------------
 
 
-def _check_k(k: float) -> None:
-    """add_sample's check of k, made before an experiment does any work."""
-    if not k >= 0:
-        raise ValueError("k must be non-negative")
-
-
-def _check_integer(value: int, name: str) -> None:
-    """ValueError unless value is an integer (Python or numpy)."""
-    if not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer")
-
-
-def _check_count(value: int, name: str, low: int) -> None:
-    """A run count's check, made before an experiment does any work: an
-    integer (Python or numpy) of at least low."""
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}")
-    _check_integer(value, name)
-
-
-def _checked_points(points) -> np.ndarray:
-    """The points as rows (N, D), 1-D points as one column (as em_fit reads
-    them), with every coordinate checked: NaN, infinite and overflowing
-    ones raise add_sample's ValueError, naming the point."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
-    check_rows(points, "point {row}: sample")
-    return points
-
-
 def _streams(points: np.ndarray, plan: list[tuple[float, int]], target_m: float):
     """The online mixtures of a plan's streams, one per (k, seed) pair, in
     plan order, each built only when the caller asks for the next: a fresh
@@ -267,13 +249,13 @@ def k_sweep(points, k_grid, repeats: int, rng: np.random.Generator) -> EvalRepor
     if not k_grid:
         raise ValueError("k_grid must be non-empty")
     for k in k_grid:
-        _check_k(k)
+        check_k(k)
     if any(b <= a for a, b in zip(k_grid, k_grid[1:])):
         raise ValueError("k_grid must be strictly ascending")
-    _check_count(repeats, "repeats", 1)
+    repeats = check_count(repeats, "repeats", 1)
     # a stream may stop before its last point, so every point is checked
     # before any is streamed
-    points = _checked_points(points)
+    points = check_batch(points, "point {row}: sample")
     seeds = _spawn_seeds(rng, len(k_grid) * repeats)
     plan = list(zip([k for k in k_grid for _ in range(repeats)], seeds))
     runs = [{"k": k, "repeat": i % repeats, "seed": seed, "components": len(model)}
@@ -315,11 +297,11 @@ def mise_experiment(points, k: float, target_m: int, needed: int,
     checked before the EM fit.  1-D points are one column, as in k_sweep
     and em_fit.
     """
-    _check_k(k)
-    _check_integer(target_m, "target_m")
-    _check_count(needed, "needed", 1)
-    _check_count(max_attempts, "max_attempts", 0)
-    points = _checked_points(points)
+    check_k(k)
+    target_m = check_integer(target_m, "target_m")
+    needed = check_count(needed, "needed", 1)
+    max_attempts = check_count(max_attempts, "max_attempts", 0)
+    points = check_batch(points, "point {row}: sample")
     em_ref = em_fit(points, target_m, rng=rng)
     em_steps = np.diff(em_ref.loglik_path)
     plan = [(k, seed) for seed in _spawn_seeds(rng, max_attempts)]
@@ -403,9 +385,9 @@ def terrain_comparison(s1: list[SampleRecord], folds: int, repeats: int, k: floa
     """
     if not s1 or any(r.z is None for r in s1):
         raise ValueError("terrain comparison needs records with terrain vectors")
-    _check_integer(folds, "folds")
-    _check_k(k)
-    _check_count(repeats, "repeats", 1)
+    folds = check_integer(folds, "folds")
+    check_k(k)
+    repeats = check_count(repeats, "repeats", 1)
     # built once: every fold trains on rows of these
     with_z = _record_vectors(s1, True)
     without_z = np.ascontiguousarray(with_z[:, :6])

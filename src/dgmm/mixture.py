@@ -124,6 +124,11 @@ a motion model, say) shares them.  Reads
 (density, log_density, normalized_density, select_component, components)
 never mutate a mixture; only add_sample writes.
 
+The input checks that more than one module makes live here, each once:
+`check_coordinates` and `check_rows` (coordinates), `check_batch` (a point
+batch, 1-D points as one column), `check_integer` and `check_count` (counts
+and dimensions, integers checked before their range) and `check_k`.
+
 add_sample's only call on its generator is random(), so the experiments
 (dgmm.evaluation) pass it a `_Uniforms`, which serves the same values
 from blocks drawn by rng.random(n), one numpy call per block instead of
@@ -148,6 +153,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import numbers
 
 import numpy as np
 
@@ -244,6 +250,37 @@ def check_rows(points: np.ndarray, what: str) -> None:
     if bad.any():
         row = int(np.argwhere(bad)[0, 0])
         check_coordinates(np.atleast_1d(points[row]), what.format(row=row))
+
+
+def check_batch(points, what: str) -> np.ndarray:
+    """The points as a float array of rows (N, D), 1-D points as one
+    column, checked by check_rows(points, what)."""
+    points = np.asarray(points, dtype=float)
+    points = points[:, None] if points.ndim == 1 else points
+    check_rows(points, what)
+    return points
+
+
+def check_integer(value, name: str) -> int:
+    """value as an int, or ValueError unless it is an integer (Python or
+    numpy): a float, even an integral one, or a string is not."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer")
+    return int(value)
+
+
+def check_count(value, name: str, low: int) -> int:
+    """value as an int: check_integer, then ValueError if it is below low."""
+    if check_integer(value, name) < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return int(value)
+
+
+def check_k(k: float) -> None:
+    """ValueError unless the merge likelihood constant k is at least 0
+    (NaN is not)."""
+    if not k >= 0:
+        raise ValueError("k must be non-negative")
 
 
 def logsumexp(a: np.ndarray) -> np.ndarray:
@@ -522,7 +559,7 @@ class MixtureCore:
         to 0.  A column whose every entry is -inf is shifted by the lowest
         float instead, so its sum is 0, not NaN.  Only the joint column can
         sum to 0 (the marginal column sums no term, or has passed
-        MotionModel._terrain's support test), and then the ratio is -inf,
+        MotionModel._query's support test), and then the ratio is -inf,
         returned without taking log(0) and its warning."""
         top = np.maximum.reduce(s, initial=_LOWEST)
         sums = self._w @ np.exp(s - top)
@@ -615,9 +652,7 @@ class DynamicGaussianMixture(MixtureCore):
     def __init__(self, dim: int):
         """An empty mixture over dim dimensions; _from_arrays builds one
         from moment arrays."""
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        d = int(dim)
+        d = check_count(dim, "dim", 1)
         self._adopt(np.empty(0), np.empty((0, d)), np.empty((0, d, d)), [])
 
     @classmethod
@@ -820,8 +855,7 @@ class DynamicGaussianMixture(MixtureCore):
         from it; bounds on d settle most draws before d is built
         (_merges).
         """
-        if not k >= 0:
-            raise ValueError("k must be non-negative")
+        check_k(k)
         if not 0.0 < new_cov_scale < math.inf:
             raise ValueError(f"new_cov_scale must be positive and finite, got {new_cov_scale!r}")
         if self._light is not None:

@@ -46,8 +46,10 @@ from .mixture import (
     DynamicGaussianMixture,
     MixtureCore,
     _Uniforms,
+    check_batch,
     check_coordinates,
-    check_rows,
+    check_count,
+    check_k,
 )
 
 MODEL_FORMAT = "dgmm-motion-model/1"
@@ -161,6 +163,17 @@ class TerrainVector:
         return np.array([self.pitch, self.roll])
 
 
+def _query_vector(v, dim: int, name: str, what: str) -> np.ndarray:
+    """A query's pose delta or terrain vector, in original units: a
+    ValueError unless it has dim entries ("<name> has dimension n,
+    expected dim"), then check_coordinates(v, what)."""
+    v = (v.as_vector() if isinstance(v, (DeltaPose, TerrainVector))
+         else np.asarray(v, dtype=float).reshape(-1))
+    if v.shape[0] != dim:
+        raise ValueError(f"{name} has dimension {v.shape[0]}, expected {dim}")
+    return check_coordinates(v, what)
+
+
 def pose_delta(prev: Pose, curr: Pose) -> DeltaPose:
     """Componentwise pose difference with angle wrap-around."""
     return DeltaPose(
@@ -196,14 +209,13 @@ class Standardizer:
 
     @classmethod
     def fit(cls, points: np.ndarray) -> "Standardizer":
-        """Offset and scale of the points (N, D): their mean and standard
-        deviation.  A coordinate the mixture rejects (NaN, infinite, or with
-        a square that overflows float64) raises add_sample's ValueError,
-        and so does a column spread too widely to standardize, whose
-        squared deviations overflow: its scale would be inf and the column
-        would standardize to 0."""
-        points = np.asarray(points, dtype=float)
-        check_rows(points, "sample")
+        """Offset and scale of the points (N, D), 1-D points as one column:
+        their mean and standard deviation.  A coordinate the mixture
+        rejects (NaN, infinite, or with a square that overflows float64)
+        raises add_sample's ValueError, and so does a column spread too
+        widely to standardize, whose squared deviations overflow: its scale
+        would be inf and the column would standardize to 0."""
+        points = check_batch(points, "sample")
         offset = points.mean(axis=0)
         with np.errstate(over="ignore"):
             scale = points.std(axis=0)
@@ -236,22 +248,19 @@ class MotionModel:
     def __init__(self, k: float, x_dim: int = 6, z_dim: int = 0,
                  standardizer: Standardizer | None = None,
                  creation_cov_scale: float = 1.0):
-        if x_dim < 1 or z_dim < 0:
-            raise ValueError("x_dim must be >= 1 and z_dim >= 0")
-        if standardizer is not None and standardizer.offset.shape[0] != x_dim + z_dim:
+        self.x_dim = check_count(x_dim, "x_dim", 1)
+        self.z_dim = check_count(z_dim, "z_dim", 0)
+        if standardizer is not None and standardizer.offset.shape[0] != self.dim:
             raise ValueError("standardizer length must equal x_dim + z_dim")
         if not 0.0 < creation_cov_scale < math.inf:
             raise ValueError(f"creation_cov_scale must be positive and finite, got {creation_cov_scale!r}")
-        if not k >= 0:
-            raise ValueError("k must be non-negative")
+        check_k(k)
         self.k = float(k)
-        self.x_dim = int(x_dim)
-        self.z_dim = int(z_dim)
         self.standardizer = standardizer
         # without a standardizer the map is the identity (offset 0, scale
         # 1), which changes no bit
         std = self._std = standardizer or Standardizer(np.zeros(self.dim), np.ones(self.dim))
-        self._x_log_jacobian = Standardizer(std.offset[:x_dim], std.scale[:x_dim]).log_jacobian()
+        self._x_log_jacobian = Standardizer(std.offset[:self.x_dim], std.scale[:self.x_dim]).log_jacobian()
         self.creation_cov_scale = float(creation_cov_scale)
         self.models: dict[CommandKey, DynamicGaussianMixture] = {}
 
@@ -277,10 +286,9 @@ class MotionModel:
     def _check_terrain_given(self, z) -> None:
         """ValueError unless a terrain vector is given exactly when the
         model has a terrain block."""
-        if self.augmented and z is None:
-            raise ValueError("model is terrain-augmented; a terrain vector is required")
-        if not self.augmented and z is not None:
-            raise ValueError("model has no terrain block; got a terrain vector")
+        if (z is None) == self.augmented:
+            raise ValueError("model is terrain-augmented; a terrain vector is required" if z is None
+                             else "model has no terrain block; got a terrain vector")
 
     def _training_vector(self, x: DeltaPose, z: TerrainVector | None) -> np.ndarray:
         self._check_terrain_given(z)
@@ -342,48 +350,44 @@ class MotionModel:
 
     # -- queries -------------------------------------------------------------
 
-    def _query_x(self, x) -> np.ndarray:
-        """The pose delta of a query, checked, in original units."""
-        v = x.as_vector() if isinstance(x, DeltaPose) else np.asarray(x, dtype=float).reshape(-1)
-        if v.shape[0] != self.x_dim:
-            raise ValueError(f"query has dimension {v.shape[0]}, expected {self.x_dim}")
-        return check_coordinates(v, "query")
-
     def motion_density(self, c: CommandKey, x) -> float:
         """p(x | c) for an un-augmented model, in original sample units:
         exp of log_density, which raises ValueError for a terrain model."""
         return math.exp(self.log_density(c, x))
 
-    def _terrain(self, c: CommandKey, z, x=None):
-        """(joint mixture of c, y, s) for a conditioned query, in the
-        model's internal space: the one whitening y_i = V_i (x || z - mean_i)
-        (m, D), and s (m, 2), log N(x || z; component i) in column 0 and
-        log N(z; marginal_i) in column 1 (MixtureCore._split_log_density).
-        Without x the pose block is zero; y[:, x_dim:] and column 1 are the
-        same for any finite pose block, so every conditioned query decides
-        support from the same numbers.
+    def _query(self, c: CommandKey, z, x=None):
+        """(mixture of c, y, s) for a query, the one routine of both model
+        kinds, in the model's internal space: the one whitening
+        y_i = V_i (u - mean_i) (m, D) of u = x || z, or of x alone without
+        terrain, and s (m, 2), log N(u; component i) in column 0 and
+        log N(z; marginal_i) in column 1 (MixtureCore._split_log_density),
+        which covers no coordinate without terrain.  Without x the pose
+        block is zero; y[:, x_dim:] and column 1 are the same for any
+        finite pose block, so every conditioned query decides support from
+        the same numbers.
 
-        A NaN, infinite or overflowing terrain coordinate, then query
-        coordinate, raises ValueError naming it.  Where every w_i N(z;
+        z is required exactly when the model has a terrain block: a
+        missing or superfluous one raises ValueError, and an unknown
+        command then raises KeyError, before any vector is read.  A NaN,
+        infinite or overflowing terrain coordinate, then query coordinate,
+        raises ValueError naming it.  With terrain, where every w_i N(z;
         marginal_i) underflows to 0, that is where their sum, one dot
         product, is 0 -- exactly where the conditioned mixture would be
-        empty -- raises TerrainSupportError."""
-        if not self.augmented:
-            raise ValueError("model has no terrain block")
+        empty -- raises TerrainSupportError.  A terrain-free query skips
+        the concatenation and that test."""
         self._check_terrain_given(z)
-        joint = self.mixture_for(c)
-        zv = z.as_vector() if isinstance(z, TerrainVector) else np.asarray(z, dtype=float).reshape(-1)
-        if zv.shape[0] != self.z_dim:
-            raise ValueError(f"terrain vector has dimension {zv.shape[0]}, expected {self.z_dim}")
-        check_coordinates(zv, "terrain")
-        xv = np.zeros(self.x_dim) if x is None else self._query_x(x)
-        y, s = joint._split_log_density(self._std.transform(np.concatenate([xv, zv])), self.x_dim)
+        mix = self.mixture_for(c)
+        zv = None if z is None else _query_vector(z, self.z_dim, "terrain vector", "terrain")
+        u = np.zeros(self.x_dim) if x is None else _query_vector(x, self.x_dim, "query", "query")
+        if zv is not None:
+            u = np.concatenate([u, zv])
+        y, s = mix._split_log_density(self._std.transform(u), self.x_dim)
         # the weights w_i N(z; marginal_i) that _conditional gives the components
-        if not joint._w @ np.exp(s[:, 1]) > 0.0:
+        if zv is not None and not mix._w @ np.exp(s[:, 1]) > 0.0:
             raise TerrainSupportError(
                 f"terrain {np.array2string(zv, precision=4)} is far outside the training support"
             )
-        return joint, y, s
+        return mix, y, s
 
     def conditional_motion_density(self, c: CommandKey, z: TerrainVector) -> MixtureCore:
         """Mixture over the pose-delta block representing p(x | c, z).
@@ -394,10 +398,13 @@ class MotionModel:
         All components are conditioned in one batched pass
         (MixtureCore._conditional).  Lives in the model's internal
         (possibly standardized) space; use conditional_density for values
-        in original units.  A NaN, infinite or overflowing terrain
-        coordinate raises ValueError naming it.
+        in original units.  A model without terrain raises ValueError
+        ("model has no terrain block"), and a NaN, infinite or overflowing
+        terrain coordinate raises ValueError naming it.
         """
-        joint, y, s = self._terrain(c, z)
+        if not self.augmented:
+            raise ValueError("model has no terrain block")
+        joint, y, s = self._query(c, z)
         return joint._conditional(self.x_dim, y, s)
 
     def conditional_density(self, c: CommandKey, x, z: TerrainVector) -> float:
@@ -417,22 +424,23 @@ class MotionModel:
         (MixtureCore._log_ratio), so no sum overflows or underflows to 0.
         Without terrain the same kernel has an empty column 1, whose sum is
         the total weight, so it is one path for both, and the one
-        MixtureCore.log_density takes for one point.  It shares _terrain with
-        conditional_motion_density, so it raises TerrainSupportError
-        exactly where that does; a bad x is reported before an unsupported
-        z.  z is required exactly when the model has a terrain block: a
-        missing or superfluous one raises ValueError."""
-        if self.augmented:
-            joint, _, s = self._terrain(c, z, x)
-        else:
-            self._check_terrain_given(z)
-            joint = self.mixture_for(c)
-            _, s = joint._split_log_density(self._std.transform(self._query_x(x)), self.x_dim)
-        return joint._log_ratio(s) + self._x_log_jacobian
+        MixtureCore.log_density takes for one point.  Both kinds of model
+        take the one query routine, _query, which conditional_motion_density
+        shares, so it raises TerrainSupportError exactly where that does; a
+        bad x is reported before an unsupported z.  z is required exactly
+        when the model has a terrain block: a missing or superfluous one
+        raises ValueError."""
+        mix, _, s = self._query(c, z, x)
+        return mix._log_ratio(s) + self._x_log_jacobian
 
     # -- persistence -----------------------------------------------------------
 
     def to_dict(self, invocation: dict | None = None) -> dict:
+        """The model file's document.  A model file holds finite numbers
+        only, so a model whose k is not finite (k = inf is valid in memory)
+        raises ValueError naming k, as from_dict would reject its file."""
+        if not math.isfinite(self.k):
+            raise ValueError(f"k = {self.k!r} cannot be written to a model file: it must be finite")
         default_creation = self.creation_cov_scale * np.eye(self.dim)
         doc = {
             "format": MODEL_FORMAT,
@@ -456,8 +464,11 @@ class MotionModel:
         return doc
 
     def save(self, path, invocation: dict | None = None) -> None:
+        """Write the model file; the document is built first, so a model
+        to_dict rejects leaves no file."""
+        doc = self.to_dict(invocation)
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(invocation), f, indent=1)
+            json.dump(doc, f, indent=1)
             f.write("\n")
 
     @classmethod

@@ -153,6 +153,15 @@ def test_query_integer_beyond_float_range_exits_2(tmp_path, incline_csv, capsys)
             in capsys.readouterr().err)
 
 
+def test_fit_with_infinite_k_exits_2_and_writes_no_file(tmp_path, incline_csv, capsys):
+    # the model file could not be loaded back ("k": Infinity is not JSON)
+    model_path = tmp_path / "model.json"
+    assert run(["fit", "--input", str(incline_csv), "--k", "inf", "--seed", "1",
+                "--out", str(model_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: k = inf cannot be written to a model file")
+    assert not model_path.exists()
+
+
 def test_fit_missing_input_exits_2(tmp_path, capsys):
     code = run(["fit", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "m.json")])
     assert code == 2

@@ -134,6 +134,21 @@ class TestSampleGmm:
         out = sample_gmm(gmm, 0, np.random.default_rng(1))
         assert out.shape == (0, 2)
 
+    @pytest.mark.parametrize("n, message", [
+        (2.5, "^n must be an integer$"),
+        (2.0, "^n must be an integer$"),
+        ("2", "^n must be an integer$"),
+        (None, "^n must be an integer$"),
+        (-1, "^n must be >= 0$"),
+    ])
+    def test_bad_count_rejected_before_any_draw(self, n, message):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            sample_gmm(three_component_benchmark(), n, rng)
+        assert rng.bit_generator.state == state
+        assert sample_gmm(three_component_benchmark(), np.int64(3), rng).shape == (3, 2)
+
     def test_single_component_mean_within_clt_bound(self):
         g = FixedGaussianMixture([1.0], [[2.0, -1.0]], [0.5 * np.eye(2)])
         n = 100_000
@@ -225,6 +240,8 @@ class TestSimulateIncline:
         ("noise_scale", math.nan, "noise_scale must be finite and >= 0"),
         ("reps_per_orientation", 2.5, "reps_per_orientation must be an integer"),
         ("reps_per_orientation", 2.0, "reps_per_orientation must be an integer"),
+        ("reps_per_orientation", "2", "reps_per_orientation must be an integer"),
+        ("reps_per_orientation", None, "reps_per_orientation must be an integer"),
     ])
     def test_non_finite_or_non_integer_parameters_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

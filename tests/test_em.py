@@ -161,7 +161,7 @@ class TestEmFit:
         with pytest.raises(ValueError):
             em_fit(np.zeros((3, 2)), 5, rng=np.random.default_rng(4))
 
-    @pytest.mark.parametrize("m", [2.5, 2.0, "2"])
+    @pytest.mark.parametrize("m", [2.5, 2.0, "2", None])
     def test_non_integral_m_rejected_before_any_draw(self, m):
         pts = np.random.default_rng(5).standard_normal((20, 2))
         rng = np.random.default_rng(6)

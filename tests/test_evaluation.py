@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -17,6 +18,7 @@ from dgmm.datasets import (
 )
 from dgmm.evaluation import (
     LOG_FLOOR,
+    EvalReport,
     fit_motion_model,
     k_sweep,
     mise_experiment,
@@ -594,7 +596,7 @@ class TestArgumentsCheckedFirst:
         self.raises_untouched(lambda rng: terrain_comparison(records, 2, repeats, 0.3, rng),
                               "^repeats must be >= 1$")
 
-    @pytest.mark.parametrize("repeats", [1.5, 2.5, math.nan, 2.0])
+    @pytest.mark.parametrize("repeats", [1.5, 2.5, math.nan, 2.0, "2", None])
     def test_repeats_not_an_integer(self, repeats, no_work):
         pts = np.random.default_rng(40).standard_normal((30, 2))
         records = simulate_incline(InclineConfig(reps_per_orientation=2))
@@ -609,6 +611,10 @@ class TestArgumentsCheckedFirst:
         (1, -1, "^max_attempts must be >= 0$"),
         (1, 2.5, "^max_attempts must be an integer$"),
         (1, math.nan, "^max_attempts must be an integer$"),
+        ("3", 3, "^needed must be an integer$"),
+        (None, 3, "^needed must be an integer$"),
+        (1, "2", "^max_attempts must be an integer$"),
+        (1, None, "^max_attempts must be an integer$"),
     ])
     def test_mise_experiment_bad_counts(self, needed, max_attempts, pattern, no_work):
         pts = load_old_faithful(standardize=True)[0]
@@ -616,7 +622,7 @@ class TestArgumentsCheckedFirst:
             lambda rng: mise_experiment(pts, 0.5, 2, needed=needed, max_attempts=max_attempts,
                                         rng=rng), pattern)
 
-    @pytest.mark.parametrize("count", [1.5, 2.5, math.nan, 2.0])
+    @pytest.mark.parametrize("count", [1.5, 2.5, math.nan, 2.0, "2", None])
     def test_folds_and_target_m_not_an_integer(self, count, no_work):
         records = simulate_incline(InclineConfig(reps_per_orientation=2))
         pts = load_old_faithful(standardize=True)[0]
@@ -639,3 +645,46 @@ class TestArgumentsCheckedFirst:
                 lambda rng: mise_experiment(pts, 0.5, count, needed=1, max_attempts=5, rng=rng),
                 "^m must be >= 1$")
         assert calls[0] == 0
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestStrictJsonReports:
+    """Reports are strict JSON: a non-finite float is written as its repr
+    string, the cell to_tsv writes, and a report of finite numbers is
+    json.dumps of its document, as before."""
+
+    def test_k_sweep_with_infinite_k(self):
+        pts = np.random.default_rng(41).standard_normal((40, 2))
+        report = k_sweep(pts, [0.05, 1000.0, math.inf], 2, np.random.default_rng(42))
+        doc = json.loads(report.to_json(), parse_constant=_reject_constant)
+        assert doc["config"]["k_grid"] == [0.05, 1000.0, "inf"]
+        assert [p["k"] for p in doc["summary"]["per_k"]] == [0.05, 1000.0, "inf"]
+        assert [r["k"] for r in doc["runs"]][-2:] == ["inf", "inf"]
+        # float() reads each back, and the table holds the same cells
+        assert [float(r["k"]) for r in doc["runs"]] == [r["k"] for r in report.runs]
+        rows = [line.split("\t") for line in report.to_tsv().splitlines()[1:]]
+        assert [row[0] for row in rows] == [str(r["k"]) for r in doc["runs"]]
+
+    def test_terrain_comparison_report(self):
+        records = simulate_incline(InclineConfig(reps_per_orientation=2))
+        report = terrain_comparison(records, 2, 1, math.inf, np.random.default_rng(43))
+        doc = json.loads(report.to_json(), parse_constant=_reject_constant)
+        assert doc["config"]["k"] == "inf"
+        assert doc["summary"]["gap"] == report.summary["gap"]
+
+    def test_every_non_finite_float_is_its_repr(self):
+        report = EvalReport("r", {"a": math.nan, "b": (-math.inf, 1.5)}, [{"v": np.float64(math.inf)}],
+                            {"gap_over_se": math.inf, "n": 2, "ok": True, "none": None})
+        doc = json.loads(report.to_json({"seed": 1}), parse_constant=_reject_constant)
+        assert doc["config"] == {"a": "nan", "b": ["-inf", 1.5]}
+        assert doc["runs"] == [{"v": "inf"}]
+        assert doc["summary"] == {"gap_over_se": "inf", "n": 2, "ok": True, "none": None}
+        assert doc["invocation"] == {"seed": 1}
+
+    def test_finite_report_keeps_its_bytes(self):
+        pts = np.random.default_rng(44).standard_normal((40, 2))
+        report = k_sweep(pts, [0.05, 0.3], 2, np.random.default_rng(45))
+        assert report.to_json({"argv": ["x"]}) == json.dumps(report.to_dict({"argv": ["x"]}), indent=1) + "\n"

@@ -62,6 +62,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="dim must be >= 1"):
             DynamicGaussianMixture(0)
 
+    @pytest.mark.parametrize("dim", [2.5, 2.0, "2", None])
+    def test_dimension_not_an_integer(self, dim):
+        with pytest.raises(ValueError, match="^dim must be an integer$"):
+            DynamicGaussianMixture(dim)
+        assert DynamicGaussianMixture(np.int64(2)).dim == 2
+
     def test_reference_layer_is_not_exported(self):
         names = ("Gaussian", "IndexSplit", "ensure_positive_definite", "regularize",
                  "WeightedGaussian", "merge_into", "Grid", "integrate_on_grid", "mise")

@@ -283,6 +283,13 @@ class TestQueryValidation:
         with pytest.raises(ValueError, match="^model has no terrain block; got a terrain vector$"):
             plain.log_density(FWD, np.zeros(6), TerrainVector(0.1, 0.0))
 
+    @pytest.mark.parametrize("z", [TerrainVector(0.1, 0.0), np.zeros(2), None])
+    def test_terrain_free_model_has_no_conditional(self, z):
+        plain = MotionModel(k=0.5)
+        plain.record_sample(FWD, DeltaPose(0.1, 0, 0, 0, 0, 0), None, np.random.default_rng(47))
+        with pytest.raises(ValueError, match="^model has no terrain block$"):
+            plain.conditional_motion_density(FWD, z)
+
     @pytest.mark.parametrize("call", [
         lambda mm: mm.log_density(FWD, np.zeros(6)),
         lambda mm: mm.conditional_density(FWD, np.zeros(6), None),
@@ -1006,6 +1013,38 @@ class TestPersistence:
     def test_bad_creation_cov_scale_rejected(self, scale):
         with pytest.raises(ValueError, match="creation_cov_scale must be positive and finite"):
             MotionModel(k=0.3, creation_cov_scale=scale)
+
+    @pytest.mark.parametrize("dims, message", [
+        ({"x_dim": 6.7, "z_dim": 2}, "^x_dim must be an integer$"),
+        ({"x_dim": 6.0}, "^x_dim must be an integer$"),
+        ({"x_dim": "6"}, "^x_dim must be an integer$"),
+        ({"x_dim": None}, "^x_dim must be an integer$"),
+        ({"z_dim": 2.5}, "^z_dim must be an integer$"),
+        ({"z_dim": "2"}, "^z_dim must be an integer$"),
+        ({"x_dim": 0}, "^x_dim must be >= 1$"),
+        ({"z_dim": -1}, "^z_dim must be >= 0$"),
+    ])
+    def test_bad_dimensions_rejected(self, dims, message):
+        with pytest.raises(ValueError, match=message):
+            MotionModel(0.3, **dims)
+        mm = MotionModel(0.3, x_dim=np.int64(6), z_dim=np.int64(2))
+        assert (mm.x_dim, mm.z_dim) == (6, 2) and type(mm.x_dim) is int
+
+    def test_infinite_k_trains_and_queries_but_writes_no_file(self, tmp_path):
+        # a model file holds finite numbers only, so the writer refuses what
+        # from_dict would refuse, before the file is opened
+        mm = MotionModel(k=math.inf)
+        rng = np.random.default_rng(46)
+        for _ in range(3):
+            mm.record_sample(FWD, DeltaPose(*rng.standard_normal(6)), None, rng)
+        assert len(mm.mixture_for(FWD)) == 1
+        assert math.isfinite(mm.log_density(FWD, np.zeros(6)))
+        with pytest.raises(ValueError, match="^k = inf cannot be written to a model file"):
+            mm.to_dict()
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError, match="^k = inf cannot be written to a model file"):
+            mm.save(path)
+        assert not path.exists()
 
     def test_persistence_builds_no_component_objects(self, monkeypatch):
         records = simulate_incline(InclineConfig(reps_per_orientation=1))
