@@ -9,7 +9,8 @@ Three kinds of input feed the library and its experiment harness:
   robot on a slope: every non-trivial command from the 3x3x3 discretized
   command cube is issued several times at several starting orientations,
   with a gravity-aligned drift that couples the pose delta to the measured
-  terrain attitude.
+  terrain attitude.  The run is array code: one block of normals, one
+  row per record, and no per-record draw.
 """
 
 from __future__ import annotations
@@ -240,7 +241,10 @@ class InclineConfig:
             raise ValueError("drift_gain must be finite")
         if not 0.0 <= self.noise_scale < math.inf:
             raise ValueError("noise_scale must be finite and >= 0")
-        object.__setattr__(self, "orientations_deg", tuple(float(o) for o in self.orientations_deg))
+        orientations = tuple(float(o) for o in self.orientations_deg)
+        if not (orientations and all(map(math.isfinite, orientations))):
+            raise ValueError("orientations_deg must be a non-empty sequence of finite angles")
+        object.__setattr__(self, "orientations_deg", orientations)
 
 
 def simulate_incline(cfg: InclineConfig) -> list[SampleRecord]:
@@ -254,46 +258,43 @@ def simulate_incline(cfg: InclineConfig) -> list[SampleRecord]:
     At zero slope the terrain vector is exactly zero and the drift
     vanishes, so the terrain block carries no information.
 
+    Records run command by command (command_set's order), then
+    orientation, then rep.  Their noise is one (N, 8) block of standard
+    normals from default_rng(seed), row i record i's: pitch, roll, three
+    position and three attitude values, the order a record-by-record
+    loop draws them in.
+
     A noise_scale or drift_gain so large that a record would hold a NaN,
     infinite or overflowing coordinate (one that no model accepts, see
     mixture.check_rows) raises ValueError naming that parameter
     (_check_incline_rows), and no record is returned.
     """
-    rng = np.random.default_rng(cfg.seed)
+    commands = command_set()
     slope = math.radians(cfg.slope_deg)
-    z_noise = cfg.noise_scale * slope
-    raw = []
+    # nominal displacement per command and attitude per orientation, from
+    # math's sin and cos: numpy's can differ in the last bit, and a seeded
+    # run keeps its records
+    nominal = np.array([(FORWARD_GAIN * c.long, LATERAL_GAIN * c.lat, 0.0, 0.0, 0.0, TURN_GAIN * c.turn)
+                        for c in commands])
+    attitude = np.array([(-slope * math.sin(t), slope * math.cos(t))
+                         for t in map(math.radians, cfg.orientations_deg)])
+    per_command = len(attitude) * cfg.reps_per_orientation
+    normals = np.random.default_rng(cfg.seed).standard_normal((len(commands) * per_command, 8))
+    x = np.repeat(nominal, per_command, axis=0)
+    z = np.tile(np.repeat(attitude, cfg.reps_per_orientation, axis=0), (len(commands), 1))
     # a huge noise_scale or drift_gain overflows here; the rows are checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        for command in command_set():
-            nominal = np.array([
-                FORWARD_GAIN * command.long,
-                LATERAL_GAIN * command.lat,
-                0.0,
-                0.0,
-                0.0,
-                TURN_GAIN * command.turn,
-            ])
-            for theta_deg in cfg.orientations_deg:
-                theta = math.radians(theta_deg)
-                pitch_nom = -slope * math.sin(theta)
-                roll_nom = slope * math.cos(theta)
-                for _ in range(cfg.reps_per_orientation):
-                    pitch = pitch_nom + z_noise * rng.standard_normal()
-                    roll = roll_nom + z_noise * rng.standard_normal()
-                    x = nominal.copy()
-                    # gravity drift projected into the robot frame: nose-down
-                    # slides forward, right-side-down slides right
-                    x[0] += cfg.drift_gain * (-pitch)
-                    x[1] += cfg.drift_gain * roll
-                    x[:3] += cfg.noise_scale * rng.standard_normal(3)
-                    x[3:] += 0.5 * cfg.noise_scale * rng.standard_normal(3)
-                    raw.append((command, x, pitch, roll))
-    _check_incline_rows(np.concatenate([np.array([x for _, x, _, _ in raw]),
-                                        np.array([(pitch, roll) for _, _, pitch, roll in raw])],
-                                       axis=1), cfg)
-    return [SampleRecord(command, TerrainVector(pitch, roll), DeltaPose(*x))
-            for command, x, pitch, roll in raw]
+        z += cfg.noise_scale * slope * normals[:, :2]
+        # gravity drift projected into the robot frame: nose-down slides
+        # forward, right-side-down slides right
+        x[:, 0] += cfg.drift_gain * -z[:, 0]
+        x[:, 1] += cfg.drift_gain * z[:, 1]
+        x[:, :3] += cfg.noise_scale * normals[:, 2:5]
+        x[:, 3:] += 0.5 * cfg.noise_scale * normals[:, 5:]
+    rows = np.concatenate([x, z], 1)
+    _check_incline_rows(rows, cfg)
+    return [SampleRecord(commands[i // per_command], TerrainVector(*row[6:]), DeltaPose(*row[:6]))
+            for i, row in enumerate(rows.tolist())]
 
 
 def _check_incline_rows(rows: np.ndarray, cfg: InclineConfig) -> None:

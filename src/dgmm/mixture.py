@@ -116,11 +116,12 @@ normalizer read off _chol_inv).  add_sample keeps this in
 O(m D^2): a merge into component i updates i in place and re-factors only
 i; an append grows every array by one, and factors nothing unless its
 creation covariance differs from the last one appended by any mixture in
-the process.  A fresh component's evaluation covariance and factor depend
-on its creation covariance alone, so one module-level entry, `_fresh`,
-keeps them with a read-only copy of that covariance, and every mixture
-built with the same creation covariance (the many per-command mixtures of
-a motion model, say) shares them.  Reads
+the process.  A fresh component's evaluation covariance is its creation
+covariance (the blend at w = 1), and its factor depends on that alone, so
+one module-level entry, `_fresh`, keeps a read-only copy of that
+covariance with its factor, and every mixture built with the same
+creation covariance (the many per-command mixtures of a motion model,
+say) shares them.  Reads
 (density, log_density, normalized_density, select_component, components)
 never mutate a mixture; only add_sample writes.
 
@@ -210,12 +211,12 @@ except ImportError:
     def _unquiet(context):
         context.__exit__(None, None, None)
 
-# ((D, scale), read-only copies of the creation covariance scale * I, its
-# fresh component's evaluation covariance and inverse factor) for the last
-# creation covariance appended by any mixture, or None: see
-# DynamicGaussianMixture._append.  The entry is replaced whole, never
-# written in place.
-_fresh: tuple[tuple[int, float], np.ndarray, np.ndarray, np.ndarray] | None = None
+# ((D, scale), read-only copies of the creation covariance scale * I, which
+# is also its fresh component's evaluation covariance, and of its inverse
+# factor) for the last creation covariance appended by any mixture, or
+# None: see DynamicGaussianMixture._append.  The entry is replaced whole,
+# never written in place.
+_fresh: tuple[tuple[int, float], np.ndarray, np.ndarray] | None = None
 
 # the shift that _log_ratio gives a column whose every entry is -inf
 _LOWEST = float(np.finfo(float).min)
@@ -277,8 +278,12 @@ def check_count(value, name: str, low: int) -> int:
 
 
 def check_k(k: float) -> None:
-    """ValueError unless the merge likelihood constant k is at least 0
-    (NaN is not)."""
+    """ValueError unless the merge likelihood constant k is a real number
+    (Python or numpy; a string is not) of at least 0 (NaN is not)."""
+    # float first: a float (numpy's too) skips the slower abstract check,
+    # and add_sample makes this check on every sample
+    if not isinstance(k, (float, numbers.Real)):
+        raise ValueError("k must be a real number")
     if not k >= 0:
         raise ValueError("k must be non-negative")
 
@@ -679,14 +684,15 @@ class DynamicGaussianMixture(MixtureCore):
         eval_cov = cov.copy()
         blended = np.flatnonzero((w >= 1.0) & np.array([c is not None for c in creation], dtype=bool))
         # whether every covariance and creation covariance is exactly
-        # symmetric, and so every blend a merge forms (see _merge)
+        # symmetric, and so every blend (see _merge, which symmetrizes only
+        # where this is false)
         self._symmetric = bool((cov == cov.transpose(0, 2, 1)).all())
         if blended.size:
             wb = w[blended, None, None]
             created = np.array([creation[i] for i in blended])
             self._symmetric &= bool((created == created.transpose(0, 2, 1)).all())
             blend = ((wb - 1.0) * cov[blended] + created) / wb
-            eval_cov[blended] = 0.5 * (blend + blend.transpose(0, 2, 1))
+            eval_cov[blended] = blend if self._symmetric else 0.5 * (blend + blend.transpose(0, 2, 1))
         super().__init__(w, mean, *(_factor(eval_cov) if len(w) else (eval_cov, eval_cov.copy())))
 
     # -- bookkeeping ------------------------------------------------------
@@ -835,7 +841,8 @@ class DynamicGaussianMixture(MixtureCore):
 
         A sample with a NaN, an infinite coordinate, or a coordinate whose
         square overflows float64, a sample whose distance to every
-        component overflows (see _distances), a k that is negative or NaN,
+        component overflows (see _distances), a k that is not a real
+        number or is negative or NaN,
         a new_cov_scale outside (0, inf), and a mixture holding a component
         of weight below 1 (which no merge can take) raise ValueError
         before anything else happens, leaving the mixture and rng
@@ -965,25 +972,28 @@ class DynamicGaussianMixture(MixtureCore):
     def _append(self, x: np.ndarray, scale: float) -> None:
         """Grow every array by one row for a weight-1 component at x whose
         covariance and creation covariance are scale * I.  Its evaluation
-        covariance and factor depend on that covariance alone, so they are
-        kept in the module's `_fresh` entry for the last one any mixture
-        appended, and reused while it repeats, as it does within a stream
-        and across the mixtures of one motion model; the components share
-        one read-only copy of it as their creation covariance.  The entry
-        is keyed by (D, scale), so a repeated scale * I is not even built."""
+        covariance is that covariance too, the blend at w = 1, taken
+        without symmetrizing: (C + C^T) / 2 would overflow for a scale
+        above half the largest float.  Its factor depends on that
+        covariance alone, so the two are kept in the module's `_fresh`
+        entry for the last one any mixture appended, and reused while it
+        repeats, as it does within a stream and across the mixtures of one
+        motion model; the components share one read-only copy of it as
+        their creation covariance.  The entry is keyed by (D, scale), so a
+        repeated scale * I is not even built."""
         global _fresh
         key = (self.dim, scale)
         fresh = _fresh
         if fresh is None or fresh[0] != key:
             cov = scale * np.eye(self.dim)
-            eval_cov, chol_inv = _factor(_evaluation_cov(cov, 1.0, cov))
-            for arr in (cov, eval_cov, chol_inv):
+            _, chol_inv = _factor(cov)
+            for arr in (cov, chol_inv):
                 arr.flags.writeable = False
-            fresh = _fresh = (key, cov, eval_cov, chol_inv)
-        _, cov, eval_cov, chol_inv = fresh
+            fresh = _fresh = (key, cov, chol_inv)
+        _, cov, chol_inv = fresh
         self._w = np.concatenate([self._w, [1.0]])
         self._mean = np.concatenate([self._mean, x[None]])
         self._cov = np.concatenate([self._cov, cov[None]])
         self._creation.append(cov)
-        self._eval_cov = np.concatenate([self._eval_cov, eval_cov[None]])
+        self._eval_cov = np.concatenate([self._eval_cov, cov[None]])
         self._chol_inv = np.concatenate([self._chol_inv, chol_inv[None]])

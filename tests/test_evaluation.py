@@ -72,6 +72,10 @@ class TestStratifiedKfold:
         with pytest.raises(ValueError):
             stratified_kfold(records, 1, np.random.default_rng(5))
 
+    def test_rejects_no_records(self):
+        with pytest.raises(ValueError, match="^no records to split$"):
+            stratified_kfold([], 2, np.random.default_rng(5))
+
 
 class TestKSweep:
     def test_zero_k_on_scattered_points_keeps_most(self):
@@ -310,6 +314,13 @@ class TestBatchedFolds:
                 assert got.to_dict() == want.to_dict()
                 assert list(got.models) == list(want.models)
 
+    def test_fit_motion_model_rejects_no_records_or_mixed_terrain(self):
+        records = awkward_incline_set()
+        with pytest.raises(ValueError, match="^no records to fit$"):
+            fit_motion_model([], 0.3, np.random.default_rng(43))
+        with pytest.raises(ValueError, match="^terrain presence must be uniform across records$"):
+            fit_motion_model(records[:3] + strip_z(records[3:6]), 0.3, np.random.default_rng(43))
+
     def test_every_training_record_is_one_add_sample(self, monkeypatch):
         records = awkward_incline_set()
         calls = _counting_add_sample(monkeypatch)
@@ -546,6 +557,12 @@ def _never(*args, **kwargs):
     raise AssertionError("called before the arguments were checked")
 
 
+# a k the experiments reject, with the message that names it
+BAD_K = [(-0.1, "^k must be non-negative$"), (math.nan, "^k must be non-negative$"),
+         (-math.inf, "^k must be non-negative$"), ("0.3", "^k must be a real number$"),
+         (None, "^k must be a real number$")]
+
+
 class TestArgumentsCheckedFirst:
     """k_sweep, mise_experiment and terrain_comparison check k and their
     run counts before the EM fit, the fold split or any stream, and leave
@@ -575,17 +592,16 @@ class TestArgumentsCheckedFirst:
         pts = np.random.default_rng(38).standard_normal((30, 2))
         self.raises_untouched(lambda rng: k_sweep(pts, grid, 2, rng), "^k must be non-negative$")
 
-    @pytest.mark.parametrize("k", [-0.1, math.nan, -math.inf])
-    def test_mise_experiment_bad_k(self, k, no_work):
+    @pytest.mark.parametrize("k, message", BAD_K, ids=[str(k) for k, _ in BAD_K])
+    def test_mise_experiment_bad_k(self, k, message, no_work):
         pts = load_old_faithful(standardize=True)[0]
         self.raises_untouched(lambda rng: mise_experiment(pts, k, 2, needed=1, max_attempts=3, rng=rng),
-                              "^k must be non-negative$")
+                              message)
 
-    @pytest.mark.parametrize("k", [-0.1, math.nan, -math.inf])
-    def test_terrain_comparison_bad_k(self, k, no_work):
+    @pytest.mark.parametrize("k, message", BAD_K, ids=[str(k) for k, _ in BAD_K])
+    def test_terrain_comparison_bad_k(self, k, message, no_work):
         records = simulate_incline(InclineConfig(reps_per_orientation=2))
-        self.raises_untouched(lambda rng: terrain_comparison(records, 2, 1, k, rng),
-                              "^k must be non-negative$")
+        self.raises_untouched(lambda rng: terrain_comparison(records, 2, 1, k, rng), message)
 
     @pytest.mark.parametrize("repeats", [0, -1])
     def test_repeats_below_one(self, repeats, no_work):

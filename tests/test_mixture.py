@@ -280,6 +280,19 @@ class TestMergeThreshold:
         assert len(m) == 1 and m.total_weight() == 3.0
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("k", ["0.3", None, [0.3]])
+    def test_k_that_is_not_a_real_number_rejected(self, k):
+        m = mix(([0.0], [[1.0]], 3.0))
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="^k must be a real number$"):
+            m.add_sample(np.array([0.1]), k, rng)
+        assert len(m) == 1 and m.total_weight() == 3.0
+        assert rng.bit_generator.state == state
+        m.add_sample(np.array([0.1]), np.float64(0.3), rng)
+        m.add_sample(np.array([0.1]), np.int64(1), rng)
+        assert m.total_weight() == 5.0
+
     @settings(max_examples=300, deadline=None)
     @given(
         d=st.floats(0.0, 1.0),
@@ -1332,6 +1345,27 @@ class TestFreshComponents:
         m.add_sample(np.full(2, 3e3), 0.0, rng)
         assert np.array_equal(m._eval_cov[3], np.eye(2))
         assert np.array_equal(m.components[3].creation_cov, np.eye(2))
+
+    @pytest.mark.parametrize("scale", [1e308, 1.7e308])
+    def test_creation_scale_above_half_the_largest_float(self, scale):
+        # a fresh component is evaluated with its creation covariance C
+        # itself: (C + C^T) / 2 would overflow, and every later merge
+        # decision would compare its draw with NaN thresholds
+        rng = np.random.default_rng(8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = DynamicGaussianMixture(2)
+            m.add_sample(np.zeros(2), 0.3, rng, new_cov_scale=scale)
+            assert np.array_equal(m._eval_cov[0], scale * np.eye(2))
+            rebuilt = dynamic_mixture(m._w, m._mean, m._cov, m._creation)
+            rng_rebuilt = np.random.default_rng()
+            rng_rebuilt.bit_generator.state = rng.bit_generator.state
+            for x in rng.standard_normal((20, 2)):
+                m.add_sample(x, 0.3, rng, new_cov_scale=scale)
+                rebuilt.add_sample(x, 0.3, rng_rebuilt, new_cov_scale=scale)
+            for name in ("_w", "_mean", "_cov", "_eval_cov", "_chol_inv"):
+                assert np.array_equal(getattr(m, name), getattr(rebuilt, name)), name
+            assert np.isfinite(m.log_density(np.zeros(2)))
 
     def test_hand_built_creation_covariance_blends_after_a_merge(self):
         m = dynamic_mixture([2.0], [np.zeros(2)], [np.eye(2)], [np.eye(2)])

@@ -83,6 +83,15 @@ class TestAngles:
                 assert -math.pi < ang <= math.pi
 
 
+class TestCommandKey:
+    @pytest.mark.parametrize("text", ["0.5,0", "0.5,0,0,0", ""])
+    def test_parse_needs_three_parts(self, text):
+        with pytest.raises(ValueError, match=re.escape(
+                f"command must be three comma-separated numbers, got {text!r}")):
+            CommandKey.parse(text)
+        assert CommandKey.parse("0.5,0,-0.5") == CommandKey(0.5, 0.0, -0.5)
+
+
 class TestRecording:
     def test_first_step_creates_single_component(self):
         mm = MotionModel(k=0.7)
@@ -949,6 +958,46 @@ class TestPersistence:
         with pytest.raises(ValueError, match=re.escape(f"model file: field '{field}': ")):
             MotionModel.from_dict(doc)
 
+    @pytest.mark.parametrize("field, message, mutate", [
+        ("creation_cov_scale", "must be positive", lambda d: d.__setitem__("creation_cov_scale", 0.0)),
+        ("creation_cov_scale", "must be positive", lambda d: d.__setitem__("creation_cov_scale", -2.0)),
+        ("standardizer", "not an object or null", lambda d: d.__setitem__("standardizer", [0.0, 1.0])),
+        ("standardizer.scale", "entries must be positive",
+         lambda d: d.__setitem__("standardizer", {"offset": [0.0, 0.0], "scale": [1.0, 0.0]})),
+        ("standardizer.scale", "entries must be positive",
+         lambda d: d.__setitem__("standardizer", {"offset": [0.0, 0.0], "scale": [-1.0, 1.0]})),
+        ("commands[0]", "not an object", lambda d: d["commands"].__setitem__(0, [0.5, 0.0, 0.0])),
+        ("commands[1].key", "duplicate command key",
+         lambda d: d["commands"].append(json.loads(json.dumps(d["commands"][0])))),
+        ("commands[0].components", "missing or not a list",
+         lambda d: d["commands"][0].__setitem__("components", {"w": 2.0})),
+        ("commands[0].components[0]", "not an object",
+         lambda d: d["commands"][0]["components"].__setitem__(0, 2.0)),
+        ("commands[0].components[0].w", "must be a positive finite number",
+         lambda d: d["commands"][0]["components"][0].__setitem__("w", 0.0)),
+        ("commands[0].components[0].w", "must be a positive finite number",
+         lambda d: d["commands"][0]["components"][0].__setitem__("w", -1.0)),
+    ])
+    def test_malformed_structure_is_named(self, field, message, mutate):
+        mm = MotionModel(k=0.5, x_dim=2, z_dim=0)
+        mm.models[FWD] = dynamic_mixture([2.0], [np.zeros(2)], [np.eye(2)])
+        doc = json.loads(json.dumps(mm.to_dict()))
+        MotionModel.from_dict(json.loads(json.dumps(doc)))  # loads unmutated
+        mutate(doc)
+        with pytest.raises(ValueError, match=re.escape(f"model file: field '{field}': {message}") + "$"):
+            MotionModel.from_dict(doc)
+
+    @pytest.mark.parametrize("root", [[], "model", 3.0, None])
+    def test_root_that_is_not_an_object_is_named(self, root):
+        with pytest.raises(ValueError, match=re.escape("model file: field '<root>': not a JSON object")):
+            MotionModel.from_dict(root)
+
+    def test_invalid_json_is_named(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"format": ')
+        with pytest.raises(ValueError, match=re.escape("model file: field '<root>': invalid JSON (")):
+            MotionModel.load(path)
+
     @pytest.mark.parametrize("entry", [True, "1.0", None, [1.0]])
     def test_bad_number_in_a_list_is_named(self, entry):
         mm = MotionModel(k=0.5, x_dim=2, z_dim=0)
@@ -1008,6 +1057,36 @@ class TestPersistence:
     def test_negative_or_nan_k_rejected(self, k):
         with pytest.raises(ValueError, match="k must be non-negative"):
             MotionModel(k=k)
+
+    @pytest.mark.parametrize("k", ["0.3", None])
+    def test_k_that_is_not_a_real_number_rejected(self, k):
+        with pytest.raises(ValueError, match="^k must be a real number$"):
+            MotionModel(k=k)
+
+    @pytest.mark.parametrize("scale", [1e308, 1.7e308])
+    def test_creation_scale_above_half_the_largest_float(self, tmp_path, scale):
+        # each command's first record makes a weight-1 component whose
+        # evaluation covariance is scale * I; the model file stores it, and
+        # reloading must not symmetrize it into inf
+        records = simulate_incline(InclineConfig(reps_per_orientation=2))
+        rng = np.random.default_rng(37)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mm = MotionModel(k=0.3, creation_cov_scale=scale, x_dim=6, z_dim=2)
+            for r in records[::6]:
+                mm.record_sample(r.command, r.x, r.z, rng)
+            assert 1.0 in np.concatenate([mm.mixture_for(c)._w for c in mm.commands()])
+            path = tmp_path / "model.json"
+            mm.save(path)
+            back = MotionModel.load(path)
+            assert_same_model(mm, back)
+            rng_back = np.random.default_rng()
+            rng_back.bit_generator.state = rng.bit_generator.state
+            for r in records[1::6]:
+                mm.record_sample(r.command, r.x, r.z, rng)
+                back.record_sample(r.command, r.x, r.z, rng_back)
+            assert_same_model(mm, back)
+            assert np.isfinite(back.log_density(records[0].command, records[0].x, records[0].z))
 
     @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])
     def test_bad_creation_cov_scale_rejected(self, scale):
@@ -1179,6 +1258,7 @@ class TestStandardizer:
         ([0.0, 1.0], [1.0, -2.0], "scales must be positive and finite"),
         ([math.nan], [1.0], "offsets must be finite"),
         ([0.0, -math.inf], [1.0, 1.0], "offsets must be finite"),
+        ([0.0, 1.0], [1.0], "offset and scale must have the same length"),
     ])
     def test_rejects_non_finite_parameters(self, offset, scale, message):
         # an infinite scale maps every value to 0 and has log Jacobian -inf
