@@ -10,9 +10,10 @@ the report alone.
 
 The terrain comparison builds its records' vectors once, and every
 fold's models train on rows of them (`_fit`, which fit_motion_model wraps
-too), with the bits and errors of training one record at a time: every
-training record is one DynamicGaussianMixture.add_sample call.  Every
-held-out record is scored through the public query, one
+too).  Every training record is one MotionModel._record, the training step
+that record_sample takes too, so a batch has the bits and errors of
+training one record at a time: one DynamicGaussianMixture.add_sample call
+per record.  Every held-out record is scored through the public query, one
 MotionModel.log_density call per record and model (`_score_fold`).
 
 k_sweep and mise_experiment state their streams as data: a plan of
@@ -193,11 +194,13 @@ def _fit(vectors: np.ndarray, commands: list, z_dim: int, k: float,
     """A fresh motion model trained on the rows of vectors (N, 6 + z_dim),
     x or x || z in original units, in order, each with its command: with
     standardize, the standardizer is fitted on every row first.  The rows
-    are standardized in one batch, then each is one add_sample
-    (MotionModel._train), drawing from rng, a generator or its _Uniforms."""
+    are standardized in one batch, then each is one training step
+    (MotionModel._record, one add_sample), in order, drawing from rng, a
+    generator or its _Uniforms."""
     std = Standardizer.fit(vectors) if standardize else None
     mm = MotionModel(k=k, x_dim=vectors.shape[1] - z_dim, z_dim=z_dim, standardizer=std)
-    mm._train(commands, mm._std.transform(vectors), rng)
+    for c, u in zip(commands, mm._std.transform(vectors)):
+        mm._record(c, u, rng)
     return mm
 
 
@@ -241,15 +244,17 @@ def k_sweep(points, k_grid, repeats: int, rng: np.random.Generator) -> EvalRepor
 
     Each stream stops as soon as its count is final (see _streams), so
     the report is the one that streaming every point would give.  Every k
-    (negative or NaN: "k must be non-negative"), repeats (an integer, at
-    least 1) and every point (NaN, infinite and overflowing coordinates)
-    are checked before the first stream.
+    (not a real number: "k must be a real number"; negative or NaN: "k
+    must be non-negative"), repeats (an integer, at least 1) and every
+    point (NaN, infinite and overflowing coordinates) are checked before
+    the first stream.
     """
-    k_grid = [float(k) for k in k_grid]
+    k_grid = list(k_grid)
     if not k_grid:
         raise ValueError("k_grid must be non-empty")
     for k in k_grid:
         check_k(k)
+    k_grid = [float(k) for k in k_grid]
     if any(b <= a for a, b in zip(k_grid, k_grid[1:])):
         raise ValueError("k_grid must be strictly ascending")
     repeats = check_count(repeats, "repeats", 1)

@@ -373,10 +373,14 @@ def _absorb(w: float, mean: np.ndarray, cov: np.ndarray, dx: np.ndarray) -> None
 
 def _evaluation_cov(cov: np.ndarray, w: float, creation: np.ndarray | None) -> np.ndarray:
     """Covariance a component is evaluated with (see WeightedGaussian): cov
-    itself when it is evaluated as it is, else the blend, symmetrized."""
+    itself when it is evaluated as it is, else the blend, symmetrized only
+    where it is not exactly symmetric, as _adopt and _merge do: (C + C^T) / 2
+    would overflow for a fresh component whose creation scale is above half
+    the largest float."""
     if creation is None or w < 1.0:
         return cov
-    return symmetrize(((w - 1.0) * cov + creation) / w)
+    blend = ((w - 1.0) * cov + creation) / w
+    return blend if (blend == blend.T).all() else symmetrize(blend)
 
 
 def _factor(eval_cov: np.ndarray):
@@ -734,23 +738,16 @@ class DynamicGaussianMixture(MixtureCore):
 
     def _scaled_peak(self, a: np.ndarray) -> float:
         """The peak estimate scaled by exp(-c), for a = _scaled_weights()[1]:
-        peak = max_i sum_j a_j exp(-q_ij / 2) over the means.  A component's
-        density is highest at its mean, so every term is <= 1, and the
-        argmax of a meets itself at distance exactly 0, so its own term is
-        exactly 1 and the others add non-negative terms: peak lies in
-        [1, m] whatever the scale of the covariances, also after rounding.
+        peak = max_i sum_j a_j exp(-q_ij / 2) over the means.  The estimate,
+        the largest mixture value at a component mean, is exact for
+        well-separated components and can undershoot where they overlap, so
+        callers clamp ratios to it at 1.  A component's density is highest
+        at its mean, so every term is <= 1, and the argmax of a meets
+        itself at distance exactly 0, so its own term is exactly 1 and the
+        others add non-negative terms: peak lies in [1, m] whatever the
+        scale of the covariances, also after rounding.
         Builds the (m, m) distances, so it costs O(m^2 D^2)."""
         return float((np.exp(-0.5 * _quad(self._mean, self._mean, self._chol_inv)) @ a).max())
-
-    def _peak_estimate(self) -> float:
-        """Estimated mixture maximum: the largest mixture value over all
-        component means.  Exact for well-separated components; can
-        undershoot when components overlap, so callers clamp ratios at 1.
-        It is exp(c) times the scaled peak of _scaled_peak, so it
-        underflows to 0 or overflows to inf where that product does; the
-        ratio d never forms it."""
-        c, a = self._scaled_weights()
-        return float(np.exp(c) * self._scaled_peak(a))
 
     def _normalized(self, quad: np.ndarray) -> np.ndarray:
         """Mixture density over its estimated peak, clamped at 1, from the

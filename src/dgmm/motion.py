@@ -45,7 +45,6 @@ from .gaussian import asymmetric, check_symmetric
 from .mixture import (
     DynamicGaussianMixture,
     MixtureCore,
-    _Uniforms,
     check_batch,
     check_coordinates,
     check_count,
@@ -290,57 +289,35 @@ class MotionModel:
             raise ValueError("model is terrain-augmented; a terrain vector is required" if z is None
                              else "model has no terrain block; got a terrain vector")
 
-    def _training_vector(self, x: DeltaPose, z: TerrainVector | None) -> np.ndarray:
-        self._check_terrain_given(z)
-        d = np.concatenate([x.as_vector(), z.as_vector()]) if self.augmented else x.as_vector()
-        return self._std.transform(d)
-
     def record_sample(self, c: CommandKey, x: DeltaPose, z: TerrainVector | None,
                       rng: np.random.Generator) -> None:
-        """Add one (command, pose delta, optional terrain) observation.
+        """Add one (command, pose delta, optional terrain) observation: its
+        x || z vector, or x alone without terrain, standardized, is one
+        training step (_record).
 
         A non-finite or overflowing sample raises ValueError (see
         DynamicGaussianMixture.add_sample) and leaves the model and rng
         untouched."""
-        u = self._training_vector(x, z)
-        mix = self._mixture(c)
-        mix.add_sample(u, self.k, rng, new_cov_scale=self.creation_cov_scale)
-        # registered only once it holds the sample, so a rejected sample adds no command
-        self.models[c] = mix
+        self._check_terrain_given(z)
+        d = np.concatenate([x.as_vector(), z.as_vector()]) if self.augmented else x.as_vector()
+        self._record(c, self._std.transform(d), rng)
 
-    def _mixture(self, c: CommandKey) -> DynamicGaussianMixture:
-        """The mixture of c, or a new empty one for a command without one
-        (not yet registered); the no-op command raises ValueError."""
+    def _record(self, c: CommandKey, u: np.ndarray, rng: np.random.Generator) -> None:
+        """The one training step, which record_sample and a batch fit
+        (evaluation._fit) both take: add u, a vector in the model's internal
+        space, to the mixture of command c by one add_sample, drawing from
+        rng (a generator, or its mixture._Uniforms).
+
+        The no-op command raises ValueError.  A command without a mixture
+        gets a new one, registered only once it holds the sample, so a
+        sample that add_sample rejects adds no command."""
         if c.is_noop():
             raise ValueError("the no-op command <0,0,0> is not trainable")
         mix = self.models.get(c)
-        return DynamicGaussianMixture(self.dim) if mix is None else mix
-
-    def _train(self, commands, rows: np.ndarray, rng: np.random.Generator | _Uniforms) -> None:
-        """record_sample for many training vectors already in the model's
-        internal space, rows (n, dim), with their commands (n entries), in
-        order: one add_sample per row, so the rng (a generator, or its
-        _Uniforms) sees exactly the draws record_sample would make row by
-        row.
-
-        Each command is resolved to its mixture once, in first-seen order,
-        so a no-op command raises before any row is streamed.  A command
-        is registered only once its mixture holds a sample, so a row that
-        add_sample rejects adds no command."""
-        mixtures: dict[CommandKey, DynamicGaussianMixture] = {}
-        targets = []
-        for c in commands:
-            mix = mixtures.get(c)
-            if mix is None:
-                mix = mixtures[c] = self._mixture(c)
-            targets.append(mix)
-        try:
-            for mix, u in zip(targets, rows):
-                mix.add_sample(u, self.k, rng, new_cov_scale=self.creation_cov_scale)
-        finally:
-            for c, mix in mixtures.items():
-                if len(mix):
-                    self.models[c] = mix
+        if mix is None:
+            mix = DynamicGaussianMixture(self.dim)
+        mix.add_sample(u, self.k, rng, new_cov_scale=self.creation_cov_scale)
+        self.models[c] = mix
 
     def record_step(self, c: CommandKey, prev: Pose, curr: Pose,
                     z: TerrainVector | None, rng: np.random.Generator) -> None:

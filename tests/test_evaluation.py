@@ -26,7 +26,7 @@ from dgmm.evaluation import (
     terrain_comparison,
 )
 from dgmm.mixture import DynamicGaussianMixture, _count_is_final
-from dgmm.motion import DeltaPose, MotionModel, Standardizer, TerrainSupportError, TerrainVector
+from dgmm.motion import CommandKey, DeltaPose, MotionModel, Standardizer, TerrainSupportError, TerrainVector
 
 
 class TestStratifiedKfold:
@@ -349,6 +349,33 @@ class TestBatchedFolds:
         assert calls[0] == 2 * 2 * len(records)
 
 
+class TestNoopCommandInABatch:
+    """The batch fits train through record_sample's step, so a record with
+    the no-op command raises its ValueError there too."""
+
+    NOOP = "^the no-op command <0,0,0> is not trainable$"
+
+    @staticmethod
+    def with_noop(records, at):
+        r = records[at]
+        return records[:at] + [SampleRecord(CommandKey(0, 0, 0), r.z, r.x)] + records[at:]
+
+    @pytest.mark.parametrize("at", [0, 30])
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_fit_motion_model(self, at, standardize):
+        records = awkward_incline_set()
+        for recs in (records, strip_z(records)):
+            with pytest.raises(ValueError, match=self.NOOP):
+                fit_motion_model(self.with_noop(recs, at), 0.3, np.random.default_rng(47), standardize)
+
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_terrain_comparison(self, standardize):
+        records = self.with_noop(awkward_incline_set(), 30)
+        with pytest.raises(ValueError, match=self.NOOP):
+            terrain_comparison(records, folds=3, repeats=1, k=0.3, rng=np.random.default_rng(48),
+                               standardize=standardize)
+
+
 class TestPinnedDecisions:
     """The experiments' decisions at small settings, seeds 1-3, as recorded
     when every update drew from its generator one rng.random() at a time:
@@ -562,6 +589,14 @@ BAD_K = [(-0.1, "^k must be non-negative$"), (math.nan, "^k must be non-negative
          (-math.inf, "^k must be non-negative$"), ("0.3", "^k must be a real number$"),
          (None, "^k must be a real number$")]
 
+# a k_grid k_sweep rejects, with the message that names it: each k is
+# checked before it is converted
+BAD_K_GRIDS = [([0.1, 0.5, math.nan], "^k must be non-negative$"),
+               ([0.1, math.nan, 0.5], "^k must be non-negative$"),
+               ([math.nan], "^k must be non-negative$"), ([-0.5, 0.1], "^k must be non-negative$"),
+               ([0.1, 0.5, -math.inf], "^k must be non-negative$"),
+               ([0.1, "0.3"], "^k must be a real number$"), ([None], "^k must be a real number$")]
+
 
 class TestArgumentsCheckedFirst:
     """k_sweep, mise_experiment and terrain_comparison check k and their
@@ -586,11 +621,10 @@ class TestArgumentsCheckedFirst:
                 run(rng)
         assert rng.bit_generator.state == state
 
-    @pytest.mark.parametrize("grid", [
-        [0.1, 0.5, math.nan], [0.1, math.nan, 0.5], [math.nan], [-0.5, 0.1], [0.1, 0.5, -math.inf]])
-    def test_k_sweep_bad_k(self, grid, no_work):
+    @pytest.mark.parametrize("grid, message", BAD_K_GRIDS, ids=[f"grid{i}" for i in range(len(BAD_K_GRIDS))])
+    def test_k_sweep_bad_k(self, grid, message, no_work):
         pts = np.random.default_rng(38).standard_normal((30, 2))
-        self.raises_untouched(lambda rng: k_sweep(pts, grid, 2, rng), "^k must be non-negative$")
+        self.raises_untouched(lambda rng: k_sweep(pts, grid, 2, rng), message)
 
     @pytest.mark.parametrize("k, message", BAD_K, ids=[str(k) for k, _ in BAD_K])
     def test_mise_experiment_bad_k(self, k, message, no_work):

@@ -41,6 +41,14 @@ def mix(*comps):
     return dynamic_mixture(w, means, covs)
 
 
+def peak_estimate(m):
+    """The mixture's largest value over its component means: exp(c) times
+    the scaled peak, so it underflows to 0 or overflows to inf where that
+    product does."""
+    c, a = m._scaled_weights()
+    return float(np.exp(c) * m._scaled_peak(a))
+
+
 class TestConstruction:
     """Each mixture kind has one way to be built from moments, and takes
     arrays: no constructor stacks component objects."""
@@ -149,7 +157,7 @@ class TestNormalizedMixtureDensity:
         m = mix(([0.0], [[1.0]], 1.0), ([10.0], [[1.0]], 1.0))
         xs = np.linspace(-8.0, 18.0, 200001)
         grid_max = m.density(xs[:, None]).max()
-        assert m._peak_estimate() == pytest.approx(grid_max, abs=1e-6)
+        assert peak_estimate(m) == pytest.approx(grid_max, abs=1e-6)
         assert m.normalized_density(np.array([0.0])) == pytest.approx(1.0, abs=1e-4)
         assert m.normalized_density(np.array([10.0])) == pytest.approx(1.0, abs=1e-4)
 
@@ -164,7 +172,7 @@ class TestNormalizedMixtureDensity:
         # mean, below the smallest float: the linear ratio would be 0/0
         mean = np.linspace(-1.0, 1.0, 8)
         m = mix((mean, 1e100 * np.eye(8), 3.0))
-        assert m._peak_estimate() == 0.0
+        assert peak_estimate(m) == 0.0
         rng = np.random.default_rng(0)
         for _ in range(20):
             m.add_sample(mean, 0.1, rng)
@@ -686,7 +694,7 @@ class TestIncrementalCaches:
                 assert m._scaled_peak(m._scaled_weights()[1]) >= 1.0
                 x = centers[step % 3] + 0.5 * rng.standard_normal(dim)
                 peak, density, scores = self.reference(m, x)
-                assert m._peak_estimate() == pytest.approx(peak, rel=self.RTOL)
+                assert peak_estimate(m) == pytest.approx(peak, rel=self.RTOL)
                 assert m.density(x) == pytest.approx(density, rel=self.RTOL)
                 assert m._selection_scores(m._distances(x)[1]) == pytest.approx(scores, rel=self.RTOL)
 
@@ -1366,6 +1374,17 @@ class TestFreshComponents:
             for name in ("_w", "_mean", "_cov", "_eval_cov", "_chol_inv"):
                 assert np.array_equal(getattr(m, name), getattr(rebuilt, name)), name
             assert np.isfinite(m.log_density(np.zeros(2)))
+
+    @pytest.mark.parametrize("scale", [1e308, 1.7e308])
+    def test_reference_component_at_a_creation_scale_above_half_the_largest_float(self, scale):
+        # the reference blend is symmetrized only where it is not exactly
+        # symmetric, so a fresh component's C is not added to C^T
+        m = DynamicGaussianMixture(2)
+        m.add_sample(np.zeros(2), 0.3, np.random.default_rng(8), new_cov_scale=scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cov = m.components[0].pd_gaussian().cov
+        assert np.array_equal(cov, m._eval_cov[0])
 
     def test_hand_built_creation_covariance_blends_after_a_merge(self):
         m = dynamic_mixture([2.0], [np.zeros(2)], [np.eye(2)], [np.eye(2)])

@@ -166,9 +166,10 @@ class TestRecording:
 
     def test_noop_command_rejected(self):
         mm = MotionModel(k=0.7)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^the no-op command <0,0,0> is not trainable$"):
             mm.record_sample(CommandKey(0, 0, 0), DeltaPose(0, 0, 0, 0, 0, 0), None,
                              np.random.default_rng(6))
+        assert not mm.models
 
     def test_terrain_presence_must_match_layout(self):
         rng = np.random.default_rng(7)
