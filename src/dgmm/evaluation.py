@@ -227,10 +227,10 @@ def _streams(points: np.ndarray, plan: list[tuple[float, int]], target_m: float)
     for k, seed in plan:
         final = _final_count(k)
         sub = np.random.default_rng(seed)
-        model = DynamicGaussianMixture(points.shape[1])
+        model = DynamicGaussianMixture(points.shape[1], k)
         draws = _Uniforms(sub)
         for x in points[sub.permutation(points.shape[0])]:
-            model.add_sample(x, k, draws)
+            model.add_sample(x, draws)
             m = len(model)
             if m > target_m or (m != target_m and model.total_weight() >= final):
                 break

@@ -64,12 +64,19 @@ The online mixture (DynamicGaussianMixture, here) and the EM fit
 (em.FixedGaussianMixture) are MixtureCore subclasses; the
 terrain-conditioned query mixture is a plain MixtureCore.
 
-DynamicGaussianMixture adds, for learning:
+DynamicGaussianMixture adds, for learning, two constants, the merge
+likelihood k and the creation covariance scale s, checked once at
+construction, and:
 
-    _cov        (m, D, D)   exact unbiased covariances
-    _creation   m entries   creation covariance of each component, or None
+    _cov                (m, D, D)   exact unbiased covariances
+    _creation_cov       (D, D)      the creation covariance s I, shared by
+                                    every component (Engel & Heinen's
+                                    sigma_ini^2 I), or None
+    _creation_chol_inv  (D, D)      its inverse factor I / sqrt(s), or None
 
-and derives _eval_cov from _cov and _creation (see WeightedGaussian).  The
+and derives _eval_cov from _cov and _creation_cov (see WeightedGaussian).
+A mixture built from moment arrays without a creation covariance is
+evaluated with its covariances as they are and absorbs no sample.  The
 component-at-mean densities N(mean_i; component j), an (m, m) matrix the
 peak estimate needs, are not stored: `_scaled_peak` builds them from the
 current arrays on each call, in O(m^2 D^2), scaled by the largest weighted
@@ -99,36 +106,31 @@ upper bounds.  The draw's shifted distances, scores and
 running sums share one buffer.  A merge keeps the weight as a Python float
 and forms the new evaluation covariance in its row by three in-place
 operations, with the bits of _evaluation_cov's blend.  That blend is
-symmetrized only in a mixture holding a row, covariance or creation
-covariance, that is not exactly symmetric, as a model file's rows may be
-within its tolerance; _adopt decides this once per mixture (`_symmetric`).
+symmetrized only in a mixture holding a covariance that is not exactly
+symmetric, as a model file's rows may be within its tolerance; _adopt decides this once per mixture (`_symmetric`).
 Every row trained online is exactly symmetric: _absorb's outer product is
 (dx_i dx_j = dx_j dx_i), and every other step is elementwise, so
-symmetrizing would change no bit.  An append, whose
-creation covariance is new_cov_scale * I, looks `_fresh` up by
-(D, new_cov_scale) without building that matrix.  A stream that
+symmetrizing would change no bit.  A stream that
 stops once its count is final compares its total weight with
 `_final_count(k)`, the first n at which `_count_is_final(n, k)` holds,
-found once per k.
+found once per stream by its runner, not by the constructor.
 Invariant: after construction and after every add_sample, _eval_cov and
 _chol_inv are those of the current moments (and so is every log
 normalizer read off _chol_inv).  add_sample keeps this in
 O(m D^2): a merge into component i updates i in place and re-factors only
-i; an append grows every array by one, and factors nothing unless its
-creation covariance differs from the last one appended by any mixture in
-the process.  A fresh component's evaluation covariance is its creation
-covariance (the blend at w = 1), and its factor depends on that alone, so
-one module-level entry, `_fresh`, keeps a read-only copy of that
-covariance with its factor, and every mixture built with the same
-creation covariance (the many per-command mixtures of a motion model,
-say) shares them.  Reads
+i; an append grows every array by one and factors nothing.  A fresh
+component's evaluation covariance is the creation covariance (the blend
+at w = 1), and its factor depends on that alone, so every append copies
+the two arrays the constructor built in closed form: the inverse factor
+of s I is I / sqrt(s), bit for bit what _factor gives it.  Reads
 (density, log_density, normalized_density, select_component, components)
 never mutate a mixture; only add_sample writes.
 
 The input checks that more than one module makes live here, each once:
 `check_coordinates` and `check_rows` (coordinates), `check_batch` (a point
 batch, 1-D points as one column), `check_integer` and `check_count` (counts
-and dimensions, integers checked before their range) and `check_k`.
+and dimensions, integers checked before their range), `check_k` and
+`_check_creation_cov_scale`.
 
 add_sample's only call on its generator is random(), so the experiments
 (dgmm.evaluation) pass it a `_Uniforms`, which serves the same values
@@ -138,7 +140,8 @@ one per draw.
 A whole mixture is built from its moment arrays by one constructor,
 `DynamicGaussianMixture._from_arrays`, the one place that derives _eval_cov
 and _chol_inv from moments; model files load through it, and
-`DynamicGaussianMixture(dim)` builds only an empty mixture.  No
+`DynamicGaussianMixture(dim, k, creation_cov_scale)` builds only an empty
+mixture.  No
 constructor takes component objects.  The per-component objects --
 `WeightedGaussian` with `pd_gaussian`, `merge_into`, and the `components`
 property that builds them on each access -- are a reference layer: tests
@@ -211,13 +214,6 @@ except ImportError:
     def _unquiet(context):
         context.__exit__(None, None, None)
 
-# ((D, scale), read-only copies of the creation covariance scale * I, which
-# is also its fresh component's evaluation covariance, and of its inverse
-# factor) for the last creation covariance appended by any mixture, or
-# None: see DynamicGaussianMixture._append.  The entry is replaced whole,
-# never written in place.
-_fresh: tuple[tuple[int, float], np.ndarray, np.ndarray] | None = None
-
 # the shift that _log_ratio gives a column whose every entry is -inf
 _LOWEST = float(np.finfo(float).min)
 
@@ -280,12 +276,20 @@ def check_count(value, name: str, low: int) -> int:
 def check_k(k: float) -> None:
     """ValueError unless the merge likelihood constant k is a real number
     (Python or numpy; a string is not) of at least 0 (NaN is not)."""
-    # float first: a float (numpy's too) skips the slower abstract check,
-    # and add_sample makes this check on every sample
-    if not isinstance(k, (float, numbers.Real)):
+    if not isinstance(k, numbers.Real):
         raise ValueError("k must be a real number")
     if not k >= 0:
         raise ValueError("k must be non-negative")
+
+
+def _check_creation_cov_scale(scale: float) -> float:
+    """scale as a float, or ValueError unless the creation covariance scale
+    is a real number (Python or numpy; a string is not) in (0, inf)."""
+    if not isinstance(scale, numbers.Real):
+        raise ValueError("creation_cov_scale must be a real number")
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"creation_cov_scale must be positive and finite, got {scale!r}")
+    return float(scale)
 
 
 def logsumexp(a: np.ndarray) -> np.ndarray:
@@ -658,44 +662,58 @@ class DynamicGaussianMixture(MixtureCore):
     """Variable-size weighted Gaussian mixture over a D-dimensional space,
     stored as parallel arrays (see the module docstring)."""
 
-    def __init__(self, dim: int):
-        """An empty mixture over dim dimensions; _from_arrays builds one
+    def __init__(self, dim: int, k: float, creation_cov_scale: float = 1.0):
+        """An empty mixture over dim dimensions that absorbs samples at
+        merge likelihood constant k, each new component starting from the
+        creation covariance creation_cov_scale * I; _from_arrays builds one
         from moment arrays."""
         d = check_count(dim, "dim", 1)
-        self._adopt(np.empty(0), np.empty((0, d)), np.empty((0, d, d)), [])
+        s = _check_creation_cov_scale(creation_cov_scale)
+        self._adopt(np.empty(0), np.empty((0, d)), np.empty((0, d, d)), k, s)
 
     @classmethod
-    def _from_arrays(cls, w: np.ndarray, mean: np.ndarray, cov: np.ndarray,
-                     creation: list) -> "DynamicGaussianMixture":
-        """A mixture that takes ownership of weights (m,), means (m, D),
-        exact covariances (m, D, D) and creation covariances (m entries,
-        each (D, D) or None): the one way to build a mixture from moments."""
+    def _from_arrays(cls, w: np.ndarray, mean: np.ndarray, cov: np.ndarray, k: float,
+                     creation_cov_scale: float | None) -> "DynamicGaussianMixture":
+        """A mixture that takes ownership of weights (m,), means (m, D) and
+        exact covariances (m, D, D), with the constants of __init__: the one
+        way to build a mixture from moments.  With creation_cov_scale None
+        it has no creation covariance: every component is evaluated with its
+        covariance as it is, and add_sample refuses every sample."""
         mix = cls.__new__(cls)
-        mix._adopt(w, mean, cov, creation)
+        s = None if creation_cov_scale is None else _check_creation_cov_scale(creation_cov_scale)
+        mix._adopt(w, mean, cov, k, s)
         return mix
 
-    def _adopt(self, w: np.ndarray, mean: np.ndarray, cov: np.ndarray, creation: list) -> None:
-        """Take ownership of the moment arrays (see _from_arrays) and derive
-        every component's evaluation covariance and inverse factor from
-        them: the one place that does so for a whole mixture."""
-        self._cov, self._creation = cov, creation
+    def _adopt(self, w: np.ndarray, mean: np.ndarray, cov: np.ndarray, k: float,
+               s: float | None) -> None:
+        """Check k, take ownership of the moment arrays (see _from_arrays)
+        and derive every component's evaluation covariance and inverse
+        factor from them: the one place that does so for a whole mixture.
+        The creation covariance s I of a checked scale s, or none for None,
+        and its inverse factor I / sqrt(s), the bits _factor gives it, are
+        built here, once."""
+        check_k(k)
+        self.k, self.creation_cov_scale = float(k), s
+        self._creation_cov = self._creation_chol_inv = None
+        if s is not None:
+            eye = np.eye(mean.shape[1])
+            self._creation_cov, self._creation_chol_inv = s * eye, eye / math.sqrt(s)
+        self._cov = cov
         # weights only grow from here on, so this is the one place to find a
         # component below 1, which no merge could take (see add_sample)
         light = np.flatnonzero(w < 1.0)
         self._light = int(light[0]) if light.size else None
-        # _evaluation_cov for every row at once: the blend where a row has a
-        # creation covariance and w >= 1, cov itself elsewhere
-        eval_cov = cov.copy()
-        blended = np.flatnonzero((w >= 1.0) & np.array([c is not None for c in creation], dtype=bool))
-        # whether every covariance and creation covariance is exactly
-        # symmetric, and so every blend (see _merge, which symmetrizes only
+        # whether every covariance is exactly symmetric, and so every blend
+        # with the creation covariance (see _merge, which symmetrizes only
         # where this is false)
         self._symmetric = bool((cov == cov.transpose(0, 2, 1)).all())
-        if blended.size:
+        # _evaluation_cov for every row at once: the blend where the mixture
+        # has a creation covariance and w >= 1, cov itself elsewhere
+        eval_cov = cov.copy()
+        blended = np.flatnonzero(w >= 1.0)
+        if s is not None and blended.size:
             wb = w[blended, None, None]
-            created = np.array([creation[i] for i in blended])
-            self._symmetric &= bool((created == created.transpose(0, 2, 1)).all())
-            blend = ((wb - 1.0) * cov[blended] + created) / wb
+            blend = ((wb - 1.0) * cov[blended] + self._creation_cov) / wb
             eval_cov[blended] = blend if self._symmetric else 0.5 * (blend + blend.transpose(0, 2, 1))
         super().__init__(w, mean, *(_factor(eval_cov) if len(w) else (eval_cov, eval_cov.copy())))
 
@@ -708,10 +726,11 @@ class DynamicGaussianMixture(MixtureCore):
     def components(self) -> list[WeightedGaussian]:
         """The components as WeightedGaussian objects, built on each access
         from copies of the arrays: editing them does not change the mixture."""
+        creation = self._creation_cov
         return [
             WeightedGaussian(Gaussian(self._mean[i].copy(), self._cov[i].copy()),
                              float(self._w[i]), None if creation is None else creation.copy())
-            for i, creation in enumerate(self._creation)
+            for i in range(len(self))
         ]
 
     def total_weight(self) -> float:
@@ -831,19 +850,18 @@ class DynamicGaussianMixture(MixtureCore):
             raise ValueError(f"sample dimension {x.shape[0]} != mixture dimension {self.dim}")
         return check_coordinates(x, "sample")
 
-    def add_sample(self, x, k: float, rng: np.random.Generator, new_cov_scale: float = 1.0) -> None:
-        """Absorb one sample: merge into a stochastically chosen component
-        or append a fresh one with mean x, covariance new_cov_scale * I and
-        weight 1.  Total weight always grows by exactly 1.
+    def add_sample(self, x, rng: np.random.Generator) -> None:
+        """Absorb one sample at the mixture's k: merge into a
+        stochastically chosen component or append a fresh one with mean x,
+        the creation covariance creation_cov_scale * I as its covariance,
+        and weight 1.  Total weight always grows by exactly 1.
 
         A sample with a NaN, an infinite coordinate, or a coordinate whose
         square overflows float64, a sample whose distance to every
-        component overflows (see _distances), a k that is not a real
-        number or is negative or NaN,
-        a new_cov_scale outside (0, inf), and a mixture holding a component
-        of weight below 1 (which no merge can take) raise ValueError
-        before anything else happens, leaving the mixture and rng
-        untouched.  Otherwise the uniform draw happens first,
+        component overflows (see _distances), a mixture without a creation
+        covariance (see _from_arrays) and a mixture holding a component of
+        weight below 1 (which no merge can take) raise ValueError before
+        anything else happens, leaving the mixture and rng untouched.  Otherwise the uniform draw happens first,
         unconditionally, so a fixed seed yields the same decision sequence
         regardless of branch outcomes; a merge then makes exactly one more
         draw, for its component (see _draw).  rng.random() is the only
@@ -859,9 +877,9 @@ class DynamicGaussianMixture(MixtureCore):
         from it; bounds on d settle most draws before d is built
         (_merges).
         """
-        check_k(k)
-        if not 0.0 < new_cov_scale < math.inf:
-            raise ValueError(f"new_cov_scale must be positive and finite, got {new_cov_scale!r}")
+        if self._creation_cov is None:
+            raise ValueError("the mixture has no creation covariance, so it absorbs no sample: "
+                             "it was built from moment arrays without one")
         if self._light is not None:
             raise ValueError(f"component {self._light} has weight {float(self._w[self._light])!r} < 1; "
                              "a mixture absorbs samples only when every component has weight >= 1")
@@ -871,14 +889,14 @@ class DynamicGaussianMixture(MixtureCore):
             diff, quad, nearest = self._distances(x)
         r = rng.random()
         # an empty mixture has d = n = 0, so t = 0 and it always appends
-        if diff is not None and self._merges(quad, r, k):
+        if diff is not None and self._merges(quad, r):
             i = self._draw(quad, rng, nearest)
             self._merge(i, diff[i])
         else:
-            self._append(x, new_cov_scale)
+            self._append(x)
         self._W += 1.0
 
-    def _merges(self, quad: np.ndarray, r: float, k: float) -> bool:
+    def _merges(self, quad: np.ndarray, r: float) -> bool:
         """r < t(d), for the squared distances quad (m,) of a sample, where
         t(d) = merge_threshold(d, n, k) and d = _normalized(quad).
 
@@ -916,9 +934,9 @@ class DynamicGaussianMixture(MixtureCore):
 
         exp(-k n) is evaluated once, and every threshold is formed from it
         by merge_threshold's own expression (_threshold), so each has
-        merge_threshold's bits.  Every d here lies in [0, 1] and add_sample
-        has checked k, so merge_threshold's checks are skipped."""
-        decay = float(np.exp(-k * self._W))
+        merge_threshold's bits.  Every d here lies in [0, 1] and the
+        constructor has checked k, so merge_threshold's checks are skipped."""
+        decay = float(np.exp(-self.k * self._W))
         if r < _threshold(0.0, decay):
             return True
         e = np.exp(-0.5 * quad)
@@ -935,8 +953,9 @@ class DynamicGaussianMixture(MixtureCore):
 
     def _merge(self, i: int, dx: np.ndarray) -> None:
         """Absorb the sample x = mean_i + dx into component i, whose weight
-        is >= 1 (add_sample checks that every weight is before it draws).
-        The weight is a Python float, and the new evaluation covariance,
+        is >= 1 (add_sample checks that every weight is, and that the
+        mixture has a creation covariance C, before it draws).  The weight
+        is a Python float, and the new evaluation covariance,
         _evaluation_cov's, is formed in its row before i alone is
         re-factored: the blend ((w' - 1) S' + C) / w' by three in-place
         operations on the row, with _evaluation_cov's bits.
@@ -953,44 +972,26 @@ class DynamicGaussianMixture(MixtureCore):
         _absorb(w, self._mean[i], cov, dx)
         w += 1.0
         self._w[i] = w
-        row, creation = self._eval_cov[i], self._creation[i]
-        if creation is None:
-            row[...] = cov
-        else:
-            np.multiply(cov, w - 1.0, out=row)
-            row += creation
-            row /= w
-            if not self._symmetric:
-                symmetrize(row, out=row)
+        row = self._eval_cov[i]
+        np.multiply(cov, w - 1.0, out=row)
+        row += self._creation_cov
+        row /= w
+        if not self._symmetric:
+            symmetrize(row, out=row)
         eval_cov, self._chol_inv[i] = _factor(row)
         if eval_cov is not row:  # loaded by _factor_linalg
             row[...] = eval_cov
 
-    def _append(self, x: np.ndarray, scale: float) -> None:
+    def _append(self, x: np.ndarray) -> None:
         """Grow every array by one row for a weight-1 component at x whose
-        covariance and creation covariance are scale * I.  Its evaluation
-        covariance is that covariance too, the blend at w = 1, taken
-        without symmetrizing: (C + C^T) / 2 would overflow for a scale
-        above half the largest float.  Its factor depends on that
-        covariance alone, so the two are kept in the module's `_fresh`
-        entry for the last one any mixture appended, and reused while it
-        repeats, as it does within a stream and across the mixtures of one
-        motion model; the components share one read-only copy of it as
-        their creation covariance.  The entry is keyed by (D, scale), so a
-        repeated scale * I is not even built."""
-        global _fresh
-        key = (self.dim, scale)
-        fresh = _fresh
-        if fresh is None or fresh[0] != key:
-            cov = scale * np.eye(self.dim)
-            _, chol_inv = _factor(cov)
-            for arr in (cov, chol_inv):
-                arr.flags.writeable = False
-            fresh = _fresh = (key, cov, chol_inv)
-        _, cov, chol_inv = fresh
+        covariance is the creation covariance C.  Its evaluation covariance
+        is C too, the blend at w = 1, taken without symmetrizing:
+        (C + C^T) / 2 would overflow for a scale above half the largest
+        float.  Its factor depends on C alone, so it is the one _adopt
+        built, and an append factors nothing."""
+        cov = self._creation_cov[None]
         self._w = np.concatenate([self._w, [1.0]])
         self._mean = np.concatenate([self._mean, x[None]])
-        self._cov = np.concatenate([self._cov, cov[None]])
-        self._creation.append(cov)
-        self._eval_cov = np.concatenate([self._eval_cov, cov[None]])
-        self._chol_inv = np.concatenate([self._chol_inv, chol_inv[None]])
+        self._cov = np.concatenate([self._cov, cov])
+        self._eval_cov = np.concatenate([self._eval_cov, cov])
+        self._chol_inv = np.concatenate([self._chol_inv, self._creation_chol_inv[None]])

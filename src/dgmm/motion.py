@@ -41,10 +41,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import asymmetric, check_symmetric
+from .gaussian import asymmetric
 from .mixture import (
     DynamicGaussianMixture,
     MixtureCore,
+    _check_creation_cov_scale,
     check_batch,
     check_coordinates,
     check_count,
@@ -242,7 +243,10 @@ class MotionModel:
     queries, x || z or x alone for a model without terrain, go through it
     whole, and a query's log density gains its pose block's log Jacobian.
     Without one, the map is the identity, so there is one query path
-    either way."""
+    either way.
+
+    k and creation_cov_scale are the constants of every mixture the model
+    builds, checked here as DynamicGaussianMixture checks them."""
 
     def __init__(self, k: float, x_dim: int = 6, z_dim: int = 0,
                  standardizer: Standardizer | None = None,
@@ -251,8 +255,7 @@ class MotionModel:
         self.z_dim = check_count(z_dim, "z_dim", 0)
         if standardizer is not None and standardizer.offset.shape[0] != self.dim:
             raise ValueError("standardizer length must equal x_dim + z_dim")
-        if not 0.0 < creation_cov_scale < math.inf:
-            raise ValueError(f"creation_cov_scale must be positive and finite, got {creation_cov_scale!r}")
+        self.creation_cov_scale = _check_creation_cov_scale(creation_cov_scale)
         check_k(k)
         self.k = float(k)
         self.standardizer = standardizer
@@ -260,7 +263,6 @@ class MotionModel:
         # 1), which changes no bit
         std = self._std = standardizer or Standardizer(np.zeros(self.dim), np.ones(self.dim))
         self._x_log_jacobian = Standardizer(std.offset[:self.x_dim], std.scale[:self.x_dim]).log_jacobian()
-        self.creation_cov_scale = float(creation_cov_scale)
         self.models: dict[CommandKey, DynamicGaussianMixture] = {}
 
     @property
@@ -309,14 +311,15 @@ class MotionModel:
         rng (a generator, or its mixture._Uniforms).
 
         The no-op command raises ValueError.  A command without a mixture
-        gets a new one, registered only once it holds the sample, so a
-        sample that add_sample rejects adds no command."""
+        gets a new one with the model's k and creation_cov_scale,
+        registered only once it holds the sample, so a sample that
+        add_sample rejects adds no command."""
         if c.is_noop():
             raise ValueError("the no-op command <0,0,0> is not trainable")
         mix = self.models.get(c)
         if mix is None:
-            mix = DynamicGaussianMixture(self.dim)
-        mix.add_sample(u, self.k, rng, new_cov_scale=self.creation_cov_scale)
+            mix = DynamicGaussianMixture(self.dim, self.k, self.creation_cov_scale)
+        mix.add_sample(u, rng)
         self.models[c] = mix
 
     def record_step(self, c: CommandKey, prev: Pose, curr: Pose,
@@ -418,7 +421,6 @@ class MotionModel:
         raises ValueError naming k, as from_dict would reject its file."""
         if not math.isfinite(self.k):
             raise ValueError(f"k = {self.k!r} cannot be written to a model file: it must be finite")
-        default_creation = self.creation_cov_scale * np.eye(self.dim)
         doc = {
             "format": MODEL_FORMAT,
             "k": self.k,
@@ -432,7 +434,7 @@ class MotionModel:
             },
             "commands": [
                 {"key": list(c.as_tuple()),
-                 "components": _component_docs(self.models[c], default_creation)}
+                 "components": _component_docs(self.models[c])}
                 for c in self.commands()
             ],
         }
@@ -480,8 +482,6 @@ class MotionModel:
                 _fail("standardizer.scale", "entries must be positive")
             std = Standardizer(offset, std_scale)
         mm = cls(k=k, x_dim=x_dim, z_dim=z_dim, standardizer=std, creation_cov_scale=scale)
-        # shared by every component that takes the default; nothing writes it
-        default_creation = scale * np.eye(dim)
         commands = doc.get("commands")
         if not isinstance(commands, list):
             _fail("commands", "missing or not a list")
@@ -503,7 +503,7 @@ class MotionModel:
                 _fail(f"{where}.components", "missing or not a list")
             if not comps_raw:
                 _fail(f"{where}.components", "empty: a trained command has at least one component")
-            w, means, covs, creations = [], [], [], []
+            w, means, covs, nulls = [], [], [], []
             for gi, comp in enumerate(comps_raw):
                 cwhere = f"{where}.components[{gi}]"
                 if not isinstance(comp, dict):
@@ -513,15 +513,14 @@ class MotionModel:
                     _fail(f"{cwhere}.w", "must be a positive finite number")
                 means.append(_expect_floats(comp, "mean", dim, prefix=cwhere + "."))
                 covs.append(_expect_floats(comp, "cov", dim * dim, prefix=cwhere + "."))
-                creation = comp.get("creation_cov", default_creation)
-                if creation is not None and creation is not default_creation:
-                    creation = _expect_matrix(comp, "creation_cov", dim, prefix=cwhere + ".")
-                    # it is the prior of every evaluation covariance, so it must factor
-                    try:
-                        np.linalg.cholesky(creation)
-                    except np.linalg.LinAlgError:
-                        _fail(f"{cwhere}.creation_cov", "not positive definite")
-                creations.append(creation)
+                # absent: the model's creation_cov_scale * I; null: none
+                nulls.append("creation_cov" in comp)
+                if comp.get("creation_cov") is not None:
+                    _fail(f"{cwhere}.creation_cov", "must be absent (the model's creation_cov_scale * I) "
+                                                    "or null (none): a matrix is not accepted")
+                if nulls[-1] != nulls[0]:
+                    _fail(f"{cwhere}.creation_cov", "every component of a command must leave it out, "
+                                                    "or every one must give null")
             # the command's covariances are checked together, in one pass each
             covs = np.array(covs).reshape(-1, dim, dim)
             _fail_first_cov(where, asymmetric(covs), "cov is not symmetric")
@@ -530,7 +529,7 @@ class MotionModel:
             _fail_first_cov(where, eig[:, 0] < -PSD_TOLERANCE * np.maximum(1.0, np.abs(eig).max(axis=1)),
                             "not positive semidefinite")
             mm.models[command] = DynamicGaussianMixture._from_arrays(
-                np.array(w), np.array(means), covs, creations)
+                np.array(w), np.array(means), covs, mm.k, None if nulls[0] else mm.creation_cov_scale)
         return mm
 
     @classmethod
@@ -543,23 +542,15 @@ class MotionModel:
         return cls.from_dict(doc)
 
 
-def _component_docs(mix: DynamicGaussianMixture, default_creation: np.ndarray) -> list[dict]:
+def _component_docs(mix: DynamicGaussianMixture) -> list[dict]:
     """The components of one command in a model file, one per row of the
-    mixture's arrays.  A creation covariance is written only when it is not
-    the model's default creation_cov_scale * I (null for a component
-    without one, e.g. in a hand-built mixture), so files of models trained
-    online hold exactly the moments."""
-    docs = []
-    rows = zip(mix._w.tolist(), mix._mean.tolist(), mix._cov.reshape(len(mix), -1).tolist(),
-               mix._creation)
-    for w, mean, cov, creation in rows:
-        doc = {"w": w, "mean": mean, "cov": cov}
-        if creation is None:
-            doc["creation_cov"] = None
-        elif not np.array_equal(creation, default_creation):
-            doc["creation_cov"] = creation.reshape(-1).tolist()
-        docs.append(doc)
-    return docs
+    mixture's arrays.  Every component of a mixture without a creation
+    covariance (a hand-built one) has creation_cov null; no other has the
+    key, as the model's creation_cov_scale * I is every mixture's, so files
+    of models trained online hold exactly the moments."""
+    none = {} if mix.creation_cov_scale is not None else {"creation_cov": None}
+    rows = zip(mix._w.tolist(), mix._mean.tolist(), mix._cov.reshape(len(mix), -1).tolist())
+    return [{"w": w, "mean": mean, "cov": cov, **none} for w, mean, cov in rows]
 
 
 def _fail(field: str, why: str):
@@ -619,12 +610,3 @@ def _expect_floats(obj: dict, name: str, length: int, prefix: str = "") -> np.nd
     # subclasses of int or float, from a document not read from JSON
     return np.array(val, dtype=float)
 
-
-def _expect_matrix(obj: dict, name: str, dim: int, prefix: str = "") -> np.ndarray:
-    """A symmetric (dim, dim) matrix from its row-major list."""
-    mat = _expect_floats(obj, name, dim * dim, prefix).reshape(dim, dim)
-    try:
-        check_symmetric(mat)
-    except ValueError as exc:
-        _fail(prefix + name, str(exc))
-    return mat

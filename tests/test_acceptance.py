@@ -153,9 +153,9 @@ def test_ac6_densities_integrate_to_one(faithful):
     # online estimates on the 2-D benchmark
     rng = np.random.default_rng(6)
     for _ in range(3):
-        m = DynamicGaussianMixture(2)
+        m = DynamicGaussianMixture(2, 0.7)
         for x in faithful[rng.permutation(len(faithful))]:
-            m.add_sample(x, 0.7, rng)
+            m.add_sample(x, rng)
         cases.append(("online 2-D", m.density, [m]))
 
     # EM references, 2-D and 1-D
@@ -166,9 +166,9 @@ def test_ac6_densities_integrate_to_one(faithful):
 
     # online estimate on a 1-D stream
     pts1 = np.concatenate([rng.normal(0, 0.5, 150), rng.normal(4, 0.5, 150)])
-    m1 = DynamicGaussianMixture(1)
+    m1 = DynamicGaussianMixture(1, 0.3)
     for x in pts1:
-        m1.add_sample([x], 0.3, rng)
+        m1.add_sample([x], rng)
     cases.append(("online 1-D", m1.density, [m1]))
 
     # a conditioned mixture over a 2-D kept block

@@ -271,9 +271,9 @@ def two_cluster_points(rng, n, dim, offset, scale):
 
 def streamed(points, k, scale, rng):
     """An online mixture fed the points, with creation covariance scale^2 I."""
-    m = DynamicGaussianMixture(points.shape[1])
+    m = DynamicGaussianMixture(points.shape[1], k, scale**2)
     for x in points:
-        m.add_sample(x, k, rng, new_cov_scale=scale**2)
+        m.add_sample(x, rng)
     return m
 
 
@@ -367,8 +367,10 @@ class TestIse:
         # a power of 4 makes the Cholesky factorization fail exactly
         c = 4.0 ** round(math.log(scale**2, 4))
         singular = Gaussian(offset + scale * rng.standard_normal(2), c * np.ones((2, 2)))
+        # p2 has no creation covariance, so p's rows enter it with their
+        # evaluation covariances, which it evaluates as p does
         p2 = dynamic_mixture(np.append(p._w, p.total_weight()), np.vstack([p._mean, singular.mean]),
-                             np.concatenate([p._cov, [singular.cov]]), p._creation + [None])
+                             np.concatenate([p._eval_cov, [singular.cov]]))
         q2 = FixedGaussianMixture(np.append(q.weights / 2.0, 0.5), np.vstack([q._mean, singular.mean]),
                                   np.concatenate([q._eval_cov, [singular.cov]]))
         assert not np.array_equal(p2._eval_cov[-1], singular.cov)
@@ -411,7 +413,7 @@ class TestIse:
         one = FixedGaussianMixture([1.0], [[0.0]], [[[1.0]]])
         two = FixedGaussianMixture([1.0], [[0.0, 0.0]], [np.eye(2)])
         with pytest.raises(ValueError, match="empty"):
-            ise(one, DynamicGaussianMixture(1))
+            ise(one, DynamicGaussianMixture(1, 0.3))
         with pytest.raises(ValueError, match="dimensions differ"):
             ise(one, two)
 

@@ -111,9 +111,9 @@ class TestMiseExperiment:
 
         rng = np.random.default_rng(12)
         pts = sample_gmm(three_component_benchmark(), 100, rng)
-        m = DynamicGaussianMixture(2)
+        m = DynamicGaussianMixture(2, 0.5)
         for x in pts:
-            m.add_sample(x, 0.5, rng)
+            m.add_sample(x, rng)
         grid = support_grid([m], resolution=100)
         assert mise(m.density, m.density, grid) == 0.0
 
@@ -435,9 +435,9 @@ def _reference_streams(decided):
     def streams(points, plan, target_m):
         for k, seed in plan:
             sub = np.random.default_rng(seed)
-            model = DynamicGaussianMixture(points.shape[1])
+            model = DynamicGaussianMixture(points.shape[1], k)
             for x in points[sub.permutation(points.shape[0])]:
-                model.add_sample(x, k, sub)
+                model.add_sample(x, sub)
                 if decided(model, k):
                     break
             yield model

@@ -30,15 +30,15 @@ from dgmm.em import FixedGaussianMixture, Grid, integrate_on_grid, mixture_suppo
 from dgmm.datasets import sample_gmm, three_component_benchmark
 from dgmm.motion import CommandKey, MotionModel
 
-from builders import dynamic_mixture
+from builders import dynamic_mixture, rebuild
 
 STD_PEAK = 1.0 / math.sqrt(2 * math.pi)
 FWD = CommandKey(0.5, 0.0, 0.0)
 
 
-def mix(*comps):
+def mix(*comps, k=0.3, creation_cov_scale=None):
     means, covs, w = zip(*comps)
-    return dynamic_mixture(w, means, covs)
+    return dynamic_mixture(w, means, covs, k, creation_cov_scale)
 
 
 def peak_estimate(m):
@@ -56,7 +56,7 @@ class TestConstruction:
     def test_no_component_object_constructor(self):
         assert not hasattr(DynamicGaussianMixture, "from_components")
         with pytest.raises(TypeError):
-            DynamicGaussianMixture(1, [WeightedGaussian(Gaussian([0.0], [[1.0]]), 1.0)])
+            DynamicGaussianMixture(1, 0.3, 1.0, [WeightedGaussian(Gaussian([0.0], [[1.0]]), 1.0)])
         with pytest.raises(TypeError):
             FixedGaussianMixture([1.0], [Gaussian([0.0], [[1.0]])])
         for owner, name in ((DynamicGaussianMixture, "weights"), (DynamicGaussianMixture, "means"),
@@ -64,17 +64,17 @@ class TestConstruction:
             assert not hasattr(owner, name), name
 
     def test_empty_mixture_from_its_dimension(self):
-        m = DynamicGaussianMixture(3)
+        m = DynamicGaussianMixture(3, 0.3)
         assert len(m) == 0 and m.dim == 3 and m.total_weight() == 0.0
         assert m._mean.shape == (0, 3) and m._cov.shape == m._chol_inv.shape == (0, 3, 3)
         with pytest.raises(ValueError, match="dim must be >= 1"):
-            DynamicGaussianMixture(0)
+            DynamicGaussianMixture(0, 0.3)
 
     @pytest.mark.parametrize("dim", [2.5, 2.0, "2", None])
     def test_dimension_not_an_integer(self, dim):
         with pytest.raises(ValueError, match="^dim must be an integer$"):
-            DynamicGaussianMixture(dim)
-        assert DynamicGaussianMixture(np.int64(2)).dim == 2
+            DynamicGaussianMixture(dim, 0.3)
+        assert DynamicGaussianMixture(np.int64(2), 0.3).dim == 2
 
     def test_reference_layer_is_not_exported(self):
         names = ("Gaussian", "IndexSplit", "ensure_positive_definite", "regularize",
@@ -105,7 +105,7 @@ class TestMixtureDensity:
         assert m.density(np.array([0.0])) == pytest.approx(expect, rel=1e-12)
 
     def test_empty_and_mismatch_errors(self):
-        empty = DynamicGaussianMixture(2)
+        empty = DynamicGaussianMixture(2, 0.3)
         with pytest.raises(ValueError):
             empty.density(np.zeros(2))
         m = mix(([0.0], [[1.0]], 1.0))
@@ -171,11 +171,11 @@ class TestNormalizedMixtureDensity:
         # at D = 8 a covariance of 1e100 I puts every density, even at the
         # mean, below the smallest float: the linear ratio would be 0/0
         mean = np.linspace(-1.0, 1.0, 8)
-        m = mix((mean, 1e100 * np.eye(8), 3.0))
+        m = mix((mean, 1e100 * np.eye(8), 3.0), k=0.1, creation_cov_scale=1e100)
         assert peak_estimate(m) == 0.0
         rng = np.random.default_rng(0)
         for _ in range(20):
-            m.add_sample(mean, 0.1, rng)
+            m.add_sample(mean, rng)
         assert len(m) == 1
         assert m.total_weight() == 23.0
         assert m.normalized_density(mean) == 1.0
@@ -280,26 +280,21 @@ class TestMergeThreshold:
             merge_threshold(0.5, 1.0, k)
         with pytest.raises(ValueError, match="n and k must be non-negative"):
             merge_threshold(0.5, k, 1.0)
-        m = mix(([0.0], [[1.0]], 3.0))
-        rng = np.random.default_rng(7)
-        state = rng.bit_generator.state
-        with pytest.raises(ValueError, match="k must be non-negative"):
-            m.add_sample(np.array([0.1]), k, rng)
-        assert len(m) == 1 and m.total_weight() == 3.0
-        assert rng.bit_generator.state == state
+        # k is checked once, when a mixture is built
+        for build in (lambda: DynamicGaussianMixture(1, k), lambda: mix(([0.0], [[1.0]], 3.0), k=k)):
+            with pytest.raises(ValueError, match="k must be non-negative"):
+                build()
 
     @pytest.mark.parametrize("k", ["0.3", None, [0.3]])
     def test_k_that_is_not_a_real_number_rejected(self, k):
-        m = mix(([0.0], [[1.0]], 3.0))
+        for build in (lambda: DynamicGaussianMixture(1, k), lambda: mix(([0.0], [[1.0]], 3.0), k=k)):
+            with pytest.raises(ValueError, match="^k must be a real number$"):
+                build()
         rng = np.random.default_rng(7)
-        state = rng.bit_generator.state
-        with pytest.raises(ValueError, match="^k must be a real number$"):
-            m.add_sample(np.array([0.1]), k, rng)
-        assert len(m) == 1 and m.total_weight() == 3.0
-        assert rng.bit_generator.state == state
-        m.add_sample(np.array([0.1]), np.float64(0.3), rng)
-        m.add_sample(np.array([0.1]), np.int64(1), rng)
-        assert m.total_weight() == 5.0
+        for good in (np.float64(0.3), np.int64(1)):
+            m = mix(([0.0], [[1.0]], 3.0), k=good, creation_cov_scale=1.0)
+            m.add_sample(np.array([0.1]), rng)
+            assert m.k == float(good) and m.total_weight() == 4.0
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -314,7 +309,7 @@ class TestMergeThreshold:
 
 class TestTotalWeight:
     def test_values(self):
-        assert DynamicGaussianMixture(1).total_weight() == 0.0
+        assert DynamicGaussianMixture(1, 0.3).total_weight() == 0.0
         assert mix(([0.0], [[1.0]], 1.0)).total_weight() == 1.0
         assert mix(([0.0], [[1.0]], 3.0), ([1.0], [[1.0]], 2.0)).total_weight() == 5.0
 
@@ -394,13 +389,14 @@ class TestSelectComponent:
     def test_distance_overflowing_for_every_component_is_rejected(self):
         # finite coordinates whose whitened squares overflow against small
         # covariances: no draw has a defined value there
-        m = mix(([0.0, 0.0], 1e-4 * np.eye(2), 1.0), ([1.0, 0.0], 1e-4 * np.eye(2), 1.0))
+        m = mix(([0.0, 0.0], 1e-4 * np.eye(2), 1.0), ([1.0, 0.0], 1e-4 * np.eye(2), 1.0),
+                creation_cov_scale=1e-4)
         x = np.array([1e153, 0.0])
         rng = np.random.default_rng(10)
         state = rng.bit_generator.state
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for call in (lambda: m.select_component(x, rng), lambda: m.add_sample(x, 0.3, rng)):
+            for call in (lambda: m.select_component(x, rng), lambda: m.add_sample(x, rng)):
                 with pytest.raises(ValueError, match="squared Mahalanobis distance to every "
                                                      "component overflows float64"):
                     call()
@@ -449,10 +445,10 @@ class TestMergeInto:
 
 class TestAddSample:
     def test_empty_model_always_adds(self):
-        m = DynamicGaussianMixture(2)
+        m = DynamicGaussianMixture(2, 0.7)
         rng = np.random.default_rng(6)
         x = np.array([3.0, -1.0])
-        m.add_sample(x, 0.7, rng)
+        m.add_sample(x, rng)
         assert len(m) == 1
         comp = m.components[0]
         assert comp.w == 1.0
@@ -461,18 +457,18 @@ class TestAddSample:
         assert np.array_equal(comp.creation_cov, np.eye(2))
 
     def test_sample_at_mean_of_heavy_model_merges(self):
-        m = mix(([1.0], [[1.0]], 50.0))
+        m = mix(([1.0], [[1.0]], 50.0), k=0.7, creation_cov_scale=1.0)
         rng = np.random.default_rng(7)
-        m.add_sample(np.array([1.0]), 0.7, rng)  # d = 1 so t = 1: always merge
+        m.add_sample(np.array([1.0]), rng)  # d = 1 so t = 1: always merge
         assert len(m) == 1
         assert m.total_weight() == 51.0
 
     def test_weight_conservation_and_count_growth(self):
         rng = np.random.default_rng(8)
-        m = DynamicGaussianMixture(2)
+        m = DynamicGaussianMixture(2, 0.3)
         for i in range(200):
             before_w, before_m = m.total_weight(), len(m)
-            m.add_sample(rng.standard_normal(2), 0.3, rng)
+            m.add_sample(rng.standard_normal(2), rng)
             assert m.total_weight() == before_w + 1.0
             assert len(m) - before_m in (0, 1)
 
@@ -484,9 +480,9 @@ class TestAddSample:
         for seed in range(100):
             rng = np.random.default_rng(seed)
             pts = sample_gmm(gen, 300, rng)
-            m = DynamicGaussianMixture(1)
+            m = DynamicGaussianMixture(1, 0.3)
             for x in pts:
-                m.add_sample(x, 0.3, rng)
+                m.add_sample(x, rng)
             counts[len(m)] = counts.get(len(m), 0) + 1
         mode = max(counts, key=counts.get)
         assert mode == 2
@@ -496,9 +492,9 @@ class TestAddSample:
         models = []
         for _ in range(2):
             rng = np.random.default_rng(4242)
-            m = DynamicGaussianMixture(2)
+            m = DynamicGaussianMixture(2, 0.5)
             for x in pts:
-                m.add_sample(x, 0.5, rng)
+                m.add_sample(x, rng)
             models.append(m)
         a, b = models
         assert len(a) == len(b)
@@ -512,9 +508,9 @@ class TestAddSample:
         # whole stream lands in a single component
         rng = np.random.default_rng(10)
         X = rng.uniform(-2, 2, size=(500, 3)) * rng.uniform(0.2, 1.5, 3)
-        m = DynamicGaussianMixture(3)
+        m = DynamicGaussianMixture(3, 1e9)
         for x in X:
-            m.add_sample(x, 1e9, rng)
+            m.add_sample(x, rng)
         assert len(m) == 1
         comp = m.components[0]
         assert comp.g.mean == pytest.approx(X.mean(axis=0), rel=1e-11, abs=1e-12)
@@ -523,9 +519,9 @@ class TestAddSample:
     def test_streamed_model_density_integrates_to_one(self):
         rng = np.random.default_rng(11)
         pts = np.concatenate([rng.normal(0, 0.5, 120), rng.normal(3, 0.7, 80)])
-        m = DynamicGaussianMixture(1)
+        m = DynamicGaussianMixture(1, 0.4)
         for x in pts:
-            m.add_sample([x], 0.4, rng)
+            m.add_sample([x], rng)
         means = m._mean.reshape(-1)
         sig = math.sqrt(max(np.diag(c.pd_gaussian().cov)[0] for c in m.components))
         grid = Grid((means.min() - 8 * sig,), (means.max() + 8 * sig,), (8001,))
@@ -534,10 +530,10 @@ class TestAddSample:
 
 class TestEvaluationBlend:
     def test_young_component_evaluates_with_creation_prior(self):
-        m = DynamicGaussianMixture(2)
+        m = DynamicGaussianMixture(2, 1e9)
         rng = np.random.default_rng(12)
-        m.add_sample(np.array([0.0, 0.0]), 1e9, rng)
-        m.add_sample(np.array([1.0, 0.0]), 1e9, rng)  # forced merge: rank-1 stored cov
+        m.add_sample(np.array([0.0, 0.0]), rng)
+        m.add_sample(np.array([1.0, 0.0]), rng)  # forced merge: rank-1 stored cov
         comp = m.components[0]
         assert np.linalg.matrix_rank(comp.g.cov) == 1  # exact moments stay degenerate
         blended = comp.pd_gaussian().cov
@@ -546,9 +542,9 @@ class TestEvaluationBlend:
 
     def test_prior_washes_out_with_weight(self):
         rng = np.random.default_rng(13)
-        m = DynamicGaussianMixture(2)
+        m = DynamicGaussianMixture(2, 1e9)
         for x in rng.standard_normal((2000, 2)):
-            m.add_sample(x, 1e9, rng)
+            m.add_sample(x, rng)
         comp = m.components[0]
         assert comp.pd_gaussian().cov == pytest.approx(comp.g.cov, rel=2e-3)
 
@@ -562,17 +558,17 @@ class TestSampleValidation:
     def test_component_below_unit_weight_is_rejected_before_any_draw(self):
         # no merge can take a component of weight 0.5, so the mixture
         # refuses every sample up front instead of failing after its draw
-        m = mix(([0.0], [[1.0]], 3.0), ([5.0], [[1.0]], 0.5))
+        m = mix(([0.0], [[1.0]], 3.0), ([5.0], [[1.0]], 0.5), k=5.0, creation_cov_scale=1.0)
         rng = np.random.default_rng(31)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match=re.escape("component 1 has weight 0.5 < 1")):
-            m.add_sample(np.array([5.0]), 5.0, rng)
+            m.add_sample(np.array([5.0]), rng)
         assert rng.bit_generator.state == state
         assert m.total_weight() == 3.5 and np.array_equal(m._w, [3.0, 0.5])
         # its density is still defined, and unit weights train as before
         assert m.density(np.array([5.0])) > 0.0
-        ok = mix(([0.0], [[1.0]], 3.0), ([5.0], [[1.0]], 1.0))
-        ok.add_sample(np.array([5.0]), 5.0, rng)
+        ok = mix(([0.0], [[1.0]], 3.0), ([5.0], [[1.0]], 1.0), k=5.0, creation_cov_scale=1.0)
+        ok.add_sample(np.array([5.0]), rng)
         assert ok.total_weight() == 5.0
 
     @pytest.mark.parametrize("bad, problem", [
@@ -583,13 +579,13 @@ class TestSampleValidation:
     ])
     def test_rejected_before_any_draw(self, bad, problem):
         rng = np.random.default_rng(30)
-        m = DynamicGaussianMixture(2)
+        m = DynamicGaussianMixture(2, 0.3)
         for x in rng.standard_normal((20, 2)):
-            m.add_sample(x, 0.3, rng)
+            m.add_sample(x, rng)
         before = [(c.w, c.g.mean, c.g.cov) for c in m.components]
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="sample coordinate 1 " + re.escape(problem)):
-            m.add_sample(np.array([0.5, bad]), 0.3, rng)
+            m.add_sample(np.array([0.5, bad]), rng)
         assert rng.bit_generator.state == state
         assert m.total_weight() == 20.0
         after = [(c.w, c.g.mean, c.g.cov) for c in m.components]
@@ -600,20 +596,32 @@ class TestSampleValidation:
 
     @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])
     def test_bad_creation_scale_rejected_before_any_draw(self, scale):
+        # the scale is checked once, when a mixture is built
+        for build in (lambda: DynamicGaussianMixture(1, 0.3, scale),
+                      lambda: mix(([0.0], [[1.0]], 3.0), creation_cov_scale=scale)):
+            with pytest.raises(ValueError, match="creation_cov_scale must be positive and finite"):
+                build()
+
+    @pytest.mark.parametrize("scale", ["1", None, [1.0]])
+    def test_creation_scale_that_is_not_a_real_number_rejected(self, scale):
+        with pytest.raises(ValueError, match="^creation_cov_scale must be a real number$"):
+            DynamicGaussianMixture(1, 0.3, scale)
+        with pytest.raises(ValueError, match="^creation_cov_scale must be a real number$"):
+            MotionModel(k=0.3, creation_cov_scale=scale)
+
+    def test_mixture_without_a_creation_covariance_absorbs_no_sample(self):
         m = mix(([0.0], [[1.0]], 3.0))
         rng = np.random.default_rng(32)
         state = rng.bit_generator.state
-        with pytest.raises(ValueError, match="new_cov_scale must be positive and finite"):
-            m.add_sample(np.array([50.0]), 0.3, rng, new_cov_scale=scale)
+        with pytest.raises(ValueError, match="the mixture has no creation covariance"):
+            m.add_sample(np.array([0.5]), rng)
         assert rng.bit_generator.state == state
-        assert len(m) == 1 and m.total_weight() == 3.0
-        with pytest.raises(ValueError, match="new_cov_scale must be positive and finite"):
-            DynamicGaussianMixture(1).add_sample(np.array([0.0]), 0.3, rng, new_cov_scale=scale)
-        assert rng.bit_generator.state == state
+        assert len(m) == 1 and m.total_weight() == 3.0 and m.creation_cov_scale is None
+        assert m.components[0].creation_cov is None
 
     def test_largest_finite_square_is_accepted(self):
-        m = DynamicGaussianMixture(1)
-        m.add_sample(np.array([1e150]), 0.3, np.random.default_rng(31))
+        m = DynamicGaussianMixture(1, 0.3)
+        m.add_sample(np.array([1e150]), np.random.default_rng(31))
         assert m._mean[0, 0] == 1e150
 
     @pytest.mark.parametrize("bad, problem", [
@@ -653,9 +661,9 @@ class TestMomentsAtOffset:
             comp = WeightedGaussian(Gaussian(X[0], np.eye(d)), 1.0, creation_cov=np.eye(d))
             for x in X[1:]:
                 comp = merge_into(comp, x)
-            m = DynamicGaussianMixture(d)
+            m = DynamicGaussianMixture(d, 1e9)
             for x in X:
-                m.add_sample(x, 1e9, rng)
+                m.add_sample(x, rng)
             assert len(m) == 1
             for cov in (comp.g.cov, m.components[0].g.cov):
                 err = np.max(np.abs(cov - want)) / np.max(np.abs(want))
@@ -686,9 +694,9 @@ class TestIncrementalCaches:
         for seed in range(3):
             rng = np.random.default_rng([dim, seed])
             centers = 3.0 * rng.standard_normal((3, dim))
-            m = DynamicGaussianMixture(dim)
+            m = DynamicGaussianMixture(dim, k)
             for step in range(120):
-                m.add_sample(centers[step % 3] + rng.standard_normal(dim), k, rng)
+                m.add_sample(centers[step % 3] + rng.standard_normal(dim), rng)
                 if step % 30 != 29:
                     continue
                 assert m._scaled_peak(m._scaled_weights()[1]) >= 1.0
@@ -770,9 +778,9 @@ class TestUpdateProperties:
         rng = np.random.default_rng(seed)
         scale = 10.0**log_scale
         X = offset + scale * rng.standard_normal((n, dim)) * rng.uniform(0.5, 2.0, dim)
-        m = DynamicGaussianMixture(dim)
+        m = DynamicGaussianMixture(dim, 1e9)
         for i, x in enumerate(X):
-            m.add_sample(x, 1e9, rng)
+            m.add_sample(x, rng)
             assert m.total_weight() == i + 1
         assert len(m) == 1
         # a one-pass mean gathers up to an ulp of the offset per sample, and
@@ -795,19 +803,19 @@ class TestUpdateProperties:
         rng = np.random.default_rng(seed)
         scale = 10.0**log_scale
         centers = offset + 4.0 * scale * rng.standard_normal((3, dim))
-        m = DynamicGaussianMixture(dim)
+        m = DynamicGaussianMixture(dim, 10.0**log_k, scale**2)
         for i in range(n):
             x = centers[rng.integers(3)] + scale * rng.standard_normal(dim)
-            m.add_sample(x, 10.0**log_k, rng, new_cov_scale=scale**2)
+            m.add_sample(x, rng)
             assert m.total_weight() == i + 1
         assert m._w.sum() == n
-        fresh = dynamic_mixture(m._w, m._mean, m._cov, m._creation)
+        fresh = rebuild(m)
         for name in ("_eval_cov", "_chol_inv", "_log_norm"):
             np.testing.assert_allclose(getattr(m, name), getattr(fresh, name), rtol=1e-12, atol=0.0,
                                        err_msg=name)
 
 
-def eager_add_sample(m, x, k, rng, new_cov_scale=1.0):
+def eager_add_sample(m, x, rng):
     """add_sample with d computed for every sample, as the decision rule
     reads: merge iff r < 1 - (1 - d) e^{-kn}."""
     x = m._check_sample(x)
@@ -816,11 +824,11 @@ def eager_add_sample(m, x, k, rng, new_cov_scale=1.0):
     if len(m):
         _, quad, nearest = m._distances(x)
         d = float(m._normalized(quad))
-    if r < merge_threshold(d, m._W, k):
+    if r < merge_threshold(d, m._W, m.k):
         i = m._draw(quad, rng, nearest)
         m._merge(i, x - m._mean[i])
     else:
-        m._append(x, new_cov_scale)
+        m._append(x)
     m._W += 1.0
 
 
@@ -862,11 +870,11 @@ class TestLazyDensity:
     def test_matches_eager_reference(self, dim, n, log_k, offset, log_scale, seed):
         k, scale = 10.0**log_k, 10.0**log_scale
         pts = clustered_stream(np.random.default_rng(seed), n, dim, offset, scale)
-        lazy, eager = DynamicGaussianMixture(dim), DynamicGaussianMixture(dim)
+        lazy, eager = (DynamicGaussianMixture(dim, k, scale**2) for _ in range(2))
         rng_lazy, rng_eager = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
         for x in pts:
-            lazy.add_sample(x, k, rng_lazy, new_cov_scale=scale**2)
-            eager_add_sample(eager, x, k, rng_eager, new_cov_scale=scale**2)
+            lazy.add_sample(x, rng_lazy)
+            eager_add_sample(eager, x, rng_eager)
             assert len(lazy) == len(eager)
             for name in ("_w", "_mean", "_cov"):
                 assert np.array_equal(getattr(lazy, name), getattr(eager, name)), name
@@ -910,8 +918,7 @@ class TestDensityBound:
             means.append(scale * (offset + 3.0 * rng.standard_normal(dim)))
             covs.append(0.5 * (cov + cov.T))
             w.append(1.0 + 9.0 * rng.random() if fractional else float(rng.integers(1, 10)))
-        creation = [cov_scale * np.eye(dim)] * m
-        bounded, eager = (dynamic_mixture(w, means, covs, creation) for _ in range(2))
+        bounded, eager = (dynamic_mixture(w, means, covs, k, cov_scale) for _ in range(2))
         # near a mean, between means, or far out (d ~ 0)
         spread = scale * np.array([0.5, 0.5, 3.0, 30.0])[rng.integers(4, size=(n, 1))]
         pts = np.array(means)[rng.integers(m, size=n)] + spread * rng.standard_normal((n, dim))
@@ -933,8 +940,8 @@ class TestDensityBound:
                 r = min(lo + u * (hi - lo), math.nextafter(hi, 0.0)) if hi > lo else min(lo, u)
                 assert r < 1.0
                 draws_bounded, draws_eager = ScriptedUniforms([r, v]), ScriptedUniforms([r, v])
-            bounded.add_sample(x, k, draws_bounded, new_cov_scale=cov_scale)
-            eager_add_sample(eager, x, k, draws_eager, new_cov_scale=cov_scale)
+            bounded.add_sample(x, draws_bounded)
+            eager_add_sample(eager, x, draws_eager)
             assert_same_mixture(bounded, eager)
             assert rng_bounded.bit_generator.state == rng_eager.bit_generator.state
 
@@ -942,7 +949,7 @@ class TestDensityBound:
         # far samples (d ~ 0) draw at or above t(0), but every e_j underflows
         # to 0, so sum(e) settles them before the scaled weights, let alone
         # the peak matrix, are built
-        m = mix(([0.0], [[1.0]], 5.0), ([4.0], [[1.0]], 5.0))
+        m = mix(([0.0], [[1.0]], 5.0), ([4.0], [[1.0]], 5.0), k=1e-3, creation_cov_scale=1.0)
         built = []
         for name in ("_scaled_weights", "_scaled_peak"):
             method = getattr(DynamicGaussianMixture, name)
@@ -951,7 +958,7 @@ class TestDensityBound:
                                 built.append(name) or method(self, *args))
         rng = np.random.default_rng(12)
         for i in range(20):
-            m.add_sample(np.array([1e3 * (i + 1)]), 1e-3, rng)
+            m.add_sample(np.array([1e3 * (i + 1)]), rng)
         assert m.total_weight() == 30.0 and len(m) > 15 and built == []
 
     @settings(max_examples=80, deadline=None)
@@ -999,11 +1006,12 @@ class TestDensityBound:
         # their largest, and a draw above t(0.61) still merges
         k, x = 1e-3, np.array([0.0])
         r = merge_threshold(0.8, 10.0, k)
-        bounded, eager = (mix(([-1.0], [[1.0]], 5.0), ([1.0], [[1.0]], 5.0)) for _ in range(2))
+        bounded, eager = (mix(([-1.0], [[1.0]], 5.0), ([1.0], [[1.0]], 5.0), k=k, creation_cov_scale=1.0)
+                          for _ in range(2))
         quad = bounded._distances(x)[1]
         assert float(np.exp(-0.5 * quad).max()) < 0.8 and float(bounded._normalized(quad)) == 1.0
-        bounded.add_sample(x, k, ScriptedUniforms([r, 0.0]))
-        eager_add_sample(eager, x, k, ScriptedUniforms([r, 0.0]))
+        bounded.add_sample(x, ScriptedUniforms([r, 0.0]))
+        eager_add_sample(eager, x, ScriptedUniforms([r, 0.0]))
         assert len(bounded) == 2 and bounded.total_weight() == 11.0
         assert_same_mixture(bounded, eager)
 
@@ -1019,10 +1027,11 @@ class TestDensityBound:
         # below t(num / sum(a)) the lower bound merges; above it the peak decides
         for r, peaks in ((0.3, []), (0.9, [2])):
             assert t0 <= r < 1.0 and (r < t_half) == (not peaks)
-            bounded, eager = (mix(([0.0], [[1.0]], 5.0), ([4.0], [[1.0]], 5.0)) for _ in range(2))
-            bounded.add_sample(x, k, ScriptedUniforms([r, 0.0]))
+            bounded, eager = (mix(([0.0], [[1.0]], 5.0), ([4.0], [[1.0]], 5.0), k=k, creation_cov_scale=1.0)
+                              for _ in range(2))
+            bounded.add_sample(x, ScriptedUniforms([r, 0.0]))
             assert built == peaks
-            eager_add_sample(eager, x, k, ScriptedUniforms([r, 0.0]))
+            eager_add_sample(eager, x, ScriptedUniforms([r, 0.0]))
             assert len(bounded) == 2 and bounded.total_weight() == 11.0
             assert_same_mixture(bounded, eager)
             built.clear()
@@ -1046,17 +1055,17 @@ class TestRebuiltMixture:
     def test_from_arrays_resumes_bit_for_bit(self, dim, n, more, log_k, offset, log_scale, seed):
         k, scale = 10.0**log_k, 10.0**log_scale
         pts = clustered_stream(np.random.default_rng(seed), n + more, dim, offset, scale)
-        live = DynamicGaussianMixture(dim)
+        live = DynamicGaussianMixture(dim, k, scale**2)
         rng = np.random.default_rng([seed, 2])
         for x in pts[:n]:
-            live.add_sample(x, k, rng, new_cov_scale=scale**2)
-        rebuilt = dynamic_mixture(live._w, live._mean, live._cov, live._creation)
+            live.add_sample(x, rng)
+        rebuilt = rebuild(live)
         assert_same_mixture(live, rebuilt)
         rng_rebuilt = np.random.default_rng()
         rng_rebuilt.bit_generator.state = rng.bit_generator.state
         for x in pts[n:]:
-            live.add_sample(x, k, rng, new_cov_scale=scale**2)
-            rebuilt.add_sample(x, k, rng_rebuilt, new_cov_scale=scale**2)
+            live.add_sample(x, rng)
+            rebuilt.add_sample(x, rng_rebuilt)
         assert_same_mixture(live, rebuilt)
         assert rng.bit_generator.state == rng_rebuilt.bit_generator.state
 
@@ -1087,17 +1096,17 @@ class TestCountIsFinal:
         rest = n_final - streamed
         w = [rest - 2, 1, 1] if rest > 2 else [rest] if rest else []
         m = dynamic_mixture(w, offset + scale * rng.standard_normal((len(w), dim)),
-                            [scale**2 * np.eye(dim)] * len(w))
+                            [scale**2 * np.eye(dim)] * len(w), k, scale**2)
         # points at the components and far from them (density ratio d ~ 0)
         spread = scale * np.where(rng.random((streamed + extra, 1)) < 0.3, 1e3, 1.0)
         pts = offset + spread * rng.standard_normal((streamed + extra, dim))
         for x in pts[:streamed]:
-            m.add_sample(x, k, rng)
+            m.add_sample(x, rng)
         assert m.total_weight() == n_final
         assert _count_is_final(m.total_weight(), k)
         count = len(m)
         for x in pts[streamed:]:
-            m.add_sample(x, k, rng)
+            m.add_sample(x, rng)
             assert len(m) == count
 
 
@@ -1181,7 +1190,7 @@ class TestOnePassPieces:
             means.append(offset + rng.standard_normal(dim))
             covs.append(0.5 * (cov + cov.T))
             w.append(float(rng.integers(1, 10)))
-        a, b = (dynamic_mixture(w, means, covs, [np.eye(dim)] * m) for _ in range(2))
+        a, b = (dynamic_mixture(w, means, covs, creation_cov_scale=1.0) for _ in range(2))
         x = offset + rng.standard_normal(dim)
         diff, quad, nearest = a._distances(x)
         y = a._whitened(x)
@@ -1217,20 +1226,19 @@ class TestOnePassPieces:
     def test_threshold_from_the_decay_has_merge_thresholds_bits(self, d, n, k):
         assert _threshold(d, float(np.exp(-k * n))) == merge_threshold(d, n, k)
 
-    def test_append_by_scale_equals_append_of_the_covariance(self, monkeypatch):
+    def test_append_by_scale_equals_append_of_the_covariance(self):
         # the mixture built whole from the same moments derives every
-        # factor in _adopt, without the `_fresh` entry
-        monkeypatch.setattr(dgmm.mixture, "_fresh", None)
-        scales = (2.0, 2.0, 0.5, 2.0)
-        a = DynamicGaussianMixture(3)
-        for i, scale in enumerate(scales):
-            a._append(np.full(3, float(i)), scale)
-            a._W += 1.0
-        covs = [scale * np.eye(3) for scale in scales]
-        b = DynamicGaussianMixture._from_arrays(
-            np.ones(4), np.array([np.full(3, float(i)) for i in range(4)]), np.array(covs), covs)
-        assert_same_mixture(a, b)
-        assert [c[0, 0] for c in a._creation] == [2.0, 2.0, 0.5, 2.0]
+        # factor in _adopt, by _factor
+        for scale in (2.0, 0.5, 1e-300, 1.7e308):
+            a = DynamicGaussianMixture(3, 0.3, scale)
+            for i in range(4):
+                a._append(np.full(3, float(i)))
+                a._W += 1.0
+            b = DynamicGaussianMixture._from_arrays(
+                np.ones(4), np.array([np.full(3, float(i)) for i in range(4)]),
+                np.array([scale * np.eye(3)] * 4), 0.3, scale)
+            assert_same_mixture(a, b)
+            assert a.creation_cov_scale == scale and np.array_equal(a._cov, b._cov)
 
 
 class TestFactor:
@@ -1286,18 +1294,40 @@ class TestFactor:
 
 
 class TestFreshComponents:
-    """A fresh component's evaluation covariance and factor depend on its
-    creation covariance alone: a run of appends with one creation
-    covariance factors it once, and the mixture keeps and hands out copies
-    of what it is given."""
+    """A fresh component's evaluation covariance and factor depend on the
+    mixture's one creation covariance s I alone: the constructor forms its
+    factor I / sqrt(s) in closed form, an append factors nothing, and the
+    mixture hands out copies of it."""
+
+    # the smallest subnormal, the smallest normal, near 1, powers of 4
+    # (whose square roots are exact), and up to near the largest float
+    EDGES = (5e-324, 1e-323, 2.2250738585072014e-308, 0.25, 1.0, 1.0 - 2.0**-53, 1.0 + 2.0**-52,
+             4.0**-500, 4.0**500, 8.98846567431158e307, 1.7e308)
+
+    def test_closed_form_factor_has_the_bits_of_factor(self):
+        # every sign bit too: an off-diagonal -0.0 from the LAPACK inverse
+        # would differ from the closed form's 0.0 in its bytes
+        rng = np.random.default_rng(15)
+        scales = np.concatenate([self.EDGES, 10.0 ** rng.uniform(-323.0, math.log10(1.7e308), 2500),
+                                 np.exp(rng.uniform(-744.0, 709.0, 2500))])
+        for dim in range(1, 9):
+            eye = np.eye(dim)
+            stack = scales[:, None, None] * eye
+            eval_cov, chol_inv = _factor(stack)
+            assert eval_cov is stack
+            for s, want in zip(scales.tolist(), chol_inv):
+                assert (eye / math.sqrt(s)).tobytes() == want.tobytes(), (dim, s)
+            for s in self.EDGES:
+                m = DynamicGaussianMixture(dim, 0.3, s)
+                assert m._creation_chol_inv.tobytes() == _factor(s * eye)[1].tobytes(), (dim, s)
+                assert m._creation_cov.tobytes() == (s * eye).tobytes(), (dim, s)
 
     def test_repeated_creation_covariance_is_factored_once(self, monkeypatch):
-        m = DynamicGaussianMixture(3)
+        # once, in closed form, by the constructor: no append factors
+        m = DynamicGaussianMixture(3, 0.0, 2.0)
         rng = np.random.default_rng(4)
         factored = []
         factor = dgmm.mixture._factor
-        # the entry is shared by every mixture: start from an empty one
-        monkeypatch.setattr(dgmm.mixture, "_fresh", None)
 
         def counting(eval_cov):
             factored.append(eval_cov.copy())
@@ -1305,52 +1335,25 @@ class TestFreshComponents:
 
         monkeypatch.setattr(dgmm.mixture, "_factor", counting)
         # k = 0 and far samples: every sample appends
-        for scale in (2.0, 2.0, 2.0, 0.5, 0.5, 2.0):
-            m.add_sample(np.full(3, 1e3 * len(m)), 0.0, rng, new_cov_scale=scale)
+        for _ in range(6):
+            m.add_sample(np.full(3, 1e3 * len(m)), rng)
         assert len(m) == 6
-        assert [c[0, 0] for c in factored] == [2.0, 0.5, 2.0]
+        assert factored == []
         monkeypatch.undo()
-        rebuilt = dynamic_mixture(m._w, m._mean, m._cov, m._creation)
+        rebuilt = rebuild(m)
         for name in ("_eval_cov", "_chol_inv"):
             assert np.array_equal(getattr(m, name), getattr(rebuilt, name)), name
 
-    def test_mixtures_share_one_fresh_factor(self, monkeypatch):
-        # the many mixtures of a motion model all append the identity
-        factored = []
-        factor = dgmm.mixture._factor
-
-        def counting(eval_cov):
-            factored.append(eval_cov.shape)
-            return factor(eval_cov)
-
-        monkeypatch.setattr(dgmm.mixture, "_fresh", None)
-        monkeypatch.setattr(dgmm.mixture, "_factor", counting)
-        rng = np.random.default_rng(7)
-        mixtures = [DynamicGaussianMixture(4) for _ in range(5)]
-        for i, m in enumerate(mixtures):
-            m.add_sample(np.full(4, float(i)), 0.3, rng)
-            m.add_sample(np.full(4, 1e3), 0.0, rng)
-        assert factored == [(4, 4)]
-        monkeypatch.undo()
-        assert all(m._creation[0] is mixtures[0]._creation[0] for m in mixtures)
-        for m in mixtures:
-            rebuilt = dynamic_mixture(m._w, m._mean, m._cov, m._creation)
-            for name in ("_eval_cov", "_chol_inv"):
-                assert np.array_equal(getattr(m, name), getattr(rebuilt, name)), name
-
     def test_components_hand_out_creation_copies(self):
-        m = DynamicGaussianMixture(2)
+        m = DynamicGaussianMixture(2, 0.0)
         rng = np.random.default_rng(5)
         for x in (0.0, 1e3, 2e3):
-            m.add_sample(np.full(2, x), 0.0, rng)
+            m.add_sample(np.full(2, x), rng)
         creation = m.components[0].creation_cov
         creation[0, 0] = 99.0
         assert all(np.array_equal(c.creation_cov, np.eye(2)) for c in m.components)
-        assert all(np.array_equal(c, np.eye(2)) for c in m._creation)
-        # the components share one creation array, which cannot be written
-        with pytest.raises(ValueError, match="read-only"):
-            m._creation[1][0, 0] = 99.0
-        m.add_sample(np.full(2, 3e3), 0.0, rng)
+        assert np.array_equal(m._creation_cov, np.eye(2))
+        m.add_sample(np.full(2, 3e3), rng)
         assert np.array_equal(m._eval_cov[3], np.eye(2))
         assert np.array_equal(m.components[3].creation_cov, np.eye(2))
 
@@ -1362,15 +1365,15 @@ class TestFreshComponents:
         rng = np.random.default_rng(8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            m = DynamicGaussianMixture(2)
-            m.add_sample(np.zeros(2), 0.3, rng, new_cov_scale=scale)
+            m = DynamicGaussianMixture(2, 0.3, scale)
+            m.add_sample(np.zeros(2), rng)
             assert np.array_equal(m._eval_cov[0], scale * np.eye(2))
-            rebuilt = dynamic_mixture(m._w, m._mean, m._cov, m._creation)
+            rebuilt = rebuild(m)
             rng_rebuilt = np.random.default_rng()
             rng_rebuilt.bit_generator.state = rng.bit_generator.state
             for x in rng.standard_normal((20, 2)):
-                m.add_sample(x, 0.3, rng, new_cov_scale=scale)
-                rebuilt.add_sample(x, 0.3, rng_rebuilt, new_cov_scale=scale)
+                m.add_sample(x, rng)
+                rebuilt.add_sample(x, rng_rebuilt)
             for name in ("_w", "_mean", "_cov", "_eval_cov", "_chol_inv"):
                 assert np.array_equal(getattr(m, name), getattr(rebuilt, name)), name
             assert np.isfinite(m.log_density(np.zeros(2)))
@@ -1379,27 +1382,28 @@ class TestFreshComponents:
     def test_reference_component_at_a_creation_scale_above_half_the_largest_float(self, scale):
         # the reference blend is symmetrized only where it is not exactly
         # symmetric, so a fresh component's C is not added to C^T
-        m = DynamicGaussianMixture(2)
-        m.add_sample(np.zeros(2), 0.3, np.random.default_rng(8), new_cov_scale=scale)
+        m = DynamicGaussianMixture(2, 0.3, scale)
+        m.add_sample(np.zeros(2), np.random.default_rng(8))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cov = m.components[0].pd_gaussian().cov
         assert np.array_equal(cov, m._eval_cov[0])
 
     def test_hand_built_creation_covariance_blends_after_a_merge(self):
-        m = dynamic_mixture([2.0], [np.zeros(2)], [np.eye(2)], [np.eye(2)])
-        m.add_sample(np.full(2, 0.1), 1e9, np.random.default_rng(6))
+        m = dynamic_mixture([2.0], [np.zeros(2)], [np.eye(2)], k=1e9, creation_cov_scale=1.0)
+        m.add_sample(np.full(2, 0.1), np.random.default_rng(6))
         assert len(m) == 1
         c = merge_into(WeightedGaussian(Gaussian(np.zeros(2), np.eye(2)), 2.0, np.eye(2)), np.full(2, 0.1))
-        reference = dynamic_mixture([c.w], [c.g.mean], [c.g.cov], [c.creation_cov])
+        assert np.array_equal(c.creation_cov, np.eye(2))
+        reference = dynamic_mixture([c.w], [c.g.mean], [c.g.cov], creation_cov_scale=1.0)
         assert np.array_equal(m._eval_cov, reference._eval_cov)
 
 
 class TestAdoptBlend:
     """_adopt forms the evaluation covariances of a whole mixture in one
     expression; it gives, bit for bit, what _evaluation_cov gives row by
-    row, for rows without a creation covariance, with the shared default
-    one, with their own one, and at weights below, at and above 1."""
+    row, in a mixture without a creation covariance and in one with its
+    creation covariance, at weights below, at and above 1."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1423,12 +1427,12 @@ class TestAdoptBlend:
         w = rng.choice([0.5, 1.0, 2.0, 3.7, 40.0], size=m)
         mean = rng.standard_normal((m, dim))
         cov = np.array([pd() for _ in range(m)]).reshape(m, dim, dim)
-        creation = [(None, default, pd())[int(rng.integers(3))] for _ in range(m)]
-        want = np.array([_evaluation_cov(c, wi, cr) for c, wi, cr in zip(cov, w, creation)])
-        mixture = DynamicGaussianMixture._from_arrays(w.copy(), mean, cov.copy(), list(creation))
-        assert mixture._eval_cov.tobytes() == want.reshape(m, dim, dim).tobytes()
-        if m:
-            assert mixture._chol_inv.tobytes() == _factor(want)[1].tobytes()
+        for creation, creation_cov_scale in ((None, None), (default, scale)):
+            want = np.array([_evaluation_cov(c, wi, creation) for c, wi in zip(cov, w)])
+            mixture = DynamicGaussianMixture._from_arrays(w.copy(), mean, cov.copy(), 0.3, creation_cov_scale)
+            assert mixture._eval_cov.tobytes() == want.reshape(m, dim, dim).tobytes()
+            if m:
+                assert mixture._chol_inv.tobytes() == _factor(want)[1].tobytes()
 
 
 class TestUniforms:
@@ -1456,7 +1460,7 @@ def merged_by_parts(m, i, dx):
     merge replaces: _absorb, then _evaluation_cov, then _factor, on copies."""
     w, mean, cov = float(m._w[i]), m._mean[i].copy(), m._cov[i].copy()
     _absorb(w, mean, cov, dx)
-    eval_cov, chol_inv = _factor(_evaluation_cov(cov, w + 1.0, m._creation[i]))
+    eval_cov, chol_inv = _factor(_evaluation_cov(cov, w + 1.0, m._creation_cov))
     return np.array(w + 1.0), mean, cov, eval_cov, chol_inv
 
 
@@ -1464,8 +1468,7 @@ class TestFusedMerge:
     """_merge forms the blend ((w' - 1) S' + C) / w' in place in its row and
     symmetrizes it only in a mixture holding a row that is not exactly
     symmetric: the bits equal _absorb, then _evaluation_cov, then _factor,
-    for rows without a creation covariance, with the shared default one and
-    with their own one, at integral and fractional weights."""
+    at integral and fractional weights."""
 
     ROWS = ("_w", "_mean", "_cov", "_eval_cov", "_chol_inv")
 
@@ -1474,13 +1477,12 @@ class TestFusedMerge:
         dim=st.integers(1, 8),
         m=st.integers(1, 5),
         log_scale=st.floats(-4.0, 4.0),
-        asymmetric=st.sampled_from([None, "cov", "creation"]),
+        asymmetric=st.sampled_from([None, "cov"]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_equals_the_parts(self, dim, m, log_scale, asymmetric, seed):
         rng = np.random.default_rng(seed)
         scale = 10.0**log_scale
-        default = scale * np.eye(dim)
 
         def pd():
             a = rng.standard_normal((dim, dim))
@@ -1489,13 +1491,10 @@ class TestFusedMerge:
 
         w = np.concatenate([[3.5], rng.choice([1.0, 1.25, 2.0, 7.0, 1e6], size=m - 1)])
         cov = np.array([pd() for _ in range(m)])
-        creation = [(None, default, pd())[int(rng.integers(3))] for _ in range(m - 1)]
-        # row 0 is merged into and has its own creation covariance
-        creation.insert(0, pd())
         if asymmetric is not None:
             # symmetric only within a model file's tolerance (1e-12)
-            (cov[0] if asymmetric == "cov" else creation[0])[0, -1] *= 1.0 + 1e-13
-        a = DynamicGaussianMixture._from_arrays(w, rng.standard_normal((m, dim)), cov, creation)
+            cov[0, 0, -1] *= 1.0 + 1e-13
+        a = DynamicGaussianMixture._from_arrays(w, rng.standard_normal((m, dim)), cov, 0.3, scale)
         assert a._symmetric == (asymmetric is None or dim == 1)
         for _ in range(3):
             i = int(rng.integers(m))
@@ -1513,7 +1512,7 @@ class TestFusedMerge:
         # symmetrization would change its evaluation covariance
         cov = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, 0.2], [0.1, 0.2, 1.0]])
         cov[0, 2] *= 1.0 + 1e-13
-        a = dynamic_mixture([4.0], [[0.0, 0.0, 0.0]], [cov], [np.eye(3)])
+        a = dynamic_mixture([4.0], [[0.0, 0.0, 0.0]], [cov], creation_cov_scale=1.0)
         assert not a._symmetric
         dx = np.array([0.3, -0.2, 0.1])
         want = merged_by_parts(a, 0, dx)
@@ -1525,14 +1524,14 @@ class TestFusedMerge:
 
     def test_online_mixtures_are_exactly_symmetric(self):
         rng = np.random.default_rng(14)
-        a = DynamicGaussianMixture(4)
+        a = DynamicGaussianMixture(4, 0.05)
         for x in rng.standard_normal((300, 4)) * [1.0, 3.0, 0.5, 1e3]:
-            a.add_sample(x, 0.05, rng)
+            a.add_sample(x, rng)
         assert a._symmetric
         for name in ("_cov", "_eval_cov"):
             arr = getattr(a, name)
             assert np.array_equal(arr, arr.transpose(0, 2, 1)), name
-        rebuilt = dynamic_mixture(a._w, a._mean, a._cov, a._creation)
+        rebuilt = rebuild(a)
         assert rebuilt._symmetric
         assert_same_mixture(a, rebuilt)
 
@@ -1570,9 +1569,9 @@ singular[:2, :2] = 1.0
 factors = [[arr.tobytes().hex() for arr in mx._factor(cov)]
            for cov in (pd[0], pd, singular, np.array([pd[1], singular]))]
 errstates.append(np.geterr())  # after factors that fail
-mix, sizes = mx.DynamicGaussianMixture(3), []
+mix, sizes = mx.DynamicGaussianMixture(3, 0.05), []
 for x in rng.standard_normal((300, 3)) * [1.0, 3.0, 0.5]:
-    mix.add_sample(x, 0.05, rng)
+    mix.add_sample(x, rng)
     sizes.append(len(mix))
 arrays = b"".join(getattr(mix, name).tobytes() for name in ("_w", "_mean", "_cov", "_eval_cov", "_chol_inv"))
 # the last point's whitening overflows: -inf, with no warning
@@ -1622,17 +1621,17 @@ class DecisionLog(DynamicGaussianMixture):
     """A mixture that logs each sample's decision: ("merge", i) for a merge
     into component i, ("append", m) for a new component m."""
 
-    def __init__(self, dim):
-        super().__init__(dim)
+    def __init__(self, dim, k, creation_cov_scale):
+        super().__init__(dim, k, creation_cov_scale)
         self.log = []
 
     def _merge(self, i, dx):
         self.log.append(("merge", int(i)))
         super()._merge(i, dx)
 
-    def _append(self, x, scale):
+    def _append(self, x):
         self.log.append(("append", len(self)))
-        super()._append(x, scale)
+        super()._append(x)
 
 
 class TestDecisionInvariance:
@@ -1641,11 +1640,15 @@ class TestDecisionInvariance:
     d and the merge thresholds read whitened distances."""
 
     @staticmethod
-    def decisions(points, k, new_cov_scale):
-        model, rng = DecisionLog(points.shape[1]), np.random.default_rng(1)
+    def stream(points, k, creation_cov_scale):
+        model, rng = DecisionLog(points.shape[1], k, creation_cov_scale), np.random.default_rng(1)
         for x in points:
-            model.add_sample(x, k, rng, new_cov_scale=new_cov_scale)
-        return model.log
+            model.add_sample(x, rng)
+        return model
+
+    @classmethod
+    def decisions(cls, points, k, creation_cov_scale):
+        return cls.stream(points, k, creation_cov_scale).log
 
     @pytest.mark.parametrize("k", [0.02, 0.3])
     @pytest.mark.parametrize("scale, offset", [
@@ -1657,3 +1660,25 @@ class TestDecisionInvariance:
         got = self.decisions(scale * points + offset, k, scale**2)
         assert len(want) == 500 and {branch for branch, _ in want} == {"merge", "append"}
         assert got == want
+
+    @settings(max_examples=25, deadline=None)
+    @given(log_s=st.floats(-150.0, 150.0), k=st.sampled_from([0.02, 0.3]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(log_s=-150.0, k=0.02, seed=1)
+    @example(log_s=150.0, k=0.3, seed=1)
+    def test_decisions_are_scale_invariant(self, log_s, k, seed):
+        # points scaled by s and the creation scale by s^2: the same
+        # component count, weights, and merge history of each component
+        s = 10.0**log_s
+        points = sample_gmm(three_component_benchmark(), 300, np.random.default_rng(seed))
+        want, got = self.stream(points, k, 1.0), self.stream(s * points, k, s**2)
+
+        def histories(model):
+            merged = [[] for _ in range(len(model))]
+            for n, (_, i) in enumerate(model.log):
+                merged[i].append(n)
+            return merged
+
+        assert len(got) == len(want)
+        assert np.array_equal(got._w, want._w)
+        assert histories(got) == histories(want)

@@ -586,10 +586,7 @@ class TestFusedTerrainQuery:
         dim, scale = x_dim + z_dim, 10.0**log_scale
         std = Standardizer(offset + rng.standard_normal(dim), scale * rng.uniform(0.5, 2.0, dim))
         mm = MotionModel(k=0.5, x_dim=x_dim, z_dim=z_dim, standardizer=std)
-        # with creation: components cycle through none, a non-default and the default one
-        joint = hand_built_mixture(rng, dim, m, 0.0, 1.0, 1.0, integral=False)
-        if not creation:
-            joint = dynamic_mixture(joint._w, joint._mean, joint._cov)
+        joint = hand_built_mixture(rng, dim, m, 0.0, 1.0, mm, creation, integral=False)
         mm.models[FWD] = joint
         comps = joint.components
         arrays = ("_w", "_mean", "_cov", "_eval_cov", "_chol_inv")
@@ -788,7 +785,8 @@ class TestQueryKernel:
         dim, scale = x_dim + z_dim, 10.0**log_scale
         std = Standardizer(offset + rng.standard_normal(dim), scale * rng.uniform(0.5, 2.0, dim))
         mm = MotionModel(k=0.5, x_dim=x_dim, z_dim=z_dim, standardizer=std)
-        joint = mm.models[FWD] = hand_built_mixture(rng, dim, m, offset, 1.0, 1.0, integral=False)
+        # with the model's creation covariance for even seeds, else none
+        joint = mm.models[FWD] = hand_built_mixture(rng, dim, m, offset, 1.0, mm, seed % 2 == 0, integral=False)
         for _ in range(4):
             step = rng.standard_normal(dim)
             u = joint._mean[int(rng.integers(m))] + dist * step / np.linalg.norm(step)
@@ -830,19 +828,21 @@ class TestPersistence:
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_hand_built_mixture_round_trips(self):
-        # components without a creation covariance, or with one other than
+        # a mixture without a creation covariance, and one with the model's
         # creation_cov_scale * I, keep their densities through a save/load
         mm = MotionModel(k=0.5, creation_cov_scale=2.0)
         mm.models[FWD] = dynamic_mixture([3.0], [np.zeros(6)], [0.1 * np.eye(6)])
         mm.models[TURN] = dynamic_mixture([2.0, 5.0], [np.ones(6), -np.ones(6)],
-                                          [0.2 * np.eye(6), 0.3 * np.eye(6)],
-                                          [0.5 * np.eye(6), 2.0 * np.eye(6)])
+                                          [0.2 * np.eye(6), 0.3 * np.eye(6)], mm.k, mm.creation_cov_scale)
         doc = mm.to_dict()
         back = MotionModel.from_dict(json.loads(json.dumps(doc)))
         assert back.to_dict() == doc
         turn = doc["commands"][[c["key"] for c in doc["commands"]].index([0.0, 0.0, 0.5])]
-        assert "creation_cov" in turn["components"][0]
-        assert "creation_cov" not in turn["components"][1]
+        fwd = doc["commands"][[c["key"] for c in doc["commands"]].index([0.5, 0.0, 0.0])]
+        assert fwd["components"][0]["creation_cov"] is None
+        assert not any("creation_cov" in comp for comp in turn["components"])
+        assert back.mixture_for(FWD).creation_cov_scale is None
+        assert back.mixture_for(TURN).creation_cov_scale == 2.0
         rng = np.random.default_rng(33)
         for c, center in ((FWD, np.zeros(6)), (TURN, np.ones(6)), (TURN, -np.ones(6))):
             for x in (center, center + 0.3 * rng.standard_normal(6)):
@@ -865,17 +865,28 @@ class TestPersistence:
         with pytest.raises(ValueError, match=r"components\[0\].cov"):
             MotionModel.load(path)
 
-    @pytest.mark.parametrize("dim, creation, why", [
-        (1, [-5.0], "not positive definite"),
-        (2, [1.0, 0.0, 0.0, 0.0], "not positive definite"),
-        (2, [1.0, 5.0, -3.0, 1.0], "not symmetric"),
+    @pytest.mark.parametrize("creation_cov_scale, bad, value, why", [
+        # a matrix, even the model's own creation_cov_scale * I, or a bad one
+        (1.0, 1, [1.0, 0.0, 0.0, 1.0], "a matrix is not accepted"),
+        (1.0, 0, [1.0, 5.0, -3.0, 1.0], "a matrix is not accepted"),
+        (None, 2, [2.0, 0.0, 0.0, 2.0], "a matrix is not accepted"),
+        (None, 1, "absent", "every component of a command must leave it out"),
+        (1.0, 2, None, "every component of a command must leave it out"),
     ])
-    def test_bad_creation_covariance_rejected(self, dim, creation, why):
-        mm = MotionModel(k=0.5, x_dim=dim, z_dim=0)
-        mm.models[FWD] = dynamic_mixture([2.0], [np.zeros(dim)], [np.eye(dim)], [2.0 * np.eye(dim)])
+    def test_bad_creation_covariance_rejected(self, creation_cov_scale, bad, value, why):
+        # every component of a command leaves creation_cov out (the model's
+        # creation_cov_scale * I), or every one gives null (none)
+        mm = MotionModel(k=0.5, x_dim=2, z_dim=0)
+        mm.models[FWD] = dynamic_mixture([2.0] * 3, [[float(i), 0.0] for i in range(3)], [np.eye(2)] * 3,
+                                         mm.k, creation_cov_scale)
         doc = json.loads(json.dumps(mm.to_dict()))
-        doc["commands"][0]["components"][0]["creation_cov"] = creation
-        field = r"model file: field 'commands\[0\]\.components\[0\]\.creation_cov': "
+        assert MotionModel.from_dict(doc).to_dict() == doc
+        comp = doc["commands"][0]["components"][bad]
+        if value == "absent":
+            del comp["creation_cov"]
+        else:
+            comp["creation_cov"] = value
+        field = rf"^model file: field 'commands\[0\]\.components\[{bad}\]\.creation_cov': "
         with pytest.raises(ValueError, match=field + ".*" + why):
             MotionModel.from_dict(doc)
 
@@ -919,7 +930,7 @@ class TestPersistence:
         cov = np.outer(a - mean, a - mean) + np.outer(b - mean, b - mean)
         assert np.linalg.matrix_rank(cov) == 1
         mm = MotionModel(k=0.5, x_dim=3, z_dim=0)
-        mm.models[FWD] = dynamic_mixture([2.0], [mean], [cov], [np.eye(3)])
+        mm.models[FWD] = dynamic_mixture([2.0], [mean], [cov], mm.k, mm.creation_cov_scale)
         doc = json.loads(json.dumps(mm.to_dict()))
         assert MotionModel.from_dict(doc).to_dict() == doc
 
@@ -1043,7 +1054,7 @@ class TestPersistence:
         # a hand-built model may hold such a weight and still be queried;
         # no merge can take it, so training fails before the first draw
         mm = MotionModel(k=5.0)
-        mm.models[FWD] = dynamic_mixture([0.5], [np.zeros(6)], [np.eye(6)])
+        mm.models[FWD] = dynamic_mixture([0.5], [np.zeros(6)], [np.eye(6)], mm.k, mm.creation_cov_scale)
         doc = json.loads(json.dumps(mm.to_dict()))
         back = MotionModel.from_dict(doc)
         assert back.motion_density(FWD, np.zeros(6)) == mm.motion_density(FWD, np.zeros(6))
@@ -1130,7 +1141,7 @@ class TestPersistence:
         records = simulate_incline(InclineConfig(reps_per_orientation=1))
         mm = fit_motion_model(records, k=0.3, rng=np.random.default_rng(35), standardize=True)
         mm.models[TURN] = dynamic_mixture([2.0, 5.0], [np.ones(8), -np.ones(8)],
-                                          [0.2 * np.eye(8), 0.3 * np.eye(8)], [0.5 * np.eye(8), None])
+                                          [0.2 * np.eye(8), 0.3 * np.eye(8)])
 
         def refuse(*args, **kwargs):
             raise AssertionError("a component object was built")
@@ -1152,19 +1163,17 @@ class TestPersistence:
         MotionModel.load(path)  # extra field tolerated
 
 
-def hand_built_mixture(rng, dim, m, offset, scale, default_scale, integral):
-    """A mixture of m random components cycling through no creation
-    covariance, a non-default one and the default default_scale * I."""
-    w, means, covs, creations = [], [], [], []
-    for i in range(m):
+def hand_built_mixture(rng, dim, m, offset, scale, mm, with_creation, integral):
+    """A mixture of m random components for the motion model mm, with mm's
+    k and, with_creation, mm's creation covariance, else none."""
+    w, means, covs = [], [], []
+    for _ in range(m):
         a = rng.standard_normal((dim, dim))
         cov = scale**2 * (a @ a.T / dim + 0.1 * np.eye(dim))
-        creations.append((None, scale**2 * rng.uniform(0.5, 2.0) * np.eye(dim),
-                          default_scale * np.eye(dim))[i % 3])
         w.append(float(rng.integers(1, 20)) if integral else rng.uniform(0.1, 20.0))
         means.append(offset + 3.0 * scale * rng.standard_normal(dim))
         covs.append(0.5 * (cov + cov.T))
-    return dynamic_mixture(w, means, covs, creations)
+    return dynamic_mixture(w, means, covs, mm.k, mm.creation_cov_scale if with_creation else None)
 
 
 def assert_same_model(a, b):
@@ -1174,8 +1183,7 @@ def assert_same_model(a, b):
         assert ma.total_weight() == mb.total_weight()
         for name in ("_w", "_mean", "_cov", "_eval_cov", "_chol_inv", "_log_norm"):
             assert np.array_equal(getattr(ma, name), getattr(mb, name)), name
-        for ca, cb in zip(ma._creation, mb._creation):
-            assert (ca is None and cb is None) or np.array_equal(ca, cb)
+        assert (ma.k, ma.creation_cov_scale) == (mb.k, mb.creation_cov_scale)
 
 
 class TestSaveLoadProperties:
@@ -1201,8 +1209,8 @@ class TestSaveLoadProperties:
             if standardize else None
         mm = MotionModel(k=rng.uniform(0.01, 2.0), x_dim=x_dim, z_dim=z_dim, standardizer=std,
                          creation_cov_scale=scale**2)
-        for c, count in ((FWD, m), (TURN, 1 + m // 2)):
-            mm.models[c] = hand_built_mixture(rng, dim, count, offset, scale, scale**2, integral=False)
+        for c, count, with_creation in ((FWD, m, True), (TURN, 1 + m // 2, False)):
+            mm.models[c] = hand_built_mixture(rng, dim, count, offset, scale, mm, with_creation, integral=False)
         doc = json.loads(json.dumps(mm.to_dict()))
         back = MotionModel.from_dict(doc)
         assert back.to_dict() == doc
@@ -1230,7 +1238,7 @@ class TestSaveLoadProperties:
         # a loaded mixture re-sums its weights, which matches the live running
         # total bit for bit only when the weights are integral
         if m:
-            mm.models[TURN] = hand_built_mixture(rng, dim, m, offset, scale, scale**2, integral=True)
+            mm.models[TURN] = hand_built_mixture(rng, dim, m, offset, scale, mm, True, integral=True)
         # angle coordinates wrap, so the samples stay within pi of zero there
         samples = offset + scale * rng.standard_normal((n + more, dim))
         commands = [(FWD, TURN)[i] for i in rng.integers(2, size=n + more)]
