@@ -273,23 +273,32 @@ def check_count(value, name: str, low: int) -> int:
     return int(value)
 
 
+def _real(value, name: str) -> float:
+    """value as a float, or ValueError unless it is a real number (Python
+    or numpy; a string is not) that float64 can hold: inf can, an int such
+    as 10**400 cannot."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is not a finite number: an integer beyond float64's range") from None
+
+
 def check_k(k: float) -> None:
     """ValueError unless the merge likelihood constant k is a real number
-    (Python or numpy; a string is not) of at least 0 (NaN is not)."""
-    if not isinstance(k, numbers.Real):
-        raise ValueError("k must be a real number")
-    if not k >= 0:
+    that float64 can hold (_real) of at least 0 (NaN is not)."""
+    if not _real(k, "k") >= 0:
         raise ValueError("k must be non-negative")
 
 
 def _check_creation_cov_scale(scale: float) -> float:
     """scale as a float, or ValueError unless the creation covariance scale
-    is a real number (Python or numpy; a string is not) in (0, inf)."""
-    if not isinstance(scale, numbers.Real):
-        raise ValueError("creation_cov_scale must be a real number")
-    if not 0.0 < scale < math.inf:
+    is a real number that float64 can hold (_real) in (0, inf)."""
+    s = _real(scale, "creation_cov_scale")
+    if not 0.0 < s < math.inf:
         raise ValueError(f"creation_cov_scale must be positive and finite, got {scale!r}")
-    return float(scale)
+    return s
 
 
 def logsumexp(a: np.ndarray) -> np.ndarray:

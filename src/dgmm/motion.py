@@ -30,11 +30,19 @@ is the same ratio.  It is the one query path: `motion_density` and
 query's command, pose delta and terrain vector.
 
 Models are serialized to a single JSON document with exact decimal
-round-trip of all floating point values.
+round-trip of all floating point values, format 2 (MODEL_FORMAT): the
+model's constants k, creation_cov_scale, layout and standardizer, and per
+command one block of arrays, the w, mean and cov of its mixture.  Every
+command is an online mixture of the model's: its k and creation
+covariance are the model's and its weights whole numbers >= 1, so the file
+needs no per-command constants, and the reader checks each array in one
+pass.  Format-1 files, as `dgmm fit` wrote them (per command a list of
+components), load through one converter onto the format-2 arrays.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass
@@ -52,7 +60,8 @@ from .mixture import (
     check_k,
 )
 
-MODEL_FORMAT = "dgmm-motion-model/1"
+MODEL_FORMAT = "dgmm-motion-model/2"
+_MODEL_FORMAT_1 = "dgmm-motion-model/1"
 
 TWO_PI = 2.0 * math.pi
 
@@ -416,28 +425,32 @@ class MotionModel:
     # -- persistence -----------------------------------------------------------
 
     def to_dict(self, invocation: dict | None = None) -> dict:
-        """The model file's document.  A model file holds finite numbers
-        only, so a model whose k is not finite (k = inf is valid in memory)
-        raises ValueError naming k, as from_dict would reject its file."""
+        """The model file's document, format 2: the model's constants, and
+        per command its key and its mixture's arrays, `w` (m numbers),
+        `mean` (m rows of D) and `cov` (m rows of D * D, row-major).
+
+        The writer refuses what from_dict would refuse, with a ValueError:
+        a k that is not finite (k = inf is valid in memory), naming k, and
+        a command whose mixture is not an online one of the model's, naming
+        the command: one with another k or creation covariance, or none,
+        or a weight that is not a whole number >= 1."""
         if not math.isfinite(self.k):
             raise ValueError(f"k = {self.k!r} cannot be written to a model file: it must be finite")
-        doc = {
-            "format": MODEL_FORMAT,
-            "k": self.k,
-            "layout": {"x_dim": self.x_dim, "z_dim": self.z_dim},
-            "creation_cov_scale": self.creation_cov_scale,
-            "standardizer": None
-            if self.standardizer is None
-            else {
-                "offset": self.standardizer.offset.tolist(),
-                "scale": self.standardizer.scale.tolist(),
-            },
-            "commands": [
-                {"key": list(c.as_tuple()),
-                 "components": _component_docs(self.models[c])}
-                for c in self.commands()
-            ],
-        }
+        constants, commands = (self.k, self.creation_cov_scale), []
+        for c in self.commands():
+            mix = self.models[c]
+            if (mix.k, mix.creation_cov_scale) != constants or _not_whole(mix._w).any():
+                raise ValueError(f"command {c} cannot be written to a model file: it must be an online "
+                                 f"mixture with the model's (k, creation_cov_scale) = {constants} and whole "
+                                 f"weights >= 1, not {(mix.k, mix.creation_cov_scale)} and {mix._w.tolist()}")
+            commands.append({"key": list(c.as_tuple()), "w": mix._w.tolist(), "mean": mix._mean.tolist(),
+                             "cov": mix._cov.reshape(len(mix), -1).tolist()})
+        std = self.standardizer
+        doc = {"format": MODEL_FORMAT, "k": self.k, "layout": {"x_dim": self.x_dim, "z_dim": self.z_dim},
+               "creation_cov_scale": self.creation_cov_scale,
+               "standardizer": None if std is None else {"offset": std.offset.tolist(),
+                                                         "scale": std.scale.tolist()},
+               "commands": commands}
         if invocation is not None:
             doc["invocation"] = invocation
         return doc
@@ -452,10 +465,19 @@ class MotionModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MotionModel":
+        """The model of a format-2 document (see to_dict), or of a format-1
+        one as `dgmm fit` wrote it (_format_1_as_2).  Every command's
+        mixture is an online one, with the model's k and creation
+        covariance.  Anything else raises ValueError naming the field, down
+        to the first bad entry of an array: each of a command's w, mean and
+        cov is checked in one pass, w for whole numbers >= 1, cov for
+        symmetry and positive semidefiniteness."""
         if not isinstance(doc, dict):
             _fail("<root>", "not a JSON object")
+        if doc.get("format") == _MODEL_FORMAT_1:
+            doc = _format_1_as_2(doc)
         if doc.get("format") != MODEL_FORMAT:
-            _fail("format", f"expected {MODEL_FORMAT!r}, got {doc.get('format')!r}")
+            _fail("format", f"expected {MODEL_FORMAT!r} or {_MODEL_FORMAT_1!r}, got {doc.get('format')!r}")
         k = _expect_number(doc, "k")
         if not k >= 0:
             _fail("k", "must be non-negative")
@@ -465,19 +487,16 @@ class MotionModel:
         x_dim = _expect_count(layout, "x_dim", 1, prefix="layout.")
         z_dim = _expect_count(layout, "z_dim", 0, prefix="layout.")
         dim = x_dim + z_dim
-        if "creation_cov_scale" in doc:
-            scale = _expect_number(doc, "creation_cov_scale")
-            if scale <= 0:
-                _fail("creation_cov_scale", "must be positive")
-        else:
-            scale = 1.0
+        scale = _expect_number(doc, "creation_cov_scale")
+        if scale <= 0:
+            _fail("creation_cov_scale", "must be positive")
         std = None
         raw_std = doc.get("standardizer")
         if raw_std is not None:
             if not isinstance(raw_std, dict):
                 _fail("standardizer", "not an object or null")
-            offset = _expect_floats(raw_std, "offset", dim, prefix="standardizer.")
-            std_scale = _expect_floats(raw_std, "scale", dim, prefix="standardizer.")
+            offset = _expect_floats(raw_std, "offset", (dim,), prefix="standardizer.")
+            std_scale = _expect_floats(raw_std, "scale", (dim,), prefix="standardizer.")
             if any(s <= 0 for s in std_scale):
                 _fail("standardizer.scale", "entries must be positive")
             std = Standardizer(offset, std_scale)
@@ -489,7 +508,7 @@ class MotionModel:
             where = f"commands[{ci}]"
             if not isinstance(entry, dict):
                 _fail(where, "not an object")
-            key = _expect_floats(entry, "key", 3, prefix=where + ".")
+            key = _expect_floats(entry, "key", (3,), prefix=where + ".")
             try:
                 command = CommandKey(*key)
             except ValueError as exc:
@@ -498,38 +517,20 @@ class MotionModel:
                 _fail(f"{where}.key", "the no-op command <0,0,0> is not trainable")
             if command in mm.models:
                 _fail(f"{where}.key", "duplicate command key")
-            comps_raw = entry.get("components")
-            if not isinstance(comps_raw, list):
-                _fail(f"{where}.components", "missing or not a list")
-            if not comps_raw:
-                _fail(f"{where}.components", "empty: a trained command has at least one component")
-            w, means, covs, nulls = [], [], [], []
-            for gi, comp in enumerate(comps_raw):
-                cwhere = f"{where}.components[{gi}]"
-                if not isinstance(comp, dict):
-                    _fail(cwhere, "not an object")
-                w.append(_expect_number(comp, "w", prefix=cwhere + "."))
-                if w[-1] <= 0:
-                    _fail(f"{cwhere}.w", "must be a positive finite number")
-                means.append(_expect_floats(comp, "mean", dim, prefix=cwhere + "."))
-                covs.append(_expect_floats(comp, "cov", dim * dim, prefix=cwhere + "."))
-                # absent: the model's creation_cov_scale * I; null: none
-                nulls.append("creation_cov" in comp)
-                if comp.get("creation_cov") is not None:
-                    _fail(f"{cwhere}.creation_cov", "must be absent (the model's creation_cov_scale * I) "
-                                                    "or null (none): a matrix is not accepted")
-                if nulls[-1] != nulls[0]:
-                    _fail(f"{cwhere}.creation_cov", "every component of a command must leave it out, "
-                                                    "or every one must give null")
-            # the command's covariances are checked together, in one pass each
-            covs = np.array(covs).reshape(-1, dim, dim)
-            _fail_first_cov(where, asymmetric(covs), "cov is not symmetric")
+            if not isinstance(entry.get("w"), list):
+                _fail(f"{where}.w", "missing or not a list")
+            if not entry["w"]:
+                _fail(f"{where}.w", "empty: a trained command has at least one component")
+            w = _expect_floats(entry, "w", (len(entry["w"]),), prefix=where + ".")
+            _fail_first(f"{where}.w", _not_whole(w), "must be a whole number >= 1")
+            mean = _expect_floats(entry, "mean", (len(w), dim), prefix=where + ".")
+            cov = _expect_floats(entry, "cov", (len(w), dim * dim), prefix=where + ".").reshape(-1, dim, dim)
+            _fail_first(f"{where}.cov", asymmetric(cov), "cov is not symmetric")
             # exact moments are PSD, rank-deficient ones up to rounding
-            eig = np.linalg.eigvalsh(covs)
-            _fail_first_cov(where, eig[:, 0] < -PSD_TOLERANCE * np.maximum(1.0, np.abs(eig).max(axis=1)),
-                            "not positive semidefinite")
-            mm.models[command] = DynamicGaussianMixture._from_arrays(
-                np.array(w), np.array(means), covs, mm.k, None if nulls[0] else mm.creation_cov_scale)
+            eig = np.linalg.eigvalsh(cov)
+            low = -PSD_TOLERANCE * np.maximum(1.0, np.abs(eig).max(axis=1))
+            _fail_first(f"{where}.cov", eig[:, 0] < low, "not positive semidefinite")
+            mm.models[command] = DynamicGaussianMixture._from_arrays(w, mean, cov, k, scale)
         return mm
 
     @classmethod
@@ -542,26 +543,37 @@ class MotionModel:
         return cls.from_dict(doc)
 
 
-def _component_docs(mix: DynamicGaussianMixture) -> list[dict]:
-    """The components of one command in a model file, one per row of the
-    mixture's arrays.  Every component of a mixture without a creation
-    covariance (a hand-built one) has creation_cov null; no other has the
-    key, as the model's creation_cov_scale * I is every mixture's, so files
-    of models trained online hold exactly the moments."""
-    none = {} if mix.creation_cov_scale is not None else {"creation_cov": None}
-    rows = zip(mix._w.tolist(), mix._mean.tolist(), mix._cov.reshape(len(mix), -1).tolist())
-    return [{"w": w, "mean": mean, "cov": cov, **none} for w, mean, cov in rows]
+def _format_1_as_2(doc: dict) -> dict:
+    """A format-1 document in the shape `dgmm fit` wrote it, per command a
+    list of components {w, mean, cov}, as a format-2 one for from_dict's
+    checks.  A component with a creation_cov key, which only hand-built
+    mixtures wrote, is refused."""
+    commands, v2 = doc.get("commands"), []
+    for i, entry in enumerate(commands if isinstance(commands, list) else []):
+        comps = entry.get("components") if isinstance(entry, dict) else []
+        if not (isinstance(comps, list) and all(isinstance(comp, dict) for comp in comps)):
+            _fail(f"commands[{i}].components", "missing or not a list of objects")
+        for j in (j for j, comp in enumerate(comps) if "creation_cov" in comp):
+            _fail(f"commands[{i}].components[{j}].creation_cov", "must be absent (creation_cov_scale * I)")
+        v2.append({**entry, **{n: [comp.get(n) for comp in comps] for n in ("w", "mean", "cov")}}
+                  if isinstance(entry, dict) else entry)
+    return {**doc, "format": MODEL_FORMAT, "commands": v2 if isinstance(commands, list) else commands}
 
 
 def _fail(field: str, why: str):
     raise ValueError(f"model file: field '{field}': {why}")
 
 
-def _fail_first_cov(where: str, bad: np.ndarray, why: str) -> None:
-    """_fail naming the covariance of the first component of command
-    `where` that bad (m,) flags, if any."""
+def _fail_first(field: str, bad: np.ndarray, why: str) -> None:
+    """_fail naming the first entry of the array `field` that bad flags, if any."""
     if bad.any():
-        _fail(f"{where}.components[{int(bad.argmax())}].cov", why)
+        _fail(f"{field}[{int(bad.argmax())}]", why)
+
+
+def _not_whole(w: np.ndarray) -> np.ndarray:
+    """Flags of the weights w that are not a whole number >= 1, the only
+    weights an online mixture holds."""
+    return ~((w >= 1.0) & (w < math.inf) & (np.floor(w) == w))
 
 
 def _finite_number(val) -> bool:
@@ -589,24 +601,33 @@ def _expect_count(obj: dict, name: str, low: int, prefix: str = "") -> int:
     return int(val)
 
 
-def _expect_floats(obj: dict, name: str, length: int, prefix: str = "") -> np.ndarray:
-    """The list obj[name] of `length` finite numbers (JSON ints or floats,
-    not booleans) as a float array.  The numbers are checked in one pass
-    over their types and one over their values; only a list that fails
-    is walked entry by entry, to name its first bad entry."""
+def _expect_floats(obj: dict, name: str, shape: tuple[int, ...], prefix: str = "") -> np.ndarray:
+    """obj[name], a list of n finite numbers (JSON ints or floats, not
+    booleans) for shape (n,), or of m such rows for shape (m, n), as a
+    float array of that shape.  It is checked in one pass over its types
+    and one over its values; only a value that fails is walked entry by
+    entry, to name its first bad entry: the value or a row that is not a
+    list of the right length, or a number."""
     val = obj.get(name)
-    if not isinstance(val, list) or len(val) != length:
-        _fail(prefix + name, f"missing or not a list of {length} numbers")
-    if set(map(type, val)) <= {float, int}:
-        try:
-            out = np.array(val, dtype=float)
-        except OverflowError:  # an int beyond float64's range, named below
-            out = None
-        if out is not None and np.isfinite(out).all():
-            return out
-    for i, v in enumerate(val):
-        if not _finite_number(v):
-            _fail(f"{prefix}{name}[{i}]", "not a finite number")
+    rows = val if len(shape) == 2 and isinstance(val, list) and set(map(type, val)) == {list} else [val]
+    if isinstance(val, list) and all(set(map(type, row)) <= {float, int} for row in rows):
+        # an int beyond float64's range, or ragged rows, are named below
+        with contextlib.suppress(OverflowError, ValueError):
+            if (out := np.array(val, dtype=float)).shape == shape and np.isfinite(out).all():
+                return out
+    _fail_first_entry(val, shape, prefix + name, "missing or ")
     # subclasses of int or float, from a document not read from JSON
     return np.array(val, dtype=float)
 
+
+def _fail_first_entry(val, shape: tuple[int, ...], field: str, missing: str = "") -> None:
+    """_fail naming the first entry of val, the value of `field`, that
+    _expect_floats does not accept: val, or a row of it, that is not a list
+    of the right length, or a number that is not finite."""
+    if not isinstance(val, list) or len(val) != shape[0]:
+        _fail(field, f"{missing}not a list of {shape[0]} {'rows' if len(shape) == 2 else 'numbers'}")
+    for i, v in enumerate(val):
+        if len(shape) == 2:
+            _fail_first_entry(v, shape[1:], f"{field}[{i}]")
+        elif not _finite_number(v):
+            _fail(f"{field}[{i}]", "not a finite number")

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ def test_fit_and_query_round_trip(tmp_path, incline_csv, capsys):
     assert doc["invocation"]["subcommand"] == "fit"
     assert doc["invocation"]["seed"] == 42
     assert doc["layout"] == {"x_dim": 6, "z_dim": 2}
+    assert doc["format"] == "dgmm-motion-model/2"
 
     capsys.readouterr()
     code = run([
@@ -144,13 +146,23 @@ def test_query_integer_beyond_float_range_exits_2(tmp_path, incline_csv, capsys)
     assert run(["fit", "--input", str(incline_csv), "--no-z", "--seed", "1",
                 "--out", str(model_path)]) == 0
     doc = json.loads(model_path.read_text())
-    doc["commands"][0]["components"][0]["mean"][0] = 10**400
+    doc["commands"][0]["mean"][0][0] = 10**400
     model_path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert run(["query", "--model", str(model_path), "--command", "0.5,0,0",
                 "--x", "0,0,0,0,0,0"]) == 2
-    assert ("field 'commands[0].components[0].mean[0]': not a finite number"
+    assert ("field 'commands[0].mean[0][0]': not a finite number"
             in capsys.readouterr().err)
+
+
+def test_query_format_1_model(capsys):
+    # a model file in the format `dgmm fit` wrote before format 2
+    model_path = Path(__file__).parent / "data" / "model-v1.json"
+    args = ["--command=-0.5,0,0", "--z", "0.31,0.0", "--x=-0.2,0,0,0,0,0"]
+    assert run(["query", "--model", str(model_path), *args]) == 0
+    want = MotionModel.load(model_path).conditional_density(
+        CommandKey(-0.5, 0.0, 0.0), np.array([-0.2, 0, 0, 0, 0, 0]), TerrainVector(0.31, 0.0))
+    assert float(capsys.readouterr().out.strip()) == want > 0.0
 
 
 def test_fit_with_infinite_k_exits_2_and_writes_no_file(tmp_path, incline_csv, capsys):

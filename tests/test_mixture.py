@@ -609,6 +609,20 @@ class TestSampleValidation:
         with pytest.raises(ValueError, match="^creation_cov_scale must be a real number$"):
             MotionModel(k=0.3, creation_cov_scale=scale)
 
+    @pytest.mark.parametrize("name, build", [
+        ("k", lambda: MotionModel(k=10**400)),
+        ("k", lambda: DynamicGaussianMixture(2, 10**400)),
+        ("k", lambda: mix(([0.0], [[1.0]], 3.0), k=-10**400)),
+        ("creation_cov_scale", lambda: MotionModel(k=0.3, creation_cov_scale=10**400)),
+        ("creation_cov_scale", lambda: DynamicGaussianMixture(2, 0.3, 10**400)),
+    ])
+    def test_integer_beyond_float_range_is_named(self, name, build):
+        # a Python int is a real number, but one float64 cannot hold is not
+        # a finite number, as a model file's 10**400 is not
+        message = f"^{name} is not a finite number: an integer beyond float64's range$"
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_mixture_without_a_creation_covariance_absorbs_no_sample(self):
         m = mix(([0.0], [[1.0]], 3.0))
         rng = np.random.default_rng(32)

@@ -4,6 +4,7 @@ import math
 import pickle
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -827,68 +828,73 @@ class TestPersistence:
             want = mm.conditional_density(r.command, x, r.z)
             assert got == pytest.approx(want, rel=1e-12)
 
-    def test_hand_built_mixture_round_trips(self):
-        # a mixture without a creation covariance, and one with the model's
-        # creation_cov_scale * I, keep their densities through a save/load
-        mm = MotionModel(k=0.5, creation_cov_scale=2.0)
-        mm.models[FWD] = dynamic_mixture([3.0], [np.zeros(6)], [0.1 * np.eye(6)])
-        mm.models[TURN] = dynamic_mixture([2.0, 5.0], [np.ones(6), -np.ones(6)],
-                                          [0.2 * np.eye(6), 0.3 * np.eye(6)], mm.k, mm.creation_cov_scale)
-        doc = mm.to_dict()
-        back = MotionModel.from_dict(json.loads(json.dumps(doc)))
-        assert back.to_dict() == doc
-        turn = doc["commands"][[c["key"] for c in doc["commands"]].index([0.0, 0.0, 0.5])]
-        fwd = doc["commands"][[c["key"] for c in doc["commands"]].index([0.5, 0.0, 0.0])]
-        assert fwd["components"][0]["creation_cov"] is None
-        assert not any("creation_cov" in comp for comp in turn["components"])
-        assert back.mixture_for(FWD).creation_cov_scale is None
-        assert back.mixture_for(TURN).creation_cov_scale == 2.0
-        rng = np.random.default_rng(33)
-        for c, center in ((FWD, np.zeros(6)), (TURN, np.ones(6)), (TURN, -np.ones(6))):
-            for x in (center, center + 0.3 * rng.standard_normal(6)):
-                assert back.motion_density(c, x) == mm.motion_density(c, x)
-        assert back.motion_density(FWD, np.zeros(6)) == pytest.approx(
-            float(Gaussian(np.zeros(6), 0.1 * np.eye(6)).density(np.zeros(6))), rel=1e-12)
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path):
+        # a mixture with other constants than the model's would reload with
+        # the model's and change its densities (-2.1256 at the origin would
+        # read -1.8379), so the writer names the command instead
+        mm = MotionModel(k=0.5, x_dim=2)
+        mm.models[FWD] = dynamic_mixture(np.array([3.0]), np.zeros((1, 2)), np.array([np.eye(2)]), 0.3, 2.0)
+        assert mm.log_density(FWD, np.zeros(2)) == pytest.approx(-2.1256, abs=1e-4)
+        message = (r"^command 0\.5,0,0 cannot be written to a model file: it must be an online mixture "
+                   r"with the model's \(k, creation_cov_scale\) = \(0\.5, 1\.0\) and whole weights >= 1, "
+                   r"not \(0\.3, 2\.0\) and \[3\.0\]$")
+        with pytest.raises(ValueError, match=message):
+            mm.to_dict()
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError, match=message):
+            mm.save(path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("k, creation_cov_scale, w, found", [
+        (0.5, None, [3.0], r"\(0\.5, None\) and \[3\.0\]"),  # no creation covariance
+        (0.5, 2.0, [3.0], r"\(0\.5, 2\.0\) and \[3\.0\]"),
+        (0.7, 1.0, [3.0], r"\(0\.7, 1\.0\) and \[3\.0\]"),
+        (0.5, 1.0, [2.0, 0.5], r"\(0\.5, 1\.0\) and \[2\.0, 0\.5\]"),
+        (0.5, 1.0, [2.5, 1.0], r"\(0\.5, 1\.0\) and \[2\.5, 1\.0\]"),
+    ])
+    def test_only_online_mixtures_of_the_model_are_written(self, k, creation_cov_scale, w, found):
+        mm = MotionModel(k=0.5, x_dim=2)
+        mm.models[TURN] = online_mixture(mm, [1.0], [np.zeros(2)], [np.eye(2)])
+        mm.models[FWD] = dynamic_mixture(w, np.zeros((len(w), 2)), [np.eye(2)] * len(w),
+                                         k, creation_cov_scale)
+        with pytest.raises(ValueError, match=r"^command 0\.5,0,0 cannot be written to a model file: .*, not "
+                                             + found + "$"):
+            mm.to_dict()
 
     def test_trained_model_file_has_no_creation_covariances(self):
+        # every command is one block of arrays, written from the mixture's
+        # own, and the model's creation covariance is every command's
         records = simulate_incline(InclineConfig(reps_per_orientation=1))
-        doc = fit_motion_model(records, k=0.3, rng=np.random.default_rng(34)).to_dict()
-        assert not any("creation_cov" in comp for c in doc["commands"] for comp in c["components"])
+        mm = fit_motion_model(records, k=0.3, rng=np.random.default_rng(34))
+        doc = mm.to_dict()
+        assert doc["format"] == "dgmm-motion-model/2"
+        assert '"creation_cov"' not in json.dumps(doc)
+        for entry, c in zip(doc["commands"], mm.commands()):
+            mix = mm.mixture_for(c)
+            assert list(entry) == ["key", "w", "mean", "cov"]
+            assert entry["key"] == list(c.as_tuple())
+            assert entry["w"] == mix._w.tolist() and entry["mean"] == mix._mean.tolist()
+            assert np.array_equal(np.array(entry["cov"]).reshape(mix._cov.shape), mix._cov)
+
+    def test_reloaded_trained_model_keeps_its_total_weight(self):
+        # a live mixture adds exactly 1 per sample and a loaded one sums its
+        # weights, which are whole numbers, so both totals agree bit for bit
+        records = simulate_incline(InclineConfig(reps_per_orientation=2))
+        mm = fit_motion_model(records, k=0.3, rng=np.random.default_rng(38), standardize=True)
+        back = MotionModel.from_dict(json.loads(json.dumps(mm.to_dict())))
+        for c in mm.commands():
+            assert back.mixture_for(c).total_weight() == mm.mixture_for(c).total_weight()
+        assert sum(back.mixture_for(c).total_weight() for c in back.commands()) == len(records)
 
     def test_non_symmetric_covariance_rejected(self, tmp_path):
         mm = MotionModel(k=0.5, x_dim=2, z_dim=0)
-        mm.models[FWD] = dynamic_mixture([2.0], [[0.0, 0.0]], [np.eye(2)])
+        mm.models[FWD] = online_mixture(mm, [2.0], [[0.0, 0.0]], [np.eye(2)])
         doc = mm.to_dict()
-        doc["commands"][0]["components"][0]["cov"] = [1.0, 0.5, 0.2, 1.0]
+        doc["commands"][0]["cov"][0] = [1.0, 0.5, 0.2, 1.0]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=r"components\[0\].cov"):
+        with pytest.raises(ValueError, match=r"commands\[0\]\.cov\[0\]"):
             MotionModel.load(path)
-
-    @pytest.mark.parametrize("creation_cov_scale, bad, value, why", [
-        # a matrix, even the model's own creation_cov_scale * I, or a bad one
-        (1.0, 1, [1.0, 0.0, 0.0, 1.0], "a matrix is not accepted"),
-        (1.0, 0, [1.0, 5.0, -3.0, 1.0], "a matrix is not accepted"),
-        (None, 2, [2.0, 0.0, 0.0, 2.0], "a matrix is not accepted"),
-        (None, 1, "absent", "every component of a command must leave it out"),
-        (1.0, 2, None, "every component of a command must leave it out"),
-    ])
-    def test_bad_creation_covariance_rejected(self, creation_cov_scale, bad, value, why):
-        # every component of a command leaves creation_cov out (the model's
-        # creation_cov_scale * I), or every one gives null (none)
-        mm = MotionModel(k=0.5, x_dim=2, z_dim=0)
-        mm.models[FWD] = dynamic_mixture([2.0] * 3, [[float(i), 0.0] for i in range(3)], [np.eye(2)] * 3,
-                                         mm.k, creation_cov_scale)
-        doc = json.loads(json.dumps(mm.to_dict()))
-        assert MotionModel.from_dict(doc).to_dict() == doc
-        comp = doc["commands"][0]["components"][bad]
-        if value == "absent":
-            del comp["creation_cov"]
-        else:
-            comp["creation_cov"] = value
-        field = rf"^model file: field 'commands\[0\]\.components\[{bad}\]\.creation_cov': "
-        with pytest.raises(ValueError, match=field + ".*" + why):
-            MotionModel.from_dict(doc)
 
     @pytest.mark.parametrize("dim, cov", [
         (1, [-5.0]),
@@ -898,10 +904,10 @@ class TestPersistence:
     ])
     def test_indefinite_covariance_rejected(self, dim, cov):
         mm = MotionModel(k=0.5, x_dim=dim, z_dim=0)
-        mm.models[FWD] = dynamic_mixture([3.0], [np.zeros(dim)], [np.eye(dim)])
+        mm.models[FWD] = online_mixture(mm, [3.0], [np.zeros(dim)], [np.eye(dim)])
         doc = json.loads(json.dumps(mm.to_dict()))
-        doc["commands"][0]["components"][0]["cov"] = cov
-        with pytest.raises(ValueError, match=r"model file: field 'commands\[0\]\.components\[0\]\.cov': "
+        doc["commands"][0]["cov"][0] = cov
+        with pytest.raises(ValueError, match=r"model file: field 'commands\[0\]\.cov\[0\]': "
                                              "not positive semidefinite"):
             MotionModel.from_dict(doc)
 
@@ -914,12 +920,12 @@ class TestPersistence:
         # the first bad one, here the second of the second command's three
         mm = MotionModel(k=0.5, x_dim=2, z_dim=0)
         for c in (FWD, TURN):
-            mm.models[c] = dynamic_mixture([2.0] * 3, [[float(i), 0.0] for i in range(3)], [np.eye(2)] * 3)
+            mm.models[c] = online_mixture(mm, [2.0] * 3, [[float(i), 0.0] for i in range(3)], [np.eye(2)] * 3)
         doc = json.loads(json.dumps(mm.to_dict()))
         assert MotionModel.from_dict(doc).to_dict() == doc
-        doc["commands"][1]["components"][1]["cov"] = cov
-        doc["commands"][1]["components"][2]["cov"] = cov
-        with pytest.raises(ValueError, match=r"^model file: field 'commands\[1\]\.components\[1\]\.cov': "
+        doc["commands"][1]["cov"][1] = cov
+        doc["commands"][1]["cov"][2] = cov
+        with pytest.raises(ValueError, match=r"^model file: field 'commands\[1\]\.cov\[1\]': "
                                              + why + "$"):
             MotionModel.from_dict(doc)
 
@@ -956,14 +962,14 @@ class TestPersistence:
         ("layout.x_dim", lambda d: d["layout"].__setitem__("x_dim", 2.5)),
         ("layout.x_dim", lambda d: d["layout"].__setitem__("x_dim", 0)),
         ("layout.z_dim", lambda d: d["layout"].__setitem__("z_dim", -1)),
-        ("commands[0].components", lambda d: d["commands"][0].__setitem__("components", [])),
+        ("commands[0].w", lambda d: d["commands"][0].update(w=[], mean=[], cov=[])),
         ("commands[0].key", lambda d: d["commands"][0].__setitem__("key", [0, 0, 0])),
         ("commands[0].key", lambda d: d["commands"][0].__setitem__("key", [0.3, 0, 0])),
     ])
     def test_untrainable_fields_are_named(self, field, mutate):
         # no trained model writes any of these
         mm = MotionModel(k=0.5, x_dim=2, z_dim=0)
-        mm.models[FWD] = dynamic_mixture([2.0], [np.zeros(2)], [np.eye(2)])
+        mm.models[FWD] = online_mixture(mm, [2.0], [np.zeros(2)], [np.eye(2)])
         doc = json.loads(json.dumps(mm.to_dict()))
         MotionModel.from_dict(json.loads(json.dumps(doc)))  # loads unmutated
         mutate(doc)
@@ -973,6 +979,7 @@ class TestPersistence:
     @pytest.mark.parametrize("field, message, mutate", [
         ("creation_cov_scale", "must be positive", lambda d: d.__setitem__("creation_cov_scale", 0.0)),
         ("creation_cov_scale", "must be positive", lambda d: d.__setitem__("creation_cov_scale", -2.0)),
+        ("creation_cov_scale", "missing or not a finite number", lambda d: d.pop("creation_cov_scale")),
         ("standardizer", "not an object or null", lambda d: d.__setitem__("standardizer", [0.0, 1.0])),
         ("standardizer.scale", "entries must be positive",
          lambda d: d.__setitem__("standardizer", {"offset": [0.0, 0.0], "scale": [1.0, 0.0]})),
@@ -981,22 +988,43 @@ class TestPersistence:
         ("commands[0]", "not an object", lambda d: d["commands"].__setitem__(0, [0.5, 0.0, 0.0])),
         ("commands[1].key", "duplicate command key",
          lambda d: d["commands"].append(json.loads(json.dumps(d["commands"][0])))),
-        ("commands[0].components", "missing or not a list",
-         lambda d: d["commands"][0].__setitem__("components", {"w": 2.0})),
-        ("commands[0].components[0]", "not an object",
-         lambda d: d["commands"][0]["components"].__setitem__(0, 2.0)),
-        ("commands[0].components[0].w", "must be a positive finite number",
-         lambda d: d["commands"][0]["components"][0].__setitem__("w", 0.0)),
-        ("commands[0].components[0].w", "must be a positive finite number",
-         lambda d: d["commands"][0]["components"][0].__setitem__("w", -1.0)),
+        ("commands[0].w", "missing or not a list",
+         lambda d: d["commands"][0].__setitem__("w", {"w": 2.0})),
+        ("commands[0].w", "missing or not a list", lambda d: d["commands"][0].pop("w")),
+        ("commands[0].mean", "missing or not a list of 1 rows", lambda d: d["commands"][0].pop("mean")),
+        ("commands[0].mean", "missing or not a list of 1 rows",
+         lambda d: d["commands"][0].__setitem__("mean", [[0.0, 0.0]] * 2)),
+        ("commands[0].mean[0]", "not a list of 2 numbers",
+         lambda d: d["commands"][0].__setitem__("mean", [2.0])),
+        ("commands[0].mean[0]", "not a list of 2 numbers",
+         lambda d: d["commands"][0].__setitem__("mean", [[0.0]])),
+        ("commands[0].cov[0]", "not a list of 4 numbers",
+         lambda d: d["commands"][0].__setitem__("cov", [{"cov": [1.0, 0.0, 0.0, 1.0]}])),
+        ("commands[0].cov[0]", "not a list of 4 numbers",
+         lambda d: d["commands"][0].__setitem__("cov", [[1.0, 0.0, 0.0, 1.0, 0.0]])),
+        ("commands[0].w[0]", "must be a whole number >= 1",
+         lambda d: d["commands"][0].__setitem__("w", [0.0])),
+        ("commands[0].w[0]", "must be a whole number >= 1",
+         lambda d: d["commands"][0].__setitem__("w", [-1.0])),
     ])
     def test_malformed_structure_is_named(self, field, message, mutate):
         mm = MotionModel(k=0.5, x_dim=2, z_dim=0)
-        mm.models[FWD] = dynamic_mixture([2.0], [np.zeros(2)], [np.eye(2)])
+        mm.models[FWD] = online_mixture(mm, [2.0], [np.zeros(2)], [np.eye(2)])
         doc = json.loads(json.dumps(mm.to_dict()))
         MotionModel.from_dict(json.loads(json.dumps(doc)))  # loads unmutated
         mutate(doc)
         with pytest.raises(ValueError, match=re.escape(f"model file: field '{field}': {message}") + "$"):
+            MotionModel.from_dict(doc)
+
+    def test_ragged_rows_are_named(self):
+        # numbers in rows of unequal length: the first row of the wrong
+        # length is named
+        mm = MotionModel(k=0.5, x_dim=2, z_dim=0)
+        mm.models[FWD] = online_mixture(mm, [2.0, 3.0], [np.zeros(2), np.ones(2)], [np.eye(2)] * 2)
+        doc = json.loads(json.dumps(mm.to_dict()))
+        doc["commands"][0]["mean"][1].append(0.0)
+        with pytest.raises(ValueError, match=re.escape(
+                "model file: field 'commands[0].mean[1]': not a list of 2 numbers") + "$"):
             MotionModel.from_dict(doc)
 
     @pytest.mark.parametrize("root", [[], "model", 3.0, None])
@@ -1013,29 +1041,29 @@ class TestPersistence:
     @pytest.mark.parametrize("entry", [True, "1.0", None, [1.0]])
     def test_bad_number_in_a_list_is_named(self, entry):
         mm = MotionModel(k=0.5, x_dim=2, z_dim=0)
-        mm.models[FWD] = dynamic_mixture([2.0], [np.zeros(2)], [np.eye(2)])
+        mm.models[FWD] = online_mixture(mm, [2.0], [np.zeros(2)], [np.eye(2)])
         doc = json.loads(json.dumps(mm.to_dict()))
-        doc["commands"][0]["components"][0]["cov"][2] = entry
+        doc["commands"][0]["cov"][0][2] = entry
         with pytest.raises(ValueError, match=re.escape(
-                "model file: field 'commands[0].components[0].cov[2]': not a finite number")):
+                "model file: field 'commands[0].cov[0][2]': not a finite number")):
             MotionModel.from_dict(doc)
 
     def test_numbers_that_subclass_float_load(self):
         # a document built in Python rather than read from JSON
         mm = MotionModel(k=0.5, x_dim=2, z_dim=0)
-        mm.models[FWD] = dynamic_mixture([2.0], [np.array([0.5, -1.0])], [np.eye(2)])
+        mm.models[FWD] = online_mixture(mm, [2.0], [np.array([0.5, -1.0])], [np.eye(2)])
         doc = json.loads(json.dumps(mm.to_dict()))
-        doc["commands"][0]["components"][0]["mean"] = [np.float64(0.5), np.float64(-1.0)]
+        doc["commands"][0]["mean"] = [[np.float64(0.5), np.float64(-1.0)]]
         assert MotionModel.from_dict(doc).to_dict() == mm.to_dict()
 
     @pytest.mark.parametrize("field, message, mutate", [
         ("k", "missing or not a finite number", lambda d: d.__setitem__("k", 10**400)),
-        ("commands[0].components[0].w", "missing or not a finite number",
-         lambda d: d["commands"][0]["components"][0].__setitem__("w", 10**400)),
-        ("commands[0].components[0].mean[1]", "not a finite number",
-         lambda d: d["commands"][0]["components"][0]["mean"].__setitem__(1, 10**400)),
-        ("commands[0].components[0].cov[3]", "not a finite number",
-         lambda d: d["commands"][0]["components"][0]["cov"].__setitem__(3, -10**400)),
+        ("commands[0].w[0]", "not a finite number",
+         lambda d: d["commands"][0]["w"].__setitem__(0, 10**400)),
+        ("commands[0].mean[0][1]", "not a finite number",
+         lambda d: d["commands"][0]["mean"][0].__setitem__(1, 10**400)),
+        ("commands[0].cov[0][3]", "not a finite number",
+         lambda d: d["commands"][0]["cov"][0].__setitem__(3, -10**400)),
         ("commands[0].key[0]", "not a finite number",
          lambda d: d["commands"][0]["key"].__setitem__(0, 10**400)),
     ])
@@ -1043,27 +1071,26 @@ class TestPersistence:
         # JSON integers are unbounded; one that float64 cannot hold is not
         # a finite number
         mm = MotionModel(k=0.5, x_dim=2, z_dim=0)
-        mm.models[FWD] = dynamic_mixture([2.0], [np.zeros(2)], [np.eye(2)])
+        mm.models[FWD] = online_mixture(mm, [2.0], [np.zeros(2)], [np.eye(2)])
         doc = json.loads(json.dumps(mm.to_dict()))
         mutate(doc)
         doc = json.loads(json.dumps(doc))
         with pytest.raises(ValueError, match=re.escape(f"model file: field '{field}': {message}")):
             MotionModel.from_dict(doc)
 
-    def test_component_below_unit_weight_loads_but_does_not_train(self):
-        # a hand-built model may hold such a weight and still be queried;
-        # no merge can take it, so training fails before the first draw
-        mm = MotionModel(k=5.0)
-        mm.models[FWD] = dynamic_mixture([0.5], [np.zeros(6)], [np.eye(6)], mm.k, mm.creation_cov_scale)
+    @pytest.mark.parametrize("w, bad", [([0.5], 0), ([2.0, 0.5], 1), ([2.5], 0), ([1.0, 3.0, 2.5], 2)])
+    def test_weight_that_is_not_a_whole_number_is_rejected(self, w, bad):
+        # an online mixture's weights count its samples: a file with a
+        # weight below 1 or a fractional one is refused, naming the weight
+        mm = MotionModel(k=5.0, x_dim=2)
+        mm.models[FWD] = online_mixture(mm, [1.0] * len(w), [[float(i), 0.0] for i in range(len(w))],
+                                        [np.eye(2)] * len(w))
         doc = json.loads(json.dumps(mm.to_dict()))
-        back = MotionModel.from_dict(doc)
-        assert back.motion_density(FWD, np.zeros(6)) == mm.motion_density(FWD, np.zeros(6))
-        rng = np.random.default_rng(36)
-        state = rng.bit_generator.state
-        with pytest.raises(ValueError, match=re.escape("component 0 has weight 0.5 < 1")):
-            back.record_sample(FWD, DeltaPose(0, 0, 0, 0, 0, 0), None, rng)
-        assert rng.bit_generator.state == state
-        assert back.to_dict() == doc
+        MotionModel.from_dict(json.loads(json.dumps(doc)))  # loads unmutated
+        doc["commands"][0]["w"] = w
+        with pytest.raises(ValueError, match=re.escape(
+                f"model file: field 'commands[0].w[{bad}]': must be a whole number >= 1") + "$"):
+            MotionModel.from_dict(doc)
 
     @pytest.mark.parametrize("k", [-1.0, math.nan])
     def test_negative_or_nan_k_rejected(self, k):
@@ -1140,8 +1167,8 @@ class TestPersistence:
     def test_persistence_builds_no_component_objects(self, monkeypatch):
         records = simulate_incline(InclineConfig(reps_per_orientation=1))
         mm = fit_motion_model(records, k=0.3, rng=np.random.default_rng(35), standardize=True)
-        mm.models[TURN] = dynamic_mixture([2.0, 5.0], [np.ones(8), -np.ones(8)],
-                                          [0.2 * np.eye(8), 0.3 * np.eye(8)])
+        mm.models[TURN] = online_mixture(mm, [2.0, 5.0], [np.ones(8), -np.ones(8)],
+                                         [0.2 * np.eye(8), 0.3 * np.eye(8)])
 
         def refuse(*args, **kwargs):
             raise AssertionError("a component object was built")
@@ -1161,6 +1188,88 @@ class TestPersistence:
         doc = json.loads(path.read_text())
         assert doc["invocation"] == {"subcommand": "fit", "seed": 1}
         MotionModel.load(path)  # extra field tolerated
+
+
+class TestFormat1:
+    """Format-1 files, as `dgmm fit` wrote them (per command a list of
+    components {w, mean, cov}), still load.  The fixture is that of the
+    first 30 records of `dgmm gen-incline --reps 1 --seed 3`, fitted with
+    `--k 0.3 --seed 42 --standardize`: 10 commands of 1 to 3 components."""
+
+    PATH = Path(__file__).parent / "data" / "model-v1.json"
+    # log_density of records 0, 7, 14, 22 and 29 as the format-1 reader
+    # answered them
+    LOG_DENSITY = {0: 12.626439984136898, 7: 15.287834783099104, 14: 12.716033845035767,
+                   22: 14.3296800982613, 29: 15.28220096552944}
+
+    def doc(self):
+        return json.loads(self.PATH.read_text(encoding="utf-8"))
+
+    def test_loads_with_its_components_as_arrays(self):
+        doc = self.doc()
+        assert doc["format"] == "dgmm-motion-model/1" and len(doc["commands"]) == 10
+        mm = MotionModel.load(self.PATH)
+        assert (mm.k, mm.creation_cov_scale, mm.x_dim, mm.z_dim) == (0.3, 1.0, 6, 2)
+        assert np.array_equal(mm.standardizer.offset, doc["standardizer"]["offset"])
+        for entry in doc["commands"]:
+            mix = mm.mixture_for(CommandKey(*entry["key"]))
+            comps = entry["components"]
+            assert (mix.k, mix.creation_cov_scale) == (0.3, 1.0)
+            assert np.array_equal(mix._w, [comp["w"] for comp in comps])
+            assert np.array_equal(mix._mean, [comp["mean"] for comp in comps])
+            assert np.array_equal(mix._cov, np.array([comp["cov"] for comp in comps]).reshape(-1, 8, 8))
+
+    def test_answers_as_the_format_1_reader(self):
+        records = simulate_incline(InclineConfig(reps_per_orientation=1, seed=3))[:30]
+        mm = MotionModel.load(self.PATH)
+        for i, want in self.LOG_DENSITY.items():
+            r = records[i]
+            assert mm.log_density(r.command, r.x, r.z) == want
+
+    def test_is_written_back_as_format_2(self):
+        doc = self.doc()
+        mm = MotionModel.from_dict(doc)
+        assert doc == self.doc()  # the document read is left as it was
+        v2 = mm.to_dict(doc["invocation"])
+        assert v2["format"] == "dgmm-motion-model/2"
+        assert {n: v2[n] for n in ("k", "layout", "creation_cov_scale", "standardizer", "invocation")} == \
+            {n: doc[n] for n in ("k", "layout", "creation_cov_scale", "standardizer", "invocation")}
+        assert_same_model(mm, MotionModel.from_dict(json.loads(json.dumps(v2))))
+
+    @pytest.mark.parametrize("value", [None, [1.0] + [0.0] * 63])
+    def test_component_with_a_creation_covariance_is_rejected(self, value):
+        doc = self.doc()
+        doc["commands"][2]["components"][0]["creation_cov"] = value
+        with pytest.raises(ValueError, match=re.escape(
+                "model file: field 'commands[2].components[0].creation_cov': must be absent") + ".*$"):
+            MotionModel.from_dict(doc)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d["commands"][1].pop("components"),
+        lambda d: d["commands"][1].__setitem__("components", {"w": 2.0}),
+        lambda d: d["commands"][1]["components"].__setitem__(0, 2.0),
+    ])
+    def test_malformed_components_are_named(self, mutate):
+        doc = self.doc()
+        mutate(doc)
+        with pytest.raises(ValueError, match=re.escape(
+                "model file: field 'commands[1].components': missing or not a list of objects") + "$"):
+            MotionModel.from_dict(doc)
+
+    @pytest.mark.parametrize("w, why", [(0.5, "must be a whole number >= 1"), (True, "not a finite number")])
+    def test_components_take_the_format_2_checks(self, w, why):
+        # the components become format 2's arrays, which are checked as
+        # format 2's are, and named as they are
+        doc = self.doc()
+        doc["commands"][0]["components"][2]["w"] = w
+        with pytest.raises(ValueError, match=re.escape(f"model file: field 'commands[0].w[2]': {why}") + "$"):
+            MotionModel.from_dict(doc)
+
+
+def online_mixture(mm, w, mean, cov):
+    """A mixture of the given moments for the motion model mm, with mm's k
+    and creation covariance, as a model file holds it."""
+    return dynamic_mixture(w, mean, cov, mm.k, mm.creation_cov_scale)
 
 
 def hand_built_mixture(rng, dim, m, offset, scale, mm, with_creation, integral):
@@ -1209,8 +1318,8 @@ class TestSaveLoadProperties:
             if standardize else None
         mm = MotionModel(k=rng.uniform(0.01, 2.0), x_dim=x_dim, z_dim=z_dim, standardizer=std,
                          creation_cov_scale=scale**2)
-        for c, count, with_creation in ((FWD, m, True), (TURN, 1 + m // 2, False)):
-            mm.models[c] = hand_built_mixture(rng, dim, count, offset, scale, mm, with_creation, integral=False)
+        for c, count in ((FWD, m), (TURN, 1 + m // 2)):
+            mm.models[c] = hand_built_mixture(rng, dim, count, offset, scale, mm, True, integral=True)
         doc = json.loads(json.dumps(mm.to_dict()))
         back = MotionModel.from_dict(doc)
         assert back.to_dict() == doc
@@ -1235,8 +1344,6 @@ class TestSaveLoadProperties:
         rng = np.random.default_rng(seed)
         dim, scale = 6 + z_dim, 10.0**log_scale
         mm = MotionModel(k=10.0**log_k, x_dim=6, z_dim=z_dim, creation_cov_scale=scale**2)
-        # a loaded mixture re-sums its weights, which matches the live running
-        # total bit for bit only when the weights are integral
         if m:
             mm.models[TURN] = hand_built_mixture(rng, dim, m, offset, scale, mm, True, integral=True)
         # angle coordinates wrap, so the samples stay within pi of zero there
