@@ -19,12 +19,14 @@ MotionModel.log_density call per record and model (`_score_fold`).
 k_sweep and mise_experiment state their streams as data: a plan of
 (k, seed) pairs and a target component count, which one runner
 (`_streams`) executes in order, each stream only when the experiment
-asks for it, with one stop rule.  Each stream and each fold owns a
-generator, seeded from the master stream, that it discards when it ends.
-After its shuffle, that generator is read only by add_sample's
-rng.random() calls, so the updates read it through a mixture._Uniforms,
-which draws the same values in blocks; a fold's two models read one
-_Uniforms in sequence, as they would read the generator.  Every streamed
+asks for it, with one stop rule, which stops a stream as soon as its own
+remaining draws prove that every later sample merges.  Each stream and
+each fold owns a generator, seeded from the master stream, that it
+discards when it ends.  After its shuffle, that generator is read only by
+add_sample's rng.random() calls, at most two per sample, so it draws every
+value the updates can read in one block, rng.random(n), which a
+mixture._Served serves to them one at a time; a fold's two models read one
+_Served in sequence, as they would read the generator.  Every streamed
 sample is still one add_sample call.
 """
 
@@ -38,7 +40,7 @@ import numpy as np
 
 from .datasets import SampleRecord
 from .em import em_fit, ise
-from .mixture import (DynamicGaussianMixture, _final_count, _Uniforms, check_batch, check_count,
+from .mixture import (DynamicGaussianMixture, _merge_floors, _Served, check_batch, check_count,
                       check_integer, check_k)
 from .motion import MotionModel, Standardizer, TerrainSupportError
 
@@ -190,13 +192,13 @@ def _record_vectors(records: list[SampleRecord], with_terrain: bool) -> np.ndarr
 
 
 def _fit(vectors: np.ndarray, commands: list, z_dim: int, k: float,
-         rng: np.random.Generator | _Uniforms, standardize: bool) -> MotionModel:
+         rng: np.random.Generator | _Served, standardize: bool) -> MotionModel:
     """A fresh motion model trained on the rows of vectors (N, 6 + z_dim),
     x or x || z in original units, in order, each with its command: with
     standardize, the standardizer is fitted on every row first.  The rows
     are standardized in one batch, then each is one training step
     (MotionModel._record, one add_sample), in order, drawing from rng, a
-    generator or its _Uniforms."""
+    generator or a block of its uniforms (mixture._Served)."""
     std = Standardizer.fit(vectors) if standardize else None
     mm = MotionModel(k=k, x_dim=vectors.shape[1] - z_dim, z_dim=z_dim, standardizer=std)
     for c, u in zip(commands, mm._std.transform(vectors)):
@@ -210,31 +212,51 @@ def _fit(vectors: np.ndarray, commands: list, z_dim: int, k: float,
 def _streams(points: np.ndarray, plan: list[tuple[float, int]], target_m: float):
     """The online mixtures of a plan's streams, one per (k, seed) pair, in
     plan order, each built only when the caller asks for the next: a fresh
-    mixture fed one shuffle of the points at k, the shuffle and every
-    update drawing from one generator seeded with seed, the updates
-    through its _Uniforms.
+    mixture fed one shuffle of the points at k, drawn from a generator
+    seeded with seed, which then draws in one block u every uniform the
+    stream can read (2 per point), served to the updates by a
+    mixture._Served.
 
     A stream stops once its outcome is decided: when it has more than
     target_m components (components are never removed), or when its count
-    is final and is not target_m.  A count is final once the merge
-    threshold has rounded to 1 (see mixture._count_is_final): every later
-    sample merges, so the rest of the shuffle could not change it.  The
-    total weight at which that happens is found once per stream
-    (mixture._final_count).  With target_m = inf, a stream stops when its
-    count is final.  Each stream draws from its own generator, so
-    stopping one changes no other, and its count, or whether its count is
-    target_m, is the one that streaming every point would give."""
+    is final and is not target_m.  The count m is final at total weight W
+    when every later sample's decision draw falls below t(0), the
+    threshold below which a sample merges whatever its density (see
+    mixture._merge_floors): each sample reads its decision draw and, on a
+    merge, one more, so with no append from W on, the sample at weight n
+    reads u[2 n - m], and merges, for every n in [W, N).  By induction no
+    later sample appends.  The last n at which that test fails is found
+    once for each m the stream reaches (`_last_open`).  With target_m =
+    inf, a stream stops when its count is final.  Each stream draws from
+    its own generator, so stopping one changes no other, and its count,
+    or whether its count is target_m, is the one that streaming every
+    point would give."""
+    n_points = points.shape[0]
     for k, seed in plan:
-        final = _final_count(k)
         sub = np.random.default_rng(seed)
+        order = sub.permutation(n_points)
+        u = sub.random(2 * n_points)
+        floors = _merge_floors(k, n_points)
         model = DynamicGaussianMixture(points.shape[1], k)
-        draws = _Uniforms(sub)
-        for x in points[sub.permutation(points.shape[0])]:
+        draws = _Served(u)
+        m = last = 0
+        for x in points[order]:
             model.add_sample(x, draws)
-            m = len(model)
-            if m > target_m or (m != target_m and model.total_weight() >= final):
+            if len(model) != m:
+                m = len(model)
+                last = _last_open(u, floors, m)
+            if m > target_m or (m != target_m and model.total_weight() > last):
                 break
         yield model
+
+
+def _last_open(u: np.ndarray, floors: np.ndarray, m: int) -> int:
+    """The last total weight n in [m, N) at which a stream of N points
+    whose updates read u (2 N values) and that holds m components still
+    might append: its decision draw u[2 n - m] is not below t(0) =
+    floors[n] (see _streams); m - 1 when there is none."""
+    open_ = np.flatnonzero(u[m:2 * len(floors) - m:2] >= floors[m:])
+    return m + int(open_[-1]) if open_.size else m - 1
 
 
 def k_sweep(points, k_grid, repeats: int, rng: np.random.Generator) -> EvalReport:
@@ -407,8 +429,9 @@ def terrain_comparison(s1: list[SampleRecord], folds: int, repeats: int, k: floa
             train_idx = [i for fj, f in enumerate(split.folds) if fj != fi for i in f]
             order = [train_idx[j] for j in sub.permutation(len(train_idx))]
             order_commands = [commands[i] for i in order]
-            # both models read the fold generator's uniforms, in sequence
-            draws = _Uniforms(sub)
+            # both models read the fold generator's uniforms, in sequence:
+            # at most 2 per training record each
+            draws = _Served(sub.random(4 * len(order)))
             with_model = _fit(with_z[order], order_commands, 2, k, draws, standardize)
             without_model = _fit(without_z[order], order_commands, 0, k, draws, standardize)
             target_idx = train_idx if score_training else fold

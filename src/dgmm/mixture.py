@@ -110,10 +110,10 @@ symmetrized only in a mixture holding a covariance that is not exactly
 symmetric, as a model file's rows may be within its tolerance; _adopt decides this once per mixture (`_symmetric`).
 Every row trained online is exactly symmetric: _absorb's outer product is
 (dx_i dx_j = dx_j dx_i), and every other step is elementwise, so
-symmetrizing would change no bit.  A stream that
-stops once its count is final compares its total weight with
-`_final_count(k)`, the first n at which `_count_is_final(n, k)` holds,
-found once per stream by its runner, not by the constructor.
+symmetrizing would change no bit.  An experiment stream
+(dgmm.evaluation._streams) stops once its count is final, which it reads
+off its remaining draws and t(0) at every later total weight
+(`_merge_floors`, with the bits of _merges' first threshold).
 Invariant: after construction and after every add_sample, _eval_cov and
 _chol_inv are those of the current moments (and so is every log
 normalizer read off _chol_inv).  add_sample keeps this in
@@ -133,9 +133,9 @@ and dimensions, integers checked before their range), `check_k` and
 `_check_creation_cov_scale`.
 
 add_sample's only call on its generator is random(), so the experiments
-(dgmm.evaluation) pass it a `_Uniforms`, which serves the same values
-from blocks drawn by rng.random(n), one numpy call per block instead of
-one per draw.
+(dgmm.evaluation) pass it a `_Served`, which serves the values of one
+block drawn by rng.random(n), one numpy call per stream instead of one
+per draw.
 
 A whole mixture is built from its moment arrays by one constructor,
 `DynamicGaussianMixture._from_arrays`, the one place that derives _eval_cov
@@ -155,7 +155,6 @@ entry point or argument is kept for tests alone.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import numbers
 
@@ -331,37 +330,16 @@ def _threshold(d: float, decay: float) -> float:
     return 1.0 - (1.0 - d) * decay
 
 
-def _count_is_final(n: float, k: float) -> bool:
-    """True when a mixture that has absorbed n samples at constant k can
-    gain no more components: the threshold at d = 0 has rounded to 1, so
-    (as (1 - d) <= 1 and rounding is monotone) it is 1 for every d in
-    [0, 1], every draw in [0, 1) falls below it, and it stays 1 as n grows.
-    In float64 that happens once k n exceeds about 37.4."""
-    return merge_threshold(0.0, n, k) == 1.0
-
-
-def _final_count(k: float) -> float:
-    """The first n = 1, 2, ... at which _count_is_final(n, k) holds, found
-    on that predicate by doubling then bisection (the predicate is
-    monotone in n), so a stream can compare its total weight with this
-    count in place of evaluating the predicate after every sample.
-
-    inf when no n up to 2**53 is final (k = 0 never is): a total weight
-    counted by adding 1 stops growing there.  k = inf is final at n = 1.
-    k must be non-negative (merge_threshold raises otherwise)."""
-    hi = 1
-    while not _count_is_final(hi, k):
-        if hi >= 2**53:
-            return math.inf
-        hi *= 2
-    lo = hi // 2  # 0, or a count the doubling found not final
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _count_is_final(mid, k):
-            hi = mid
-        else:
-            lo = mid
-    return float(hi)
+def _merge_floors(k: float, n: int) -> np.ndarray:
+    """t(0) = merge_threshold(0.0, i, k) for i = 0, 1, ..., n - 1: the
+    threshold below which a sample merges whatever its density, with the
+    bits of _merges' first threshold, _threshold(0.0, exp(-k i)), at total
+    weight i.  A draw below it decides a merge before anything else is
+    looked at.  k must be non-negative; -k i overflows to -inf for a huge
+    k, and is NaN at i = 0 for k = inf (as in _merges, where an empty
+    mixture never reads it), without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _threshold(0.0, np.exp(-k * np.arange(n, dtype=float)))
 
 
 def _absorb(w: float, mean: np.ndarray, cov: np.ndarray, dx: np.ndarray) -> None:
@@ -450,33 +428,33 @@ def _log_diag(chol_inv: np.ndarray) -> np.ndarray:
 def _log_norm(chol_inv: np.ndarray) -> np.ndarray:
     """Log normalization constants from inverse Cholesky factors (..., D, D):
     -D/2 log(2 pi) + log|V|."""
-    return -0.5 * chol_inv.shape[-1] * LOG_2PI + _log_diag(chol_inv).sum(axis=-1)
+    return np.add.reduce(_log_diag(chol_inv), axis=-1) - 0.5 * chol_inv.shape[-1] * LOG_2PI
 
 
 def _quad(pts: np.ndarray, mean: np.ndarray, chol_inv: np.ndarray) -> np.ndarray:
     """Squared Mahalanobis distance of every point (N, D) to every
-    component (m, D): shape (N, m)."""
-    y = (pts[None] - mean[:, None]) @ chol_inv.transpose(0, 2, 1)
-    return np.einsum("mnd,mnd->nm", y, y)
+    component (m, D): shape (N, m).  The differences are formed with each
+    component's N points in one row, (m, N D), so the subtraction's inner
+    loop runs over N D entries, not D."""
+    (n, d), m = pts.shape, len(mean)
+    diff = pts.reshape(1, n * d) - np.repeat(mean, n, axis=0).reshape(m, n * d)
+    y = diff.reshape(m, n, d) @ chol_inv.transpose(0, 2, 1)
+    return _einsum("mnd,mnd->nm", y, y)
 
 
-class _Uniforms:
-    """rng.random()'s sequence, served from blocks of BLOCK values drawn by
-    rng.random(BLOCK): `random()` returns, bit for bit, the value the next
-    rng.random() call would have (both are one 64-bit output of the bit
-    generator each), and a block is drawn when the last one runs out.
+class _Served:
+    """The values of u, served in order by random() as Python floats.
 
-    add_sample draws only rng.random(), so it takes this in place of a
-    generator that nothing else reads from here on: the experiments' stream
-    and fold generators (dgmm.evaluation), which are discarded with their
-    streams, so the values drawn past a stream's end are never read and no
-    generator state needs to be rewound."""
+    add_sample's only call on its generator is random().  A block drawn by
+    rng.random(n) holds, bit for bit, the values that n rng.random() calls
+    would return (each is one 64-bit output of the bit generator), so an
+    update that reads _Served(rng.random(n)) makes the decisions it would
+    make reading rng itself, for as long as it reads at most n values.
+    The experiments (dgmm.evaluation) draw that block once for each stream
+    and fold: a sample reads at most two values."""
 
-    BLOCK = 64
-
-    def __init__(self, rng: np.random.Generator):
-        blocks = iter(lambda: rng.random(self.BLOCK).tolist(), None)
-        self.random = itertools.chain.from_iterable(blocks).__next__
+    def __init__(self, u: np.ndarray):
+        self.random = iter(u.tolist()).__next__
 
 
 class MixtureCore:
@@ -721,8 +699,17 @@ class DynamicGaussianMixture(MixtureCore):
         eval_cov = cov.copy()
         blended = np.flatnonzero(w >= 1.0)
         if s is not None and blended.size:
-            wb = w[blended, None, None]
-            blend = ((wb - 1.0) * cov[blended] + self._creation_cov) / wb
+            wb, cb = w[blended, None, None], cov[blended]
+            with np.errstate(over="ignore", invalid="ignore"):
+                blend = ((wb - 1.0) * cb + self._creation_cov) / wb
+            # (w - 1) S can overflow where the blend itself cannot (a model
+            # file's w = 1e10 with entries of 1e300): such a row takes
+            # S + (C - S) / w, a convex combination of S and C entry by
+            # entry, so no intermediate is larger than its inputs; every
+            # other row keeps _evaluation_cov's bits
+            bad = ~np.isfinite(blend).all(axis=(1, 2))
+            if bad.any():
+                blend[bad] = cb[bad] + (self._creation_cov - cb[bad]) / wb[bad]
             eval_cov[blended] = blend if self._symmetric else 0.5 * (blend + blend.transpose(0, 2, 1))
         super().__init__(w, mean, *(_factor(eval_cov) if len(w) else (eval_cov, eval_cov.copy())))
 
@@ -760,9 +747,11 @@ class DynamicGaussianMixture(MixtureCore):
         a_j = (w_j / W) N(mean_j; component j) exp(-c), so the mixture at a
         point with squared distances q_j is exp(c) sum_j a_j exp(-q_j / 2).
         Every a_j is <= 1, and the argmax's is exactly 1."""
-        log_a = np.log(self._w / self._W) + self._log_norm
-        c = log_a.max()
-        return float(c), np.exp(log_a - c)
+        log_a = np.log(self._w / self._W)
+        log_a += self._log_norm
+        c = np.maximum.reduce(log_a)
+        log_a -= c
+        return float(c), np.exp(log_a, out=log_a)
 
     def _scaled_peak(self, a: np.ndarray) -> float:
         """The peak estimate scaled by exp(-c), for a = _scaled_weights()[1]:
@@ -775,7 +764,9 @@ class DynamicGaussianMixture(MixtureCore):
         others add non-negative terms: peak lies in [1, m] whatever the
         scale of the covariances, also after rounding.
         Builds the (m, m) distances, so it costs O(m^2 D^2)."""
-        return float((np.exp(-0.5 * _quad(self._mean, self._mean, self._chol_inv)) @ a).max())
+        e = _quad(self._mean, self._mean, self._chol_inv)
+        e *= -0.5
+        return float(np.maximum.reduce(np.exp(e, out=e) @ a))
 
     def _normalized(self, quad: np.ndarray) -> np.ndarray:
         """Mixture density over its estimated peak, clamped at 1, from the
@@ -874,8 +865,8 @@ class DynamicGaussianMixture(MixtureCore):
         unconditionally, so a fixed seed yields the same decision sequence
         regardless of branch outcomes; a merge then makes exactly one more
         draw, for its component (see _draw).  rng.random() is the only
-        call add_sample makes on rng, so the experiments pass a _Uniforms,
-        which serves the same values from blocks.
+        call add_sample makes on rng, so the experiments pass a _Served,
+        which serves the same values from one block.
 
         Each piece of a sample's work is computed once: one whitening gives
         the differences x - mean_i, the squared distances and their

@@ -34,9 +34,9 @@ round-trip of all floating point values, format 2 (MODEL_FORMAT): the
 model's constants k, creation_cov_scale, layout and standardizer, and per
 command one block of arrays, the w, mean and cov of its mixture.  Every
 command is an online mixture of the model's: its k and creation
-covariance are the model's and its weights whole numbers >= 1, so the file
-needs no per-command constants, and the reader checks each array in one
-pass.  Format-1 files, as `dgmm fit` wrote them (per command a list of
+covariance are the model's and its weights whole numbers >= 1 that sum
+below 2**53 (WEIGHT_LIMIT), so the file needs no per-command constants,
+and the reader checks each array in one pass.  Format-1 files, as `dgmm fit` wrote them (per command a list of
 components), load through one converter onto the format-2 arrays.
 """
 
@@ -68,6 +68,11 @@ TWO_PI = 2.0 * math.pi
 #: A model file's component covariance may have eigenvalues down to
 #: -PSD_TOLERANCE * max(1, largest |eigenvalue|), the rounding of exact moments.
 PSD_TOLERANCE = 1e-8
+
+#: A model file's command holds weights that sum below this: a total weight
+#: that grows by 1 per sample is exact only below 2**53 (2**53 + 1 rounds
+#: to 2**53).
+WEIGHT_LIMIT = 2.0**53
 
 
 class TerrainSupportError(ValueError):
@@ -317,7 +322,7 @@ class MotionModel:
         """The one training step, which record_sample and a batch fit
         (evaluation._fit) both take: add u, a vector in the model's internal
         space, to the mixture of command c by one add_sample, drawing from
-        rng (a generator, or its mixture._Uniforms).
+        rng (a generator, or a block of its uniforms, mixture._Served).
 
         The no-op command raises ValueError.  A command without a mixture
         gets a new one with the model's k and creation_cov_scale,
@@ -433,16 +438,18 @@ class MotionModel:
         a k that is not finite (k = inf is valid in memory), naming k, and
         a command whose mixture is not an online one of the model's, naming
         the command: one with another k or creation covariance, or none,
-        or a weight that is not a whole number >= 1."""
+        or a weight that is not a whole number >= 1; and weights that reach
+        WEIGHT_LIMIT, named as from_dict names them (_check_total_weight)."""
         if not math.isfinite(self.k):
             raise ValueError(f"k = {self.k!r} cannot be written to a model file: it must be finite")
         constants, commands = (self.k, self.creation_cov_scale), []
-        for c in self.commands():
+        for i, c in enumerate(self.commands()):
             mix = self.models[c]
             if (mix.k, mix.creation_cov_scale) != constants or _not_whole(mix._w).any():
                 raise ValueError(f"command {c} cannot be written to a model file: it must be an online "
                                  f"mixture with the model's (k, creation_cov_scale) = {constants} and whole "
                                  f"weights >= 1, not {(mix.k, mix.creation_cov_scale)} and {mix._w.tolist()}")
+            _check_total_weight(mix._w, f"commands[{i}].w")
             commands.append({"key": list(c.as_tuple()), "w": mix._w.tolist(), "mean": mix._mean.tolist(),
                              "cov": mix._cov.reshape(len(mix), -1).tolist()})
         std = self.standardizer
@@ -470,8 +477,9 @@ class MotionModel:
         mixture is an online one, with the model's k and creation
         covariance.  Anything else raises ValueError naming the field, down
         to the first bad entry of an array: each of a command's w, mean and
-        cov is checked in one pass, w for whole numbers >= 1, cov for
-        symmetry and positive semidefiniteness."""
+        cov is checked in one pass, w for whole numbers >= 1 that sum below
+        WEIGHT_LIMIT (_check_total_weight), cov for symmetry and positive
+        semidefiniteness."""
         if not isinstance(doc, dict):
             _fail("<root>", "not a JSON object")
         if doc.get("format") == _MODEL_FORMAT_1:
@@ -523,6 +531,7 @@ class MotionModel:
                 _fail(f"{where}.w", "empty: a trained command has at least one component")
             w = _expect_floats(entry, "w", (len(entry["w"]),), prefix=where + ".")
             _fail_first(f"{where}.w", _not_whole(w), "must be a whole number >= 1")
+            _check_total_weight(w, f"{where}.w")
             mean = _expect_floats(entry, "mean", (len(w), dim), prefix=where + ".")
             cov = _expect_floats(entry, "cov", (len(w), dim * dim), prefix=where + ".").reshape(-1, dim, dim)
             _fail_first(f"{where}.cov", asymmetric(cov), "cov is not symmetric")
@@ -568,6 +577,17 @@ def _fail_first(field: str, bad: np.ndarray, why: str) -> None:
     """_fail naming the first entry of the array `field` that bad flags, if any."""
     if bad.any():
         _fail(f"{field}[{int(bad.argmax())}]", why)
+
+
+def _check_total_weight(w: np.ndarray, field: str) -> None:
+    """_fail unless the whole weights w >= 1 of a command sum below
+    WEIGHT_LIMIT, naming the first weight that reaches it alone, or else
+    the field.  The sum is exact: whole partial sums below 2**53 are, and
+    one that reaches it cannot round back below."""
+    why = "a total weight that grows by 1 per sample is exact only below 2**53"
+    _fail_first(field, w >= WEIGHT_LIMIT, f"must be below 2**53: {why}")
+    if w.sum() >= WEIGHT_LIMIT:
+        _fail(field, f"the weights sum to 2**53 or more: {why}")
 
 
 def _not_whole(w: np.ndarray) -> np.ndarray:

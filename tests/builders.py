@@ -1,9 +1,10 @@
 """Hand-made mixtures for the tests, built by the library's one array
-constructor, DynamicGaussianMixture._from_arrays."""
+constructor, DynamicGaussianMixture._from_arrays, and the float64 test
+that a mixture's component count is final."""
 
 import numpy as np
 
-from dgmm.mixture import DynamicGaussianMixture
+from dgmm.mixture import DynamicGaussianMixture, merge_threshold
 
 
 def dynamic_mixture(w, mean, cov, k=0.3, creation_cov_scale=None) -> DynamicGaussianMixture:
@@ -26,3 +27,11 @@ def dynamic_mixture(w, mean, cov, k=0.3, creation_cov_scale=None) -> DynamicGaus
 def rebuild(m: DynamicGaussianMixture) -> DynamicGaussianMixture:
     """m built anew from copies of its moment arrays and its constants."""
     return dynamic_mixture(m._w, m._mean, m._cov, m.k, m.creation_cov_scale)
+
+
+def count_is_final(n: float, k: float) -> bool:
+    """True when the merge threshold at d = 0 has rounded to 1 after n
+    samples at k: it is then 1 for every d in [0, 1], every draw in [0, 1)
+    falls below it, and it stays 1 as n grows, so no later sample appends.
+    In float64 that happens once k n exceeds about 37.4."""
+    return merge_threshold(0.0, n, k) == 1.0

@@ -25,8 +25,10 @@ from dgmm.evaluation import (
     stratified_kfold,
     terrain_comparison,
 )
-from dgmm.mixture import DynamicGaussianMixture, _count_is_final
+from dgmm.mixture import DynamicGaussianMixture, merge_threshold
 from dgmm.motion import CommandKey, DeltaPose, MotionModel, Standardizer, TerrainSupportError, TerrainVector
+
+from builders import count_is_final
 
 
 class TestStratifiedKfold:
@@ -429,8 +431,9 @@ class TestReportReproducibility:
 
 def _reference_streams(decided):
     """Reference for evaluation._streams that ignores the target it is given
-    and stops a stream on decided(model, k), evaluated after every sample;
-    every update draws from the stream's generator itself."""
+    and stops a stream on decided(model, k, rng, n_points), evaluated after
+    every sample; every update draws from the stream's generator rng
+    itself."""
 
     def streams(points, plan, target_m):
         for k, seed in plan:
@@ -438,11 +441,66 @@ def _reference_streams(decided):
             model = DynamicGaussianMixture(points.shape[1], k)
             for x in points[sub.permutation(points.shape[0])]:
                 model.add_sample(x, sub)
-                if decided(model, k):
+                if decided(model, k, sub, points.shape[0]):
                     break
             yield model
 
     return streams
+
+
+def _full_stream(*args):
+    """A stop rule that never stops: every point is streamed."""
+    return False
+
+
+def _look_ahead(target_m):
+    """The stop rule of evaluation._streams, one sample at a time: stop on
+    more than target_m components, or on a count that is not target_m and
+    cannot change.  It cannot change when, from a copy of the generator's
+    state, every later sample's decision draw, drawn one value at a time,
+    falls below merge_threshold(0.0, n, k) at its total weight n: each
+    such sample merges whatever its density and then reads one more value,
+    its component draw, so the decision draws are every other value."""
+
+    def decided(model, k, rng, n_points):
+        m = len(model)
+        if m >= target_m:
+            return m > target_m
+        twin = np.random.default_rng()
+        twin.bit_generator.state = rng.bit_generator.state
+        for n in range(int(model.total_weight()), n_points):
+            if not twin.random() < merge_threshold(0.0, n, k):
+                return False
+            twin.random()
+        return True
+
+    return decided
+
+
+def _count_final(target_m):
+    """A stop rule that waits for t(0) itself to round to 1: stop on more
+    than target_m components, or on a count that is not target_m once
+    count_is_final holds at the total weight."""
+
+    def decided(model, k, rng, n_points):
+        m = len(model)
+        return m > target_m or (m != target_m and count_is_final(model.total_weight(), k))
+
+    return decided
+
+
+def _by_runner(monkeypatch, run, *rules):
+    """[(run(), the add_sample calls it made)] with evaluation._streams as
+    it is, then replaced by _reference_streams(rule) for each rule, in
+    order."""
+    calls = _counting_add_sample(monkeypatch)
+    out = []
+    for rule in (None,) + rules:
+        if rule is not None:
+            monkeypatch.setattr(evaluation, "_streams", _reference_streams(rule))
+        before = calls[0]
+        out.append((run(), calls[0] - before))
+    return out
 
 
 def _counting_add_sample(monkeypatch):
@@ -466,16 +524,14 @@ class TestEarlyStop:
     def test_k_sweep_equals_full_stream(self, seed, monkeypatch):
         pts = sample_gmm(three_component_benchmark(), 150, np.random.default_rng([30, seed]))
         grid = [0.0, 0.1, 0.7, 1000.0]
-        calls = _counting_add_sample(monkeypatch)
-        early = k_sweep(pts, grid, 2, np.random.default_rng(seed))
-        early_calls = calls[0]
-        monkeypatch.setattr(evaluation, "_streams", _reference_streams(lambda model, k: False))
-        full = k_sweep(pts, grid, 2, np.random.default_rng(seed))
+        (early, early_calls), (full, full_calls), (_, oracle_calls) = _by_runner(
+            monkeypatch, lambda: k_sweep(pts, grid, 2, np.random.default_rng(seed)),
+            _full_stream, _look_ahead(math.inf))
         assert early.to_json() == full.to_json()
         assert early.to_tsv() == full.to_tsv()
-        # per repeat, k = 1000 stops after 1 of the 150 points and k = 0.7
-        # after 54; k = 0.1 would stop only after 375
-        assert early_calls == (calls[0] - early_calls) - 2 * (149 + 96)
+        # the streams stop where the per-sample oracle stops them; per
+        # repeat, k = 1000 stops after 1 of the 150 points
+        assert early_calls == oracle_calls <= full_calls - 2 * 149
 
     @pytest.mark.parametrize("k, target_m", [
         (0.0, 2), (0.1, 2), (0.1, 7), (0.7, 2), (1000.0, 2), (1000.0, 1)])
@@ -486,7 +542,7 @@ class TestEarlyStop:
                                  rng=np.random.default_rng(seed))
                  for seed in range(5)]
         early_calls = calls[0]
-        monkeypatch.setattr(evaluation, "_streams", _reference_streams(lambda model, k: False))
+        monkeypatch.setattr(evaluation, "_streams", _reference_streams(_full_stream))
         full = [mise_experiment(pts, k, target_m, needed=2, max_attempts=4,
                                 rng=np.random.default_rng(seed))
                 for seed in range(5)]
@@ -542,42 +598,46 @@ class TestPointValidation:
 
 
 class TestStopCount:
-    """The streams stop on a count found once per stream: exactly where the
-    per-sample rule on _count_is_final would stop them, with the same
-    number of add_sample calls."""
+    """The streams stop exactly where the per-sample look-ahead oracle
+    (_look_ahead) would stop them, with the same number of add_sample
+    calls, and never later than a rule that waits for t(0) to round to 1
+    (_count_final), with the same reports."""
 
     @pytest.mark.parametrize("k, target_m", [
         (0.0, 2), (0.1, 2), (0.1, 7), (0.7, 2), (0.7, 3), (1000.0, 2), (1000.0, 1), (math.inf, 1)])
     def test_mise_experiment_calls_equal_the_per_sample_rule(self, k, target_m, monkeypatch):
         pts = load_old_faithful(standardize=True)[0][::2]
-        calls = _counting_add_sample(monkeypatch)
-        got = [mise_experiment(pts, k, target_m, needed=2, max_attempts=4,
-                               rng=np.random.default_rng(seed)).to_json()
-               for seed in range(5)]
-        got_calls = calls[0]
 
-        def decided(model, k):
-            m = len(model)
-            return m > target_m or (m != target_m and _count_is_final(model.total_weight(), k))
+        def run():
+            return [mise_experiment(pts, k, target_m, needed=2, max_attempts=4,
+                                    rng=np.random.default_rng(seed)).to_json()
+                    for seed in range(5)]
 
-        monkeypatch.setattr(evaluation, "_streams", _reference_streams(decided))
-        want = [mise_experiment(pts, k, target_m, needed=2, max_attempts=4,
-                                rng=np.random.default_rng(seed)).to_json()
-                for seed in range(5)]
-        assert got == want
-        assert got_calls == calls[0] - got_calls
+        (got, got_calls), (want, want_calls), (final, final_calls) = _by_runner(
+            monkeypatch, run, _look_ahead(target_m), _count_final(target_m))
+        assert got == want == final
+        assert got_calls == want_calls <= final_calls
 
     @pytest.mark.parametrize("seed", range(3))
     def test_k_sweep_calls_equal_the_per_sample_rule(self, seed, monkeypatch):
         pts = sample_gmm(three_component_benchmark(), 120, np.random.default_rng([36, seed]))
         grid = [0.0, 0.05, 0.3, 0.7, 1000.0, math.inf]
-        calls = _counting_add_sample(monkeypatch)
-        got = k_sweep(pts, grid, 2, np.random.default_rng(seed)).to_json()
-        got_calls = calls[0]
-        monkeypatch.setattr(evaluation, "_streams", _reference_streams(
-            lambda model, k: _count_is_final(model.total_weight(), k)))
-        assert got == k_sweep(pts, grid, 2, np.random.default_rng(seed)).to_json()
-        assert got_calls == calls[0] - got_calls
+        (got, got_calls), (want, want_calls), (final, final_calls) = _by_runner(
+            monkeypatch, lambda: k_sweep(pts, grid, 2, np.random.default_rng(seed)).to_json(),
+            _look_ahead(math.inf), _count_final(math.inf))
+        assert got == want == final
+        assert got_calls == want_calls <= final_calls
+
+    def test_k_sweep_stops_sooner_on_the_benchmark_grid(self, monkeypatch):
+        # the benchmark's AC3 grid on 500 points: at k = 0.02, t(0) never
+        # rounds to 1 within the stream, yet the draws settle the count
+        pts = sample_gmm(three_component_benchmark(), 500, np.random.default_rng(37))
+        grid = [0.02, 0.05, 0.1, 0.3, 0.7, 1.5]
+        (got, got_calls), (want, want_calls), (final, final_calls) = _by_runner(
+            monkeypatch, lambda: k_sweep(pts, grid, 1, np.random.default_rng(38)).to_json(),
+            _look_ahead(math.inf), _count_final(math.inf))
+        assert got == want == final
+        assert got_calls == want_calls < final_calls
 
 
 def _never(*args, **kwargs):

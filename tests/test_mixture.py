@@ -11,16 +11,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dgmm.mixture
-from dgmm.gaussian import Gaussian, positive_definite_cholesky
+from dgmm.gaussian import LOG_2PI, Gaussian, positive_definite_cholesky
 from dgmm.mixture import (
     DynamicGaussianMixture,
     WeightedGaussian,
-    _Uniforms,
+    _Served,
     _absorb,
-    _count_is_final,
     _evaluation_cov,
     _factor,
-    _final_count,
+    _log_norm,
+    _merge_floors,
+    _quad,
     _threshold,
     logsumexp,
     merge_into,
@@ -30,7 +31,7 @@ from dgmm.em import FixedGaussianMixture, Grid, integrate_on_grid, mixture_suppo
 from dgmm.datasets import sample_gmm, three_component_benchmark
 from dgmm.motion import CommandKey, MotionModel
 
-from builders import dynamic_mixture, rebuild
+from builders import count_is_final, dynamic_mixture, rebuild
 
 STD_PEAK = 1.0 / math.sqrt(2 * math.pi)
 FWD = CommandKey(0.5, 0.0, 0.0)
@@ -1101,9 +1102,9 @@ class TestCountIsFinal:
         rng = np.random.default_rng(seed)
         k, scale = 10.0**log_k, 10.0**log_scale
         n_final = max(1, int(36.0 / k))
-        while not _count_is_final(n_final, k):
+        while not count_is_final(n_final, k):
             n_final += 1
-        assert not _count_is_final(n_final - 1, k)
+        assert not count_is_final(n_final - 1, k)
         # reach n_final with a short stream, on top of hand-built components
         # carrying the rest of the weight when n_final is large
         streamed = min(n_final, 20)
@@ -1117,7 +1118,7 @@ class TestCountIsFinal:
         for x in pts[:streamed]:
             m.add_sample(x, rng)
         assert m.total_weight() == n_final
-        assert _count_is_final(m.total_weight(), k)
+        assert count_is_final(m.total_weight(), k)
         count = len(m)
         for x in pts[streamed:]:
             m.add_sample(x, rng)
@@ -1151,41 +1152,59 @@ def outcome(f, a):
     return out, [(w.category, str(w.message)) for w in caught]
 
 
-class TestFinalCount:
-    """_final_count(k) is the first n at which _count_is_final(n, k) holds,
-    found once per k, so a stream that stops when its total weight reaches
-    it stops where the per-sample predicate would."""
+def quad_by_broadcast(pts, mean, chol_inv):
+    """_quad with the differences broadcast to (m, N, D)."""
+    y = (pts[None] - mean[:, None]) @ chol_inv.transpose(0, 2, 1)
+    return np.einsum("mnd,mnd->nm", y, y)
 
-    @settings(max_examples=300, deadline=None)
-    @given(log_k=st.floats(-4.0, 4.0))
-    @example(log_k=-4.0)
-    @example(log_k=4.0)
-    @example(log_k=0.0)
-    def test_first_count_where_the_predicate_holds(self, log_k):
+
+class TestPeakPathBits:
+    """t(0) at every total weight, the squared distances and the pieces of
+    the peak estimate are formed in place or as whole vectors, with the
+    bits of the scalar and out-of-place expressions they stand for."""
+
+    @pytest.mark.parametrize("k", [0.0, 5e-324, 1e-300, 1e-6, 0.02, 0.05, 0.1, 0.3, 0.7, 1.5,
+                                   1000.0, 1e300, 1.7e308, math.inf])
+    def test_merge_floors_have_the_bits_of_merges_first_threshold(self, k):
+        floors = _merge_floors(k, 3000)
+        assert floors.shape == (3000,)
+        want = [_threshold(0.0, float(np.exp(-k * float(n)))) for n in range(3000)]
+        assert floors.tobytes() == np.array(want).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_k=st.floats(-6.0, 300.0), n=st.integers(1, 20000))
+    def test_merge_floors_equal_merge_threshold(self, log_k, n):
         k = 10.0**log_k
-        n = _final_count(k)
-        assert n == int(n) >= 1
-        assert _count_is_final(n, k)
-        assert not _count_is_final(n - 1, k)
+        assert _merge_floors(k, n + 1)[n] == merge_threshold(0.0, n, k)
 
-    def test_zero_k_is_never_final(self):
-        assert _final_count(0.0) == math.inf
-        assert not _count_is_final(2.0**53, 0.0)
+    def test_merge_floors_raise_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(_merge_floors(math.inf, 2)[0])
+            assert _merge_floors(math.inf, 2)[1] == 1.0
+            assert (_merge_floors(1.7e308, 5)[1:] == 1.0).all()
 
-    def test_infinite_k_is_final_at_one(self):
-        assert _final_count(math.inf) == 1.0
-        assert _count_is_final(1, math.inf)
-        assert not _count_is_final(0, math.inf)
-
-    def test_huge_and_tiny_k(self):
-        assert _final_count(1e300) == 1.0
-        # k n must pass about 37.4, beyond the weights a stream can count
-        assert _final_count(1e-300) == math.inf
-
-    def test_negative_or_nan_k_raises(self):
-        for k in (-1.0, math.nan):
-            with pytest.raises(ValueError, match="n and k must be non-negative"):
-                _final_count(k)
+    @settings(max_examples=150, deadline=None)
+    @given(dim=st.integers(1, 8), m=st.integers(1, 40), n=st.integers(1, 40),
+           offset=st.floats(-1e6, 1e6), log_scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_quad_and_peak_pieces_have_the_broadcast_bits(self, dim, m, n, offset, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        a = rng.standard_normal((m, dim, dim))
+        cov = scale**2 * (a @ a.transpose(0, 2, 1) / dim + 0.1 * np.eye(dim))
+        mix = dynamic_mixture(rng.integers(1, 50, m), offset + scale * rng.standard_normal((m, dim)), cov,
+                              creation_cov_scale=scale**2)
+        pts = offset + scale * rng.standard_normal((n if n != m else n + 1, dim))
+        mean, chol_inv = mix._mean, mix._chol_inv
+        assert _quad(pts, mean, chol_inv).tobytes() == quad_by_broadcast(pts, mean, chol_inv).tobytes()
+        log_norm = -0.5 * dim * LOG_2PI + np.log(chol_inv.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
+        assert _log_norm(chol_inv).tobytes() == log_norm.tobytes()
+        log_a = np.log(mix._w / mix._W) + log_norm
+        c, a = mix._scaled_weights()
+        assert c == float(log_a.max())
+        assert a.tobytes() == np.exp(log_a - log_a.max()).tobytes()
+        peak = float((np.exp(-0.5 * quad_by_broadcast(mean, mean, chol_inv)) @ a).max())
+        assert mix._scaled_peak(a) == peak
 
 
 class TestOnePassPieces:
@@ -1450,19 +1469,18 @@ class TestAdoptBlend:
 
 
 class TestUniforms:
-    """_Uniforms serves Generator.random()'s sequence bit for bit, from
-    blocks: after a permutation (which may leave a buffered 32-bit value
-    behind) and across the blocks it draws as it runs out."""
+    """_Served(rng.random(n)) serves Generator.random()'s sequence bit for
+    bit, as Python floats: also after a permutation, which may leave a
+    buffered 32-bit value behind."""
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**64 - 1), shuffled=st.integers(0, 40),
-           n=st.integers(0, 3 * _Uniforms.BLOCK + 5))
-    @example(seed=1, shuffled=7, n=_Uniforms.BLOCK)
-    @example(seed=1, shuffled=0, n=_Uniforms.BLOCK + 1)
+    @given(seed=st.integers(0, 2**64 - 1), shuffled=st.integers(0, 40), n=st.integers(0, 400))
+    @example(seed=1, shuffled=7, n=64)
+    @example(seed=1, shuffled=0, n=65)
     def test_serves_generator_random_bit_for_bit(self, seed, shuffled, n):
         rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
         assert rng.permutation(shuffled).tolist() == twin.permutation(shuffled).tolist()
-        draws = _Uniforms(rng)
+        draws = _Served(rng.random(n))
         got = [draws.random() for _ in range(n)]
         want = [twin.random() for _ in range(n)]
         assert all(type(u) is float for u in got)

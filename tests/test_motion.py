@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import dgmm.mixture
 from dgmm.gaussian import Gaussian, IndexSplit
-from dgmm.mixture import WeightedGaussian, logsumexp
+from dgmm.mixture import WeightedGaussian, _evaluation_cov, logsumexp
 from dgmm.motion import (
     CommandKey,
     DeltaPose,
@@ -1091,6 +1091,58 @@ class TestPersistence:
         with pytest.raises(ValueError, match=re.escape(
                 f"model file: field 'commands[0].w[{bad}]': must be a whole number >= 1") + "$"):
             MotionModel.from_dict(doc)
+
+    @pytest.mark.parametrize("w, field, why", [
+        ([2**53], "commands[0].w[0]", "must be below 2**53"),
+        ([1, 2**53 + 2], "commands[0].w[1]", "must be below 2**53"),
+        ([2**52, 2**52], "commands[0].w", "the weights sum to 2**53 or more"),
+    ], ids=["one-weight", "a-later-weight", "the-sum"])
+    def test_weights_that_reach_2_53_are_refused(self, w, field, why):
+        # 2**53 + 1 rounds to 2**53, so a merge into such a mixture would
+        # leave its total weight unchanged: the reader and the writer
+        # refuse it, naming the weight, or the weights when only their sum
+        # reaches it
+        mm = MotionModel(k=5.0, x_dim=2)
+        mean, cov = [[float(i), 0.0] for i in range(len(w))], [np.eye(2)] * len(w)
+        mm.models[FWD] = online_mixture(mm, [1.0] * len(w), mean, cov)
+        doc = json.loads(json.dumps(mm.to_dict()))
+        doc["commands"][0]["w"] = w
+        message = re.escape(f"model file: field '{field}': {why}: a total weight that grows by 1 per "
+                            "sample is exact only below 2**53") + "$"
+        with pytest.raises(ValueError, match=message):
+            MotionModel.from_dict(doc)
+        mm.models[FWD] = online_mixture(mm, [float(v) for v in w], mean, cov)
+        with pytest.raises(ValueError, match=message):
+            mm.to_dict()
+
+    def test_weight_just_below_2_53_loads_and_grows_by_one(self):
+        mm = MotionModel(k=5.0, x_dim=2)
+        mm.models[FWD] = online_mixture(mm, [1.0], [[0.0, 0.0]], [np.eye(2)])
+        doc = json.loads(json.dumps(mm.to_dict()))
+        doc["commands"][0]["w"] = [2**53 - 1]
+        mix = MotionModel.from_dict(doc).mixture_for(FWD)
+        assert mix.total_weight() == 2.0**53 - 1
+        mix.add_sample(np.array([0.1, 0.0]), np.random.default_rng(0))
+        assert mix.total_weight() == 2.0**53 == float(mix._w.sum())
+
+    def test_blend_whose_first_product_overflows_loads_without_warnings(self):
+        # (w - 1) S overflows for w = 1e10 and entries of 1e300, though the
+        # blend ((w - 1) S + C) / w lies between S and C; the other
+        # component keeps the blend's bits
+        mm = MotionModel(k=0.5, x_dim=2)
+        big = 1e300 * np.array([[1.0, 0.5], [0.5, 1.0]])
+        doc = json.loads(json.dumps({**mm.to_dict(), "commands": [
+            {"key": list(FWD.as_tuple()), "w": [1e10, 3.0], "mean": [[0.0, 0.0], [1.0, 0.0]],
+             "cov": [big.ravel().tolist(), [2.0, 0.5, 0.5, 1.0]]}]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = MotionModel.from_dict(doc)
+            assert math.isfinite(back.log_density(FWD, np.zeros(2)))
+        mix = back.mixture_for(FWD)
+        assert np.isfinite(mix._chol_inv).all() and (np.diagonal(mix._chol_inv, axis1=1, axis2=2) > 0).all()
+        assert mix._eval_cov[0] == pytest.approx(big, rel=1e-9)
+        want = _evaluation_cov(np.array([[2.0, 0.5], [0.5, 1.0]]), 3.0, np.eye(2))
+        assert mix._eval_cov[1].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("k", [-1.0, math.nan])
     def test_negative_or_nan_k_rejected(self, k):
